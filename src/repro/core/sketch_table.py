@@ -8,8 +8,9 @@ regularization through a global scale ``alpha`` (Section 5.1,
 recovery.  Historically the margin / estimate / decay / renormalization
 logic was copy-pasted between ``wm_sketch.py`` and ``awm_sketch.py``;
 :class:`ScaledSketchTable` is the single home for it, plus the batched
-hashing front-end (:class:`~repro.hashing.batch.BatchHasher`) shared by
-the vectorized ``fit_batch`` kernels.
+hashing front-end shared by the vectorized ``fit_batch`` and read
+kernels: a :class:`~repro.hashing.batch.BatchHasher`, the set-associative
+memo of each key's per-row (bucket, sign) pairs.
 
 Floating-point discipline: the batched kernels promise bit-level
 equivalence with the per-example update path, so both paths must go
@@ -579,8 +580,8 @@ class ScaledSketchTable(StreamingClassifier):
 
         ``batch_hasher`` / ``workspace`` let a snapshot *manager* thread
         its long-lived reader-side caches through successive publishes
-        (hash functions are pure and shared with the live model, so LRU
-        warmth carries over; the workspace arenas keep reads
+        (hash functions are pure and shared with the live model, so the
+        memo stays warm; the workspace arenas keep reads
         zero-allocation).  Both default to fresh caches.  Snapshots are
         read-only by contract and, like every model, single-threaded:
         serving layers must serialize access per snapshot chain.

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.data.sparse import SparseExample
+from repro.data.sparse import SparseExample, check_finite
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class SparseBatch:
             )
         if labels.size and not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
+        check_finite(values)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)

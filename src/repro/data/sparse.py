@@ -42,6 +42,7 @@ class SparseExample:
             )
         if self.label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
+        check_finite(values)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
 
@@ -77,6 +78,20 @@ class SparseExample:
         if n == 0.0:
             return self
         return self.scaled(1.0 / n)
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first NaN or ±inf in ``values``.
+
+    One non-finite feature value would permanently poison a sketch
+    table, so examples and batches reject them at construction.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        raise ValueError(
+            f"values[{pos}] is {values[pos]}: feature values must be finite"
+        )
 
 
 def sparse_dot(

@@ -1,32 +1,36 @@
-"""Batched hashing: per-batch dedup plus a bounded cross-batch key cache.
+"""Batched hashing: a fixed-size, 4-way set-associative memo.
 
 Hashing dominates the cost of sketch updates on the Python substrate —
 every row of every sketch evaluates a vectorized tabulation (or
-polynomial) hash per example.  Two structural facts make batching pay:
+polynomial) hash per key.  Across consecutive batches the hot keys
+repeat, so :class:`BatchHasher` remembers each key's ``depth`` rows of
+(bucket, sign) and serves repeats with a few whole-array gathers.
 
-* within a mini-batch the same feature typically occurs in many
-  examples (Zipfian streams), so hashing the batch's *unique* keys once
-  and expanding through ``np.unique``'s inverse map does strictly less
-  work than hashing per example;
-* across consecutive batches the hot keys repeat, so a small cache of
-  recently hashed keys converts most lookups into one
-  ``np.searchsorted`` gather.
+* **Layout.**  ``2**17`` entries in ``2**15`` sets of four ways.  Key
+  ``k`` lives in set ``k & (2**15 - 1)``: stream ids are dense in
+  ``[0, d)``, so the low bits spread them evenly (a d = 47k stream puts
+  at most two keys in any set).  Each way holds the key as its tag plus
+  the key's rows.  With ``2**14`` sets the serving reader's ~17k-key
+  working set on the url stream overfilled 51 sets and nearly every
+  coalesced read batch paid a miss; ``2**15`` sets leave 2.  (Eight
+  ways over ``2**13`` sets fix that too, but double the tag work of
+  every hit.)
+* **Lookup.**  One gather reads the four tags of every key's set and
+  one comparison marks the way that holds the key (at most one does: a
+  key is stored only after it missed).  The matching way becomes the
+  entry's column in four integer operations, and two more gathers write
+  the rows straight into the caller's arrays: ten NumPy calls for 10
+  keys or 25,000, and no allocation on a hit.
+* **Miss.**  The missing positions are deduplicated and hashed once per
+  distinct key with ``family.all_rows``.  New entries fill their set's
+  ways round-robin, so a hit writes nothing.
 
-The cache is bounded at ``cache_capacity`` entries with *bulk LRU-ish*
-eviction: every entry carries a last-used batch stamp, and when an
-insert would overflow, the least-recently-used half of the incumbents
-is dropped in one vectorized pass (amortized O(1) per inserted key —
-per-entry LRU bookkeeping would cost more than the hashes it saves).
-High-cardinality streams therefore cycle the cold tail through the
-cache while the Zipf head stays resident; :attr:`hit_rate` reports how
-well that is working.
-
-Hash functions are pure, so neither optimization can change a single
-bucket or sign — :class:`BatchHasher` is exactly ``family.all_rows``
-evaluated faster (property-tested in ``tests/test_batch_hashing.py``).
-For zero-allocation callers, :meth:`rows_into` writes the expanded
-(bucket, sign) rows into caller-provided (workspace) arrays instead of
-returning fresh ones.
+An empty way's tag belongs to another set (``set ^ 1``), so no key ever
+matches it — negative keys and keys near the int64 maximum included.
+Hash functions are pure and every hit is tag-checked, so the memo cannot
+change a single bucket or sign: :class:`BatchHasher` is exactly
+``family.all_rows`` evaluated faster (property-tested in
+``tests/test_batch_hashing.py``).  One thread uses each hasher.
 """
 
 from __future__ import annotations
@@ -36,19 +40,26 @@ import numpy as np
 from repro.hashing.family import HashFamily
 from repro.telemetry.registry import MetricsRegistry
 
+WAYS = 4
+SET_BITS = 15
+_SETS = 1 << SET_BITS
+_SET_MASK = _SETS - 1
+#: A position's match flags are one little-endian int64 whose byte ``w``
+#: is 1 when way ``w`` holds the key (bytes 4-7 stay 0, and at most one
+#: byte is set).  Multiplying by this constant moves ``w`` into the top
+#: byte.
+_WAY_MAGIC = 0x0001020300000000
+#: Most keys one lookup pass handles (the scratch costs 56 bytes a key).
+_CHUNK = 1 << 15
+
 
 class BatchHasher:
-    """Deduplicating, caching front-end to :meth:`HashFamily.all_rows`.
+    """Set-associative memo in front of :meth:`HashFamily.all_rows`.
 
     Parameters
     ----------
     family:
         The hash family to evaluate.
-    cache_capacity:
-        Maximum number of distinct keys retained across batches.  When
-        an insert would overflow, the least-recently-used half of the
-        incumbents is evicted in bulk (see the module docstring).
-        0 disables cross-batch caching (dedup still applies).
     registry:
         A :class:`~repro.telemetry.MetricsRegistry` to publish the
         hit/miss/eviction counters into (a private registry is created
@@ -64,84 +75,73 @@ class BatchHasher:
     def __init__(
         self,
         family: HashFamily,
-        cache_capacity: int = 1 << 16,
         *,
         registry: MetricsRegistry | None = None,
         metrics_prefix: str = "hasher",
     ):
-        if cache_capacity < 0:
-            raise ValueError(
-                f"cache_capacity must be >= 0, got {cache_capacity}"
-            )
         self.family = family
-        self.cache_capacity = cache_capacity
         self.registry = registry if registry is not None else MetricsRegistry()
         self.metrics_prefix = metrics_prefix
-        depth = family.depth
-        self._keys = np.empty(0, dtype=np.int64)  # sorted
-        self._buckets = np.empty((depth, 0), dtype=np.int64)
-        self._signs = np.empty((depth, 0), dtype=np.float64)
-        #: Last-used batch stamp per cached key (parallel to ``_keys``).
-        self._last_used = np.empty(0, dtype=np.int64)
-        self._tick = 0
-        #: Diagnostics: lookups served from / missing in the cache
-        #: (unique keys on the dedup path, key positions on the all-hit
-        #: fast path), and entries dropped by bulk LRU eviction —
-        #: registry counters, mutated once per *batch* (the legacy int
-        #: attributes live on as the properties below).
+        #: Diagnostics: key positions served from / missing in the memo,
+        #: and valid entries overwritten by new ones — registry counters
+        #: (the legacy int attributes live on as the properties below).
         self._m_hits = self.registry.counter(f"{metrics_prefix}.hits")
         self._m_misses = self.registry.counter(f"{metrics_prefix}.misses")
         self._m_evictions = self.registry.counter(
             f"{metrics_prefix}.evictions"
         )
-        #: Key-universe bound under which the all-hit fast path keeps a
-        #: dense key -> cache-position map (int32, so the default costs
-        #: at most 4 MB).  Streams with larger ids simply keep the
-        #: dedup path — results are identical either way.
-        self.direct_bound = 1 << 20
-        # The dense map itself: ``_direct[key]`` is the cache position
-        # of ``key`` or -1.  Rebuilt lazily after any cache mutation
-        # (grow-only arena; never pickled — the whole cache state is
-        # derived).
-        self._direct = np.empty(0, dtype=np.int32)
-        self._direct_span = 0  # valid prefix of the map
-        self._direct_dirty = True
-        # Grow-only scratch for fast-path lookups (positions + hit
-        # mask); never escapes this object.
-        self._pos32_scratch = np.empty(0, dtype=np.int32)
-        self._pos_scratch = np.empty(0, dtype=np.intp)
-        self._hit_scratch = np.empty(0, dtype=bool)
+        # Grow-only lookup scratch; never escapes this object.
+        self._scratch = 0
+        self._tags = None
+        self._size = 0
 
     # ------------------------------------------------------------------
-    # Pickling: the cache is a pure memoization of the (picklable) hash
-    # family, so snapshots carry only the configuration and restart with
-    # a cold cache — results are unchanged (hashes are pure), and the
-    # payload stays small for spawn-based worker processes.
+    # Pickling: the memo is derived from the (picklable) hash family, so
+    # snapshots carry only the family and restart cold — results are
+    # unchanged (hashes are pure), and the payload stays small for
+    # spawn-based worker processes.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {
-            "family": self.family,
-            "cache_capacity": self.cache_capacity,
-        }
+        return {"family": self.family}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["family"], cache_capacity=state["cache_capacity"]
-        )
+        self.__init__(state["family"])
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop all cached keys."""
+        """Drop every entry (the memo's arrays are kept for reuse)."""
+        if self._tags is not None:
+            self._tags[:] = np.arange(_SETS) ^ 1  # empty: another set's key
+            self._next_way[:] = 0
+        self._size = 0
+
+    def _allocate(self) -> None:
+        """Build the memo; this waits for the first lookup, because every
+        model and snapshot shell owns a hasher and most never hash a
+        batch."""
         depth = self.family.depth
-        self._keys = np.empty(0, dtype=np.int64)
-        self._buckets = np.empty((depth, 0), dtype=np.int64)
-        self._signs = np.empty((depth, 0), dtype=np.float64)
-        self._last_used = np.empty(0, dtype=np.int64)
-        self._direct_span = 0
-        self._direct_dirty = True
+        # Way-major: way ``w`` of set ``s`` is column ``w * _SETS + s``.
+        self._tags = np.empty((WAYS, _SETS), dtype=np.int64)
+        self._buckets = np.zeros((depth, WAYS * _SETS), dtype=np.int64)
+        self._signs = np.zeros((depth, WAYS * _SETS), dtype=np.float64)
+        self._next_way = np.zeros(_SETS, dtype=np.uint8)
+        self.clear()
+
+    def _grow_scratch(self, n: int) -> None:
+        cap = min(max(n, 2 * self._scratch), _CHUNK)
+        self._set_scratch = np.empty(cap, dtype=np.intp)
+        self._slot_scratch = np.empty(cap, dtype=np.intp)
+        self._tag_scratch = np.empty(WAYS * cap, dtype=np.int64)
+        # One int64 of match flags per position, and the (WAYS, cap)
+        # view of the bytes the comparison fills (the rest stay 0).
+        self._flag_scratch = np.zeros(cap, dtype=np.dtype("<i8"))
+        self._match_scratch = (
+            self._flag_scratch.view(np.bool_).reshape(cap, 8)[:, :WAYS].T
+        )
+        self._scratch = cap
 
     def __len__(self) -> int:
-        return int(self._keys.size)
+        return self._size
 
     # -- legacy counter views (deprecated: read the registry instead) --
     @property
@@ -161,171 +161,110 @@ class BatchHasher:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of key lookups served from the cache (0.0 before
-        any lookup).
-
-        Accounting follows the path that served the batch: the dedup
-        path counts *unique* keys (one lookup per distinct key), the
-        all-hit fast path counts every key position (it never
-        deduplicates).  Steady-state streams are dominated by the fast
-        path, so the rate reads as per-position there — still the
-        right signal for sizing ``cache_capacity`` / ``direct_bound``
-        (a low value means hashing is being recomputed), just not a
-        unique-key census.
-        """
+        """Fraction of key positions served from the memo (0.0 before
+        any lookup).  A key repeated within one batch counts once per
+        position, so the rate reads as the share of hash evaluations
+        the memo saved before per-batch deduplication."""
         total = self.hits + self.misses
         if total == 0:
             return 0.0
         return self.hits / total
 
     # ------------------------------------------------------------------
-    def _lookup(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(positions in cache, hit mask) for sorted unique keys."""
-        if self._keys.size == 0:
-            return np.zeros(uniq.size, dtype=np.intp), np.zeros(
-                uniq.size, dtype=bool
-            )
-        pos = np.searchsorted(self._keys, uniq)
-        clipped = np.minimum(pos, self._keys.size - 1)
-        hit = self._keys[clipped] == uniq
-        return clipped, hit
-
-    def _insert(
-        self, keys: np.ndarray, buckets: np.ndarray, signs: np.ndarray
-    ) -> None:
-        """Merge sorted new keys (disjoint from the cache) into the cache,
-        bulk-evicting the least-recently-used incumbents on overflow."""
-        if self.cache_capacity == 0 or keys.size == 0:
-            return
-        if keys.size > self.cache_capacity:
-            keep = self.cache_capacity
-            keys, buckets, signs = (
-                keys[:keep],
-                buckets[:, :keep],
-                signs[:, :keep],
-            )
-        overflow = self._keys.size + keys.size - self.cache_capacity
-        if overflow > 0:
-            # Drop at least half the incumbents, oldest stamps first
-            # (amortized O(1) eviction work per inserted key; the hot
-            # head re-enters untouched because its stamps are current).
-            evict = min(max(overflow, self._keys.size // 2), self._keys.size)
-            order = np.argsort(self._last_used, kind="stable")
-            keep_mask = np.ones(self._keys.size, dtype=bool)
-            keep_mask[order[:evict]] = False
-            self._keys = self._keys[keep_mask]
-            self._buckets = self._buckets[:, keep_mask]
-            self._signs = self._signs[:, keep_mask]
-            self._last_used = self._last_used[keep_mask]
-            self._m_evictions.inc(int(evict))
-        at = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, at, keys)
-        self._buckets = np.insert(self._buckets, at, buckets, axis=1)
-        self._signs = np.insert(self._signs, at, signs, axis=1)
-        self._last_used = np.insert(self._last_used, at, self._tick)
-        self._direct_dirty = True
-
-    # ------------------------------------------------------------------
-    def _rebuild_direct(self) -> bool:
-        """(Re)build the dense key -> position map; False if the key
-        universe exceeds :attr:`direct_bound`."""
-        n = self._keys.size
-        if n == 0:
-            return False
-        span = int(self._keys[-1]) + 1  # keys are sorted, non-negative
-        if span > self.direct_bound or int(self._keys[0]) < 0:
-            self._direct_span = 0
-            return False
-        if self._direct.size < span:
-            self._direct = np.empty(
-                max(span, 2 * self._direct.size), dtype=np.int32
-            )
-        self._direct[:span] = -1
-        self._direct[self._keys] = np.arange(n, dtype=np.int32)
-        self._direct_span = span
-        self._direct_dirty = False
-        return True
-
-    def _all_hit_rows(
+    def _lookup(
         self,
         keys: np.ndarray,
-        buckets_out: np.ndarray | None,
-        signs_out: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Steady-state fast path: every key already cached.
+        buckets_out: np.ndarray,
+        signs_out: np.ndarray,
+    ) -> None:
+        """Write ``all_rows(keys)`` into the ``(depth, n)`` outputs.
 
-        One gather against the dense key -> position map plus a hit
-        probe, all through grow-only scratch — no ``np.unique``, whose
-        sort/inverse machinery is both the dominant transient
-        allocation and a large share of the time of the dedup path.
-        Returns ``None`` when any key misses, the map is out of
-        bounds, or the key universe is too wide (the dedup path then
-        handles the batch; results are identical either way).
+        Works through at most :data:`_CHUNK` keys at a time, which
+        bounds the scratch: a held-out evaluation can pass half a
+        million keys in one call.
         """
-        if self._keys.size == 0:
-            return None
-        if self._direct_dirty and not self._rebuild_direct():
-            return None
-        n = keys.size
-        if (self._direct_span == 0
-                or int(keys.max()) >= self._direct_span
-                or int(keys.min()) < 0):
-            return None
-        if self._pos_scratch.size < n:
-            grown = max(n, 2 * self._pos_scratch.size)
-            self._pos32_scratch = np.empty(grown, dtype=np.int32)
-            self._pos_scratch = np.empty(grown, dtype=np.intp)
-            self._hit_scratch = np.empty(grown, dtype=bool)
-        pos32 = self._pos32_scratch[:n]
-        np.take(self._direct, keys, out=pos32)
-        hit = self._hit_scratch[:n]
-        np.greater_equal(pos32, 0, out=hit)
-        if not hit.all():
-            return None
-        # One intp copy up front so the row takes below do not each
-        # re-convert the index array.
-        pos = self._pos_scratch[:n]
-        np.copyto(pos, pos32)
-        self._tick += 1
-        self._last_used[pos] = self._tick
-        self._m_hits.inc(n)
-        if buckets_out is None:
-            return self._buckets[:, pos], self._signs[:, pos]
-        for j in range(self.family.depth):
-            # Per-row 1-d takes: the axis/out variant of np.take
-            # materializes an internal temporary; row takes do not.
-            self._buckets[j].take(pos, out=buckets_out[j])
-            self._signs[j].take(pos, out=signs_out[j])
-        return buckets_out, signs_out
+        if self._tags is None:
+            self._allocate()
+        for lo in range(0, keys.size, _CHUNK):
+            hi = lo + _CHUNK
+            self._lookup_chunk(
+                keys[lo:hi], buckets_out[:, lo:hi], signs_out[:, lo:hi]
+            )
 
-    def _unique_rows(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ubuckets, usigns, inverse map) for a key array's unique set,
-        served from the cache where possible."""
-        uniq, inv = np.unique(keys, return_inverse=True)
-        depth = self.family.depth
-        self._tick += 1
-        pos, hit = self._lookup(uniq)
-        ubuckets = np.empty((depth, uniq.size), dtype=np.int64)
-        usigns = np.empty((depth, uniq.size), dtype=np.float64)
-        n_hit = int(np.count_nonzero(hit))
-        if n_hit:
-            hit_pos = pos[hit]
-            ubuckets[:, hit] = self._buckets[:, hit_pos]
-            usigns[:, hit] = self._signs[:, hit_pos]
-            self._last_used[hit_pos] = self._tick
-        if n_hit < uniq.size:
-            miss = ~hit
-            mb, ms = self.family.all_rows(uniq[miss])
-            ubuckets[:, miss] = mb
-            usigns[:, miss] = ms
-            self._insert(uniq[miss], mb, ms)
+    def _lookup_chunk(
+        self,
+        keys: np.ndarray,
+        buckets_out: np.ndarray,
+        signs_out: np.ndarray,
+    ) -> None:
+        n = keys.size
+        if self._scratch < n:
+            self._grow_scratch(n)
+        sets = self._set_scratch[:n]
+        slot = self._slot_scratch[:n]
+        way_tags = self._tag_scratch[: WAYS * n].reshape(WAYS, n)
+        flags = self._flag_scratch[:n]
+        np.bitwise_and(keys, _SET_MASK, out=sets)
+        # mode="clip" (indices are in range anyway) keeps take from
+        # buffering its output.
+        self._tags.take(sets, axis=1, out=way_tags, mode="clip")
+        np.equal(way_tags, keys, out=self._match_scratch[:, :n])
+        n_hit = int(np.count_nonzero(flags))
+        # slot = way * _SETS + set; a miss reads way 0 and is rewritten.
+        np.multiply(flags, _WAY_MAGIC, out=slot)
+        np.right_shift(slot, 56 - SET_BITS, out=slot)
+        np.bitwise_and(slot, (WAYS - 1) << SET_BITS, out=slot)
+        np.add(slot, sets, out=slot)
+        self._buckets.take(slot, axis=1, out=buckets_out, mode="clip")
+        self._signs.take(slot, axis=1, out=signs_out, mode="clip")
+        if n_hit == n:
+            self._m_hits.inc(n)
+            return
+        miss = np.flatnonzero(flags == 0)
+        uniq, inv = np.unique(keys[miss], return_inverse=True)
+        ubuckets, usigns = self.family.all_rows(uniq)
+        # Row by row: 1-d fancy indexing is far cheaper than 2-d.
+        for j in range(self.family.depth):
+            buckets_out[j, miss] = ubuckets[j].take(inv)
+            signs_out[j, miss] = usigns[j].take(inv)
+        self._fill(uniq, ubuckets, usigns)
         with self.registry.locked():
             self._m_hits.inc(n_hit)
-            self._m_misses.inc(uniq.size - n_hit)
-        return ubuckets, usigns, inv
+            self._m_misses.inc(n - n_hit)
 
+    def _fill(
+        self, keys: np.ndarray, buckets: np.ndarray, signs: np.ndarray
+    ) -> None:
+        """Store distinct, absent keys with their rows.
+
+        Each set hands its new keys the next ways round-robin, in key
+        order; when more than :data:`WAYS` keys of one set arrive
+        together, only the last :data:`WAYS` of them stay.
+        """
+        sets = keys & _SET_MASK
+        order = np.argsort(sets, kind="stable")
+        sets = sets[order]
+        # Sorted by set: each set's new keys form one run.
+        start = np.searchsorted(sets, sets)
+        count = np.searchsorted(sets, sets, side="right") - start
+        rank = np.arange(sets.size) - start
+        first = self._next_way[sets]
+        self._next_way[sets] = (first + count) % WAYS
+        keep = rank >= count - WAYS
+        slot = ((first + rank) % WAYS * _SETS + sets)[keep]
+        order = order[keep]
+        tags = self._tags.reshape(-1)
+        # A way is in use when its tag belongs to its set (slot's low bits).
+        in_use = ((tags[slot] ^ slot) & _SET_MASK) == 0
+        evicted = int(np.count_nonzero(in_use))
+        tags[slot] = keys[order]
+        for j in range(self.family.depth):
+            self._buckets[j, slot] = buckets[j].take(order)
+            self._signs[j, slot] = signs[j].take(order)
+        self._size += slot.size - evicted
+        self._m_evictions.inc(evicted)
+
+    # ------------------------------------------------------------------
     def rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buckets and signs for every row, identical to ``all_rows``.
 
@@ -334,20 +273,15 @@ class BatchHasher:
         (buckets, signs):
             Arrays of shape ``(depth, len(keys))`` — bit-for-bit equal to
             ``family.all_rows(keys)``, computed with one hash evaluation
-            per *new unique* key instead of one per position.
+            per *new distinct* key instead of one per position.
         """
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         depth = self.family.depth
-        if keys.size == 0:
-            return (
-                np.empty((depth, 0), dtype=np.int64),
-                np.empty((depth, 0), dtype=np.float64),
-            )
-        fast = self._all_hit_rows(keys, None, None)
-        if fast is not None:
-            return fast
-        ubuckets, usigns, inv = self._unique_rows(keys)
-        return ubuckets[:, inv], usigns[:, inv]
+        buckets = np.empty((depth, keys.size), dtype=np.int64)
+        signs = np.empty((depth, keys.size), dtype=np.float64)
+        if keys.size:
+            self._lookup(keys, buckets, signs)
+        return buckets, signs
 
     def rows_into(
         self,
@@ -355,20 +289,15 @@ class BatchHasher:
         buckets_out: np.ndarray,
         signs_out: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`rows`, expanded into caller-provided arrays.
+        """:meth:`rows`, written into caller-provided arrays.
 
-        ``buckets_out`` / ``signs_out`` must be ``(depth, len(keys))``;
-        the expansion gather writes into them (``np.take(..., out=)``)
-        instead of materializing fresh arrays — the zero-allocation
-        front-end of the fused ``fit_batch`` paths.  Gathers move bits,
-        so the results are bit-identical to :meth:`rows`.
+        ``buckets_out`` / ``signs_out`` must be C-contiguous
+        ``(depth, len(keys))`` int64 / float64 arrays — the
+        zero-allocation front-end of the fused ``fit_batch`` paths.
+        Gathers move bits, so the results are bit-identical to
+        :meth:`rows`.
         """
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-        if keys.size == 0:
-            return buckets_out, signs_out
-        if self._all_hit_rows(keys, buckets_out, signs_out) is not None:
-            return buckets_out, signs_out
-        ubuckets, usigns, inv = self._unique_rows(keys)
-        np.take(ubuckets, inv, axis=1, out=buckets_out)
-        np.take(usigns, inv, axis=1, out=signs_out)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if keys.size:
+            self._lookup(keys, buckets_out, signs_out)
         return buckets_out, signs_out

@@ -37,8 +37,8 @@ holds by construction.
 
 The manager also owns the *reader-side* caches that successive
 snapshots thread through: one :class:`~repro.hashing.batch.BatchHasher`
-(hash functions are pure and shared with the live model, so LRU warmth
-survives every publish) and one
+(hash functions are pure and shared with the live model, so its memo
+stays warm across every publish) and one
 :class:`~repro.kernels.workspace.KernelWorkspace` (so steady-state
 reads stay zero-allocation).  Those caches are mutable, which is why
 batched reads on the current snapshot must stay on a single thread —

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.awm_sketch import AWMSketch
+from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.sparse import SparseExample
 
@@ -81,6 +83,25 @@ def test_validation_errors():
             np.ones(3),
             np.array([1]),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad, rng):
+    batches = list(iter_batches(_examples(96, rng), 16))
+    poisoned = batches[2]
+    values = poisoned.values.copy()
+    values[5] = bad
+    with pytest.raises(ValueError, match=r"values\[5\] is .*finite"):
+        SparseBatch(poisoned.indptr, poisoned.indices, values,
+                    poisoned.labels)
+    # The rest of the stream trains models whose state stays finite.
+    for model in (WMSketch(64, 3, seed=0, heap_capacity=16),
+                  AWMSketch(64, 3, seed=0, heap_capacity=16)):
+        for batch in batches[:2] + batches[3:]:
+            model.fit_batch(batch)
+        assert np.all(np.isfinite(model.sketch_state()))
+        top = model.top_weights(16)
+        assert top and all(np.isfinite(w) for _, w in top)
 
 
 def test_iter_batches_chunking(rng):

@@ -74,12 +74,13 @@ class TestHasherPickling:
 
     def test_batch_hasher_roundtrip_restarts_cold(self):
         fam = HashFamily(width=64, depth=2, seed=3)
-        hasher = BatchHasher(fam, cache_capacity=1 << 10)
+        hasher = BatchHasher(fam)
         keys = np.array([1, 2, 3, 1, 2], dtype=np.int64)
         b1, s1 = hasher.rows(keys)
+        assert len(hasher) == 3
         hasher2 = _roundtrip(hasher)
-        assert len(hasher2) == 0  # cache dropped, not pickled
-        assert hasher2.cache_capacity == 1 << 10
+        assert len(hasher2) == 0  # memo dropped, not pickled
+        assert hasher2.hits == hasher2.misses == 0
         b2, s2 = hasher2.rows(keys)
         assert np.array_equal(b1, b2)
         assert np.array_equal(s1, s2)

@@ -23,6 +23,11 @@ class TestSparseExample:
         with pytest.raises(ValueError):
             SparseExample(np.array([1]), np.array([1.0]), label=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"values\[1\] is .*finite"):
+            SparseExample(np.array([3, 4, 5]), np.array([1.0, bad, bad]))
+
     def test_norms(self):
         x = SparseExample(np.array([0, 1]), np.array([3.0, -4.0]))
         assert x.l1_norm() == 7.0
