@@ -200,7 +200,11 @@ class WMSketch(ScaledSketchTable):
         the heap-maintain pass replays its admission decisions from the
         recording afterwards — the WM heap never feeds back into the
         table, so the decoupling is exact (fuzz-checked in
-        ``tests/test_fused_kernels.py``).
+        ``tests/test_fused_kernels.py``).  The replay runs per possible
+        admission, not per example: once the heap is full, examples
+        whose estimates cannot beat a lower bound on the admission
+        threshold only refresh members, and their refreshes collapse
+        into one store write (see :meth:`_maintain_batch_recorded`).
 
         ``rows`` may carry precomputed ``(buckets, signs)`` for
         ``batch.indices`` (shape ``(depth, nnz)``), as produced by the
@@ -284,115 +288,109 @@ class WMSketch(ScaledSketchTable):
         scales: np.ndarray,
     ) -> None:
         """Replay the passive heap maintenance from the fused kernel's
-        recording.
+        recording, running the decision core only where it can admit.
 
-        ``gathered[lo:hi]`` holds example ``i``'s table cells exactly
-        as they stood after its own update (and any renormalization),
-        and ``scales[i]`` the scale at that moment — everything
-        :meth:`_maintain_heap` read from the live table mid-replay, so
-        admission decisions are identical.  The per-example estimate
-        *bounds* collapse to one vectorized max-reduce over the whole
-        batch, and the raw medians (factor-independent) are computed in
-        one vectorized pass over workspace arenas, lazily, only if some
-        example actually needs estimates.
+        The recording (each example's post-update cells and scale) gives
+        every position's estimate in one vectorized pass: the floats
+        :meth:`_maintain_heap` computes mid-replay.  While the heap has
+        free slots, every example runs :meth:`_maintain_decide`.  Once
+        it is full, a run starts at its minimum priority ``t0``.  Until
+        something is admitted, every heap priority is a start-of-run
+        entry or a member refresh (the WM heap never decays, so a
+        refreshed priority is exactly the |estimate|), so ``min(t0,
+        every refresh up to the end of example i)`` bounds the threshold
+        example ``i`` faces from below.  Examples whose non-member
+        estimates all stay at or below it only refresh members; their
+        refreshes collapse into one ``TopKStore.set_many`` (each slot
+        keeps its last write).  The first example that beats it runs the
+        decision core, its admissions patch the ``BatchSlotCache``, and
+        the next run starts after it.  Runs screen windows of examples
+        that double in size, so a rescan costs the distance to the next
+        possible admission, not the rest of the batch.
         """
         heap = self.heap
         indices = batch.indices
+        indptr = batch.indptr
         nnz = indices.size
         n = len(batch)
         ws = self._ws
-        absg = ws.array("absg", (nnz, self.depth))
-        np.abs(gathered, out=absg)
-        rowmax = ws.array("rowmax", nnz)
-        np.max(absg, axis=1, out=rowmax)
-        raw_bounds = ws.array("raw_bounds", n)
-        # reduceat over the *non-empty* segment starts only: an empty
-        # example's start equals its successor's, and a trailing empty
-        # one would force an out-of-range (or, if clipped, segment-
-        # splitting) offset that corrupts the preceding example's
-        # bound.  Dropping empty starts keeps every remaining segment
-        # [lo_i, lo_next) == [lo_i, hi_i) exactly; the skipped
-        # examples' bound slots are never read (the replay loop skips
-        # empty examples).
-        nonempty = np.flatnonzero(np.diff(batch.indptr) > 0)
-        if nonempty.size:
-            compact = ws.array("raw_bounds_c", nonempty.size)
-            np.maximum.reduceat(
-                rowmax, batch.indptr[:-1][nonempty], out=compact
-            )
-            raw_bounds[nonempty] = compact
-        est_arena = ws.array("est", nnz)
-        raw_med: np.ndarray | None = None
+        # The median_estimate kernel's value selection (product, row
+        # sort, middle pick), times each position's recorded factor.
+        est = ws.array("est", nnz)
+        if self.depth == 1:
+            np.multiply(signs[0], gathered[:, 0], out=est)
+        else:
+            rows = ws.array("med_rows", (nnz, self.depth))
+            np.multiply(signs.T, gathered, out=rows)
+            rows.sort(axis=1)
+            mid = self.depth // 2
+            if self.depth % 2:
+                np.copyto(est, rows[:, mid])
+            else:
+                np.add(rows[:, mid - 1], rows[:, mid], out=est)
+                est *= 0.5
+        # Each position's example (np.repeat without the allocation).
+        example = ws.array("pos_example", nnz, np.intp)
+        example.fill(0)
+        starts = indptr[1:-1]
+        np.add.at(example, starts[starts < nnz], 1)
+        np.cumsum(example, out=example)
+        factors = scales if self.depth == 1 else scales * self._sqrt_s
+        est *= factors.take(example, out=ws.array("factor", nnz), mode="clip")
+        if self.l1 > 0.0:
+            est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
+        mag = np.abs(est, out=ws.array("est_abs", nnz))
+        # Screen scratch: each position's example end, the non-member
+        # mask, the running lower bound, and that bound at the end of
+        # each position's example (what the example's candidates face).
+        end = np.take(indptr[1:] - 1, example, mode="clip",
+                      out=ws.array("pos_end", nnz, np.intp))
+        cand = ws.array("screen_cand", nnz, bool)
+        run = ws.array("screen_run", nnz)
+        floor = ws.array("screen_floor", nnz)
         slot_cache = BatchSlotCache(heap, indices, ws=ws)
         promo_log: list = []
-        indptr = batch.indptr.tolist()
-        sqrt_s = self._sqrt_s
-        depth_one = self.depth == 1
-        lo = indptr[0]
-        for i in range(n):
-            hi = indptr[i + 1]
-            if hi == lo:
-                continue
+        bounds = indptr.tolist()
+        i = 0
+        while i < n:
             if slot_cache.stale:
-                slot_cache = BatchSlotCache(
-                    heap, indices, reuse=slot_cache, ws=ws
-                )
-            scale = float(scales[i])
-            factor = scale if depth_one else sqrt_s * scale
-
-            def estimates_for(lo=lo, hi=hi, factor=factor):
-                nonlocal raw_med
-                if raw_med is None:
-                    # Raw (factor = 1) medians for the whole batch in
-                    # one pass over workspace arenas — the exact value
-                    # selection of the median_estimate kernel (product,
-                    # row sort, middle pick); per-example estimates are
-                    # then the recorded factor times the slice, the
-                    # same floats median_estimate(..., factor) yields.
-                    raw_med = ws.array("med", nnz)
-                    if self.depth == 1:
-                        np.multiply(
-                            signs[0], gathered[:, 0], out=raw_med
-                        )
-                    else:
-                        rows = ws.array("med_rows", (nnz, self.depth))
-                        np.multiply(signs.T, gathered, out=rows)
-                        rows.sort(axis=1)
-                        mid = self.depth // 2
-                        if self.depth % 2:
-                            np.copyto(raw_med, rows[:, mid])
-                        else:
-                            np.add(
-                                rows[:, mid - 1], rows[:, mid],
-                                out=raw_med,
-                            )
-                            raw_med *= 0.5
-                est = est_arena[lo:hi]
-                np.multiply(raw_med[lo:hi], factor, out=est)
-                if self.l1 > 0.0:
-                    est = np.sign(est) * np.maximum(
-                        np.abs(est) - self.l1, 0.0
-                    )
-                return est
-
-            if depth_one:
-                bound = scale * float(raw_bounds[i])
-            else:
-                bound = sqrt_s * scale * float(raw_bounds[i])
-            if self.l1 > 0.0:
-                bound = max(bound - self.l1, 0.0)
-            self._maintain_decide(
-                indices[lo:hi],
-                slot_cache.slice(lo, hi),
-                lambda bound=bound: bound,
-                estimates_for,
-                promo_log,
-            )
-            if promo_log:
+                slot_cache = BatchSlotCache(heap, indices, slot_cache, ws)
+            slots, k = slot_cache.slots, i
+            if heap.is_full:
+                t0, k, a, width = heap.min_priority(), n, i, 8
+                while a < n:
+                    b = min(a + width, n)
+                    pa, pb = bounds[a], bounds[b]
+                    a, width = b, 2 * width
+                    if pa == pb:
+                        continue
+                    c, r = cand[pa:pb], run[pa:pb]
+                    np.less(slots[pa:pb], 0, out=c)
+                    np.copyto(r, mag[pa:pb])
+                    np.copyto(r, np.inf, where=c)
+                    r[0] = min(r[0], t0)
+                    np.minimum.accumulate(r, out=r)
+                    np.take(run, end[pa:pb], out=floor[pa:pb], mode="clip")
+                    c &= mag[pa:pb] > floor[pa:pb]
+                    first = int(c.argmax())
+                    if c[first]:
+                        k = int(example[pa + first])
+                        break
+                    t0 = float(r[-1])
+                lo, hi = bounds[i], bounds[k]
+                member = slots[lo:hi] >= 0
+                heap.set_many(slots[lo:hi][member], est[lo:hi][member])
+                if k == n:
+                    break
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                e = est[lo:hi]
+                self._maintain_decide(indices[lo:hi], slots[lo:hi],
+                                      lambda: math.inf, lambda: e, promo_log)
                 for admitted, evicted in promo_log:
                     slot_cache.apply(admitted, evicted)
                 promo_log.clear()
-            lo = hi
+            i = k + 1
 
     def _maintain_decide(
         self,
@@ -408,9 +406,11 @@ class WMSketch(ScaledSketchTable):
 
         ``bound_for()`` / ``estimates_for()`` lazily provide the
         estimate bound and the per-feature estimates — from the live
-        table on the unfused path, from the fused kernel's recording on
-        the fused path — so the decision structure exists exactly once
-        and the two paths cannot drift apart.
+        table on the unfused path; on the fused path, the estimates
+        precomputed from the fused kernel's recording and an infinite
+        bound (the replay only calls this core for examples that can
+        admit) — so the decision structure exists exactly once and the
+        two paths cannot drift apart.
         """
         heap = self.heap
         screen_k = self.kernels.screen_abs_gt

@@ -691,12 +691,19 @@ class TopKStore:
 
         Equivalent to per-key member-updating :meth:`push` calls: each
         slot's raw value becomes ``value / scale``.  Duplicate slots
-        resolve to the last write, like a sequential loop.
+        resolve to the last write, like a sequential loop: the last
+        occurrence is picked explicitly (``np.maximum.at`` over
+        positions), since NumPy leaves which of several repeated
+        fancy-assignment indices wins unspecified.
         """
         if slots.size == 0:
             return
+        last = np.full(self.capacity, -1, dtype=np.intp)
+        np.maximum.at(last, slots, np.arange(slots.size))
+        written = np.flatnonzero(last >= 0)
+        values = values[last[written]]
         scale = self._scale
-        self._raw[slots] = values if scale == 1.0 else values / scale
+        self._raw[written] = values if scale == 1.0 else values / scale
         # Any touched slot can sink below (or be) the cached minimum;
         # a lazy rescan is cheaper than per-call patch logic here.
         self._min_slot = -1

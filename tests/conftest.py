@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 # Keep property-based tests fast in CI while still exercising a useful
-# number of cases; the "thorough" profile is available via
-# HYPOTHESIS_PROFILE=thorough for local deep runs.
+# number of cases; HYPOTHESIS_PROFILE=thorough selects the deep profile
+# (tests that pin their own max_examples keep it under either).
 settings.register_profile(
     "ci",
     max_examples=25,
@@ -16,7 +18,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("thorough", max_examples=300, deadline=None)
-settings.load_profile("ci")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture

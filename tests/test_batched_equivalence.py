@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
+from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.learning.base import OnlineErrorTracker, run_stream
 from repro.learning.feature_hashing import FeatureHashing
@@ -56,7 +57,15 @@ def _drive_pair(make, examples, batch_size):
 
 
 def _assert_heaps_equal(a, b):
-    assert sorted(a.items()) == sorted(b.items())
+    """Same entries in the same slots, with the same raw bits and scale.
+
+    Slot layout decides which tied minimum a later eviction removes, so
+    comparing sorted items could pass after two heaps diverged.
+    """
+    assert a.items() == b.items()
+    n = len(a)
+    assert a._raw[:n].tobytes() == b._raw[:n].tobytes()
+    assert a.scale == b.scale
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +124,67 @@ def test_wm_sketch_equivalence_property(batch_size, depth, n, seed):
     assert np.array_equal(seq.table, bat.table)
     _assert_heaps_equal(seq.heap, bat.heap)
     assert seq_tr.mistakes == bat_tr.mistakes
+
+
+@st.composite
+def _tie_streams(draw):
+    """Short streams over a small universe with +-1 values and empty
+    examples (the first is non-empty, so something is admitted): with
+    ``lambda_=0`` and width <= 16, colliding features get identical
+    estimates, so candidates tie the threshold exactly."""
+    universe = draw(st.integers(min_value=2, max_value=24))
+    examples = []
+    for i in range(draw(st.integers(min_value=1, max_value=40))):
+        idx = draw(st.lists(
+            st.integers(min_value=0, max_value=universe - 1),
+            min_size=int(i == 0), max_size=4, unique=True,
+        ))
+        vals = draw(st.lists(
+            st.sampled_from([-1.0, 1.0]), min_size=len(idx),
+            max_size=len(idx),
+        ))
+        examples.append(
+            SparseExample(np.array(idx, dtype=np.int64), np.array(vals),
+                          draw(st.sampled_from([-1, 1])))
+        )
+    if draw(st.booleans()):
+        examples.append(SparseExample(np.empty(0, np.int64), np.empty(0), 1))
+    return examples
+
+
+@settings(deadline=None)
+@given(
+    examples=_tie_streams(),
+    capacity=st.integers(min_value=1, max_value=4),
+    width=st.sampled_from([2, 4, 8, 16]),
+    depth=st.integers(min_value=1, max_value=4),
+    l1=st.sampled_from([0.0, 0.01]),
+    batch_size=st.integers(min_value=1, max_value=16),
+)
+def test_wm_maintain_matches_update_property(
+    examples, capacity, width, depth, l1, batch_size
+):
+    """Batched heap maintain == per-example ``update()``, aimed at where
+    the admission screen can go wrong: exact threshold ties, capacities
+    1-4, even depths (two-middle median), l1 shrinkage, empty examples
+    mid-batch and trailing, a heap that fills mid-batch, and several
+    admissions in one batch."""
+    def make():
+        model = WMSketch(width, depth, lambda_=0.0, l1=l1, seed=3,
+                         heap_capacity=capacity)
+        model.heap.enable_promo_log()
+        return model
+
+    seq, bat = make(), make()
+    for ex in examples:
+        seq.update(ex)
+    for lo in range(0, len(examples), batch_size):
+        bat.fit_batch(SparseBatch.from_examples(examples[lo:lo + batch_size]))
+    assert seq.table.tobytes() == bat.table.tobytes()
+    _assert_heaps_equal(seq.heap, bat.heap)
+    log = seq.heap.drain_promo_log()
+    assert bat.heap.drain_promo_log() == log
+    assert log
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +318,6 @@ def test_fit_with_batch_size_matches_plain_fit():
 def test_predict_batch_matches_predict_margin():
     examples = _stream(200, seed=16)
     clf = WMSketch(128, 3, lambda_=1e-4, seed=2).fit(examples)
-    from repro.data.batch import SparseBatch
-
     probe = examples[:50]
     batched = clf.predict_batch(SparseBatch.from_examples(probe))
     single = np.array([clf.predict_margin(ex) for ex in probe])
@@ -265,8 +333,6 @@ def test_fit_batch_returns_pre_update_margins():
     for ex in examples:
         expected.append(seq.predict_margin(ex))
         seq.update(ex)
-    from repro.data.batch import SparseBatch
-
     bat = WMSketch(128, 3, lambda_=1e-4, seed=2)
     got = bat.fit_batch(SparseBatch.from_examples(examples))
     assert np.array_equal(np.array(expected), got)
@@ -335,8 +401,6 @@ def test_awm_fit_batch_returns_pre_update_margins():
     for ex in examples:
         expected.append(seq.predict_margin(ex))
         seq.update(ex)
-    from repro.data.batch import SparseBatch
-
     bat = AWMSketch(128, 3, heap_capacity=8, lambda_=1e-4, seed=2)
     got = bat.fit_batch(SparseBatch.from_examples(examples))
     assert np.array_equal(np.array(expected), got)

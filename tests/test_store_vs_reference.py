@@ -202,6 +202,38 @@ def test_vectorized_member_ops_match_scalar_loops(pairs, deltas, capacity):
         _assert_same_state(store, ref)
 
 
+@settings(deadline=None)
+@given(
+    st.lists(values_strategy, min_size=1, max_size=8),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7), values_strategy),
+        min_size=1,
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_set_many_repeated_slots_match_member_pushes(initial, writes, decay):
+    """set_many with repeated slots == per-key member pushes in order:
+    each slot keeps its last write, bit for bit (also with a scale)."""
+    store, spec = TopKStore(len(initial)), TopKStore(len(initial))
+    for key, v in enumerate(initial):
+        store.push(key, v)
+        spec.push(key, v)
+    if decay:
+        store.decay(0.75)
+        spec.decay(0.75)
+    slots = np.array([s % len(initial) for s, _ in writes], dtype=np.intp)
+    values = np.array([v for _, v in writes], dtype=np.float64)
+    store.set_many(slots, values)
+    for slot, v in zip(slots.tolist(), values.tolist()):
+        assert spec.push(int(spec._keys[slot]), v) is None
+    assert store.items() == spec.items()
+    n = len(store)
+    assert store._raw[:n].tobytes() == spec._raw[:n].tobytes()
+    assert store.min_entry() == spec.min_entry()
+    store.check_invariants()
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops_strategy, st.integers(min_value=1, max_value=8))
 def test_pickle_roundtrip_preserves_visible_state(ops, capacity):
