@@ -29,32 +29,28 @@ giving *half* the budget to the heap and using a depth-1 sketch
 The table / scale / margin / recovery machinery is shared with the
 WM-Sketch through :class:`~repro.core.sketch_table.ScaledSketchTable`.
 :meth:`AWMSketch.fit_batch` hashes a whole batch's index set once
-(deduplicated, vectorized) and replays Algorithm 2 per example over the
-precomputed rows — state-identical to per-example :meth:`update` calls.
+(deduplicated, vectorized) and, once the active set is full, runs
+Algorithm 2 per example as one inlined loop over batch-lifetime state —
+state-identical to per-example :meth:`update` calls.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
-from repro import kernels
 from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
-from repro.heap.topk import BatchSlotCache, TopKStore
+from repro.heap.topk import TopKStore
 from repro.learning.base import CELL_BYTES
 from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
+from repro.telemetry import trace as _trace
 
 __all__ = ["AWMSketch", "_RENORM_THRESHOLD"]
-
-#: Shared empty member arrays for the no-active-member case of the
-#: whole-example fused kernel (dtypes match ``member_slots`` output and
-#: feature values, keeping compiled specializations monomorphic).
-_EMPTY_SLOTS = np.empty(0, dtype=np.intp)
-_EMPTY_VALUES = np.empty(0, dtype=np.float64)
 
 
 class AWMSketch(ScaledSketchTable):
@@ -109,17 +105,6 @@ class AWMSketch(ScaledSketchTable):
         self.scalar_fast_path = scalar_fast_path
         # Diagnostics: promotion/eviction churn (exposed for ablations).
         self.n_promotions = 0
-
-    #: Testing hook: take the fused_query branch of _update_example even
-    #: on interpreted backends, so the equivalence suite can exercise it
-    #: without a compiler.  Never set in production code.
-    _force_fused_query: bool = False
-
-    #: Same hook for the whole-example ``fused_awm_update`` kernel
-    #: (gather → margin → decay → active-set step → recovery → screen →
-    #: scatter in one call).  The kernel only pays on compiled backends,
-    #: so interpreted backends keep the chain unless a test forces it.
-    _force_fused_example: bool = False
 
     # ------------------------------------------------------------------
     # Sketch-space helpers (tail features only)
@@ -257,19 +242,10 @@ class AWMSketch(ScaledSketchTable):
             return vals[mid]
         return 0.5 * (vals[mid - 1] + vals[mid])
 
-    def _update_one(
-        self,
-        idx: int,
-        val: float,
-        y: int,
-        promo_log: list | None = None,
-    ) -> float:
+    def _update_one(self, idx: int, val: float, y: int) -> float:
         """Algorithm 2 specialized to nnz(x) = 1, all-scalar arithmetic.
 
         Returns the pre-update margin (for progressive validation).
-        ``promo_log``, when given, receives an ``(admitted, evicted)``
-        pair per promotion so the batched kernel can patch its
-        membership cache instead of rebuilding it.
         """
         in_heap = idx in self.heap
         rows: list[tuple[int, float]] = []
@@ -319,15 +295,11 @@ class AWMSketch(ScaledSketchTable):
             if not self.heap.is_full:
                 self.heap.push(idx, candidate)
                 self.n_promotions += 1
-                if promo_log is not None:
-                    promo_log.append((idx, None))
             else:
                 min_key, min_weight = self.heap.min_entry()
                 if abs(candidate) > abs(min_weight):
                     self.heap.replace_min(idx, candidate)
                     self.n_promotions += 1
-                    if promo_log is not None:
-                        promo_log.append((idx, min_key))
                     self._sketch_add_one(
                         min_key, min_weight - self._estimate_one(min_key)
                     )
@@ -360,20 +332,20 @@ class AWMSketch(ScaledSketchTable):
         y: int,
         buckets: np.ndarray | None = None,
         signs: np.ndarray | None = None,
-        slots: np.ndarray | None = None,
-        promo_log: list | None = None,
     ) -> float:
         """One Algorithm 2 step; returns the pre-update margin.
+
+        The per-example spec: :meth:`update` runs it for every example
+        the scalar fast path does not take, and :meth:`fit_batch` runs
+        it for empty examples and while the active set has free slots.
+        Once the store is full, ``fit_batch`` runs its own inlined copy
+        of this step instead, bit-identical to this one.
 
         ``buckets`` / ``signs`` may carry pre-hashed rows for *all* of
         ``indices`` (shape ``(depth, nnz)``), as produced by the batched
         hashing front-end; tail columns are then selected instead of
         re-hashed.  Hash functions are pure, so the two paths see the
-        same rows and produce bit-identical state.  ``slots`` may carry
-        the active-set slot per index (-1 = tail), as maintained by the
-        batched kernel's :class:`~repro.heap.topk.BatchSlotCache`;
-        ``promo_log`` receives ``(admitted, evicted)`` pairs so that
-        cache can be patched instead of rebuilt.
+        same rows and produce bit-identical state.
 
         The hot structures are vectorized against the store: one
         membership probe for the whole example, one :meth:`add_many`
@@ -386,8 +358,7 @@ class AWMSketch(ScaledSketchTable):
         """
         heap = self.heap
         kb = self.kernels
-        if slots is None:
-            slots = heap.member_slots(indices)
+        slots = heap.member_slots(indices)
         in_heap = slots >= 0
         any_member = bool(in_heap.any())
 
@@ -398,44 +369,16 @@ class AWMSketch(ScaledSketchTable):
             tail_idx = indices[in_sketch]
             tail_val = values[in_sketch]
         else:
-            heap_slots = heap_val = None
             in_sketch = slice(None)
             tail_idx = indices
             tail_val = values
         tail_n = tail_idx.size
-        # The whole-example mega-kernel: one compiled call covering the
-        # entire Algorithm 2 step when nothing needs the sequential
-        # promotion loop (the kernel screens and bails out before any
-        # scatter if a promotion is possible).  Requires the default
-        # abs priority and a full store (the kernel's threshold scan),
-        # a kernel-representable loss, and a non-empty tail.
-        if (
-            tail_n
-            and self.use_fused
-            and self.loss.kernel_id is not None
-            and heap.is_full
-            and heap._priority is abs
-            and (kb.compiled or self._force_fused_example)
-        ):
-            return self._update_example_fused(
-                tail_idx, tail_val, y, heap_slots, heap_val,
-                in_sketch, buckets, signs, promo_log,
-            )
 
         tau = 0.0
         if any_member:
             heap_products = heap.values_at(heap_slots) * heap_val
             for p in heap_products.tolist():
                 tau += p
-        # The shared-gather fused_query pays on compiled backends (one
-        # jitted call replaces the gather + median pair); on the NumPy
-        # reference it is the *same* composition plus a buffer copy, so
-        # the reference chain stays — both branches are bit-identical
-        # (fuzzed per backend in tests/test_fused_kernels.py, which
-        # forces the branch on interpreted backends via
-        # ``_force_fused_query``).
-        fused = self.use_fused and (kb.compiled or self._force_fused_query)
-        raw_med: np.ndarray | None = None
         if tail_n:
             # Hash the tail once (or select from the batch-hashed rows)
             # and gather its table cells once; the same gathered values
@@ -454,20 +397,8 @@ class AWMSketch(ScaledSketchTable):
             # products here and the recovery queries below; the margin
             # kernel's sum is exactly rounded, so the transposed
             # summation order leaves the margin bit-identical to the
-            # (depth, nnz) layout.  The fused path gets the gather and
-            # the (factor-independent) raw medians from a single
-            # fused_query call over workspace buffers; queries below
-            # are then one scalar multiply by the post-decay factor —
-            # the exact floats median_estimate(..., factor) yields.
-            if fused:
-                taken_t = np.empty((tail_n, self.depth))
-                raw_med = np.empty(tail_n)
-                kb.fused_query(
-                    self._table_flat, flat_tail, tail_signs.T, 1.0,
-                    taken_t, raw_med, kernels.EMPTY_SCRATCH,
-                )
-            else:
-                taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
+            # (depth, nnz) layout.
+            taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
             tau += kb.margin_gathered(
                 taken_t, (tail_signs * tail_val).T,
                 self._scale, self._sqrt_s,
@@ -485,15 +416,8 @@ class AWMSketch(ScaledSketchTable):
             self._decay_scale(decay)
             if tail_n and self._scale != scale_before * decay:
                 # The decay underflowed the scale and folded it into the
-                # raw table; the pre-decay gather (and raw medians) are
-                # stale.
-                if fused:
-                    kb.fused_query(
-                        self._table_flat, flat_tail, tail_signs.T, 1.0,
-                        taken_t, raw_med, kernels.EMPTY_SCRATCH,
-                    )
-                else:
-                    taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
+                # raw table; the pre-decay gather is stale.
+                taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
 
         step = eta * y * g
 
@@ -507,28 +431,12 @@ class AWMSketch(ScaledSketchTable):
             # Queries = median-of-rows recovery on the post-decay table
             # (the decay touches only the scale, so the shared gather is
             # still the raw table unless the underflow fold above fired).
-            if fused:
-                # One scalar multiply by the post-decay factor turns the
-                # recorded raw medians into the exact recovery queries
-                # (the fused_query call pre-dates the decay, which only
-                # moves the scale), followed by the same optional l1
-                # soft-threshold _estimate_from_rows applies.
-                if self.depth == 1:
-                    factor = self._scale
-                else:
-                    factor = self._sqrt_s * self._scale
-                queries = factor * raw_med
-                if self.l1 > 0.0:
-                    queries = np.sign(queries) * np.maximum(
-                        np.abs(queries) - self.l1, 0.0
-                    )
-            else:
-                queries = self._estimate_from_rows(
-                    tail_buckets,
-                    tail_signs,
-                    flat_buckets=flat_tail,
-                    gathered_t=taken_t,
-                )
+            queries = self._estimate_from_rows(
+                tail_buckets,
+                tail_signs,
+                flat_buckets=flat_tail,
+                gathered_t=taken_t,
+            )
             candidates = queries - step * tail_val
 
             if not heap.is_full:
@@ -541,12 +449,10 @@ class AWMSketch(ScaledSketchTable):
                     if not heap.is_full:
                         heap.push(idx, c)
                         self.n_promotions += 1
-                        if promo_log is not None:
-                            promo_log.append((idx, None))
                         continue
                     min_key, min_weight = heap.min_entry()
                     if abs(c) > abs(min_weight):
-                        self._promote(idx, c, min_key, min_weight, promo_log)
+                        self._promote(idx, c, min_key, min_weight)
                     else:
                         stay.append(pos)
                 stay = np.asarray(stay, dtype=np.intp)
@@ -565,9 +471,7 @@ class AWMSketch(ScaledSketchTable):
                         c = float(candidates[pos])
                         min_key, min_weight = heap.min_entry()
                         if abs(c) > abs(min_weight):
-                            self._promote(
-                                idx, c, min_key, min_weight, promo_log
-                            )
+                            self._promote(idx, c, min_key, min_weight)
                             stay_mask[pos] = False
                     stay = np.flatnonzero(stay_mask)
             if stay is None or stay.size == tail_n:
@@ -590,126 +494,13 @@ class AWMSketch(ScaledSketchTable):
         self.t += 1
         return tau
 
-    def _update_example_fused(
-        self,
-        tail_idx: np.ndarray,
-        tail_val: np.ndarray,
-        y: int,
-        heap_slots: np.ndarray | None,
-        heap_val: np.ndarray | None,
-        in_sketch,
-        buckets: np.ndarray | None,
-        signs: np.ndarray | None,
-        promo_log: list | None,
-    ) -> float:
-        """One Algorithm 2 step through the ``fused_awm_update`` kernel.
-
-        The kernel performs the whole chain — margin (active set +
-        tail), loss derivative, both lazy decays, active-set gradient
-        step, tail recovery and the promotion screen — and finishes the
-        stay-scatter itself in the common no-promotion case.  When a
-        candidate beats the admission threshold it returns with
-        ``handled`` false *before any table write*, leaving state
-        exactly where the unfused chain stands entering its sequential
-        promotion loop, which then runs here unchanged.  State and
-        returned margins are bit-identical to the unfused chain
-        (fuzzed per backend in ``tests/test_fused_awm.py``).
-        """
-        heap = self.heap
-        kb = self.kernels
-        if buckets is None:
-            tail_buckets, tail_signs = self.family.all_rows(tail_idx)
-        else:
-            tail_buckets = buckets[:, in_sketch]
-            tail_signs = signs[:, in_sketch]
-        if self.depth == 1:
-            flat_tail = tail_buckets  # row offsets are all zero
-        else:
-            flat_tail = tail_buckets + self._row_offsets
-        eta = self.schedule(self.t)
-        # Same raise point as the unfused chain: nothing has mutated
-        # when an invalid eta * lambda is detected.
-        decay = self._decay_factor(eta) if self.lambda_ > 0.0 else 1.0
-        tail_n = tail_idx.size
-        ws = self._workspace()
-        gathered = ws.array("x_gathered", (tail_n, self.depth))
-        candidates = ws.array("x_cand", tail_n)
-        if heap_slots is None:
-            heap_slots = _EMPTY_SLOTS
-            heap_val = _EMPTY_VALUES
-        # The kernel's only table writes are the tail stay-scatter (at
-        # flat_tail) and a possible renorm fold; mark the scatter
-        # targets up front (over-marking is safe; the no-stay-scatter
-        # promotion bail-out over-marks at most one example's tail) and
-        # detect the fold below.
-        self._mark_dirty_flat(flat_tail)
-        tau, new_scale, new_heap_scale, handled = kb.fused_awm_update(
-            self._table_flat, flat_tail, tail_signs, tail_val,
-            heap._raw, heap_slots, heap_val, heap._n, y,
-            eta, decay, self.lambda_, self._scale, heap._scale,
-            self._sqrt_s, self.loss.kernel_id, self.loss.kernel_param,
-            self.l1, gathered, candidates,
-        )
-        tau = float(tau)
-        self._scale = float(new_scale)
-        # Exact fold detection: the kernel applies one decay per
-        # example, and a renorm leaves the scale at exactly 1.0 — any
-        # other post-decay value is a plain multiply.  (A scale that was
-        # already exactly 1.0 over-marks harmlessly.)
-        if self.lambda_ > 0.0 and self._scale == 1.0:
-            self._note_renorm_folds(1)
-            self._mark_dirty_all()
-        heap._scale = float(new_heap_scale)
-        if heap_slots.size:
-            # add_many semantics: any touched slot can sink below the
-            # cached minimum; decays alone preserve it.
-            heap._min_slot = -1
-        if handled != 0.0:
-            self.t += 1
-            return tau
-        # A promotion is possible: the kernel stopped after computing
-        # the candidates (state == the unfused chain entering its
-        # promotion loop).  Recompute the (bit-identical) step and run
-        # the sequential screen exactly as the unfused path does.
-        g = self.loss.dloss(y * tau)
-        step = eta * y * g
-        live = kb.screen_abs_gt(candidates, heap.min_priority())
-        stay_mask = np.ones(tail_n, dtype=bool)
-        for pos in live.tolist():
-            idx = int(tail_idx[pos])
-            c = float(candidates[pos])
-            min_key, min_weight = heap.min_entry()
-            if abs(c) > abs(min_weight):
-                self._promote(idx, c, min_key, min_weight, promo_log)
-                stay_mask[pos] = False
-        stay = np.flatnonzero(stay_mask)
-        if stay.size == tail_n:
-            coeff = (-step / (self._sqrt_s * self._scale)) * tail_val
-            self._scatter_add(
-                tail_buckets, coeff * tail_signs, flat_buckets=flat_tail
-            )
-        elif stay.size:
-            coeff = (-step / (self._sqrt_s * self._scale)) * tail_val[stay]
-            self._scatter_add(
-                tail_buckets[:, stay],
-                coeff * tail_signs[:, stay],
-                flat_buckets=flat_tail[:, stay],
-            )
-        self.t += 1
-        return tau
-
     def _promote(
-        self,
-        idx: int,
-        candidate: float,
-        min_key: int,
-        min_weight: float,
-        promo_log: list | None,
+        self, idx: int, candidate: float, min_key: int, min_weight: float
     ) -> None:
-        """Promote ``idx`` over the current minimum: evict, fold the
+        """Promote ``idx`` over the current minimum: evict, and fold the
         evictee's exact weight back into the sketch (credit the
         difference between its true weight and the sketch's current
-        estimate), and log the membership event.
+        estimate).
 
         The evictee is hashed *once*: its per-row (bucket, sign) pairs
         serve both the retiring estimate and the fold-in scatter (the
@@ -719,8 +510,6 @@ class AWMSketch(ScaledSketchTable):
         """
         self.heap.replace_min(idx, candidate)
         self.n_promotions += 1
-        if promo_log is not None:
-            promo_log.append((idx, min_key))
         rows = [
             self.family.bucket_sign_one(min_key, j)
             for j in range(self.depth)
@@ -748,81 +537,194 @@ class AWMSketch(ScaledSketchTable):
     ) -> np.ndarray:
         """Mini-batch Algorithm 2: hash the batch once, replay in order.
 
-        All of the batch's indices are hashed in one deduplicated
-        vectorized call; each example then runs the ordinary sequential
-        Algorithm 2 step over views of the precomputed rows (1-sparse
-        examples keep using the scalar fast path, exactly as
-        :meth:`update` would).  Returns the pre-update margins.
+        All of the batch's indices are hashed in one deduplicated call
+        through the hash memo, then the examples replay in stream order.
+        1-sparse examples keep the scalar fast path, exactly as
+        :meth:`update` would.  Empty examples, and every example that
+        arrives while the active set still has free slots, run
+        :meth:`_update_example`, the per-example spec.  Once the store
+        is full, each remaining example runs one inlined Algorithm 2
+        step over batch-lifetime state (see :meth:`_fit_batch`).  State
+        and the returned pre-update margins are bit-identical to
+        per-example :meth:`update` calls.
 
         ``rows`` may carry precomputed ``(buckets, signs)`` for
         ``batch.indices`` from the pipelined prefetch hasher; hashes are
         pure, so they are interchangeable with hashing here.
         """
         n = len(batch)
-        margins = np.empty(n, dtype=np.float64)
         if n == 0:
-            return margins
-        # Hash lazily: all-1-sparse batches (the Section 8 application
-        # workloads) go entirely through the scalar fast path, which
-        # hashes per key itself — pre-hashing the batch would be pure
-        # waste.  The first multi-sparse example triggers the one
-        # vectorized dedup hash for the whole batch.
-        buckets = signs = None
-        if rows is not None:
-            buckets, signs = rows
+            return np.empty(0, dtype=np.float64)
+        # The enabled check runs before any span allocation, as in
+        # WMSketch.fit_batch: one flag read per batch while tracing is
+        # off.
+        if _trace.enabled:
+            with _trace.span("fit_batch", model="AWMSketch", n=n) as span:
+                before = self.n_promotions
+                margins = self._fit_batch(batch, rows, n)
+                span.tag(promotions=self.n_promotions - before)
+                return margins
+        return self._fit_batch(batch, rows, n)
+
+    def _fit_batch(
+        self,
+        batch: SparseBatch,
+        rows: tuple[np.ndarray, np.ndarray] | None,
+        n: int,
+    ) -> np.ndarray:
+        """The :meth:`fit_batch` loop.
+
+        The inlined step keeps every float operation of
+        :meth:`_update_example`'s full-store branch, rearranged around
+        state built once per batch:
+
+        * the flat buckets, signs and sign·value products as ``depth``
+          1-D row views (a 1-D boolean select costs about a third of a
+          2-D one);
+        * the store's live key -> slot map, which every admission and
+          eviction updates in place, so membership needs no patching
+          after a promotion;
+        * one dirty mark over the batch's flat buckets, a superset of
+          what the stay-scatters write (:meth:`_promote` marks its
+          evictee fold itself).
+
+        The tail margin is one ``fsum`` over every row's products
+        (exactly rounded, so any order gives the spec's float).  The
+        promotion loop runs only when some ``|candidate|`` beats
+        ``min_priority()``, and promotes through :meth:`_promote`.  The
+        stay-scatter runs one ``np.add.at`` per row in row order, the
+        element order of the spec's 2-D scatter; its deltas scale the
+        sign·value products, which equals the spec's
+        ``(coeff * value) * sign`` bit for bit because signs are ±1.
+        """
+        margins = np.empty(n, dtype=np.float64)
         indptr = batch.indptr.tolist()
         labels = batch.labels.tolist()
         indices = batch.indices
         values = batch.values
         heap = self.heap
-        # Active-set membership for the whole batch, answered once and
-        # patched per promotion (see BatchSlotCache); built lazily with
-        # the hashes, for the same all-1-sparse reason.
-        slot_cache: BatchSlotCache | None = None
-        promo_log: list = []
+        kb = self.kernels
+        depth = self.depth
+        sqrt_s = self._sqrt_s
+        l1 = self.l1
+        table = self._table_flat
+        take = table.take
+        fsum = math.fsum
+        absent = repeat(-1)
+        buckets = keys = None
         for i in range(n):
             lo, hi = indptr[i], indptr[i + 1]
             y = labels[i]
-            if self.scalar_fast_path and hi - lo == 1:
+            if hi - lo == 1 and self.scalar_fast_path:
                 margins[i] = self._update_one(
-                    int(indices[lo]), float(values[lo]), y,
-                    promo_log=promo_log,
+                    int(indices[lo]), float(values[lo]), y
                 )
-            else:
-                if buckets is None:
-                    if self.use_fused:
-                        # Hash into workspace arenas (cached, dedup) —
-                        # the zero-allocation batched front-end.
-                        ws = self._workspace()
-                        nnz = indices.size
-                        buckets = ws.array(
-                            "b_buckets", (self.depth, nnz), np.int64
-                        )
-                        signs = ws.array("b_signs", (self.depth, nnz))
-                        self._batch_hasher.rows_into(
-                            indices, buckets, signs
-                        )
-                    else:
-                        buckets, signs = self._batch_hasher.rows(indices)
-                if slot_cache is None or slot_cache.stale:
-                    slot_cache = BatchSlotCache(
-                        heap, indices, reuse=slot_cache,
-                        ws=self._workspace() if self.use_fused else None,
-                    )
+                continue
+            if hi == lo:
                 margins[i] = self._update_example(
-                    indices[lo:hi],
-                    values[lo:hi],
-                    y,
-                    buckets=buckets[:, lo:hi],
-                    signs=signs[:, lo:hi],
-                    slots=slot_cache.slice(lo, hi),
-                    promo_log=promo_log,
+                    indices[lo:hi], values[lo:hi], y
                 )
-            if promo_log:
-                if slot_cache is not None:
-                    for admitted, evicted in promo_log:
-                        slot_cache.apply(admitted, evicted)
-                promo_log.clear()
+                continue
+            if buckets is None:
+                # Hash lazily: all-1-sparse batches (the Section 8
+                # application workloads) never need the batch rows.
+                with _trace.span("hash"):
+                    buckets, signs, sv, flat = self._batch_rows(batch, rows)
+            if not heap.is_full:
+                margins[i] = self._update_example(
+                    indices[lo:hi], values[lo:hi], y,
+                    buckets=buckets[:, lo:hi], signs=signs[:, lo:hi],
+                )
+                continue
+            if keys is None:
+                keys = indices.tolist()
+                slot_of = heap.slot_map().get
+                flat_rows, sign_rows, sv_rows = (
+                    list(flat), list(signs), list(sv)
+                )
+                self._mark_dirty_flat(flat)
+
+            # Split members from the tail; member margin in slot order.
+            slots = np.fromiter(
+                map(slot_of, keys[lo:hi], absent), np.intp, hi - lo
+            )
+            tail = slots < 0
+            k = np.count_nonzero(tail)
+            member = k < hi - lo
+            vals = values[lo:hi]
+            tau = 0.0
+            if member:
+                held = ~tail
+                m_slots = slots[held]
+                m_vals = vals[held]
+                for p in (heap.values_at(m_slots) * m_vals).tolist():
+                    tau += p
+                t_flat = [f[lo:hi][tail] for f in flat_rows]
+                t_sign = [s[lo:hi][tail] for s in sign_rows]
+                t_sv = [s[lo:hi][tail] for s in sv_rows]
+                t_vals = vals[tail]
+            else:
+                t_flat = [f[lo:hi] for f in flat_rows]
+                t_sign = [s[lo:hi] for s in sign_rows]
+                t_sv = [s[lo:hi] for s in sv_rows]
+                t_vals = vals
+            if k:
+                cells = [take(f) for f in t_flat]
+                tau += self._scale * fsum(chain.from_iterable(
+                    [(c * s).tolist() for c, s in zip(cells, t_sv)]
+                )) / sqrt_s
+
+            g = self.loss.dloss(y * tau)
+            eta = self.schedule(self.t)
+            if self.lambda_ > 0.0:
+                decay = self._decay_factor(eta)
+                heap.decay(decay)
+                scale_before = self._scale
+                self._decay_scale(decay)
+                if k and self._scale != scale_before * decay:
+                    # A renorm fold rewrote the raw table: re-gather.
+                    cells = [take(f) for f in t_flat]
+            step = eta * y * g
+            if member:
+                heap.add_many(m_slots, -step * m_vals)
+
+            if k:
+                scale = self._scale
+                if depth == 1:
+                    queries = scale * (t_sign[0] * cells[0])
+                else:
+                    queries = kb.median_estimate(
+                        np.stack(cells, axis=1), np.stack(t_sign, axis=1),
+                        sqrt_s * scale,
+                    )
+                if l1 > 0.0:
+                    queries = np.sign(queries) * np.maximum(
+                        np.abs(queries) - l1, 0.0
+                    )
+                candidates = queries - step * t_vals
+                # The threshold after the member step, as in the spec.
+                over = np.abs(candidates) > heap.min_priority()
+                if np.count_nonzero(over):
+                    t_idx = indices[lo:hi][tail] if member else indices[lo:hi]
+                    promoted = []
+                    for pos in np.flatnonzero(over).tolist():
+                        c = float(candidates[pos])
+                        min_key, min_weight = heap.min_entry()
+                        if abs(c) > abs(min_weight):
+                            self._promote(
+                                int(t_idx[pos]), c, min_key, min_weight
+                            )
+                            promoted.append(pos)
+                    if promoted:
+                        stay = np.ones(k, dtype=bool)
+                        stay[promoted] = False
+                        t_flat = [f[stay] for f in t_flat]
+                        t_sv = [s[stay] for s in t_sv]
+                coeff = -step / (sqrt_s * scale)
+                for f, s in zip(t_flat, t_sv):
+                    np.add.at(table, f, coeff * s)
+            self.t += 1
+            margins[i] = tau
         return margins
 
     # ------------------------------------------------------------------

@@ -126,9 +126,10 @@ class ScaledSketchTable(StreamingClassifier):
     #: (:mod:`repro.kernels.api`) over the model's preallocated
     #: :class:`~repro.kernels.workspace.KernelWorkspace`.  On by
     #: default; turned off (or forced off by a loss without a
-    #: ``kernel_id``) every batched path falls back to the original
-    #: per-kernel chain — the executable reference the fused paths are
-    #: fuzz-checked against (``tests/test_fused_kernels.py``).
+    #: ``kernel_id``) the WM-Sketch's batched path falls back to the
+    #: original per-kernel chain — the executable reference the fused
+    #: path is fuzz-checked against (``tests/test_fused_kernels.py``).
+    #: The AWM-Sketch's batch loop has no fused variant and ignores it.
     use_fused: bool = True
 
     def __init__(

@@ -25,6 +25,10 @@ import numpy as np
 
 from repro.data.sparse import SparseExample, check_finite
 
+#: Entries per block of the repeated-id check: its scratch arrays stay
+#: about this size however large the batch is.
+_ID_CHECK_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SparseBatch:
@@ -79,6 +83,7 @@ class SparseBatch:
         if labels.size and not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
         check_finite(values)
+        check_distinct_ids(indptr, indices)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
@@ -191,12 +196,52 @@ class SparseBatch:
         for lo_ex in range(0, n, batch_size):
             hi_ex = min(lo_ex + batch_size, n)
             lo, hi = int(self.indptr[lo_ex]), int(self.indptr[hi_ex])
-            yield SparseBatch(
+            # Views of a validated batch: nothing to re-check.
+            yield SparseBatch._trusted(
                 self.indptr[lo_ex : hi_ex + 1] - lo,
                 self.indices[lo:hi],
                 self.values[lo:hi],
                 self.labels[lo_ex:hi_ex],
             )
+
+
+def check_distinct_ids(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first example that repeats a
+    feature id, and the id.
+
+    Runs over blocks of whole examples of about ``_ID_CHECK_BLOCK``
+    entries, so the scratch memory stays bounded on large batches.  A
+    block whose examples list their ids in increasing order passes on
+    one comparison; any other block sorts its (example, id rank) keys.
+    """
+    n = indptr.size - 1
+    lo = 0
+    while lo < n:
+        start = int(indptr[lo])
+        end = start + _ID_CHECK_BLOCK
+        hi = int(np.searchsorted(indptr, end, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        ids = indices[start:int(indptr[hi])]
+        m = ids.size
+        if m > 1:
+            bad = ids[1:] <= ids[:-1]
+            # A comparison across an example boundary does not count.
+            starts = indptr[lo + 1:hi] - start
+            bad[starts[(starts > 0) & (starts < m)] - 1] = False
+            if bad.any():
+                uniq, rank = np.unique(ids, return_inverse=True)
+                counts = np.diff(indptr[lo:hi + 1])
+                rows = np.repeat(np.arange(hi - lo), counts)
+                keys = np.sort(rows * m + rank)
+                dup = np.flatnonzero(keys[1:] == keys[:-1])
+                if dup.size:
+                    row, r = divmod(int(keys[dup[0]]), m)
+                    raise ValueError(
+                        f"example {lo + row} repeats feature id "
+                        f"{int(uniq[r])}: feature ids must be distinct "
+                        f"within an example"
+                    )
+        lo = hi
 
 
 def iter_batches(

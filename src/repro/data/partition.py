@@ -119,8 +119,9 @@ def partition_batch(
             indptr[:-1], shard_counts
         )
         entries = np.repeat(batch.indptr[positions], shard_counts) + within
+        # Rows of a validated batch: nothing to re-check.
         shards.append(
-            SparseBatch(
+            SparseBatch._trusted(
                 indptr,
                 batch.indices[entries],
                 batch.values[entries],

@@ -22,7 +22,8 @@ class SparseExample:
     Attributes
     ----------
     indices:
-        int64 array of distinct feature identifiers (need not be sorted).
+        int64 array of distinct feature identifiers (need not be
+        sorted); construction rejects a repeated id.
     values:
         float64 array of the corresponding feature values.
     label:
@@ -43,6 +44,7 @@ class SparseExample:
         if self.label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
         check_finite(values)
+        check_distinct(indices)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
 
@@ -92,6 +94,28 @@ def check_finite(values: np.ndarray) -> None:
         raise ValueError(
             f"values[{pos}] is {values[pos]}: feature values must be finite"
         )
+
+
+def check_distinct(indices: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first feature id that repeats in
+    one example's ``indices``.
+
+    A repeated id would be updated twice per step, and the AWM-Sketch
+    would admit it into two active-set slots.
+    """
+    if indices.size < 2:
+        return
+    ids = indices.tolist()
+    if len(set(ids)) == len(ids):
+        return
+    seen = set()
+    for key in ids:
+        if key in seen:
+            raise ValueError(
+                f"feature id {key} repeats: feature ids must be distinct "
+                f"within an example"
+            )
+        seen.add(key)
 
 
 def sparse_dot(

@@ -455,6 +455,15 @@ class TopKStore:
         """Slot currently holding ``key``, or -1 if absent."""
         return self._pos.get(key, -1)
 
+    def slot_map(self) -> dict[int, int]:
+        """The live ``key -> slot`` map itself, not a copy.
+
+        Read-only by contract.  Every admission, eviction and removal
+        updates it in place, so a batched caller can fetch it once per
+        batch and probe it per example with no cache to patch.
+        """
+        return self._pos
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -786,7 +795,7 @@ class TopKStore:
 class BatchSlotCache:
     """Store slots for every index position of one CSR mini-batch.
 
-    The batched WM/AWM kernels consult store membership for every
+    The batched WM heap maintain consults store membership for every
     example; doing that per example costs a vectorized probe per
     example, but membership only changes on (relatively rare)
     admissions and evictions.  This cache answers membership for the

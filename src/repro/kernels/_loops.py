@@ -575,200 +575,6 @@ def fused_predict(
         out[i] = scale * total / sqrt_s
 
 
-def fused_awm_update(
-    table_flat: np.ndarray,
-    flat_tail: np.ndarray,
-    signs_tail: np.ndarray,
-    tail_values: np.ndarray,
-    heap_raw: np.ndarray,
-    heap_slots: np.ndarray,
-    heap_xvals: np.ndarray,
-    n_heap: int,
-    y: int,
-    eta: float,
-    decay: float,
-    lam: float,
-    scale: float,
-    heap_scale: float,
-    sqrt_s: float,
-    loss_id: int,
-    loss_param: float,
-    l1: float,
-    gathered_out: np.ndarray,
-    candidates_out: np.ndarray,
-) -> tuple:
-    # The whole AWM per-example chain (see kernels.api) in one call:
-    # active-set margin + tail margin (inlined exact fsum), inlined loss
-    # derivative, both lazy decays with their renorm folds, the member
-    # gradient step, tail recovery minus step into candidates_out, and
-    # the promotion screen — finishing with the whole-tail stay-scatter
-    # only when nothing can promote (handled = 1.0).
-    depth = flat_tail.shape[0]
-    tail_n = flat_tail.shape[1]
-    m = heap_slots.shape[0]
-    # --- margin: members first (sequential adds, element order), then
-    # the tail's exactly rounded margin_gathered -----------------------
-    tau = 0.0
-    for i in range(m):
-        tau += (heap_raw[heap_slots[i]] * heap_scale) * heap_xvals[i]
-    for j in range(depth):
-        for p in range(tail_n):
-            gathered_out[p, j] = table_flat[flat_tail[j, p]]
-    partials = np.empty(_MAX_PARTIALS, dtype=np.float64)
-    np_ = 0
-    for p in range(tail_n):
-        for j in range(depth):
-            x = gathered_out[p, j] * (signs_tail[j, p] * tail_values[p])
-            k = 0
-            for q in range(np_):
-                yv = partials[q]
-                if abs(x) < abs(yv):
-                    t = x
-                    x = yv
-                    yv = t
-                hi_p = x + yv
-                lo_p = yv - (hi_p - x)
-                if lo_p != 0.0:
-                    partials[k] = lo_p
-                    k += 1
-                x = hi_p
-            partials[k] = x
-            np_ = k + 1
-    if np_ == 0:
-        total = 0.0
-    else:
-        np_ -= 1
-        hi_p = partials[np_]
-        lo_p = 0.0
-        while np_ > 0:
-            x = hi_p
-            np_ -= 1
-            yv = partials[np_]
-            hi_p = x + yv
-            yr = hi_p - x
-            lo_p = yv - yr
-            if lo_p != 0.0:
-                break
-        if np_ > 0 and (
-            (lo_p < 0.0 and partials[np_ - 1] < 0.0)
-            or (lo_p > 0.0 and partials[np_ - 1] > 0.0)
-        ):
-            yv = lo_p * 2.0
-            x = hi_p + yv
-            yr = x - hi_p
-            if yv == yr:
-                hi_p = x
-        total = hi_p
-    tau += scale * total / sqrt_s
-    # --- loss derivative (inlined, selected by kernel id) -------------
-    ytau = y * tau
-    if loss_id == 0:  # logistic
-        if ytau >= 0.0:
-            e = math.exp(-ytau)
-            g = -e / (1.0 + e)
-        else:
-            g = -1.0 / (1.0 + math.exp(ytau))
-    elif loss_id == 1:  # smoothed hinge (loss_param = gamma)
-        if ytau >= 1.0:
-            g = 0.0
-        elif ytau >= 1.0 - loss_param:
-            g = (ytau - 1.0) / loss_param
-        else:
-            g = -1.0
-    elif loss_id == 2:  # hinge
-        g = -1.0 if ytau <= 1.0 else 0.0
-    else:  # squared
-        g = ytau - 1.0
-    # --- lazy decays: store scale then table scale, each with the
-    # 1e-150 renorm fold; a table fold stales the gather --------------
-    if lam > 0.0:
-        heap_scale *= decay
-        if heap_scale < _RENORM:
-            for i in range(n_heap):
-                heap_raw[i] *= heap_scale
-            heap_scale = 1.0
-        scale *= decay
-        if scale < _RENORM:
-            for c in range(table_flat.shape[0]):
-                table_flat[c] *= scale
-            scale = 1.0
-            for j in range(depth):
-                for p in range(tail_n):
-                    gathered_out[p, j] = table_flat[flat_tail[j, p]]
-    step = eta * y * g
-    # --- member gradient step (add_many semantics) --------------------
-    if heap_scale == 1.0:
-        for i in range(m):
-            heap_raw[heap_slots[i]] += -step * heap_xvals[i]
-    else:
-        for i in range(m):
-            heap_raw[heap_slots[i]] += (-step * heap_xvals[i]) / heap_scale
-    # --- tail recovery (median_estimate at the query factor, optional
-    # l1 soft-threshold) minus the gradient step ----------------------
-    factor = scale if depth == 1 else sqrt_s * scale
-    if depth == 1:
-        for p in range(tail_n):
-            qv = factor * (signs_tail[0, p] * gathered_out[p, 0])
-            if l1 > 0.0:
-                aq = abs(qv) - l1
-                if aq < 0.0:
-                    aq = 0.0
-                if qv > 0.0:
-                    qv = aq
-                elif qv < 0.0:
-                    qv = -aq
-                else:
-                    qv = 0.0 * aq
-            candidates_out[p] = qv - step * tail_values[p]
-    else:
-        buf = np.empty(depth, dtype=np.float64)
-        mid = depth // 2
-        odd = depth % 2 == 1
-        for p in range(tail_n):
-            for j in range(depth):
-                buf[j] = signs_tail[j, p] * gathered_out[p, j]
-            for a in range(1, depth):
-                v = buf[a]
-                b = a - 1
-                while b >= 0 and buf[b] > v:
-                    buf[b + 1] = buf[b]
-                    b -= 1
-                buf[b + 1] = v
-            if odd:
-                qv = factor * buf[mid]
-            else:
-                qv = factor * (0.5 * (buf[mid - 1] + buf[mid]))
-            if l1 > 0.0:
-                aq = abs(qv) - l1
-                if aq < 0.0:
-                    aq = 0.0
-                if qv > 0.0:
-                    qv = aq
-                elif qv < 0.0:
-                    qv = -aq
-                else:
-                    qv = 0.0 * aq
-            candidates_out[p] = qv - step * tail_values[p]
-    # --- promotion screen against the store's min priority ------------
-    minabs = abs(heap_raw[0])
-    for i in range(1, n_heap):
-        v = abs(heap_raw[i])
-        if v < minabs:
-            minabs = v
-    threshold = minabs * heap_scale
-    for p in range(tail_n):
-        if abs(candidates_out[p]) > threshold:
-            # A promotion is possible: hand back to the sequential
-            # maintain loop before any table write.
-            return (tau, scale, heap_scale, 0.0)
-    # --- whole-tail stay-scatter (C element order) --------------------
-    base = -step / (sqrt_s * scale)
-    for j in range(depth):
-        for p in range(tail_n):
-            table_flat[flat_tail[j, p]] += (base * tail_values[p]) * signs_tail[j, p]
-    return (tau, scale, heap_scale, 1.0)
-
-
 def fused_query(
     table_flat: np.ndarray,
     flat_buckets: np.ndarray,

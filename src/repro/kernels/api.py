@@ -138,38 +138,8 @@ est_out, scratch) -> None``
     Recovery queries: one transposed gather (``gather_rows_t``) written
     to ``gathered_out`` plus the ``median_estimate`` of
     ``signs_t * gathered`` times ``factor`` written to ``est_out``.
-    Callers that need both the raw cells and the estimates (the AWM
-    shared-gather update, the serving ``query_many``) get them from a
-    single call.
-
-``fused_awm_update(table_flat, flat_tail, signs_tail, tail_values,
-heap_raw, heap_slots, heap_xvals, n_heap, y, eta, decay, lam, scale,
-heap_scale, sqrt_s, loss_id, loss_param, l1, gathered_out,
-candidates_out) -> (tau, scale, heap_scale, handled)``
-    One whole AWM example in a single call: the active-set margin
-    contribution (sequential ``raw[slot] * heap_scale * x`` adds, the
-    exact element order of the per-example chain), the tail's
-    ``margin_gathered`` over a fresh transposed gather into
-    ``gathered_out``, the loss derivative, the lazy L2 decay of *both*
-    scales (each with the 1e-150 renorm fold; a table fold re-gathers
-    ``gathered_out`` so the recovery below sees post-fold cells), the
-    active-set gradient step (``add_many`` semantics: deltas divided by
-    the store scale unless it is 1.0), the tail recovery
-    (``median_estimate`` at factor ``scale`` for depth 1 else
-    ``sqrt_s * scale``, soft-thresholded by ``l1`` when positive) minus
-    the gradient step into ``candidates_out``, and the promotion screen
-    against the store's minimum priority (first-minimum ``|raw|`` over
-    the live prefix times ``heap_scale`` — requires the store's
-    ``abs``-priority default and a *full* store).  If **no** candidate
-    beats the threshold the whole-tail stay-scatter is applied and
-    ``handled`` is 1.0; otherwise the kernel stops before any scatter
-    and returns ``handled`` 0.0 so the caller can run the sequential
-    promotion loop on ``candidates_out`` — either way ``tau`` and both
-    post-decay scales come back in the returned 4-tuple (all float64;
-    the caller re-syncs model and store state).  Bit-identical, state
-    and return, to the unfused ``_update_example`` chain over the same
-    inputs — the fuzz suite drives both orders.  ``tail_values`` must
-    be non-empty (callers keep the empty-tail fast path).
+    Callers that need both the raw cells and the estimates (the
+    serving ``query_many``) get them from a single call.
 
 Non-finite inputs (inf / NaN) are outside the kernel contract: the
 classifiers never produce them from finite streams, and the exact-sum
@@ -193,7 +163,6 @@ KERNEL_NAMES = (
     "fused_update",
     "fused_predict",
     "fused_query",
-    "fused_awm_update",
 )
 
 #: The lazy-scale underflow threshold shared with the classifiers

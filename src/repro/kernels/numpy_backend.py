@@ -298,77 +298,6 @@ def fused_query(
         est_out *= factor
 
 
-def fused_awm_update(
-    table_flat: np.ndarray,
-    flat_tail: np.ndarray,
-    signs_tail: np.ndarray,
-    tail_values: np.ndarray,
-    heap_raw: np.ndarray,
-    heap_slots: np.ndarray,
-    heap_xvals: np.ndarray,
-    n_heap: int,
-    y: int,
-    eta: float,
-    decay: float,
-    lam: float,
-    scale: float,
-    heap_scale: float,
-    sqrt_s: float,
-    loss_id: int,
-    loss_param: float,
-    l1: float,
-    gathered_out: np.ndarray,
-    candidates_out: np.ndarray,
-) -> tuple:
-    # The AWM per-example chain composed from the reference primitives —
-    # literally the sequence of calls ``_update_example`` makes, so the
-    # loop backend above can be fuzzed against it (see kernels.api for
-    # the step-by-step contract).
-    tau = 0.0
-    if heap_slots.size:
-        # values_at semantics: (raw[slot] * heap_scale) * x, summed in
-        # element order (the reference's sequential += accumulation).
-        for p in ((heap_raw[heap_slots] * heap_scale) * heap_xvals).tolist():
-            tau += p
-    gathered_out[:] = table_flat.take(flat_tail.T)
-    tau += margin_gathered(
-        gathered_out, (signs_tail * tail_values).T, scale, sqrt_s
-    )
-    g = _loss_object(loss_id, loss_param).dloss(y * tau)
-    if lam > 0.0:
-        heap_scale *= decay
-        if heap_scale < _RENORM:
-            heap_raw[:n_heap] *= heap_scale
-            heap_scale = 1.0
-        scale *= decay
-        if scale < _RENORM:
-            table_flat *= scale
-            scale = 1.0
-            gathered_out[:] = table_flat.take(flat_tail.T)
-    step = eta * y * g
-    if heap_slots.size:
-        deltas = -step * heap_xvals
-        np.add.at(
-            heap_raw,
-            heap_slots,
-            deltas if heap_scale == 1.0 else deltas / heap_scale,
-        )
-    depth = flat_tail.shape[0]
-    factor = scale if depth == 1 else sqrt_s * scale
-    # The fused-query association order: raw medians at factor 1.0, then
-    # one multiply by the true factor.
-    queries = factor * median_estimate(gathered_out, signs_tail.T, 1.0)
-    if l1 > 0.0:
-        queries = np.sign(queries) * np.maximum(np.abs(queries) - l1, 0.0)
-    np.subtract(queries, step * tail_values, out=candidates_out)
-    threshold = float(np.abs(heap_raw[:n_heap]).min()) * heap_scale
-    if screen_abs_gt(candidates_out, threshold).size:
-        return (tau, scale, heap_scale, 0.0)
-    coeff = (-step / (sqrt_s * scale)) * tail_values
-    np.add.at(table_flat, flat_tail, coeff * signs_tail)
-    return (tau, scale, heap_scale, 1.0)
-
-
 BACKEND = KernelBackend(
     "numpy",
     compiled=False,

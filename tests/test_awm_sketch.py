@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.awm_sketch import AWMSketch
+from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.learning.ogd import UncompressedClassifier
 from repro.learning.schedules import ConstantSchedule
@@ -85,6 +86,21 @@ class TestActiveSetSemantics:
                 clf.update(_ex([i], [1.0], 1))
         top = clf.top_weights(2)
         assert [i for i, _ in top] == [0, 1]
+
+    def test_repeated_id_cannot_take_two_slots(self):
+        """Regression: a feature id repeated within one example used to
+        be promoted twice, leaving one key in two active-set slots (and
+        twice in top_weights).  Batches now reject repeated ids; the
+        distinct-id version of the same batch keeps one slot per key."""
+        with pytest.raises(ValueError, match="example 1 repeats feature id 7"):
+            SparseBatch([0, 2, 4], [1, 2, 7, 7],
+                        [1e-3, 1e-3, 5.0, 5.0], [1, -1])
+        clf = AWMSketch(64, 1, heap_capacity=2, lambda_=0.0,
+                        learning_rate=1.0)
+        clf.fit_batch(SparseBatch([0, 2, 4], [1, 2, 7, 8],
+                                  [1e-3, 1e-3, 5.0, 5.0], [1, -1]))
+        clf.heap.check_invariants()
+        assert sorted(k for k, _ in clf.top_weights(2)) == [7, 8]
 
 
 class TestLearning:

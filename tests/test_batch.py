@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
+from repro.data import batch as batch_module
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.sparse import SparseExample
 
@@ -102,6 +103,44 @@ def test_non_finite_values_rejected(bad, rng):
         assert np.all(np.isfinite(model.sketch_state()))
         top = model.top_weights(16)
         assert top and all(np.isfinite(w) for _, w in top)
+
+
+def test_repeated_id_rejected_naming_example_and_id():
+    with pytest.raises(ValueError, match=r"example 1 repeats feature id 7:"):
+        SparseBatch([0, 2, 4], [1, 2, 7, 7], [1e-3, 1e-3, 5.0, 5.0], [1, -1])
+    # The same id in two different examples is fine.
+    assert SparseBatch([0, 2, 4], [1, 7, 7, 1], np.ones(4), [1, -1]).nnz == 4
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, 1 << 16])
+def test_repeated_id_check_matches_brute_force(block, monkeypatch, rng):
+    """Whatever the block size, the check names the first example that
+    repeats an id, and that example's smallest repeated id."""
+    monkeypatch.setattr(batch_module, "_ID_CHECK_BLOCK", block)
+    for _ in range(300):
+        rows = []
+        for count in rng.integers(0, 6, size=int(rng.integers(1, 12))):
+            ids = rng.integers(0, 12, size=int(count))
+            if rng.random() < 0.5:
+                ids = np.unique(ids)  # sorted, distinct: the fast path
+            rows.append(ids.astype(np.int64))
+        indptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        indices = np.concatenate(rows)
+        labels = np.ones(len(rows), dtype=np.int64)
+        first = next(
+            (i for i, r in enumerate(rows) if np.unique(r).size < r.size),
+            None,
+        )
+        if first is None:
+            SparseBatch(indptr, indices, np.ones(indices.size), labels)
+            continue
+        uniq, counts = np.unique(rows[first], return_counts=True)
+        repeated = int(uniq[counts > 1][0])
+        with pytest.raises(
+            ValueError,
+            match=rf"example {first} repeats feature id {repeated}:",
+        ):
+            SparseBatch(indptr, indices, np.ones(indices.size), labels)
 
 
 def test_iter_batches_chunking(rng):

@@ -19,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.awm_sketch import AWMSketch
+from repro.core.sketch_table import _CHUNK_LOG, _RENORM_THRESHOLD
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.learning.base import OnlineErrorTracker, run_stream
 from repro.learning.feature_hashing import FeatureHashing
+from repro.learning.losses import (
+    HingeLoss,
+    LogisticLoss,
+    SmoothedHingeLoss,
+    SquaredLoss,
+)
 from repro.learning.ogd import UncompressedClassifier
 from repro.learning.truncation import ProbabilisticTruncation, SimpleTruncation
 
@@ -235,6 +242,79 @@ def test_awm_sketch_equivalence_property(batch_size, depth, seed):
     assert seq.n_promotions == bat.n_promotions
     _assert_heaps_equal(seq.heap, bat.heap)
     assert seq_tr.mistakes == bat_tr.mistakes
+
+
+def _update_margin(model, ex):
+    """``model.update(ex)``, returning the pre-update margin its step
+    computed (the same dispatch ``AWMSketch.update`` makes)."""
+    if model.scalar_fast_path and ex.nnz == 1:
+        return model._update_one(
+            int(ex.indices[0]), float(ex.values[0]), ex.label
+        )
+    return model._update_example(ex.indices, ex.values, ex.label)
+
+
+@settings(deadline=None)
+@given(
+    examples=_tie_streams(),
+    capacity=st.integers(min_value=1, max_value=4),
+    width=st.sampled_from([2, 4, 8, 16]),
+    depth=st.integers(min_value=1, max_value=4),
+    loss=st.sampled_from([LogisticLoss(), SmoothedHingeLoss(0.7),
+                          HingeLoss(), SquaredLoss()]),
+    l1=st.sampled_from([0.0, 0.01]),
+    regime=st.sampled_from(["ties", "decay", "renorm"]),
+    fold_at=st.integers(min_value=0, max_value=12),
+    scalar_fast_path=st.booleans(),
+    batch_size=st.integers(min_value=1, max_value=16),
+)
+def test_awm_fit_batch_matches_update_property(
+    examples, capacity, width, depth, loss, l1, regime, fold_at,
+    scalar_fast_path, batch_size,
+):
+    """Batched AWM == per-example ``update()``, aimed at the batch
+    loop's edge cases: a store full from the first batch (capacities
+    1-4) or filling mid-batch, exact admission ties (``lambda_=0`` with
+    +-1 values over width <= 16; ties reject), even depths (two-middle
+    median), every loss, l1 shrinkage, empty examples mid-batch and
+    trailing, 1-sparse examples on and off the scalar fast path, and
+    renorm folds of both scales (``regime="renorm"`` starts them just
+    above the threshold, far enough that they fold at step ``fold_at``,
+    so the fold can land after the store is full)."""
+    def make():
+        model = AWMSketch(width, depth, heap_capacity=capacity, loss=loss,
+                          lambda_=0.0 if regime == "ties" else 0.01,
+                          seed=3, scalar_fast_path=scalar_fast_path)
+        model.l1 = l1
+        if regime == "renorm":
+            brink = _RENORM_THRESHOLD * 1.0000001
+            for t in range(fold_at):
+                brink /= model._decay_factor(model.schedule(t))
+            model._scale = brink
+            model.heap.decay(brink)
+        return model
+
+    seq, bat = make(), make()
+    expected = [_update_margin(seq, ex) for ex in examples]
+    got = []
+    for lo in range(0, len(examples), batch_size):
+        before = bat.table.copy()
+        bat._dirty[:] = False
+        batch = SparseBatch.from_examples(examples[lo:lo + batch_size])
+        got.extend(bat.fit_batch(batch).tolist())
+        changed = np.flatnonzero(
+            before.view(np.int64) != bat.table.view(np.int64)
+        )
+        assert bat._dirty[changed >> _CHUNK_LOG].all()
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert seq.table.tobytes() == bat.table.tobytes()
+    assert seq._scale == bat._scale
+    assert seq._fold_log == bat._fold_log
+    assert seq.t == bat.t == len(examples)
+    _assert_heaps_equal(seq.heap, bat.heap)
+    assert seq.n_promotions == bat.n_promotions > 0
+    if regime == "renorm" and len(examples) > fold_at:
+        assert seq._fold_log < 0.0  # the fold happened
 
 
 # ----------------------------------------------------------------------

@@ -468,27 +468,6 @@ class TestWorkspaceLifecycle:
         # so the admission must actually have happened.
         assert any(k == heavy for k, _ in fused.heap.items())
 
-    def test_awm_fused_query_branch_applies_l1(self):
-        # Regression: the compiled-backend fused_query branch used to
-        # skip the l1 soft-threshold _estimate_from_rows applies, so
-        # promotion decisions diverged whenever l1 > 0.  The private
-        # _force_fused_query hook exercises the branch without numba.
-        examples = _stream(seed=53, n=250)
-
-        def make(force):
-            model = AWMSketch(128, depth=3, heap_capacity=16, seed=1,
-                              lambda_=1e-4)
-            model.l1 = 5e-3
-            model._force_fused_query = force
-            return model
-
-        forced, plain = make(True), make(False)
-        for batch in iter_batches(examples, 50):
-            forced.fit_batch(batch)
-            plain.fit_batch(batch)
-        _assert_same(forced, plain)
-        assert forced.n_promotions == plain.n_promotions
-
     def test_fused_decay_validation_matches_message(self):
         examples = _stream(seed=47, n=8)
         model = WMSketch(64, 2, seed=0, heap_capacity=0, lambda_=0.5,

@@ -280,6 +280,17 @@ class TestVectorizedApi:
         # Patched slots resolve to the promoted key's live slot.
         assert h.values_at(cache.slots[[1]]).tolist() == [9.0]
 
+    def test_slot_map_is_live(self):
+        h = TopKStore(2)
+        h.push(1, 1.0)
+        slots = h.slot_map()
+        h.push(2, 2.0)
+        h.replace_min(3, 9.0)  # evicts 1 into its slot
+        assert slots == {2: 1, 3: 0}
+        h.remove(2)
+        assert slots == {3: 0}
+        h.check_invariants()
+
 
 class TestCustomPriority:
     def test_identity_priority(self):

@@ -28,6 +28,12 @@ class TestSparseExample:
         with pytest.raises(ValueError, match=r"values\[1\] is .*finite"):
             SparseExample(np.array([3, 4, 5]), np.array([1.0, bad, bad]))
 
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match=r"feature id 4 repeats"):
+            SparseExample(np.array([3, 4, 5, 4]), np.ones(4))
+        # Distinct ids in any order are fine.
+        assert SparseExample(np.array([5, 3, 4]), np.ones(3)).nnz == 3
+
     def test_norms(self):
         x = SparseExample(np.array([0, 1]), np.array([3.0, -4.0]))
         assert x.l1_norm() == 7.0

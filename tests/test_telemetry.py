@@ -28,6 +28,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import iter_batches
 from repro.data.datasets import rcv1_like
@@ -421,6 +422,29 @@ class TestHooks:
             hooks.clear()
         assert [n for n, _ in calls] == [128, 128, 44]
         assert all(s >= 0 for _, s in calls)
+
+
+class TestAwmFitBatchSpan:
+    def test_span_nests_hash_and_tags_promotions(self):
+        """AWM fit_batch opens the same ``fit_batch`` span as WM's, with
+        a ``hash`` child, tagged with the batch's promotion count."""
+        spec = rcv1_like(scale=0.05)
+        batches = list(iter_batches(
+            spec.stream.materialize(300, seed_offset=3), 100
+        ))
+        model = AWMSketch(2**8, 1, seed=0, heap_capacity=32)
+        model.fit_batch(batches[0])  # untraced: fills the active set
+        before = model.n_promotions
+        with trace.capture() as cap:
+            model.fit_batch(batches[1])
+        assert len(cap.spans) == 1
+        span = cap.spans[0]
+        assert span.name == "fit_batch"
+        assert span.tags["model"] == "AWMSketch"
+        assert span.tags["n"] == 100
+        assert [c.name for c in span.children] == ["hash"]
+        assert span.tags["promotions"] == model.n_promotions - before > 0
+        assert validate_span_tree(span) == 2
 
 
 class TestExporters:
