@@ -1,16 +1,16 @@
-"""Whole-example fused AWM update: the ``fused_awm_update`` contract.
+"""Whole-example fused AWM step: ``AWMSketch.fit_batch``'s batch loop.
 
-The mega-kernel collapses the entire Algorithm 2 step — active-set +
-tail margin, loss derivative, both lazy decays, active-set gradient
-step, tail recovery, promotion screen, stay-scatter — into one call,
-bailing out before any table write when a promotion is possible.  It
-must leave *identical state* (table, scale, heap raw/scale/min-slot,
-promotion count) and return *identical margins* to the unfused chain,
-bit for bit, on every backend.
+Once the active set is full, ``fit_batch`` runs every multi-sparse
+example as one inlined Algorithm 2 step — active-set + tail margin,
+loss derivative, both lazy decays, active-set gradient step, tail
+recovery, promotion screen, stay-scatter — over state built once per
+batch.  It must leave *identical state* (table, scale, heap
+raw/scale/min-slot, promotion count) and return *identical margins* to
+per-example ``update()`` calls, bit for bit, on every backend.
 
-The host may lack a compiler, so the fused branch is forced via the
-``_force_fused_example`` test hook and fuzzed against a default twin
-running the unfused reference chain on the same stream.
+Each test drives a per-example reference twin and a ``fit_batch`` twin
+over the same stream, and checks that the batch twin actually ran the
+inlined step for most examples rather than the per-example spec.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro import kernels
 from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _RENORM_THRESHOLD
-from repro.data.batch import iter_batches
+from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
 from repro.learning.losses import (
     HingeLoss,
@@ -48,13 +48,19 @@ def _stream(seed=0, d=600):
 
 
 def _step(model, ex):
-    """One Algorithm 2 step through ``_update_example`` (the layer the
-    fused gate lives in); returns the pre-update margin."""
+    """``model.update(ex)``, returning the pre-update margin its step
+    computed (the same dispatch ``AWMSketch.update`` makes)."""
+    if model.scalar_fast_path and ex.nnz == 1:
+        return model._update_one(
+            int(ex.indices[0]), float(ex.values[0]), ex.label
+        )
     return model._update_example(ex.indices, ex.values, ex.label)
 
 
 def _twins(backend, *, depth=1, lambda_=1e-3, loss=None, heap_capacity=24,
            width=128, l1=0.0):
+    """A per-example reference and a ``fit_batch`` twin; the twin counts
+    the examples it hands to the per-example spec."""
     kwargs = dict(
         width=width, depth=depth, heap_capacity=heap_capacity,
         lambda_=lambda_, seed=3, backend=backend,
@@ -62,16 +68,36 @@ def _twins(backend, *, depth=1, lambda_=1e-3, loss=None, heap_capacity=24,
     )
     ref = AWMSketch(**kwargs)
     fused = AWMSketch(**kwargs)
-    fused._force_fused_example = True
     if l1:
         ref.l1 = l1
         fused.l1 = l1
+    spec = fused._update_example
+    fused.spec_calls = 0
+
+    def counting(*args, **kw):
+        fused.spec_calls += 1
+        return spec(*args, **kw)
+
+    fused._update_example = counting
     return ref, fused
+
+
+def _run(ref, fused, examples, batch_size=64):
+    """Drive both twins over ``examples``; margins must match per
+    example."""
+    expected = [_step(ref, ex) for ex in examples]
+    got = []
+    for batch in iter_batches(examples, batch_size):
+        got.extend(fused.fit_batch(batch).tolist())
+    for i, (m_ref, m_fused) in enumerate(zip(expected, got)):
+        assert m_fused == m_ref, f"margin diverged at example {i}"
+    assert len(got) == len(expected)
 
 
 def _assert_state_equal(ref: AWMSketch, fused: AWMSketch, context: str):
     assert fused._scale == ref._scale, context
     np.testing.assert_array_equal(fused.table, ref.table, err_msg=context)
+    assert fused.table.tobytes() == ref.table.tobytes(), context
     assert fused.heap._scale == ref.heap._scale, context
     assert fused.heap._n == ref.heap._n, context
     n = ref.heap._n
@@ -84,61 +110,56 @@ def _assert_state_equal(ref: AWMSketch, fused: AWMSketch, context: str):
     assert fused.n_promotions == ref.n_promotions, context
     assert fused.t == ref.t, context
     assert fused.heap.min_priority() == ref.heap.min_priority(), context
+    # The batch loop, not the per-example spec, ran most examples.
+    assert fused.spec_calls < fused.t // 2, context
 
 
 class TestFusedAwmUpdate:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("lambda_", [0.0, 1e-3])
     def test_stream_state_identical(self, backend, lambda_):
-        """Per-example updates through a long stream: margins + state."""
+        """A long stream through fit_batch: margins + state."""
         ref, fused = _twins(backend, lambda_=lambda_)
-        for i, ex in enumerate(_stream().examples(400)):
-            m_ref = _step(ref, ex)
-            m_fused = _step(fused, ex)
-            assert m_fused == m_ref, f"margin diverged at example {i}"
+        _run(ref, fused, _stream().materialize(400))
         _assert_state_equal(ref, fused, "end of stream")
-        # The fuzz must actually exercise both kernel outcomes: full
-        # heap with promotions (handled=0 fallback) and plain scatters.
+        # The stream must exercise both outcomes of the promotion
+        # screen: a full store with promotions and plain stay-scatters.
         assert ref.heap.is_full
         assert ref.n_promotions > ref.heap.capacity
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("depth", [1, 3])
     def test_depths(self, backend, depth):
-        """depth=1 (sign-flip recovery) and odd depth>1 (median loop)."""
+        """depth=1 (sign-flip recovery) and odd depth>1 (median)."""
         ref, fused = _twins(backend, depth=depth)
-        for ex in _stream(seed=7).examples(250):
-            assert _step(fused, ex) == _step(ref, ex)
+        _run(ref, fused, _stream(seed=7).materialize(250))
         _assert_state_equal(ref, fused, f"depth={depth}")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: type(l).__name__)
     def test_losses(self, backend, loss):
-        """Every kernel-representable loss through the inlined dloss."""
+        """Every loss through the batch loop's loss derivative."""
         ref, fused = _twins(backend, loss=loss)
-        for ex in _stream(seed=11).examples(200):
-            assert _step(fused, ex) == _step(ref, ex)
+        _run(ref, fused, _stream(seed=11).materialize(200))
         _assert_state_equal(ref, fused, type(loss).__name__)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_l1_soft_threshold(self, backend):
-        """l1 > 0 exercises the kernel's inlined soft-threshold (including
-        the sign conventions of the exactly-zero branch)."""
-        ref, fused = _twins(backend, l1=5e-3)
-        for ex in _stream(seed=13).examples(250):
-            assert _step(fused, ex) == _step(ref, ex)
+        """l1 > 0 exercises the loop's soft-threshold of the tail
+        queries (including the sign conventions of the exactly-zero
+        branch)."""
+        ref, fused = _twins(backend, depth=3, l1=5e-3)
+        _run(ref, fused, _stream(seed=13).materialize(250))
         _assert_state_equal(ref, fused, "l1 soft-threshold")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_renormalization_fold(self, backend):
         """Decay underflow: both scales pushed just above the renorm
-        threshold so the kernel's in-call folds (table fold + re-gather,
-        heap prefix fold) fire and must match the unfused chain's."""
+        threshold so the loop's in-step folds (table fold + re-gather,
+        heap prefix fold) fire and must match the per-example spec's."""
         ref, fused = _twins(backend, lambda_=1e-2)
-        stream = _stream(seed=17)
-        examples = stream.materialize(300)
-        for ex in examples[:150]:
-            assert _step(fused, ex) == _step(ref, ex)
+        examples = _stream(seed=17).materialize(300)
+        _run(ref, fused, examples[:150])
         for model in (ref, fused):
             # Nudge the lazy scales to the brink; the *same* nudge on
             # both twins keeps them comparable while guaranteeing the
@@ -152,87 +173,25 @@ class TestFusedAwmUpdate:
                 model.heap._scale = _RENORM_THRESHOLD * 1.0000001
                 model.heap._min_slot = -1
         assert ref._scale == fused._scale
-        folds = 0
-        for ex in examples[150:]:
-            before = ref._scale
-            assert _step(fused, ex) == _step(ref, ex)
-            if ref._scale > before:
-                folds += 1
-        assert folds > 0, "renormalization never triggered"
+        fold_log = ref._fold_log
+        _run(ref, fused, examples[150:])
+        assert ref._fold_log < fold_log, "renormalization never triggered"
+        assert fused._fold_log == ref._fold_log
         _assert_state_equal(ref, fused, "after renorm folds")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_batch_path_state_identical(self, backend):
-        """fit_batch (shared batch hashing + slot caches) through the
-        fused gate matches per-example reference updates."""
+        """fit_batch over windows of varying sizes (the store fills
+        mid-batch in the first) matches per-example reference updates."""
         ref, fused = _twins(backend, heap_capacity=16)
         examples = _stream(seed=23).materialize(256)
-        for ex in examples:
-            _step(ref, ex)
-        for batch in iter_batches(examples, 64):
-            fused.fit_batch(batch)
+        expected = [_step(ref, ex) for ex in examples]
+        got = []
+        lo = 0
+        for size in (64, 1, 37, 154):
+            batch = SparseBatch.from_examples(examples[lo:lo + size])
+            got.extend(fused.fit_batch(batch).tolist())
+            lo += size
+        assert lo == len(examples)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
         _assert_state_equal(ref, fused, "fit_batch vs per-example")
-
-    def test_python_vs_numpy_kernel_direct(self):
-        """Kernel-level fuzz: the restricted-Python loop twin and the
-        NumPy composition must agree bit for bit on random states,
-        including l1 > 0 and no-member examples."""
-        from repro.kernels import _loops, numpy_backend
-
-        rng = np.random.default_rng(5)
-        depth, width = 3, 64
-        for trial in range(200):
-            n_heap = 8
-            tail_n = int(rng.integers(1, 10))
-            n_member = int(rng.integers(0, 4))
-            table = rng.standard_normal(depth * width)
-            flat_tail = np.concatenate([
-                rng.integers(j * width, (j + 1) * width, size=(1, tail_n))
-                for j in range(depth)
-            ]).astype(np.int64)
-            signs = rng.choice([-1.0, 1.0], size=(depth, tail_n))
-            tail_val = rng.standard_normal(tail_n)
-            heap_raw = rng.standard_normal(n_heap)
-            heap_raw[np.abs(heap_raw) < 1e-3] = 1.0  # keep threshold sane
-            slots = rng.choice(n_heap, size=n_member, replace=False).astype(np.intp)
-            xvals = rng.standard_normal(n_member)
-            args = dict(
-                y=int(rng.choice([-1, 1])),
-                eta=0.1,
-                decay=float(rng.choice([1.0, 0.999, _RENORM_THRESHOLD])),
-                lam=float(rng.choice([0.0, 1e-3])),
-                scale=float(rng.choice([1.0, 0.5, _RENORM_THRESHOLD * 1.01])),
-                heap_scale=float(rng.choice([1.0, 0.25])),
-                sqrt_s=float(np.sqrt(depth)),
-                loss_id=int(rng.integers(0, 4)),
-                loss_param=0.7,
-                l1=float(rng.choice([0.0, 0.05])),
-            )
-            if args["lam"] == 0.0:
-                args["decay"] = 1.0
-            states = []
-            for mod in (numpy_backend, _loops):
-                t = table.copy()
-                h = heap_raw.copy()
-                gathered = np.empty((tail_n, depth))
-                cand = np.empty(tail_n)
-                out = mod.fused_awm_update(
-                    t, flat_tail, signs, tail_val, h, slots, xvals,
-                    n_heap, args["y"], args["eta"], args["decay"],
-                    args["lam"], args["scale"], args["heap_scale"],
-                    args["sqrt_s"], args["loss_id"], args["loss_param"],
-                    args["l1"], gathered, cand,
-                )
-                states.append((t, h, cand.copy(), tuple(float(v) for v in out)))
-            (t0, h0, c0, o0), (t1, h1, c1, o1) = states
-            assert o0 == o1, f"trial {trial}: outputs {o0} != {o1}"
-            np.testing.assert_array_equal(t0, t1, err_msg=f"trial {trial}")
-            np.testing.assert_array_equal(h0, h1, err_msg=f"trial {trial}")
-            np.testing.assert_array_equal(c0, c1, err_msg=f"trial {trial}")
-
-    def test_kernel_registered(self):
-        """The kernel is part of the backend contract (both backends
-        expose it through the name-driven registry)."""
-        assert "fused_awm_update" in kernels.KERNEL_NAMES
-        for name in ("numpy", "python"):
-            assert hasattr(kernels.get_backend(name), "fused_awm_update")

@@ -468,6 +468,28 @@ class TestWorkspaceLifecycle:
         # so the admission must actually have happened.
         assert any(k == heavy for k, _ in fused.heap.items())
 
+    def test_awm_fused_query_branch_applies_l1(self):
+        # Regression: a fused query path once skipped the l1
+        # soft-threshold _estimate_from_rows applies, so promotion
+        # decisions diverged whenever l1 > 0.  fit_batch's batch loop
+        # computes its tail queries inline; it must shrink them the
+        # same way per-example update() does.
+        examples = _stream(seed=53, n=250)
+
+        def make():
+            model = AWMSketch(128, depth=3, heap_capacity=16, seed=1,
+                              lambda_=1e-4)
+            model.l1 = 5e-3
+            return model
+
+        batched, plain = make(), make()
+        for batch in iter_batches(examples, 50):
+            batched.fit_batch(batch)
+        for ex in examples:
+            plain.update(ex)
+        _assert_same(batched, plain)
+        assert batched.n_promotions == plain.n_promotions > 0
+
     def test_fused_decay_validation_matches_message(self):
         examples = _stream(seed=47, n=8)
         model = WMSketch(64, 2, seed=0, heap_capacity=0, lambda_=0.5,
