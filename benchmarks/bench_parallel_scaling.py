@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", default="auto",
-        choices=("auto", "numpy", "numba", "python"),
+        choices=("auto", *kernels.BACKEND_NAMES),
         help="kernel backend for the hot loops, recorded in the JSON "
              "and propagated to pool workers via REPRO_KERNEL_BACKEND "
              "(unavailable choices fall back to numpy with a notice)",

@@ -38,14 +38,14 @@ the store's batch-level membership/screening amortization.
 
 Backend axis (PR 4): every configuration can additionally be measured
 under each available kernel backend (``--backends``; the default
-``auto`` runs the NumPy reference plus the compiled Numba backend when
-it is importable).  The NumPy rows stay at the top level of
+``auto`` runs the NumPy reference plus the compiled ``c`` backend when
+it builds).  The NumPy rows stay at the top level of
 ``BENCH_throughput.json`` — the schema the CI regression gate checks —
 while extra backends land under ``"backends"`` and the compiled-vs-
 numpy batched-throughput ratios under ``"backend_batched_ratio"``, so
-the JSON records numpy vs compiled side by side.  When Numba is not
-installed the compiled rows are skipped with a printed notice (never
-silently), and the numpy rows are unaffected.
+the JSON records numpy vs compiled side by side.  When the ``c``
+backend cannot build the compiled rows are skipped with a printed
+notice (never silently), and the numpy rows are unaffected.
 
 Timing discipline: each repeat round measures the per-example and the
 batched paths back to back, and the reported numbers are the per-path
@@ -105,18 +105,19 @@ def make_configs(backend: str | None) -> dict:
 def resolve_backends(spec: str) -> list[str]:
     """Backend names to benchmark, with a notice for unavailable ones.
 
-    ``auto`` = the NumPy reference plus the compiled backend when
-    importable.  Explicitly requested but unavailable backends are
-    skipped with a printed notice (exit stays 0 — a numpy-only host is
-    a valid benchmarking host, it just cannot produce compiled rows).
+    ``auto`` = the NumPy reference plus the compiled backend when it
+    builds.  Explicitly requested but unavailable backends are skipped
+    with a printed notice (exit stays 0 — a numpy-only host is a valid
+    benchmarking host, it just cannot produce compiled rows).
     """
+    compiled = "c" in kernels.available_backends()
     if spec == "auto":
         names = ["numpy"]
-        if kernels.numba_available():
-            names.append("numba")
+        if compiled:
+            names.append("c")
         else:
-            print("notice: numba not importable — compiled backend rows "
-                  "will be absent from this run")
+            print("notice: the c backend does not build here — compiled "
+                  "backend rows will be absent from this run")
         return names
     names = []
     for name in spec.split(","):
@@ -126,8 +127,8 @@ def resolve_backends(spec: str) -> list[str]:
         if name == "auto":
             # Expand rather than record a literal 'auto' row — backend
             # sections must carry real backend names.
-            if kernels.numba_available() and "numba" not in names:
-                names.append("numba")
+            if compiled and "c" not in names:
+                names.append("c")
             continue
         try:
             kernels.get_backend(name, strict=True)
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backends", default="auto",
         help="comma-separated kernel backends to measure ('auto' = "
-             "numpy plus numba when importable; numpy is always "
+             "numpy plus c when it builds; numpy is always "
              "included — it is the reference schema the CI gate reads)",
     )
     parser.add_argument(

@@ -263,10 +263,10 @@ def check_throughput(
             "JSON is malformed / stale-schema; the gate cannot vouch "
             "for anything"
         )
-    # Extra kernel-backend sections (e.g. the compiled numba rows).
+    # Extra kernel-backend sections (e.g. the compiled c rows).
     # Gated like the numpy rows when both sides carry them; a backend
-    # present in the baseline but absent from the current run (numba
-    # not installed on this host) is *skipped with a notice*, never
+    # present in the baseline but absent from the current run (c not
+    # buildable on this host) is *skipped with a notice*, never
     # silently and never as a failure — the numpy rows above already
     # vouch for the run.
     base_backends = baseline.get("backends") or {}

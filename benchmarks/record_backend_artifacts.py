@@ -1,24 +1,26 @@
-"""Fold a CI numba job's per-backend benchmark artifact into the baseline.
+"""Fold a per-backend benchmark run into the committed baseline.
 
-The committed ``BENCH_throughput.json`` is produced on whatever host
-the author has — often without Numba — so its ``backends`` /
-``backend_batched_ratio`` sections start empty and the compiled-vs-
-numpy ratios stay "pending a numba host".  The CI numba job *does*
-measure them (it uploads ``BENCH_throughput_backends.json``); this
-script merges that artifact's backend sections into the committed
-baseline so the compiled ratios become part of the tracked trend
-instead of a note in the ROADMAP.
+``benchmarks/bench_update_throughput.py --backends numpy,c`` measures
+every configuration under each kernel backend and writes the compiled
+rows under ``backends`` with the compiled-vs-numpy ratios under
+``backend_batched_ratio``.  The committed ``BENCH_throughput.json``
+numpy rows come from their own run, so this script merges only the
+backend sections of such a run (the *artifact*) into the baseline, and
+the compiled ratios become part of the tracked trend.
 
 Only the backend sections move.  The baseline's own numpy rows (the
-schema the regression gate checks) are never touched: artifact and
-baseline come from different machines, so mixing their absolute rows
-would be meaningless — but each backend section's *ratios* were
-computed against the artifact run's own numpy rows in-process, and
-those in-process numpy rows are recorded alongside under
+schema the regression gate checks) are never touched: the two runs are
+separate processes, possibly on different machines, so mixing their
+absolute rows would be meaningless — but each backend section's
+*ratios* were computed against the artifact run's own numpy rows
+in-process, and those rows are recorded alongside under
 ``backends_meta`` so the provenance is explicit.
 
-Usage (after downloading the ``benchmarks-numba`` CI artifact)::
+Usage::
 
+    PYTHONPATH=src python benchmarks/bench_update_throughput.py \
+        --examples 4000 --backends numpy,c \
+        --out BENCH_throughput_backends.json
     python benchmarks/record_backend_artifacts.py \
         --artifact BENCH_throughput_backends.json \
         [--baseline BENCH_throughput.json] [--dry-run]
@@ -39,14 +41,14 @@ def merge_backend_sections(baseline: dict, artifact: dict) -> dict:
     if not backends:
         raise ValueError(
             "artifact carries no extra-backend rows ('backends' is "
-            "empty) — ran without numba? nothing to record"
+            "empty) — ran without the c backend? nothing to record"
         )
     merged = dict(baseline)
     merged["backends"] = backends
     merged["backend_batched_ratio"] = ratios
     workload = artifact.get("workload") or {}
     merged["backends_meta"] = {
-        "source": "CI numba job artifact (different host than the "
+        "source": "separate --backends run (not the process of the "
                   "numpy rows above; ratios are in-process)",
         "python": workload.get("python"),
         "n_examples": workload.get("n_examples"),

@@ -3,10 +3,12 @@
 The compiled kernel backend is an *extra*, never a hard dependency:
 
     pip install .            # numpy-only (reference kernels)
-    pip install .[compiled]  # adds numba for the compiled backend
+    pip install .[compiled]  # adds cffi for the compiled c backend
 
-Without the extra, ``repro.kernels`` auto-resolution falls back to the
-bit-identical NumPy reference backend.
+The ``c`` backend also needs a system C compiler (``cc``) the first
+time it loads; it builds ``repro/kernels/ckernels.c`` into the user
+cache.  Without cffi or a compiler, ``repro.kernels`` auto-resolution
+falls back to the bit-identical NumPy reference backend.
 """
 
 from setuptools import find_packages, setup
@@ -20,11 +22,13 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The c backend compiles this source on first use.
+    package_data={"repro.kernels": ["ckernels.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        # The optional compiled kernel backend (repro.kernels.numba_backend).
-        "compiled": ["numba>=0.59"],
-        "test": ["pytest", "hypothesis"],
+        # The optional compiled kernel backend (repro.kernels.c_backend).
+        "compiled": ["cffi>=1.15"],
+        "test": ["pytest", "hypothesis", "cffi>=1.15"],
     },
 )

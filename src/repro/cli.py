@@ -81,8 +81,8 @@ from repro.evaluation.harness import RecoveryExperiment
 def _apply_backend(name: str) -> str:
     """Activate the requested kernel backend; returns the resolved name.
 
-    An unavailable backend (``--backend numba`` without numba
-    installed) prints a notice and falls back to the NumPy reference —
+    An unavailable backend (``--backend c`` without cffi or a C
+    compiler) prints a notice and falls back to the NumPy reference —
     results are identical either way, so the run proceeds.  The
     resolved name is exported through ``REPRO_KERNEL_BACKEND`` so
     spawned worker processes (the ``parallel`` subcommand) follow it.
@@ -802,9 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--backend", default="auto",
-        choices=("auto", "numpy", "numba", "python"),
-        help="kernel backend for the hot loops (auto = numba when "
-             "installed, else numpy; results are bit-identical either "
+        choices=("auto", *kernels.BACKEND_NAMES),
+        help="kernel backend for the hot loops (auto = c when it "
+             "builds, else numpy; results are bit-identical either "
              "way — an unavailable choice falls back to numpy with a "
              "notice)",
     )
@@ -852,10 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parallel.add_argument(
         "--backend", default="auto",
-        choices=("auto", "numpy", "numba", "python"),
+        choices=("auto", *kernels.BACKEND_NAMES),
         help="kernel backend for the hot loops, propagated to worker "
-             "processes via REPRO_KERNEL_BACKEND (auto = numba when "
-             "installed, else numpy; unavailable choices fall back to "
+             "processes via REPRO_KERNEL_BACKEND (auto = c when it "
+             "builds, else numpy; unavailable choices fall back to "
              "numpy with a notice)",
     )
     parallel.set_defaults(func=_cmd_parallel)
@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument(
         "--backend", default="auto",
-        choices=("auto", "numpy", "numba", "python"),
+        choices=("auto", *kernels.BACKEND_NAMES),
         help="kernel backend for the hot loops (results are "
              "bit-identical on every backend)",
     )
@@ -934,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--backend", default="auto",
-            choices=("auto", "numpy", "numba", "python"),
+            choices=("auto", *kernels.BACKEND_NAMES),
             help="kernel backend for the hot loops (results are "
                  "bit-identical on every backend)",
         )

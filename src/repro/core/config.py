@@ -58,7 +58,7 @@ class SketchConfig:
     """A (heap, width, depth) configuration for WM/AWM sketches.
 
     ``backend`` names the kernel backend the model should run on
-    (``"auto"`` = numba when available, else numpy; see
+    (``"auto"`` = c when it builds, else numpy; see
     :mod:`repro.kernels`).  It costs no cells — backends change *how*
     the hot loops run, never the results — and is threaded into model
     constructors via :meth:`model_kwargs`.

@@ -86,8 +86,9 @@ def _common_meta(sketch) -> dict:
         # it was *first* checkpointed — a restored model keeps its
         # original provenance across re-saves instead of adopting the
         # current host's backend (informational either way: every
-        # backend is bit-equivalent, so a checkpoint trained under
-        # numba restores exactly on a numpy-only host).
+        # backend is bit-equivalent, so a checkpoint trained under c
+        # restores exactly on a numpy-only host, and one naming a
+        # retired backend trains on numpy after one warning).
         "backend": getattr(sketch, "backend", None) or "",
         "trained_backend": (
             getattr(sketch, "trained_backend", None) or sketch.kernels.name

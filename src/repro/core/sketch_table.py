@@ -24,9 +24,9 @@ identical tables.
 The helper bodies themselves live in :mod:`repro.kernels`: each hot
 primitive (margin, scatter, transposed gather, median recovery,
 estimate bound) dispatches through the table's kernel backend — the
-NumPy reference by default, or the compiled (Numba) backend when
-selected — under the same bit-level contract, fuzz-checked across
-backends in ``tests/test_kernel_backends.py``.
+NumPy reference, or the compiled ``c`` backend for the fused update
+and predict loops — under the same bit-level contract, fuzz-checked
+across backends in ``tests/test_kernel_backends.py``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ requiring O(log(d/delta))-wise independence.
 The vectorized evaluation dispatches through the active kernel backend
 (:mod:`repro.kernels`): the NumPy reference gathers all per-byte table
 entries with ``n_bytes`` fancy-indexing operations and no per-key
-Python work, and the optional compiled (Numba) backend runs the same
-lookup loop GIL-free — bit-identical either way.
+Python work (every backend shares this kernel).
 """
 
 from __future__ import annotations

@@ -14,15 +14,14 @@ Backends
     Always available; the executable specification the fuzzed
     equivalence suite (``tests/test_kernel_backends.py``) checks every
     other backend against.
-``numba``
-    The loop kernels of :mod:`repro.kernels._loops` compiled with
-    ``@njit(cache=True, nogil=True)``.  Optional: when Numba is not
-    importable the backend is recorded unavailable and everything
-    falls back to ``numpy`` with zero behavior change.
-``python``
-    The same loop kernels interpreted — slow, for testing the compiled
-    code path without a compiler and as the template for adding a new
-    backend.
+``c``
+    ``fused_update`` and ``fused_predict`` — the two kernels whose
+    NumPy body is a per-example Python loop — compiled from
+    :file:`ckernels.c` with the system ``cc`` and loaded through cffi
+    (:mod:`repro.kernels.c_backend`); every other kernel is the NumPy
+    function itself.  Built once per machine and source hash; when cffi
+    or a compiler is missing the backend is recorded unavailable and
+    everything falls back to ``numpy`` with zero behavior change.
 
 Selection order
 ---------------
@@ -33,13 +32,15 @@ Selection order
 3. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by
    spawned worker processes, which is how the parallel subsystem
    propagates the choice);
-4. ``"auto"``: ``numba`` when importable, else ``numpy``.
+4. ``"auto"``: ``c`` when it builds and loads, else ``numpy``.
 
 Strictness: :func:`set_backend` and ``get_backend(name, strict=True)``
 raise :class:`BackendUnavailableError` for an unavailable backend;
 per-object resolution uses ``strict=False``, which warns once per
 process and falls back to ``numpy`` — a checkpoint trained under the
-compiled backend loads fine on a host without Numba.
+compiled backend loads fine on a host without a compiler, and one
+saved under a retired backend name (``numba``, ``python``) loads and
+trains on ``numpy``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from repro.kernels.workspace import (
 )
 
 __all__ = [
+    "BACKEND_NAMES",
     "KERNEL_NAMES",
     "RENORM_THRESHOLD",
     "KernelBackend",
@@ -73,7 +75,6 @@ __all__ = [
     "BackendUnavailableError",
     "KernelBackendWarning",
     "available_backends",
-    "numba_available",
     "get_backend",
     "set_backend",
     "active_backend_name",
@@ -83,8 +84,8 @@ __all__ = [
 #: Environment variable naming the default backend for the process.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: Known backend names, in preference/documentation order.
-BACKEND_NAMES = ("numpy", "numba", "python")
+#: Known backend names: the numpy reference, then the compiled backend.
+BACKEND_NAMES = ("numpy", "c")
 
 
 class BackendUnavailableError(ImportError):
@@ -113,29 +114,28 @@ def _load(name: str) -> KernelBackend:
     if name in _unavailable:
         raise BackendUnavailableError(_unavailable[name])
     if name == "numpy":
-        from repro.kernels import numpy_backend as module
-    elif name == "python":
-        from repro.kernels import python_backend as module
-    elif name == "numba":
+        from repro.kernels import numpy_backend
+
+        backend = numpy_backend.BACKEND
+    elif name == "c":
+        from repro.kernels import c_backend
+
         try:
-            from repro.kernels import numba_backend as module
-        except ImportError as exc:
-            _unavailable[name] = (
-                f"kernel backend 'numba' unavailable: {exc} "
-                f"(install the repro[compiled] extra)"
-            )
+            backend = c_backend.load()
+        except c_backend.BuildError as exc:
+            _unavailable[name] = f"kernel backend 'c' unavailable: {exc}"
             raise BackendUnavailableError(_unavailable[name]) from exc
     else:
         raise BackendUnavailableError(
             f"unknown kernel backend {name!r}; known backends: "
             f"{', '.join(BACKEND_NAMES)} (or 'auto')"
         )
-    _loaded[name] = module.BACKEND
-    return module.BACKEND
+    _loaded[name] = backend
+    return backend
 
 
 def available_backends() -> list[str]:
-    """Names of the backends loadable on this host, preference order."""
+    """Names of the backends loadable on this host, in BACKEND_NAMES order."""
     out = []
     for name in BACKEND_NAMES:
         try:
@@ -144,15 +144,6 @@ def available_backends() -> list[str]:
             continue
         out.append(name)
     return out
-
-
-def numba_available() -> bool:
-    """Whether the compiled (Numba) backend can be loaded."""
-    try:
-        _load("numba")
-    except BackendUnavailableError:
-        return False
-    return True
 
 
 def get_backend(
@@ -165,7 +156,7 @@ def get_backend(
     name:
         ``None`` follows the process default (:func:`set_backend`, then
         the ``REPRO_KERNEL_BACKEND`` environment variable, then
-        ``"auto"``).  ``"auto"`` picks ``numba`` when available, else
+        ``"auto"``).  ``"auto"`` picks ``c`` when available, else
         ``numpy``.
     strict:
         With ``strict=True`` (default) an unavailable or unknown name
@@ -180,7 +171,7 @@ def get_backend(
         name = os.environ.get(ENV_VAR, "") or "auto"
     if name == "auto":
         try:
-            return _load("numba")
+            return _load("c")
         except BackendUnavailableError:
             return _load("numpy")
     try:

@@ -78,7 +78,7 @@ primitives above into one backend call over caller-provided
 each is bit-identical to the documented sequence of primitive kernels,
 which is what the fuzz suite (``tests/test_fused_kernels.py``) checks —
 the NumPy implementations are literally composed from the reference
-primitives, and the loop backends re-derive the same floats.  All of
+primitives, and the C backend re-derives the same floats.  All of
 them take a trailing float64 ``scratch`` parameter reserved for
 backends that want caller-owned intermediates; **it may be (and in
 this repository always is) size 0** — the shipped backends keep their
@@ -119,8 +119,8 @@ gathered_out, scales_out, scratch, touched_out) -> float``
     scattered flat bucket index, in the exact element order the
     scatters applied them (duplicates included), into
     ``touched_out[1:1 + depth * nnz]``.  Sizes strictly between 1 and
-    the full recording length are a caller error (the kernels do not
-    bounds-check the fast path).
+    the full recording length are a caller error and raise
+    ``ValueError`` (the C backend before touching anything).
 
     Returns the final scale.  Callers must pre-validate ``eta * lam <
     1`` for the whole window (the unfused chain raises mid-batch; the
@@ -141,9 +141,13 @@ est_out, scratch) -> None``
     Callers that need both the raw cells and the estimates (the
     serving ``query_many``) get them from a single call.
 
-Non-finite inputs (inf / NaN) are outside the kernel contract: the
-classifiers never produce them from finite streams, and the exact-sum
-implementations are only specified for finite values.
+Exact sums follow ``math.fsum`` on every input, non-finite values
+included: zero partials are dropped (so a sum of ``-0.0`` terms is
+``+0.0``), ``+-inf`` and NaN pass through, ``inf + -inf`` raises
+``ValueError`` and intermediate overflow of finite terms raises
+``OverflowError``.  A backend raises what the NumPy reference raises
+at the same example (``IndexError`` for a bucket outside the table),
+leaving the same partial state behind.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ class KernelBackend:
     Parameters
     ----------
     name:
-        Registry name (``"numpy"``, ``"numba"``, ``"python"``, ...).
+        Registry name (``"numpy"``, ``"c"``, ...).
     compiled:
         Whether the kernels run outside the interpreter (informational;
         surfaced in benchmark metadata and checkpoints).

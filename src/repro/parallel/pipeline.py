@@ -21,9 +21,9 @@ How much *wall-clock* the overlap buys depends on the kernel backend
 (:mod:`repro.kernels`): under the NumPy reference, hashing holds the
 GIL through its Python-level dispatch, so producer and consumer mostly
 timeshare one core and the gain is limited to NumPy's internal
-GIL-released stretches.  Under the compiled (Numba) backend the hash
-kernels are ``nogil`` — the prefetch thread hashes batch t+1 while the
-training thread works on batch t for real concurrency (measured by
+GIL-released stretches.  Under the compiled ``c`` backend the training
+thread's ``fused_update`` call releases the GIL, so the prefetch
+thread can hash batch t+1 during it (measured by
 ``benchmarks/bench_pipeline_overlap.py``; results are bit-identical
 either way).  The prefetch hasher follows the classifier's own
 ``backend`` override automatically (it is built over

@@ -21,6 +21,18 @@ settings.register_profile("thorough", max_examples=300, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
+def c_backend_param():
+    """The ``"c"`` kernel backend as a parametrize value: when it cannot
+    build on this host, its cases skip with the recorded reason."""
+    from repro import kernels
+
+    try:
+        kernels.get_backend("c")
+    except kernels.BackendUnavailableError as exc:
+        return pytest.param("c", marks=pytest.mark.skip(reason=str(exc)))
+    return "c"
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG for test-local sampling."""

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
-from repro import kernels
 from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _RENORM_THRESHOLD
 from repro.data.batch import SparseBatch, iter_batches
@@ -30,7 +30,7 @@ from repro.learning.losses import (
     SquaredLoss,
 )
 
-ALT_BACKENDS = ["python"] + (["numba"] if kernels.numba_available() else [])
+ALT_BACKENDS = [c_backend_param()]
 ALL_BACKENDS = ["numpy"] + ALT_BACKENDS
 
 LOSSES = [

@@ -15,6 +15,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
 from repro import kernels
 from repro.core.awm_sketch import AWMSketch
@@ -30,9 +31,7 @@ from repro.learning.losses import (
     SquaredLoss,
 )
 
-ALT_BACKENDS = ["python"] + (
-    ["numba"] if kernels.numba_available() else []
-)
+ALT_BACKENDS = [c_backend_param()]
 ALL_BACKENDS = ["numpy"] + ALT_BACKENDS
 
 LOSSES = [
@@ -57,11 +56,15 @@ def _random_csr(rng, n, width_flat, depth, max_nnz=9, empty_every=5):
 
 class TestRenormConstant:
     def test_thresholds_agree_everywhere(self):
-        from repro.kernels import _loops, numpy_backend
+        import re
+
+        from repro.kernels import c_backend, numpy_backend
 
         assert kernels.RENORM_THRESHOLD == _RENORM_THRESHOLD
-        assert _loops._RENORM == _RENORM_THRESHOLD
         assert numpy_backend._RENORM == _RENORM_THRESHOLD
+        define = re.search(r"#define RENORM (\S+)",
+                           c_backend.SOURCE.read_text())
+        assert float(define.group(1)) == _RENORM_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +524,8 @@ class TestBackendHandle:
         model = WMSketch(64, 2, seed=0, heap_capacity=0)
         assert model.kernels.name == kernels.active_backend_name()
         try:
-            kernels.set_backend("python")
-            assert model.kernels.name == "python"
+            kernels.set_backend("numpy")
+            assert model.kernels.name == "numpy"
         finally:
             kernels.set_backend(None)
         assert model.kernels.name == kernels.active_backend_name()
@@ -531,7 +534,7 @@ class TestBackendHandle:
         model = WMSketch(64, 2, seed=0, heap_capacity=0,
                          backend="numpy")
         try:
-            kernels.set_backend("python")
+            kernels.set_backend(kernels.available_backends()[-1])
             assert model.kernels.name == "numpy"
         finally:
             kernels.set_backend(None)
@@ -544,7 +547,7 @@ class TestBackendHandle:
     def test_epoch_advances_on_set_backend(self):
         before = kernels.backend_epoch()
         try:
-            kernels.set_backend("python")
+            kernels.set_backend("numpy")
         finally:
             kernels.set_backend(None)
         assert kernels.backend_epoch() >= before + 2
