@@ -33,6 +33,20 @@ def c_backend_param():
     return "c"
 
 
+def retired_backend_param(name: str = "python"):
+    """A deleted backend's name as a parametrize value for model-level
+    suites.  Old checkpoints and pickles still carry ``"python"`` (the
+    interpreted loop backend) and ``"numba"``; models and stores built
+    with either resolve it to the numpy reference and must train, serve
+    and persist bit-identically.  The one ``KernelBackendWarning`` per
+    process that resolution emits is asserted in
+    ``test_kernel_backends.py::TestRetiredBackendNames`` and silenced
+    here."""
+    return pytest.param(name, marks=pytest.mark.filterwarnings(
+        "ignore::repro.kernels.KernelBackendWarning"
+    ))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG for test-local sampling."""

@@ -6,7 +6,8 @@ loss derivative, both lazy decays, active-set gradient step, tail
 recovery, promotion screen, stay-scatter — over state built once per
 batch.  It must leave *identical state* (table, scale, heap
 raw/scale/min-slot, promotion count) and return *identical margins* to
-per-example ``update()`` calls, bit for bit, on every backend.
+per-example ``update()`` calls, bit for bit, on every backend and
+under a retired backend name.
 
 Each test drives a per-example reference twin and a ``fit_batch`` twin
 over the same stream, and checks that the batch twin actually ran the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import c_backend_param
+from conftest import c_backend_param, retired_backend_param
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _RENORM_THRESHOLD
@@ -30,7 +31,8 @@ from repro.learning.losses import (
     SquaredLoss,
 )
 
-ALT_BACKENDS = [c_backend_param()]
+#: The live backends, then a retired name that resolves to numpy.
+ALT_BACKENDS = [c_backend_param(), retired_backend_param()]
 ALL_BACKENDS = ["numpy"] + ALT_BACKENDS
 
 LOSSES = [

@@ -15,7 +15,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import c_backend_param
+from conftest import c_backend_param, retired_backend_param
 
 from repro import kernels
 from repro.core.awm_sketch import AWMSketch
@@ -33,6 +33,8 @@ from repro.learning.losses import (
 
 ALT_BACKENDS = [c_backend_param()]
 ALL_BACKENDS = ["numpy"] + ALT_BACKENDS
+#: Model-level cases also run a retired backend name (numpy fallback).
+MODEL_BACKENDS = ALL_BACKENDS + [retired_backend_param()]
 
 LOSSES = [
     LogisticLoss(),
@@ -338,7 +340,7 @@ FACTORIES = {
 }
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", MODEL_BACKENDS)
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 class TestModelLevel:
     def test_fused_equals_unfused_and_sequential(self, backend, name):

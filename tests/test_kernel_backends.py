@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import c_backend_param
+from conftest import c_backend_param, retired_backend_param
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +41,9 @@ from repro.learning.ogd import UncompressedClassifier
 
 #: Backends checked against the numpy reference on this host.
 ALT_BACKENDS = [c_backend_param()]
+#: Model- and store-level cases also run a retired backend name, which
+#: resolves to the numpy reference.
+MODEL_BACKENDS = ALT_BACKENDS + [retired_backend_param()]
 
 
 def _c_or_skip():
@@ -69,7 +72,10 @@ class TestRegistry:
         else:
             assert name == "numpy"
 
-    def test_set_backend_pins_and_clears(self):
+    def test_set_backend_pins_and_clears(self, monkeypatch):
+        # Without the environment variable, clearing the pin restores
+        # "auto" (the numpy-default CI rerun sets the variable).
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         try:
             pinned = kernels.set_backend("numpy")
             assert kernels.get_backend() is pinned
@@ -167,8 +173,12 @@ class TestCLoader:
             "print('ok')\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
-                   PYTHONPATH=src)
+        # Every cache candidate (XDG, home, temp) is a fresh directory,
+        # so a library built by an earlier process cannot be found.
+        xdg, home, tmp = (tmp_path / d for d in ("xdg", "home", "tmp"))
+        tmp.mkdir()
+        env = dict(os.environ, XDG_CACHE_HOME=str(xdg), HOME=str(home),
+                   TMPDIR=str(tmp), PYTHONPATH=src)
         env.pop(kernels.ENV_VAR, None)
         procs = [
             subprocess.Popen([sys.executable, "-c", script], env=env,
@@ -180,9 +190,10 @@ class TestCLoader:
             out, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err
             assert out.strip() == "ok"
-        # One library, no temporary leftovers.
-        built = sorted(p.name for p in (tmp_path / "repro").iterdir())
+        # One library, in the first candidate, no temporary leftovers.
+        built = sorted(p.name for p in (xdg / "repro").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
+        assert not home.exists() and not list(tmp.glob("repro*"))
 
     def _update_args(self, rng, depth=2, n=4, size=32):
         indptr = np.array([0, 3, 3, 6, 9][: n + 1], dtype=np.int64)
@@ -650,7 +661,6 @@ def _assert_models_identical(a, b):
         assert heap_a.items() == heap_b.items()
 
 
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
 class TestModelEquivalence:
     FACTORIES = {
         "wm": lambda be: WMSketch(
@@ -668,6 +678,7 @@ class TestModelEquivalence:
         "hash": lambda be: FeatureHashing(512, seed=0, backend=be),
     }
 
+    @pytest.mark.parametrize("alt", MODEL_BACKENDS)
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_fit_and_predict_bit_identical(self, alt, name):
         examples = _stream(seed=13)
@@ -683,6 +694,7 @@ class TestModelEquivalence:
                 ref.estimate_weights(probe), other.estimate_weights(probe)
             )
 
+    @pytest.mark.parametrize("alt", MODEL_BACKENDS)
     def test_awm_one_sparse_scalar_path_unaffected(self, alt):
         # The Section 8 workloads are 1-sparse and take the scalar fast
         # path, which is backend-independent by construction — but the
@@ -706,6 +718,7 @@ class TestModelEquivalence:
         _assert_models_identical(ref, other)
         assert ref.n_promotions == other.n_promotions
 
+    @pytest.mark.parametrize("alt", ALT_BACKENDS)
     def test_lr_baseline_indifferent_to_backend(self, alt):
         # The dense LR baseline uses no kernels; pinning a backend (via
         # the process default) must not change a single bit of it.
@@ -724,6 +737,7 @@ class TestModelEquivalence:
         assert ref._scale == other._scale
         assert ref.heap.items() == other.heap.items()
 
+    @pytest.mark.parametrize("alt", ALT_BACKENDS)
     def test_process_default_backend_drives_models(self, alt):
         # Models without an explicit override follow set_backend().
         examples = _stream(seed=31, n=150)
@@ -746,7 +760,7 @@ class TestModelEquivalence:
 # ----------------------------------------------------------------------
 # Heap screen decisions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
+@pytest.mark.parametrize("alt", MODEL_BACKENDS)
 class TestHeapScreen:
     def test_push_many_decisions_match_reference(self, alt, rng):
         from repro.heap.reference import ReferenceTopKHeap
@@ -774,8 +788,8 @@ class TestHeapScreen:
 # ----------------------------------------------------------------------
 # Pickle / checkpoint round-trips under a non-default backend
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
 class TestPersistence:
+    @pytest.mark.parametrize("alt", MODEL_BACKENDS)
     def test_pickle_roundtrip_preserves_backend_and_state(self, alt):
         examples = _stream(seed=17, n=200)
         model = _train(
@@ -797,6 +811,7 @@ class TestPersistence:
             clone.fit_batch(batch)
         _assert_models_identical(model, clone)
 
+    @pytest.mark.parametrize("alt", ALT_BACKENDS)
     def test_checkpoint_records_backend(self, alt):
         examples = _stream(seed=19, n=150)
         model = _train(
