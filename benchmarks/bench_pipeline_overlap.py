@@ -1,12 +1,14 @@
 """Pipelined-ingestion overlap micro-benchmark (PR 4, satellite).
 
 ``fit_stream_pipelined`` hashes batch t+1 on a prefetch thread while
-batch t trains.  Whether that overlap buys *wall-clock* depends on the
-kernel backend: the NumPy hash path and the NumPy ``fused_update``
-loop both hold the GIL through their Python-level dispatch (producer
-and consumer mostly timeshare one core), while the compiled ``c``
-backend releases the GIL for the whole ``fused_update`` call, so the
-producer can hash during it.
+batch t trains.  Under the NumPy backend the hash path and the
+``fused_update`` loop both hold the GIL through their Python-level
+dispatch, so producer and consumer timeshare one core.  The compiled
+``c`` backend releases the GIL inside ``fused_update``, but that call
+leaves too little training time to hide hashing behind: on a 2-core
+x86-64 Linux host the defaults measured an overlap ratio of 0.93x
+under ``c`` and 0.86-0.92x under numpy, i.e. no wall-clock gain on
+either.
 
 For each measured backend this benchmark reports three walls over the
 same stream:
@@ -189,12 +191,6 @@ def main(argv=None) -> int:
             json.dumps(results, indent=2, sort_keys=True) + "\n"
         )
         print(f"-> {args.out}")
-    c_row = results["backends"].get("c")
-    if c_row is not None and c_row["overlap_ratio"] <= 1.0:
-        print("WARNING: compiled backend shows no overlap — hashing "
-              "during the GIL-free fused_update should beat back-to-back "
-              "staging")
-        return 1
     return 0
 
 

@@ -8,19 +8,21 @@ including the exception it raises and the partial state it leaves.
 
 The library is built once per machine and source hash with the system
 ``cc`` into the first usable cache directory (``$XDG_CACHE_HOME/repro``,
-``~/.cache/repro``, or a private directory under the system temp dir),
-under a temporary name that ``os.replace`` moves into place, so
-concurrent first builds never load a partial library.  It is loaded
-through cffi's ABI mode (``ffi.dlopen``: no Python headers, and the GIL
-is released around every call).  Any failure raises
-:class:`BuildError`, which the registry records as the backend's
-unavailability reason.
+``~/.cache/repro``, or ``repro-<uid>`` under the system temp dir), and
+looked up there only; a directory or library another user owns or can
+write to is never used.  It is built under a temporary name that
+``os.replace`` moves into place, so concurrent first builds never load
+a partial library.  It is loaded through cffi's ABI mode
+(``ffi.dlopen``: no Python headers, and the GIL is released around
+every call).  Any failure raises :class:`BuildError`, which the
+registry records as the backend's unavailability reason.
 
 The wrappers do O(1) work in Python — dtype, shape and contiguity
 checks — before one C call.  Buffers the kernels write must already be
 C-contiguous and writable (a copy would silently drop the writes);
 strided read-only inputs are copied.  Range checks (``indptr``, every
-flat bucket) run in C and come back as a status the wrapper raises.
+flat bucket, the recording buffers' lengths) run in C before anything
+is written and come back as a status the wrapper raises.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import hashlib
 import os
 import platform
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -97,13 +100,16 @@ def _cache_dirs() -> list[Path]:
     return dirs
 
 
-def _private_temp_dir(path: Path) -> None:
-    """Refuse a shared-temp build dir another user could write into."""
+def _is_private(path: Path) -> bool:
+    """Whether no other user can have written ``path``: it is not a
+    symlink, belongs to this user and is neither group- nor
+    world-writable.  A library someone else could plant or replace must
+    never be loaded."""
     if not hasattr(os, "getuid"):
-        return
-    st = path.stat()
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise OSError(f"{path} is not a private directory")
+        return True
+    info = path.lstat()
+    return (not stat.S_ISLNK(info.st_mode) and info.st_uid == os.getuid()
+            and not info.st_mode & 0o022)
 
 
 def _compile(cc: str, final: Path) -> None:
@@ -121,6 +127,9 @@ def _compile(cc: str, final: Path) -> None:
                 f"{cc} exited with {proc.returncode}: "
                 f"{proc.stderr.strip()[-400:]}"
             )
+        # The linker applies the umask; under 002 the library would be
+        # group-writable, and _is_private would reject it next time.
+        os.chmod(tmp, 0o755)
         os.replace(tmp, final)
     finally:
         if os.path.exists(tmp):
@@ -128,29 +137,33 @@ def _compile(cc: str, final: Path) -> None:
 
 
 def build() -> Path:
-    """Path of the built library, compiling it on first use."""
+    """Path of the built library, compiling it on first use.
+
+    Lookup and build use one directory: the first cache candidate that
+    exists or can be made, is private (:func:`_is_private`) and holds
+    the library or can take it.  A library there that is not private is
+    rebuilt in place."""
     name = _library_name()
-    candidates = _cache_dirs()
-    for directory in candidates:
-        if (directory / name).is_file():
-            return directory / name
-    cc = _find_compiler()
-    if cc is None:
-        raise BuildError("no C compiler ('cc') on PATH")
     failures = []
-    for directory in candidates:
+    for directory in _cache_dirs():
+        path = directory / name
         try:
             directory.mkdir(parents=True, exist_ok=True, mode=0o700)
-            if directory == candidates[-1]:
-                _private_temp_dir(directory)
-            _compile(cc, directory / name)
+            if not _is_private(directory):
+                raise OSError("not a private directory")
+            if path.is_file() and _is_private(path):
+                return path
+            cc = _find_compiler()
+            if cc is None:
+                raise BuildError("no C compiler ('cc') on PATH")
+            _compile(cc, path)
         except OSError as exc:
             failures.append(f"{directory}: {exc}")
             continue
         except subprocess.TimeoutExpired as exc:
             raise BuildError(f"{cc} timed out after {exc.timeout}s") from exc
-        return directory / name
-    raise BuildError(f"no writable cache directory ({'; '.join(failures)})")
+        return path
+    raise BuildError(f"no usable cache directory ({'; '.join(failures)})")
 
 
 def load() -> KernelBackend:
@@ -204,7 +217,10 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
                         f"(bad entry {detail} of {n + 1})"),
         6: (ValueError, f"unknown loss_id {loss_id}"),
         7: (ValueError, f"gamma must be positive, got {loss_param}"),
-        8: (ValueError, "a recording buffer is too short for the batch"),
+        8: (ValueError, "touched_out must hold 0, 1 or at least 1 + "
+                        "depth * nnz slots" if detail == 0 else
+                        "gathered_out / scales_out are too short for "
+                        "the batch"),
     }.get(code, (RuntimeError, f"C kernel failed with status {status}"))
     raise exc_type(message)
 
@@ -249,21 +265,13 @@ def _make_backend(ffi, lib) -> KernelBackend:
             )
         depth, ncols = flat_buckets.shape
         rows = gathered_out.shape[0]
-        n_touched = touched_out.shape[0]
-        if n_touched > 1 or rows:
-            start, end = int(indptr[0]), int(indptr[n])
-            full = 1 + depth * (end - start)
-            if 1 < n_touched < full:
-                raise ValueError(
-                    f"touched_out has {n_touched} slots; it must hold 0, "
-                    f"1 or at least 1 + depth * nnz = {full}"
-                )
-            if rows and (rows < end or gathered_out.shape[1] != depth
-                         or scales_out.shape[0] < n):
-                raise ValueError(
-                    "gathered_out / scales_out are too small to record "
-                    "the batch"
-                )
+        # C indexes gathered_out with row stride depth; it checks every
+        # buffer length itself.
+        if rows and gathered_out.shape[1] != depth:
+            raise ValueError(
+                f"gathered_out must have depth = {depth} columns, "
+                f"got {gathered_out.shape[1]}"
+            )
         try:
             fb, sv, ip, ys, es = (
                 view(flat_buckets), view(sign_values), view(indptr),
@@ -288,7 +296,8 @@ def _make_backend(ffi, lib) -> KernelBackend:
         status = c_update(
             table, table_flat.shape[0], fb, sv, depth, ncols, ip, ys, es,
             n, lam, sqrt_s, loss_id, loss_param, margins, gathered, rows,
-            scales, scales_out.shape[0], touched, n_touched, scale_io,
+            scales, scales_out.shape[0], touched, touched_out.shape[0],
+            scale_io,
         )
         if status:
             _raise_status(status, flat_buckets, table_flat.shape[0], n,

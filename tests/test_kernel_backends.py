@@ -173,8 +173,8 @@ class TestCLoader:
             "print('ok')\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
-        # Every cache candidate (XDG, home, temp) is a fresh directory,
-        # so a library built by an earlier process cannot be found.
+        # The first cache candidate (XDG) is a fresh directory, so both
+        # children build; the later ones (home, temp) must stay unused.
         xdg, home, tmp = (tmp_path / d for d in ("xdg", "home", "tmp"))
         tmp.mkdir()
         env = dict(os.environ, XDG_CACHE_HOME=str(xdg), HOME=str(home),
@@ -194,6 +194,75 @@ class TestCLoader:
         built = sorted(p.name for p in (xdg / "repro").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
         assert not home.exists() and not list(tmp.glob("repro*"))
+
+    def _isolate_cache(self, monkeypatch, tmp_path, home_usable):
+        """Point every cache candidate into ``tmp_path``: no XDG, a fresh
+        home (or a file where ``~/.cache`` cannot be made) and a fresh
+        temp dir.  Returns the home cache and the temp candidate."""
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        home = tmp_path / "home"
+        if not home_usable:
+            home.write_text("")
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        from repro.kernels import c_backend
+
+        return home / ".cache" / "repro", c_backend._cache_dirs()[-1]
+
+    def _plant(self, directory, mode=0o700):
+        """What another user would leave under the library's name."""
+        from repro.kernels import c_backend
+
+        directory.mkdir(parents=True, exist_ok=True)
+        planted = directory / c_backend._library_name()
+        planted.write_bytes(b"planted")
+        directory.chmod(mode)
+        return planted
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="no uids here")
+    @pytest.mark.parametrize("hostile", ["mode-0o777", "other-owner"])
+    def test_planted_library_is_neither_loaded_nor_reused(
+        self, hostile, monkeypatch, tmp_path
+    ):
+        from repro.kernels import c_backend
+
+        _c_or_skip()
+        if hostile == "other-owner":
+            # Every path this process creates now has another owner.
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        # The shared temp dir is the only candidate left, and someone
+        # else prepared it: world-writable, or not this user's.
+        _, temp = self._isolate_cache(monkeypatch, tmp_path,
+                                      home_usable=False)
+        planted = self._plant(
+            temp, 0o777 if hostile == "mode-0o777" else 0o700
+        )
+        with pytest.raises(c_backend.BuildError,
+                           match="no usable cache directory"):
+            c_backend.load()
+        assert planted.read_bytes() == b"planted"
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="no uids here")
+    def test_build_looks_only_in_the_first_usable_directory(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.kernels import c_backend
+
+        _c_or_skip()
+        home_cache, temp = self._isolate_cache(monkeypatch, tmp_path,
+                                               home_usable=True)
+        in_temp = self._plant(temp)
+        # A world-writable library in the first usable directory is not
+        # reused either: it is rebuilt in place, private.
+        in_home = self._plant(home_cache)
+        in_home.chmod(0o666)
+        assert c_backend.build() == in_home
+        assert in_home.read_bytes() != b"planted"
+        assert not in_home.stat().st_mode & 0o022
+        assert in_temp.read_bytes() == b"planted"
+        c_backend.load()  # the rebuilt library loads
 
     def _update_args(self, rng, depth=2, n=4, size=32):
         indptr = np.array([0, 3, 3, 6, 9][: n + 1], dtype=np.int64)
@@ -218,6 +287,8 @@ class TestCLoader:
         c = _c_or_skip()
         base = self._update_args(rng)
         table0 = base["table_flat"].copy()
+        # Dtypes, shapes and layouts are checked in Python; the
+        # recording buffers' lengths in C, before anything is written.
         bad_cases = [
             (TypeError, {"flat_buckets":
                          base["flat_buckets"].astype(np.int32)}),
