@@ -38,6 +38,7 @@ import numpy as np
 from repro import kernels
 from repro.hashing.batch import BatchHasher
 from repro.hashing.family import HashFamily
+from repro.kernels import numpy_backend
 from repro.learning.base import StreamingClassifier, sum_merge_scaled_tables
 from repro.learning.losses import LogisticLoss, Loss
 from repro.learning.schedules import Schedule, as_schedule
@@ -62,8 +63,8 @@ _LOG_RENORM_THRESHOLD = math.log(_RENORM_THRESHOLD)
 #: Fig. 7-scale per-interval write sets at ~10-20% dirty on
 #: million-bucket tables, where 4K-bucket chunks would already be
 #: nearly 100% dirty (no publish win at all).
-_CHUNK_LOG = 8
-_CHUNK = 1 << _CHUNK_LOG
+_CHUNK_LOG = kernels.CHUNK_LOG
+_CHUNK = kernels.CHUNK
 _CHUNK_MASK = _CHUNK - 1
 
 #: :meth:`ScaledSketchTable.snapshot_incremental` rebases (one full
@@ -327,31 +328,13 @@ class ScaledSketchTable(StreamingClassifier):
     # ------------------------------------------------------------------
     # The dirty bitmap already gives workers a natural delta encoding:
     # ship the ``(chunk id, 256 buckets)`` pairs the bitmap names, and
-    # nothing else.  These helpers are the gather/scatter primitives the
+    # nothing else.  These helpers are the chunk moves the
     # :mod:`repro.parallel.delta` codec composes into push/pull
     # messages; they operate on *flat* float64 arrays with this table's
     # chunk geometry — the live raw table by default, or an external
-    # base copy the worker keeps for delta subtraction.
-
-    def _chunk_split(
-        self, chunk_ids: np.ndarray
-    ) -> tuple[np.ndarray, bool, int, int]:
-        """(body ids, tail-included?, full-chunk count, tail length).
-
-        ``chunk_ids`` must be sorted ascending (``np.flatnonzero`` of
-        the bitmap is); the tail chunk, when the table size is not a
-        chunk multiple, needs a partial copy and is split off here.
-        """
-        size = self.size
-        full = size >> _CHUNK_LOG
-        tail_len = size - (full << _CHUNK_LOG)
-        has_tail = bool(
-            tail_len > 0
-            and chunk_ids.size > 0
-            and int(chunk_ids[-1]) == self._n_chunks() - 1
-        )
-        body = chunk_ids[:-1] if has_tail else chunk_ids
-        return body, has_tail, full, tail_len
+    # base copy the worker keeps for delta subtraction.  Chunk ids must
+    # be a 1-d int64 array strictly increasing within
+    # ``[0, _n_chunks())`` (``ValueError`` otherwise, before any write).
 
     def gather_chunks(
         self, chunk_ids: np.ndarray, source: np.ndarray | None = None
@@ -364,19 +347,10 @@ class ScaledSketchTable(StreamingClassifier):
         identically, so padded cells subtract/accumulate to exact
         zeros.
         """
+        numpy_backend.check_chunk_ids(chunk_ids, self._n_chunks())
         if source is None:
             source = self._table_flat
-        body, has_tail, full, tail_len = self._chunk_split(chunk_ids)
-        out = np.zeros((chunk_ids.size, _CHUNK), dtype=np.float64)
-        nb = body.size
-        if nb:
-            np.take(
-                source[: full << _CHUNK_LOG].reshape(full, _CHUNK),
-                body, axis=0, out=out[:nb], mode="clip",
-            )
-        if has_tail:
-            out[-1, :tail_len] = source[full << _CHUNK_LOG:]
-        return out
+        return numpy_backend.gather_chunks(source, chunk_ids)
 
     def scatter_chunks(
         self,
@@ -391,15 +365,12 @@ class ScaledSketchTable(StreamingClassifier):
         relative to whatever this model last published); otherwise
         ``out`` is an external flat base copy.
         """
+        numpy_backend.check_chunk_ids(chunk_ids, self._n_chunks())
+        numpy_backend.check_chunk_rows(data, chunk_ids.shape[0])
         own = out is None
-        if own:
-            out = self._table_flat
-        body, has_tail, full, tail_len = self._chunk_split(chunk_ids)
-        nb = body.size
-        if nb:
-            out[: full << _CHUNK_LOG].reshape(full, _CHUNK)[body] = data[:nb]
-        if has_tail:
-            out[full << _CHUNK_LOG:] = data[-1, :tail_len]
+        numpy_backend.scatter_chunks(
+            self._table_flat if own else out, chunk_ids, data
+        )
         if own and self._dirty is not None:
             self._dirty[chunk_ids] = True
 
@@ -411,19 +382,13 @@ class ScaledSketchTable(StreamingClassifier):
         The driver-side push apply: ``data`` holds each chunk's scaled
         contribution ``U`` and the raw table absorbs ``U / alpha`` so
         that the scaled state gains exactly ``U`` (one rounding per
-        cell).  Touched chunks are marked dirty — which is what keeps
-        the driver's own downstream publishes O(dirty).
+        cell), through the ``chunk_add`` kernel.  Touched chunks are
+        marked dirty — which is what keeps the driver's own downstream
+        publishes O(dirty).
         """
-        body, has_tail, full, tail_len = self._chunk_split(chunk_ids)
-        contrib = data if self._scale == 1.0 else data / self._scale
-        tf = self._table_flat
-        nb = body.size
-        if nb:
-            tf[: full << _CHUNK_LOG].reshape(full, _CHUNK)[body] += (
-                contrib[:nb]
-            )
-        if has_tail:
-            tf[full << _CHUNK_LOG:] += contrib[-1, :tail_len]
+        self.kernels.chunk_add(
+            self._table_flat, chunk_ids, data, self._scale
+        )
         if self._dirty is not None:
             self._dirty[chunk_ids] = True
 

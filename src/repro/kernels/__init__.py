@@ -3,8 +3,9 @@
 Every hot loop of the sketch classifiers — vectorized hashing
 (tabulation / polynomial bucket+sign), sketch-table scatter / gather,
 the exactly-rounded margin, transposed-row median recovery, the WM
-maintain / admission-screen, the AWM tail-promotion screen, and the
-top-K store's ``push_many`` pre-screen — dispatches through a
+maintain / admission-screen, the AWM tail-promotion screen, the
+top-K store's ``push_many`` pre-screen, and the parameter-server push
+codec's chunk encode and apply — dispatches through a
 :class:`~repro.kernels.api.KernelBackend` selected here.
 
 Backends
@@ -15,13 +16,15 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks every
     other backend against.
 ``c``
-    ``fused_update`` and ``fused_predict`` — the two kernels whose
-    NumPy body is a per-example Python loop — compiled from
-    :file:`ckernels.c` with the system ``cc`` and loaded through cffi
-    (:mod:`repro.kernels.c_backend`); every other kernel is the NumPy
-    function itself.  Built once per machine and source hash; when cffi
-    or a compiler is missing the backend is recorded unavailable and
-    everything falls back to ``numpy`` with zero behavior change.
+    Four kernels compiled from :file:`ckernels.c` with the system
+    ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`):
+    ``fused_update`` and ``fused_predict``, whose NumPy body is a
+    per-example Python loop, and the push codec's ``chunk_delta`` and
+    ``chunk_add``, one pass per chunk where NumPy gathers, computes and
+    scatters; every other kernel is the NumPy function itself.  Built
+    once per machine and source hash; when cffi or a compiler is
+    missing the backend is recorded unavailable and everything falls
+    back to ``numpy`` with zero behavior change.
 
 Selection order
 ---------------
@@ -49,6 +52,8 @@ import os
 import warnings
 
 from repro.kernels.api import (
+    CHUNK,
+    CHUNK_LOG,
     KERNEL_NAMES,
     RENORM_THRESHOLD,
     KernelBackend,
@@ -63,6 +68,8 @@ from repro.kernels.workspace import (
 
 __all__ = [
     "BACKEND_NAMES",
+    "CHUNK",
+    "CHUNK_LOG",
     "KERNEL_NAMES",
     "RENORM_THRESHOLD",
     "KernelBackend",

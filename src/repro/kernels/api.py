@@ -141,6 +141,35 @@ est_out, scratch) -> None``
     Callers that need both the raw cells and the estimates (the
     serving ``query_many``) get them from a single call.
 
+Parameter-server push codec
+---------------------------
+The two chunk kernels move whole :data:`CHUNK`-cell chunks of a flat
+float64 table (a table of ``size`` cells has ``ceil(size / CHUNK)``
+chunks; the last one is partial when ``size`` is not a multiple of
+:data:`CHUNK`).  ``chunk_ids`` must be a 1-d int64 array, strictly
+increasing within ``[0, n_chunks)``; message rows are a C-contiguous
+``(k, CHUNK)`` float64 block, one row per id.  Both backends check all
+of this before writing anything and raise ``ValueError`` with the same
+message (``numpy_backend.check_chunk_ids`` / ``check_chunk_buffers``);
+a written buffer that is not writable and C-contiguous is an error,
+never a silent copy.
+
+``chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out)
+-> None``
+    The push encode: for each named chunk, ``out`` row ``i`` receives
+    ``alpha * cur - drift * base`` (``cur - base`` when ``alpha ==
+    drift == 1.0``), where ``cur`` / ``base`` are the chunk's cells in
+    ``table_flat`` / ``base_flat``, and the chunk's ``base_flat`` cells
+    then receive ``cur``'s bits.  The padded tail of a partial last
+    chunk computes the same formula on zeros (``+0.0`` for the positive
+    finite factors the codec passes).  ``base_flat`` has the table's
+    shape.
+
+``chunk_add(table_flat, chunk_ids, data, scale) -> None``
+    The push apply: each named chunk's cells of ``table_flat`` gain
+    row ``i`` of ``data`` (``t + u`` when ``scale == 1.0``, else
+    ``t + u / scale``); a partial last chunk's padded tail is ignored.
+
 Exact sums follow ``math.fsum`` on every input, non-finite values
 included: zero partials are dropped (so a sum of ``-0.0`` terms is
 ``+0.0``), ``+-inf`` and NaN pass through, ``inf + -inf`` raises
@@ -167,7 +196,14 @@ KERNEL_NAMES = (
     "fused_update",
     "fused_predict",
     "fused_query",
+    "chunk_delta",
+    "chunk_add",
 )
+
+#: Cells per chunk of the dirty bitmap and of the delta codec's wire
+#: rows (``repro.core.sketch_table`` tracks dirtiness per chunk).
+CHUNK_LOG = 8
+CHUNK = 1 << CHUNK_LOG
 
 #: The lazy-scale underflow threshold shared with the classifiers
 #: (``repro.core.sketch_table._RENORM_THRESHOLD``); the fused update

@@ -1,10 +1,13 @@
 """The compiled C backend (``"c"``).
 
-Only ``fused_update`` and ``fused_predict`` — the two kernels whose
-NumPy body is a per-example Python loop — are compiled, from
-:file:`ckernels.c`; every other kernel is the NumPy function itself.
-The C bodies are bit-identical to the reference on every input,
-including the exception it raises and the partial state it leaves.
+Four kernels are compiled, from :file:`ckernels.c`: ``fused_update``
+and ``fused_predict``, whose NumPy body is a per-example Python loop,
+and the parameter-server push codec's ``chunk_delta`` (encode each dirty
+chunk's delta and advance the sync base in one pass) and ``chunk_add``
+(add each shipped row into the driver table).  Every other kernel is the
+NumPy function itself.  The C bodies are bit-identical to the reference
+on every input, including the exception it raises and the partial state
+it leaves.
 
 The library is built once per machine and source hash with the system
 ``cc`` into the first usable cache directory (``$XDG_CACHE_HOME/repro``,
@@ -21,8 +24,10 @@ The wrappers do O(1) work in Python — dtype, shape and contiguity
 checks — before one C call.  Buffers the kernels write must already be
 C-contiguous and writable (a copy would silently drop the writes);
 strided read-only inputs are copied.  Range checks (``indptr``, every
-flat bucket, the recording buffers' lengths) run in C before anything
-is written and come back as a status the wrapper raises.
+flat bucket, chunk ids, the buffers' lengths) run in C before anything
+is written and come back as a status the wrapper raises.  The chunk
+kernels share their Python checks and error messages with the NumPy
+reference (``numpy_backend.check_chunk_buffers`` / ``chunk_ids_error``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kernels import numpy_backend
-from repro.kernels.api import KERNEL_NAMES, KernelBackend
+from repro.kernels.api import CHUNK, KERNEL_NAMES, KernelBackend
 
 SOURCE = Path(__file__).with_name("ckernels.c")
 
@@ -66,6 +71,13 @@ int64_t repro_fused_predict(
     void *fb, void *sv, int64_t depth, int64_t ncols,
     void *indptr, int64_t n, double scale, double sqrt_s,
     void *out);
+int64_t repro_chunk_delta(
+    void *table, int64_t size, void *base, int64_t base_len,
+    void *ids, int64_t k, double alpha, double drift,
+    void *out, int64_t out_len);
+int64_t repro_chunk_add(
+    void *table, int64_t size, void *ids, int64_t k,
+    void *data, int64_t data_len, double scale);
 """
 
 class BuildError(RuntimeError):
@@ -209,6 +221,8 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
         raise IndexError(
             f"index {bucket} is out of bounds for axis 0 with size {size}"
         )
+    if code == 10:  # detail: the first bad entry of n chunk ids
+        raise numpy_backend.chunk_ids_error(detail, n, -(-size // CHUNK))
     exc_type, message = {
         2: (OverflowError, "intermediate overflow in fsum"),
         3: (ValueError, "-inf + inf in fsum"),
@@ -217,10 +231,11 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
                         f"(bad entry {detail} of {n + 1})"),
         6: (ValueError, f"unknown loss_id {loss_id}"),
         7: (ValueError, f"gamma must be positive, got {loss_param}"),
-        8: (ValueError, "touched_out must hold 0, 1 or at least 1 + "
-                        "depth * nnz slots" if detail == 0 else
-                        "gathered_out / scales_out are too short for "
-                        "the batch"),
+        8: (ValueError, ("touched_out must hold 0, 1 or at least 1 + "
+                         "depth * nnz slots",
+                         "gathered_out / scales_out are too short for "
+                         "the batch",
+                         "a chunk buffer is too short")[min(detail, 2)]),
     }.get(code, (RuntimeError, f"C kernel failed with status {status}"))
     raise exc_type(message)
 
@@ -236,6 +251,9 @@ def _make_backend(ffi, lib) -> KernelBackend:
     new = ffi.new
     c_update = lib.repro_fused_update
     c_predict = lib.repro_fused_predict
+    c_delta = lib.repro_chunk_delta
+    c_add = lib.repro_chunk_add
+    check_chunk_buffers = numpy_backend.check_chunk_buffers
 
     def copied_views(*arrays):
         # A strided read-only input: a contiguous copy reads the same.
@@ -342,7 +360,43 @@ def _make_backend(ffi, lib) -> KernelBackend:
         if status:
             _raise_status(status, flat_buckets, table_flat.shape[0], n)
 
+    def chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out):
+        check_chunk_buffers(
+            table_flat, chunk_ids, out,
+            (("base_flat", base_flat), ("out", out)), base_flat,
+        )
+        try:
+            table, ids = view(table_flat), view(chunk_ids)
+        except ValueError:
+            table, ids = copied_views(table_flat, chunk_ids)
+        size, k = table_flat.shape[0], chunk_ids.shape[0]
+        status = c_delta(
+            table, size, view(base_flat, require_writable=True),
+            base_flat.shape[0], ids, k, alpha, drift,
+            view(out, require_writable=True), out.size,
+        )
+        if status:
+            _raise_status(status, None, size, k)
+
+    def chunk_add(table_flat, chunk_ids, data, scale):
+        check_chunk_buffers(
+            table_flat, chunk_ids, data, (("table_flat", table_flat),)
+        )
+        try:
+            ids, rows = view(chunk_ids), view(data)
+        except ValueError:
+            ids, rows = copied_views(chunk_ids, data)
+        size, k = table_flat.shape[0], chunk_ids.shape[0]
+        status = c_add(
+            view(table_flat, require_writable=True), size, ids, k, rows,
+            data.size, scale,
+        )
+        if status:
+            _raise_status(status, None, size, k)
+
     functions = {name: getattr(numpy_backend, name) for name in KERNEL_NAMES}
     functions["fused_update"] = fused_update
     functions["fused_predict"] = fused_predict
+    functions["chunk_delta"] = chunk_delta
+    functions["chunk_add"] = chunk_add
     return KernelBackend("c", compiled=True, functions=functions)

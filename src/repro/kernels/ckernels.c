@@ -1,23 +1,30 @@
 /*
- * The compiled bodies of fused_update and fused_predict, the two kernels
- * whose NumPy reference (numpy_backend.py) is a per-example Python loop;
- * their contract is in api.py.  Loaded by c_backend.py, which builds
- * this file with exactly "cc -O2 -fPIC -shared -ffp-contract=off": FMA
- * contraction, -ffast-math reassociation or -march=native code would
- * change float bits.
+ * The compiled bodies of four kernels whose contract is in api.py:
+ * fused_update and fused_predict, whose NumPy reference
+ * (numpy_backend.py) is a per-example Python loop, and the
+ * parameter-server push codec's chunk_delta and chunk_add, whose
+ * reference is a gather -> arithmetic -> scatter over whole chunks.
+ * Loaded by c_backend.py, which builds this file with exactly
+ * "cc -O2 -fPIC -shared -ffp-contract=off": FMA contraction, -ffast-math
+ * reassociation or -march=native code would change float bits.
  *
- * Bit-identity with the reference rests on three ports: fsum_add and
+ * Bit-identity with the reference rests on four ports: fsum_add and
  * fsum_result follow CPython's math_fsum operation for operation
  * (special values and its two errors included); dloss is the arithmetic
  * of the repro.learning.losses classes; scatters run in np.add.at's
- * element order over each example's (depth, nnz_i) block.
+ * element order over each example's (depth, nnz_i) block; the chunk
+ * loops do per cell the rounded operations numpy does per element.  When
+ * both operands of one operation are NaN, which payload the result
+ * carries is unspecified: numpy's own choice depends on the array length
+ * (its SIMD body and scalar remainder differ).
  *
  * Entry points return 0 or a status (ST_* in the low four bits, a detail
  * above) and stop exactly where the reference raises, leaving the same
  * partial state.  Every access is bounds-checked against the sizes
- * passed in: indptr must be non-decreasing within [0, ncols], and a
- * flat bucket b must satisfy -size <= b < size (negative buckets wrap,
- * as in numpy's take).
+ * passed in: indptr must be non-decreasing within [0, ncols], a flat
+ * bucket b must satisfy -size <= b < size (negative buckets wrap, as in
+ * numpy's take), and chunk ids must be strictly increasing within
+ * [0, n_chunks).
  */
 
 #include <math.h>
@@ -34,7 +41,9 @@ enum {
     ST_LOSS_ID,       /* ValueError: unknown loss_id */
     ST_GAMMA,         /* ValueError: smoothed-hinge gamma <= 0 */
     ST_SHORT,         /* ValueError: a recording buffer is too short */
-    ST_PARTIALS       /* RuntimeError: partials exhausted (unreachable) */
+    ST_PARTIALS,      /* RuntimeError: partials exhausted (unreachable) */
+    ST_CHUNK_ID       /* ValueError: chunk ids not strictly increasing
+                         within [0, n_chunks) */
 };
 
 #define STATUS(code, detail) ((int64_t)(code) | ((int64_t)(detail) << 4))
@@ -45,6 +54,10 @@ enum {
 
 /* Same value as repro.kernels.api.RENORM_THRESHOLD. */
 #define RENORM 1e-150
+
+/* Same values as repro.kernels.api.CHUNK_LOG / CHUNK. */
+#define CHUNK_LOG 8
+#define CHUNK ((int64_t)1 << CHUNK_LOG)
 
 typedef struct {
     int64_t n;
@@ -321,6 +334,96 @@ int64_t repro_fused_predict(
         if (sqrt_s == 0.0)
             return ST_ZERO_DIV;
         out[i] = scale * total / sqrt_s;
+    }
+    return ST_OK;
+}
+
+/* The detail of a bad chunk id list: the first entry i with
+ * ids[i] <= ids[i - 1] (or < 0 at i = 0) or ids[i] >= n_chunks. */
+static int64_t check_chunk_ids(const int64_t *ids, int64_t k,
+                               int64_t n_chunks)
+{
+    int64_t prev = -1;
+    for (int64_t i = 0; i < k; i++) {
+        if (ids[i] <= prev || ids[i] >= n_chunks)
+            return STATUS(ST_CHUNK_ID, i);
+        prev = ids[i];
+    }
+    return ST_OK;
+}
+
+/*
+ * chunk_delta: for each of the k chunk ids, out row i = alpha * cur -
+ * drift * base (cur - base when alpha == drift == 1.0) over the chunk's
+ * cells of table (cur) and base, then base takes cur.  The padded tail
+ * of a partial last chunk gets the formula on zeros, as numpy's
+ * zero-filled gather gives.  Checks every id and length first.
+ */
+int64_t repro_chunk_delta(
+    const double *table, int64_t size, double *base, int64_t base_len,
+    const int64_t *ids, int64_t k, double alpha, double drift,
+    double *out, int64_t out_len)
+{
+    int exact = alpha == 1.0 && drift == 1.0;
+    double pad = exact ? 0.0 - 0.0 : alpha * 0.0 - drift * 0.0;
+    int64_t st;
+
+    if (base_len < size || out_len < k * CHUNK)
+        return STATUS(ST_SHORT, 2);
+    st = check_chunk_ids(ids, k, (size + CHUNK - 1) >> CHUNK_LOG);
+    if (st)
+        return st;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t off = ids[i] << CHUNK_LOG;
+        int64_t len = size - off < CHUNK ? size - off : CHUNK;
+        const double *c = table + off;
+        double *b = base + off;
+        double *u = out + i * CHUNK;
+        if (exact) {
+            for (int64_t j = 0; j < len; j++) {
+                u[j] = c[j] - b[j];
+                b[j] = c[j];
+            }
+        } else {
+            for (int64_t j = 0; j < len; j++) {
+                u[j] = alpha * c[j] - drift * b[j];
+                b[j] = c[j];
+            }
+        }
+        for (int64_t j = len; j < CHUNK; j++)
+            u[j] = pad;
+    }
+    return ST_OK;
+}
+
+/*
+ * chunk_add: each of the k chunks of table gains data row i (t + u, or
+ * t + u / scale when scale != 1.0); a partial last chunk ignores the
+ * row's padded tail.  Checks every id and length first.
+ */
+int64_t repro_chunk_add(
+    double *table, int64_t size, const int64_t *ids, int64_t k,
+    const double *data, int64_t data_len, double scale)
+{
+    int64_t st;
+
+    if (data_len < k * CHUNK)
+        return STATUS(ST_SHORT, 2);
+    st = check_chunk_ids(ids, k, (size + CHUNK - 1) >> CHUNK_LOG);
+    if (st)
+        return st;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t off = ids[i] << CHUNK_LOG;
+        int64_t len = size - off < CHUNK ? size - off : CHUNK;
+        double *t = table + off;
+        const double *u = data + i * CHUNK;
+        if (scale == 1.0) {
+            for (int64_t j = 0; j < len; j++)
+                t[j] += u[j];
+        } else {
+            for (int64_t j = 0; j < len; j++)
+                t[j] += u[j] / scale;
+        }
     }
     return ST_OK;
 }

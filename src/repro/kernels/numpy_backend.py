@@ -3,7 +3,8 @@
 These are the hot-loop bodies extracted *verbatim* from the pre-kernel
 classifiers (``hashing/tabulation.py``, ``hashing/universal.py``,
 ``hashing/family.py``, ``core/sketch_table.py``, ``core/awm_sketch.py``
-and ``heap/topk.py``) — the executable specification every other
+and ``heap/topk.py``) and from the parameter-server delta codec
+(``parallel/delta.py``) — the executable specification every other
 backend is fuzzed against.  Nothing here may change behavior: the
 bit-level guarantees of the batched engine (exactly rounded ``fsum``
 margins, layout-deterministic ``ufunc.at`` scatters, transposed-sort
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.kernels.api import KERNEL_NAMES, KernelBackend
+from repro.kernels.api import CHUNK, CHUNK_LOG, KERNEL_NAMES, KernelBackend
 
 from repro.hashing import universal as _universal
 
@@ -296,6 +297,174 @@ def fused_query(
         np.add(rows[:, mid - 1], rows[:, mid], out=est_out)
         est_out *= 0.5
         est_out *= factor
+
+
+# ----------------------------------------------------------------------
+# Parameter-server push codec: whole-chunk moves between a flat table and
+# (k, CHUNK) message rows.  The two kernels are the delta codec's gather
+# -> arithmetic -> scatter and the driver's fancy-index add, moved here
+# unchanged; the helpers above them are the one copy of the chunk
+# geometry and of the argument checks, shared with ScaledSketchTable and
+# the c wrappers (which raise the same errors).
+# ----------------------------------------------------------------------
+
+def chunk_ids_error(entry: int, k: int, n_chunks: int) -> ValueError:
+    """The error for bad entry ``entry`` of a ``k``-id chunk list."""
+    return ValueError(
+        f"chunk ids must be strictly increasing within [0, {n_chunks}) "
+        f"(bad entry {entry} of {k})"
+    )
+
+
+def _check_ids_layout(chunk_ids) -> None:
+    if not (isinstance(chunk_ids, np.ndarray) and chunk_ids.ndim == 1
+            and chunk_ids.dtype == np.int64):
+        raise ValueError(
+            f"chunk ids must be a 1-d int64 array, got "
+            f"{getattr(chunk_ids, 'dtype', type(chunk_ids).__name__)} "
+            f"with shape {np.shape(chunk_ids)}"
+        )
+
+
+def check_chunk_ids(chunk_ids, n_chunks: int) -> None:
+    """Raise ``ValueError`` unless ``chunk_ids`` is a 1-d int64 array,
+    strictly increasing within ``[0, n_chunks)`` — so no chunk is
+    skipped, clipped, wrapped or applied twice.  Every chunk path runs
+    this check (ckernels.c runs the same scan)."""
+    _check_ids_layout(chunk_ids)
+    k = chunk_ids.shape[0]
+    if k == 0:
+        return
+    bad = chunk_ids >= n_chunks
+    bad[0] |= chunk_ids[0] < 0
+    bad[1:] |= chunk_ids[1:] <= chunk_ids[:-1]
+    if bad.any():
+        raise chunk_ids_error(int(bad.argmax()), k, n_chunks)
+
+
+def check_chunk_rows(rows, k: int) -> None:
+    """Raise ``ValueError`` unless ``rows`` is a float64 ``(k, CHUNK)``
+    array, one message row per chunk id."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.shape == (k, CHUNK)):
+        raise ValueError(
+            f"chunk rows must be a float64 array of shape ({k}, {CHUNK}), "
+            f"got {getattr(rows, 'dtype', type(rows).__name__)} with "
+            f"shape {np.shape(rows)}"
+        )
+
+
+def check_chunk_buffers(table_flat, chunk_ids, rows, written,
+                        base_flat=None) -> int:
+    """The O(1) argument checks of both chunk kernels, on either
+    backend: dtypes and shapes, and that every buffer in ``written``
+    (``(name, array)`` pairs) is writable and C-contiguous.  Returns the
+    table's chunk count."""
+    _check_ids_layout(chunk_ids)
+    if table_flat.dtype != np.float64 or table_flat.ndim != 1:
+        raise ValueError("table_flat must be a 1-d float64 array")
+    if base_flat is not None and (base_flat.dtype != np.float64
+                                  or base_flat.shape != table_flat.shape):
+        raise ValueError(
+            "base_flat must be a float64 array shaped like table_flat"
+        )
+    check_chunk_rows(rows, chunk_ids.shape[0])
+    for name, arr in written:
+        if not (arr.flags.c_contiguous and arr.flags.writeable):
+            raise ValueError(f"{name} must be a writable C-contiguous array")
+    return (table_flat.shape[0] + CHUNK - 1) >> CHUNK_LOG
+
+
+def chunk_split(
+    size: int, chunk_ids: np.ndarray
+) -> tuple[np.ndarray, bool, int, int]:
+    """(body ids, tail-included?, full-chunk count, tail length) of
+    checked ``chunk_ids`` over a ``size``-cell table: the tail chunk,
+    when ``size`` is not a chunk multiple, needs a partial copy and is
+    split off here."""
+    full = size >> CHUNK_LOG
+    tail_len = size - (full << CHUNK_LOG)
+    has_tail = bool(
+        tail_len > 0 and chunk_ids.size > 0 and int(chunk_ids[-1]) == full
+    )
+    body = chunk_ids[:-1] if has_tail else chunk_ids
+    return body, has_tail, full, tail_len
+
+
+def gather_chunks(source: np.ndarray, chunk_ids: np.ndarray) -> np.ndarray:
+    """Checked chunks of a flat array as fresh ``(k, CHUNK)`` rows; the
+    padded tail of a partial last chunk reads as zero."""
+    body, has_tail, full, tail_len = chunk_split(source.shape[0], chunk_ids)
+    out = np.zeros((chunk_ids.size, CHUNK), dtype=np.float64)
+    nb = body.size
+    if nb:
+        # The ids are checked, so "clip" never clips; it only skips
+        # take's buffered bounds check.
+        np.take(
+            source[: full << CHUNK_LOG].reshape(full, CHUNK),
+            body, axis=0, out=out[:nb], mode="clip",
+        )
+    if has_tail:
+        out[-1, :tail_len] = source[full << CHUNK_LOG:]
+    return out
+
+
+def scatter_chunks(
+    dest: np.ndarray, chunk_ids: np.ndarray, data: np.ndarray
+) -> None:
+    """Assign ``(k, CHUNK)`` rows to checked chunks of a C-contiguous
+    flat array (a partial last chunk takes its row's head)."""
+    body, has_tail, full, tail_len = chunk_split(dest.shape[0], chunk_ids)
+    nb = body.size
+    if nb:
+        dest[: full << CHUNK_LOG].reshape(full, CHUNK)[body] = data[:nb]
+    if has_tail:
+        dest[full << CHUNK_LOG:] = data[-1, :tail_len]
+
+
+def chunk_delta(
+    table_flat: np.ndarray,
+    base_flat: np.ndarray,
+    chunk_ids: np.ndarray,
+    alpha: float,
+    drift: float,
+    out: np.ndarray,
+) -> None:
+    n_chunks = check_chunk_buffers(
+        table_flat, chunk_ids, out,
+        (("base_flat", base_flat), ("out", out)), base_flat,
+    )
+    check_chunk_ids(chunk_ids, n_chunks)
+    cur = gather_chunks(table_flat, chunk_ids)
+    base = gather_chunks(base_flat, chunk_ids)
+    if alpha == 1.0 and drift == 1.0:
+        np.subtract(cur, base, out=out)
+    else:
+        np.subtract(alpha * cur, drift * base, out=out)
+    scatter_chunks(base_flat, chunk_ids, cur)
+
+
+def chunk_add(
+    table_flat: np.ndarray,
+    chunk_ids: np.ndarray,
+    data: np.ndarray,
+    scale: float,
+) -> None:
+    n_chunks = check_chunk_buffers(
+        table_flat, chunk_ids, data, (("table_flat", table_flat),)
+    )
+    check_chunk_ids(chunk_ids, n_chunks)
+    body, has_tail, full, tail_len = chunk_split(
+        table_flat.shape[0], chunk_ids
+    )
+    contrib = data if scale == 1.0 else data / scale
+    nb = body.size
+    if nb:
+        table_flat[: full << CHUNK_LOG].reshape(full, CHUNK)[body] += (
+            contrib[:nb]
+        )
+    if has_tail:
+        table_flat[full << CHUNK_LOG:] += contrib[-1, :tail_len]
 
 
 BACKEND = KernelBackend(

@@ -41,6 +41,24 @@ inside the window marks every chunk dirty, so ``U`` then covers the
 whole table and the recovered state is exact regardless of the decay
 product's rounding (the log-space fold accounting is
 :meth:`~repro.core.sketch_table.ScaledSketchTable.log_virtual_scale`).
+
+Kernels and validation
+----------------------
+The per-chunk arithmetic runs in the model's kernel backend: a push is
+encoded by ``chunk_delta`` (each dirty chunk's ``U`` written and the
+sync base advanced in one pass) and applied by ``chunk_add``; under the
+compiled ``c`` backend each is one loop over the shipped chunks, under
+``numpy`` a gather, the arithmetic and a scatter.  Both produce the same
+bytes, so messages do not depend on the backend.  The compiled loops run
+without the GIL, which is safe because they touch only the live tables,
+sync base and message rows of the thread running the codec; serving
+readers read published snapshots, never a live table.
+
+:func:`apply_push` and :func:`apply_pull` check the whole message first
+— geometry, chunk ids (1-d int64, strictly increasing within
+``[0, n_chunks)``), chunk rows (float64, ``(k, 256)``), and a finite
+positive decay or scale — and raise ``ValueError`` with the model
+untouched.
 """
 
 from __future__ import annotations
@@ -49,6 +67,8 @@ import math
 import zlib
 
 import numpy as np
+
+from repro.kernels import CHUNK, numpy_backend
 
 __all__ = [
     "PayloadCorruptionError",
@@ -140,20 +160,13 @@ class SyncPoint:
     ``scale`` / ``fold_log`` the lazy scale and fold accumulator at the
     same instant.  :func:`encode_push` diffs the live model against
     this record and then advances it in place (O(dirty): only the
-    shipped chunks are re-copied); :meth:`reset` re-anchors it after a
-    pull replaced the worker's state wholesale.
+    shipped chunks are re-copied).
     """
 
     __slots__ = ("base_raw", "scale", "fold_log")
 
     def __init__(self, model):
         self.base_raw = model._table_flat.copy()
-        self.scale = model._scale
-        self.fold_log = model._fold_log
-
-    def reset(self, model) -> None:
-        """Full re-anchor (after a pull overwrote the worker state)."""
-        np.copyto(self.base_raw, model._table_flat)
         self.scale = model._scale
         self.fold_log = model._fold_log
 
@@ -236,12 +249,24 @@ class PullDelta:
         return _decode_checked(cls, payload)
 
 
-def _check_geometry(model, n_chunks: int) -> None:
+def _check_message(model, chunk_ids, chunks, n_chunks: int,
+                   factor_name: str, factor) -> None:
+    """Every field an apply reads, checked before it writes anything."""
     if n_chunks != model._n_chunks():
         raise ValueError(
             f"delta geometry mismatch: message carries {n_chunks} "
             f"chunks, model has {model._n_chunks()} — different width/"
             f"depth or chunk size"
+        )
+    numpy_backend.check_chunk_ids(chunk_ids, n_chunks)
+    numpy_backend.check_chunk_rows(chunks, chunk_ids.shape[0])
+    try:
+        ok = math.isfinite(factor) and factor > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{factor_name} must be a finite number > 0, got {factor!r}"
         )
 
 
@@ -282,21 +307,20 @@ def encode_push(
             model.log_virtual_scale()
             - (math.log(sync.scale) + sync.fold_log)
         )
-    cur = model.gather_chunks(chunk_ids)
-    base = model.gather_chunks(chunk_ids, source=sync.base_raw)
     # U = alpha_now * raw_now - (decay * alpha_ref) * base_raw.  On a
     # fold-free window decay * alpha_ref is alpha_now up to one
     # rounding (exactly alpha_now when lambda == 0: every factor is
-    # 1.0), which is what makes the data-linear loop bit-exact.
+    # 1.0, and the kernel computes raw_now - base_raw), which is what
+    # makes the data-linear loop bit-exact.  The same pass advances the
+    # sync point: base := current state on the shipped chunks.  Clean
+    # chunks' raw bits are untouched since the last sync, so that is
+    # O(dirty), like the message itself.
     drift = decay * sync.scale
-    if alpha_now == 1.0 and drift == 1.0:
-        chunks = cur - base
-    else:
-        chunks = alpha_now * cur - drift * base
-    # Advance the sync point: base := current state.  Clean chunks'
-    # raw bits are untouched since the last sync, so only the shipped
-    # chunks need re-copying — O(dirty), like the message itself.
-    model.scatter_chunks(chunk_ids, cur, out=sync.base_raw)
+    chunks = np.empty((chunk_ids.size, CHUNK), dtype=np.float64)
+    model.kernels.chunk_delta(
+        model._table_flat, sync.base_raw, chunk_ids, alpha_now, drift,
+        chunks,
+    )
     sync.scale = alpha_now
     sync.fold_log = model._fold_log
     dirty[:] = False
@@ -326,8 +350,11 @@ def apply_push(model, delta: PushDelta) -> bool:
     The top-K promotion log is *not* folded here: re-estimating the
     logged keys needs the model's recovery machinery and belongs to the
     driver loop (:meth:`repro.parallel.ps.ParameterServer.apply_push`).
+    A malformed message (see the module docstring) raises
+    ``ValueError`` before anything changes.
     """
-    _check_geometry(model, delta.n_chunks)
+    _check_message(model, delta.chunk_ids, delta.chunks, delta.n_chunks,
+                   "push decay", delta.decay)
     fold_log_before = model._fold_log
     if delta.decay != 1.0:
         model._decay_scale(delta.decay)
@@ -336,8 +363,7 @@ def apply_push(model, delta: PushDelta) -> bool:
     return model._fold_log != fold_log_before
 
 
-def encode_pull(model, chunk_ids: np.ndarray, *,
-                worker_round: int = 0) -> PullDelta:
+def encode_pull(model, chunk_ids: np.ndarray) -> PullDelta:
     """Encode the driver chunks a worker needs to become a replica.
 
     Ships *raw bits* plus the scale (not scaled values): raw bits are
@@ -367,9 +393,11 @@ def apply_pull(model, pull: PullDelta) -> None:
     The caller owns the bookkeeping that follows: re-anchoring its
     :class:`SyncPoint`, clearing the dirty set (the pulled state *is*
     the new sync base), and re-estimating its top-K heap against the
-    merged table.
+    merged table.  A malformed message (see the module docstring)
+    raises ``ValueError`` before anything changes.
     """
-    _check_geometry(model, pull.n_chunks)
+    _check_message(model, pull.chunk_ids, pull.chunks, pull.n_chunks,
+                   "pull scale", pull.scale)
     model.scatter_chunks(pull.chunk_ids, pull.chunks)
     model._scale = pull.scale
     model._fold_log = pull.fold_log

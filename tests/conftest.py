@@ -33,6 +33,21 @@ def c_backend_param():
     return "c"
 
 
+@pytest.fixture
+def kernel_backend(request):
+    """Pin the process kernel backend for one test: ``numpy`` unless the
+    test parametrizes this fixture (``indirect=True``) with another
+    name, e.g. ``c_backend_param()``."""
+    from repro import kernels
+
+    name = getattr(request, "param", "numpy")
+    kernels.set_backend(name)
+    try:
+        yield name
+    finally:
+        kernels.set_backend(None)
+
+
 def retired_backend_param(name: str = "python"):
     """A deleted backend's name as a parametrize value for model-level
     suites.  Old checkpoints and pickles still carry ``"python"`` (the

@@ -8,19 +8,29 @@ regime (``lambda = 0``, dyadic eta, exact sqrt(depth)), and to float
 re-association tolerance under logistic loss with L2 decay (the decay
 product is one rounded scalar).  Pulls are raw-bit copies and must be
 exact in *every* regime.
+
+The push codec's arithmetic runs in the kernel backend (``chunk_delta``
+/ ``chunk_add``).  Every test here pins one: the unsuffixed classes run
+the numpy reference, their ``OnC`` twins at the bottom the compiled
+loops, and the malformed-message tests both.
 """
 
+import math
 import pickle
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
+from repro import kernels
 from repro.core.sketch_table import ScaledSketchTable
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch
 from repro.data.synthetic import SyntheticStream
 from repro.learning.schedules import ConstantSchedule
 from repro.parallel.delta import (
+    PullDelta,
+    PushDelta,
     SyncPoint,
     apply_pull,
     apply_push,
@@ -31,6 +41,18 @@ from repro.parallel.delta import (
 from repro.serving.snapshot import SnapshotManager
 
 from tests.test_merge import _ConstGradLoss
+
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
+#: Runs a test class on the compiled backend (skipped where it cannot
+#: build) instead of numpy.
+ON_C = pytest.mark.parametrize(
+    "kernel_backend", [c_backend_param()], indirect=True
+)
+#: Runs a test on both backends.
+ON_BOTH = pytest.mark.parametrize(
+    "kernel_backend", ["numpy", c_backend_param()], indirect=True
+)
 
 
 def _linear_factory():
@@ -469,3 +491,200 @@ class TestDirtyBitmapPickle:
         # ... and the restored model still trains and marks dirty.
         clone.fit_batch(SparseBatch.from_examples(_stream(10)))
         assert clone._dirty.any()
+
+
+# ----------------------------------------------------------------------
+# Malformed messages: checked whole before anything is written
+# ----------------------------------------------------------------------
+def _state(model):
+    return (model._scale, model._fold_log, model.t, model.table.tobytes(),
+            model._dirty.tobytes())
+
+
+def _multi_chunk_factory():
+    """900 cells: three full chunks and a 132-cell partial one."""
+    return WMSketch(300, 3, seed=5, lambda_=1e-3, heap_capacity=0)
+
+
+#: Chunk-id lists a 4-chunk table must reject, by defect.
+_BAD_IDS = {
+    "duplicate": [1, 1],
+    "unsorted": [2, 1],
+    "negative": [-1],
+    "out_of_range": [0, 4],
+}
+
+
+@ON_BOTH
+class TestMalformedMessages:
+    def _trained_push(self):
+        worker = _multi_chunk_factory()
+        sync = SyncPoint(worker)
+        worker._dirty[:] = False
+        worker.fit_batch(SparseBatch.from_examples(_stream(40)))
+        return encode_push(worker, sync, n_examples=40)
+
+    def test_short_push_leaves_the_model_untouched(self):
+        # Three chunk ids but two rows: the decay used to land first.
+        m = WMSketch(1024, 2, heap_capacity=4)
+        before = _state(m)
+        bad = PushDelta(0, 0, 0.5, 10, np.array([0, 1, 2]),
+                        np.ones((2, 256)), np.array([], np.int64),
+                        m._n_chunks())
+        with pytest.raises(ValueError, match="shape"):
+            apply_push(m, bad)
+        assert _state(m) == before
+        assert m._scale == 1.0 and m.t == 0
+
+    def test_duplicate_ids_are_rejected_not_applied_once(self):
+        driver = _multi_chunk_factory()
+        driver._dirty[:] = False
+        before = _state(driver)
+        dup = PushDelta(0, 0, 1.0, 2, np.array([1, 1]), np.ones((2, 256)),
+                        np.array([], np.int64), driver._n_chunks())
+        with pytest.raises(ValueError, match="strictly increasing"):
+            apply_push(driver, dup)
+        assert _state(driver) == before
+
+    def test_rejected_push_leaves_the_model_untouched(self):
+        push = self._trained_push()
+        k = push.chunk_ids.size
+        bad_fields = [
+            {"chunk_ids": np.array(ids, dtype=np.int64),
+             "chunks": np.ones((len(ids), 256))}
+            for ids in _BAD_IDS.values()
+        ] + [
+            {"chunk_ids": push.chunk_ids.astype(np.int32)},
+            {"chunk_ids": push.chunk_ids.reshape(1, -1)},
+            {"chunks": push.chunks[:-1]},
+            {"chunks": push.chunks[:, :255]},
+            {"chunks": push.chunks.astype(np.float32)},
+            {"decay": 0.0}, {"decay": -0.5}, {"decay": math.inf},
+            {"decay": math.nan}, {"decay": None},
+            {"n_chunks": 5},
+        ]
+        assert k > 1
+        for override in bad_fields:
+            driver = _multi_chunk_factory()
+            driver._dirty[:] = False
+            before = _state(driver)
+            fields = {name: getattr(push, name)
+                      for name in PushDelta.__slots__}
+            with pytest.raises(ValueError):
+                apply_push(driver, PushDelta(**{**fields, **override}))
+            assert _state(driver) == before, override
+
+    def test_rejected_pull_leaves_the_model_untouched(self):
+        driver = _multi_chunk_factory()
+        driver.fit_batch(SparseBatch.from_examples(_stream(40)))
+        pull = encode_pull(driver, _all_chunks(driver))
+        bad_fields = [
+            {"chunk_ids": np.array(ids, dtype=np.int64),
+             "chunks": np.ones((len(ids), 256))}
+            for ids in _BAD_IDS.values()
+        ] + [
+            {"chunk_ids": pull.chunk_ids.astype(np.int32)},
+            {"chunks": pull.chunks[:-1]},
+            {"chunks": pull.chunks.astype(np.float32)},
+            {"scale": 0.0}, {"scale": -1.0}, {"scale": math.inf},
+            {"scale": math.nan},
+            {"n_chunks": 3},
+        ]
+        for override in bad_fields:
+            worker = _multi_chunk_factory()
+            worker._dirty[:] = False
+            before = _state(worker)
+            fields = {name: getattr(pull, name)
+                      for name in PullDelta.__slots__}
+            with pytest.raises(ValueError):
+                apply_pull(worker, PullDelta(**{**fields, **override}))
+            assert _state(worker) == before, override
+
+    @pytest.mark.parametrize("defect", sorted(_BAD_IDS))
+    def test_chunk_moves_reject_bad_ids(self, defect):
+        model = _multi_chunk_factory()
+        model.fit_batch(SparseBatch.from_examples(_stream(20)))
+        model._dirty[:] = False
+        before = _state(model)
+        ids = np.array(_BAD_IDS[defect], dtype=np.int64)
+        rows = np.ones((ids.size, 256))
+        base = model._table_flat.copy()
+        calls = [
+            lambda: model.gather_chunks(ids),
+            lambda: model.scatter_chunks(ids, rows),
+            lambda: model.scatter_chunks(ids, rows, out=base),
+            lambda: model.add_scaled_chunks(ids, rows),
+            lambda: encode_pull(model, ids),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                call()
+        assert _state(model) == before
+        assert base.tobytes() == model._table_flat.tobytes()
+
+    def test_encode_pull_past_the_last_chunk_raises(self):
+        # take(mode="clip") used to return the last chunk's bits.
+        driver = _multi_chunk_factory()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            encode_pull(driver, np.array([driver._n_chunks() + 5]))
+
+
+def test_push_messages_are_byte_identical_across_backends():
+    """A push encoded under numpy and one under c: the same wire bytes,
+    and the same driver table once applied (each under its backend)."""
+    try:
+        kernels.get_backend("c")
+    except kernels.BackendUnavailableError as exc:
+        pytest.skip(str(exc))
+    examples = _stream(90, seed=17)
+    payloads, tables = [], []
+    for name in ("numpy", "c"):
+        worker = WMSketch(300, 3, seed=5, lambda_=1e-3, heap_capacity=0,
+                          backend=name)
+        driver = WMSketch(300, 3, seed=5, lambda_=1e-3, heap_capacity=0,
+                          backend=name)
+        sync = SyncPoint(worker)
+        worker._dirty[:] = False
+        wires = []
+        for window in SparseBatch.from_examples(examples).windows(30):
+            worker.fit_batch(window)
+            delta = encode_push(worker, sync, n_examples=len(window))
+            wires.append(pickle.dumps(delta.to_payload()))
+            apply_push(driver, delta)
+        payloads.append(wires)
+        tables.append((driver.table.tobytes(), driver._scale))
+    assert payloads[0] == payloads[1]
+    assert tables[0] == tables[1]
+
+
+# ----------------------------------------------------------------------
+# The classes above, on the compiled codec
+# ----------------------------------------------------------------------
+@ON_C
+class TestRoundTripFuzzOnC(TestRoundTripFuzz):
+    pass
+
+
+@ON_C
+class TestPushSemanticsOnC(TestPushSemantics):
+    pass
+
+
+@ON_C
+class TestWireTransportOnC(TestWireTransport):
+    pass
+
+
+@ON_C
+class TestPayloadCorruptionFuzzOnC(TestPayloadCorruptionFuzz):
+    pass
+
+
+@ON_C
+class TestFoldPathOnC(TestFoldPath):
+    pass
+
+
+@ON_C
+class TestDeltaChainPublicationOnC(TestDeltaChainPublication):
+    pass

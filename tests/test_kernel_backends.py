@@ -2,13 +2,16 @@
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
 identical inputs — hashes, tables, heap state and predictions alike.
-The ``c`` backend compiles ``fused_update`` and ``fused_predict``
-(``repro/kernels/ckernels.c``) and reuses the NumPy function for every
-other kernel; its cases skip with the recorded reason on a host where
-it cannot build.  Beyond the model-level fuzz, a hypothesis property
-compares the two compiled kernels with NumPy bit for bit on adversarial
-inputs (repeated buckets, renorm folds, 1e300 magnitudes, signed zeros),
-including the exception raised and the partial state left behind.
+The ``c`` backend compiles ``fused_update``, ``fused_predict``,
+``chunk_delta`` and ``chunk_add`` (``repro/kernels/ckernels.c``) and
+reuses the NumPy function for every other kernel; its cases skip with
+the recorded reason on a host where it cannot build.  Beyond the
+model-level fuzz, hypothesis properties compare the compiled kernels
+with NumPy bit for bit on adversarial inputs (repeated buckets, renorm
+folds, 1e300 magnitudes, signed zeros, infinities and NaNs, bad chunk
+ids), including the exception raised and the partial state left behind,
+and pin the NumPy chunk kernels to the delta codec's earlier
+composition.
 """
 
 from __future__ import annotations
@@ -597,6 +600,275 @@ class TestCMatchesNumpyProperty:
                 outcome = type(exc).__name__
             results.append((outcome, out.tobytes()))
         assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# The push codec's chunk kernels: c == numpy bit for bit, and numpy ==
+# the codec's earlier gather -> arithmetic -> scatter composition
+# ----------------------------------------------------------------------
+CHUNK = kernels.CHUNK
+
+
+def _spec_split(size, chunk_ids):
+    full = size >> 8
+    tail_len = size - (full << 8)
+    has_tail = bool(tail_len > 0 and chunk_ids.size > 0
+                    and int(chunk_ids[-1]) == (size + 255) // 256 - 1)
+    body = chunk_ids[:-1] if has_tail else chunk_ids
+    return body, has_tail, full, tail_len
+
+
+def _spec_gather(source, chunk_ids):
+    body, has_tail, full, tail_len = _spec_split(source.size, chunk_ids)
+    out = np.zeros((chunk_ids.size, 256), dtype=np.float64)
+    nb = body.size
+    if nb:
+        np.take(source[: full << 8].reshape(full, 256), body, axis=0,
+                out=out[:nb], mode="clip")
+    if has_tail:
+        out[-1, :tail_len] = source[full << 8:]
+    return out
+
+
+def _spec_chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift):
+    """The delta codec's push encode as it was composed before the
+    chunk_delta kernel: two gathers, the arithmetic, one scatter."""
+    cur = _spec_gather(table_flat, chunk_ids)
+    base = _spec_gather(base_flat, chunk_ids)
+    if alpha == 1.0 and drift == 1.0:
+        chunks = cur - base
+    else:
+        chunks = alpha * cur - drift * base
+    body, has_tail, full, tail_len = _spec_split(base_flat.size, chunk_ids)
+    nb = body.size
+    if nb:
+        base_flat[: full << 8].reshape(full, 256)[body] = cur[:nb]
+    if has_tail:
+        base_flat[full << 8:] = cur[-1, :tail_len]
+    return chunks
+
+
+def _spec_chunk_add(table_flat, chunk_ids, data, scale):
+    """The driver's push apply before the chunk_add kernel."""
+    body, has_tail, full, tail_len = _spec_split(table_flat.size, chunk_ids)
+    contrib = data if scale == 1.0 else data / scale
+    nb = body.size
+    if nb:
+        table_flat[: full << 8].reshape(full, 256)[body] += contrib[:nb]
+    if has_tail:
+        table_flat[full << 8:] += contrib[-1, :tail_len]
+
+
+#: Cell values: signed zeros, infinities, NaNs of both signs (x86's
+#: default NaN is negative) and 1e300 magnitudes among ordinary finite
+#: ones.
+_CELL_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  1e300, -1e300]
+#: Factors alpha, drift and scale: 1.0 and ordinary positive ones (the
+#: codec's), plus the values that stress rounding and special cases.
+_FACTORS = st.one_of(
+    st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300, 0.0, -1.0, math.inf,
+                     math.nan, -math.nan]),
+    st.floats(1e-3, 1e3),
+)
+_VALID_IDS = ("empty", "single", "all", "tail", "random")
+_BAD_IDS = {
+    "duplicate": lambda n: [0, 0] if n == 1 else [0, n - 1, n - 1],
+    "unsorted": lambda n: [n - 1, 0] if n > 1 else [0, -1],
+    "negative": lambda n: [-1],
+    "out_of_range": lambda n: [0, n],
+}
+
+
+@st.composite
+def _chunk_inputs(draw, valid_only=False):
+    full = draw(st.integers(0, 4))
+    tail = draw(st.one_of(st.just(0), st.integers(1, CHUNK - 1)))
+    size = max(1, full * CHUNK + tail)
+    n = -(-size // CHUNK)
+    modes = _VALID_IDS if valid_only else _VALID_IDS + tuple(_BAD_IDS)
+    mode = draw(st.sampled_from(modes))
+    if mode in _BAD_IDS:
+        ids = _BAD_IDS[mode](n)
+    else:
+        ids = {
+            "empty": [],
+            "single": [draw(st.integers(0, n - 1))],
+            "all": list(range(n)),
+            "tail": [n - 1],
+            "random": sorted(draw(st.sets(st.integers(0, n - 1)))),
+        }[mode]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = draw(st.lists(st.sampled_from(_CELL_SPECIALS), max_size=4))
+
+    def cells(count):
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(
+            -5, 5, count)
+        if specials:
+            hit = rng.random(count) < 0.3
+            values[hit] = rng.choice(specials, int(hit.sum()))
+        return values
+
+    exact = draw(st.booleans())
+    return dict(
+        table=cells(size), base=cells(size),
+        ids=np.array(ids, dtype=np.int64),
+        alpha=1.0 if exact else draw(_FACTORS),
+        drift=1.0 if exact else draw(_FACTORS),
+        scale=draw(st.one_of(st.just(1.0), _FACTORS)),
+        rows=cells(len(ids) * CHUNK).reshape(len(ids), CHUNK),
+    )
+
+
+def _value_bits(a):
+    """``a``'s bytes with every NaN made one NaN.  When both operands of
+    an operation are NaN, numpy returns either payload depending on the
+    array length (its SIMD body and scalar remainder differ), so only
+    NaN-ness is comparable there; every other bit is."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _run_chunk_kernels(kb, inputs):
+    """``chunk_delta`` then ``chunk_add`` on copies: the outcome of each
+    (exception type and message, or "ok") and every written buffer's
+    bytes — the computed rows and table up to NaN payloads, the base
+    (a copy of ``cur``) exactly."""
+    base = inputs["base"].copy()
+    out = np.full((inputs["ids"].size, CHUNK), -7.0)
+    table = inputs["table"].copy()
+    outcomes = []
+    for call in (
+        lambda: kb.chunk_delta(inputs["table"], base, inputs["ids"],
+                               inputs["alpha"], inputs["drift"], out),
+        lambda: kb.chunk_add(table, inputs["ids"], inputs["rows"],
+                             inputs["scale"]),
+    ):
+        try:
+            with np.errstate(all="ignore"):
+                call()
+            outcomes.append("ok")
+        except ValueError as exc:
+            outcomes.append(("ValueError", str(exc)))
+    return outcomes, _value_bits(out), base.tobytes(), _value_bits(table)
+
+
+class TestChunkKernelsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_chunk_inputs())
+    def test_c_matches_numpy(self, inputs):
+        c = _c_or_skip()
+        want = _run_chunk_kernels(kernels.get_backend("numpy"), inputs)
+        assert _run_chunk_kernels(c, inputs) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_chunk_inputs(valid_only=True))
+    def test_numpy_matches_the_composed_spec(self, inputs):
+        ref = kernels.get_backend("numpy")
+        base = inputs["base"].copy()
+        out = np.full((inputs["ids"].size, CHUNK), -7.0)
+        table = inputs["table"].copy()
+        spec_base = inputs["base"].copy()
+        spec_table = inputs["table"].copy()
+        with np.errstate(all="ignore"):
+            ref.chunk_delta(inputs["table"], base, inputs["ids"],
+                            inputs["alpha"], inputs["drift"], out)
+            want = _spec_chunk_delta(inputs["table"], spec_base,
+                                     inputs["ids"], inputs["alpha"],
+                                     inputs["drift"])
+            ref.chunk_add(table, inputs["ids"], inputs["rows"],
+                          inputs["scale"])
+            _spec_chunk_add(spec_table, inputs["ids"], inputs["rows"],
+                            inputs["scale"])
+        assert out.tobytes() == want.tobytes()
+        assert base.tobytes() == spec_base.tobytes()
+        assert table.tobytes() == spec_table.tobytes()
+
+
+class TestChunkKernelsExhaustive:
+    """Every pairing of special operands in every operand slot (signed
+    zeros, infinities, NaNs of both signs, 0 * inf, inf - inf): the
+    hypothesis property reaches these combinations only by chance."""
+
+    SPECIALS = [1.0, 2.0, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                -math.nan]
+
+    def test_c_matches_numpy(self):
+        c = _c_or_skip()
+        pairs = np.array([(x, y) for x in self.SPECIALS
+                          for y in self.SPECIALS])
+        ids = np.array([0], dtype=np.int64)
+        for alpha in self.SPECIALS:
+            for drift in self.SPECIALS:
+                inputs = dict(table=pairs[:, 0], base=pairs[:, 1], ids=ids,
+                              alpha=alpha, drift=drift, scale=alpha,
+                              rows=np.resize(pairs[:, 1], (1, CHUNK)))
+                want = _run_chunk_kernels(kernels.get_backend("numpy"),
+                                          inputs)
+                assert _run_chunk_kernels(c, inputs) == want, (alpha, drift)
+
+
+@pytest.mark.parametrize("name", ["numpy", c_backend_param()])
+class TestChunkKernelChecks:
+    @pytest.mark.parametrize("bad", sorted(_BAD_IDS))
+    def test_bad_ids_raise_before_any_write(self, name, bad):
+        kb = kernels.get_backend(name)
+        ids = np.array(_BAD_IDS[bad](4), dtype=np.int64)  # 900 cells: 4
+        table = np.arange(900.0)
+        base = -table
+        out = np.full((ids.size, CHUNK), -7.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kb.chunk_delta(table, base, ids, 1.0, 1.0, out)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kb.chunk_add(table, ids, np.ones((ids.size, CHUNK)), 1.0)
+        assert np.array_equal(table, np.arange(900.0))
+        assert np.array_equal(base, -table)
+        assert np.all(out == -7.0)
+
+    def test_bad_layouts_raise_and_never_copy(self, name):
+        kb = kernels.get_backend(name)
+        ids = np.array([0, 3], dtype=np.int64)
+        table = np.arange(900.0)
+        readonly = np.zeros((2, CHUNK))
+        readonly.flags.writeable = False
+        delta_cases = [
+            {"base_flat": np.zeros(1800)[::2]},  # strided written base
+            {"out": np.zeros((2, 2 * CHUNK))[:, ::2]},
+            {"out": readonly},
+            {"out": np.zeros((1, CHUNK))},  # one row short
+            {"out": np.zeros((2, CHUNK), dtype=np.float32)},
+            {"base_flat": np.zeros(899)},
+            {"chunk_ids": ids.astype(np.int32)},
+            {"chunk_ids": ids.reshape(1, 2)},
+        ]
+        for override in delta_cases:
+            args = {**dict(table_flat=table, base_flat=np.zeros(900),
+                           chunk_ids=ids, alpha=1.0, drift=1.0,
+                           out=np.full((2, CHUNK), -7.0)), **override}
+            before = args["base_flat"].copy(), args["out"].copy()
+            with pytest.raises(ValueError):
+                kb.chunk_delta(**args)
+            assert args["base_flat"].tobytes() == before[0].tobytes()
+            assert args["out"].tobytes() == before[1].tobytes()
+        strided = np.zeros(1800)[::2]
+        with pytest.raises(ValueError, match="table_flat"):
+            kb.chunk_add(strided, ids, np.ones((2, CHUNK)), 1.0)
+        assert not strided.any()
+        with pytest.raises(ValueError, match="shape"):
+            kb.chunk_add(np.zeros(900), ids, np.ones((3, CHUNK)), 1.0)
+
+    def test_strided_read_only_inputs_are_accepted(self, name):
+        kb = kernels.get_backend(name)
+        ids = np.array([0, 1, 3, 2], dtype=np.int64)[::2]  # [0, 3]
+        table = np.repeat(np.arange(900.0), 2)[::2]
+        base = np.zeros(900)
+        out = np.empty((2, CHUNK))
+        kb.chunk_delta(table, base, ids, 1.0, 1.0, out)
+        assert np.array_equal(out[1, :132], np.arange(768.0, 900.0))
+        assert not out[1, 132:].any()
+        rows = np.repeat(out, 2, axis=1)[:, ::2]
+        total = np.zeros(900)
+        kb.chunk_add(total, ids, rows, 1.0)
+        assert np.array_equal(total, base)
 
 
 # ----------------------------------------------------------------------

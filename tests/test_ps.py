@@ -19,6 +19,7 @@ The executable contracts:
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
@@ -29,13 +30,13 @@ from repro.parallel.ps import ParameterServer, PSHarness, PSWorker
 from tests.test_merge import _ConstGradLoss, _zipf_stream
 
 
-def _linear_factory(depth):
+def _linear_factory(depth, width=64):
     """tests/test_merge.py's data-linear construction: constant
     gradient, dyadic eta, lambda=0, exact sqrt(depth)."""
 
     def factory():
         return WMSketch(
-            64, depth,
+            width, depth,
             loss=_ConstGradLoss(),
             lambda_=0.0,
             learning_rate=ConstantSchedule(0.0625),
@@ -72,11 +73,18 @@ def _synthetic(n, seed=7):
 # ----------------------------------------------------------------------
 # Bit-identity: the PS loop is the sum-merge, replayed incrementally.
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("kernel_backend")
 class TestDataLinearBitIdentity:
-    @pytest.mark.parametrize("depth", [1, 4])
+    """Runs the numpy push codec; the ``OnC`` twin below the compiled
+    one."""
+
+    # Width 64 fits one chunk; depth 4 x width 300 spans four full
+    # chunks and a 176-cell partial one.
+    @pytest.mark.parametrize("depth, width", [(1, 64), (4, 64), (4, 300)],
+                             ids=["1", "4", "4x300"])
     @pytest.mark.parametrize("staleness", [0, 2])
-    def test_ps_equals_single_stream(self, depth, staleness):
-        factory = _linear_factory(depth)
+    def test_ps_equals_single_stream(self, depth, width, staleness):
+        factory = _linear_factory(depth, width)
         examples = _zipf_stream(500, d=900, seed=31)
         single = factory()
         single.fit(examples, batch_size=50)
@@ -114,6 +122,12 @@ class TestDataLinearBitIdentity:
         )
         model = harness.fit(examples)
         assert np.array_equal(model.table, single.table)
+
+
+@pytest.mark.parametrize("kernel_backend", [c_backend_param()],
+                         indirect=True)
+class TestDataLinearBitIdentityOnC(TestDataLinearBitIdentity):
+    pass
 
 
 # ----------------------------------------------------------------------
