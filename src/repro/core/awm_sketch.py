@@ -45,6 +45,13 @@ from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.heap.topk import TopKStore
+from repro.kernels.numpy_backend import (
+    gather_rows_t,
+    margin,
+    margin_gathered,
+    median_estimate,
+    screen_abs_gt,
+)
 from repro.learning.base import CELL_BYTES
 from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
@@ -67,9 +74,11 @@ class AWMSketch(ScaledSketchTable):
     loss, lambda_, learning_rate, seed, hash_kind:
         As for :class:`repro.core.wm_sketch.WMSketch`.
     backend:
-        Kernel-backend override for every hot loop (``None`` = follow
-        the process default; see :mod:`repro.kernels`); the 1-sparse
-        scalar fast path stays pure Python on every backend.
+        Kernel-backend override, recorded with the model (``None`` =
+        follow the process default; see :mod:`repro.kernels`).  AWM
+        dispatches no compiled loop yet: its batch loop and the 1-sparse
+        scalar fast path call the NumPy helpers directly, so every
+        backend gives the same results at the same speed.
     scalar_fast_path:
         Use the all-scalar update for 1-sparse inputs (identical results
         to the batch path, ~10x faster for the Section 8 applications).
@@ -101,7 +110,7 @@ class AWMSketch(ScaledSketchTable):
             hash_kind=hash_kind,
             backend=backend,
         )
-        self.heap = TopKStore(heap_capacity, backend=backend)
+        self.heap = TopKStore(heap_capacity)
         self.scalar_fast_path = scalar_fast_path
         # Diagnostics: promotion/eviction churn (exposed for ablations).
         self.n_promotions = 0
@@ -168,7 +177,6 @@ class AWMSketch(ScaledSketchTable):
         if n == 0:
             return margins
         heap = self.heap
-        kb = self.kernels
         ws = self._workspace()
         nnz = batch.indices.size
         buckets = ws.array("p_buckets", (self.depth, nnz), np.int64)
@@ -182,7 +190,6 @@ class AWMSketch(ScaledSketchTable):
         slots = heap.member_slots(batch.indices)
         values = batch.values
         indptr = batch.indptr.tolist()
-        margin_k = kb.margin
         lo = indptr[0]
         for i in range(n):
             hi = indptr[i + 1]
@@ -202,7 +209,7 @@ class AWMSketch(ScaledSketchTable):
                 fb = flat[:, lo:hi]
                 svx = sv[:, lo:hi]
             if fb.shape[1]:
-                total += margin_k(
+                total += margin(
                     self._table_flat, fb, svx, self._scale, self._sqrt_s
                 )
             margins[i] = total
@@ -357,7 +364,6 @@ class AWMSketch(ScaledSketchTable):
         the ones the sequential loop would reject).
         """
         heap = self.heap
-        kb = self.kernels
         slots = heap.member_slots(indices)
         in_heap = slots >= 0
         any_member = bool(in_heap.any())
@@ -398,8 +404,8 @@ class AWMSketch(ScaledSketchTable):
             # kernel's sum is exactly rounded, so the transposed
             # summation order leaves the margin bit-identical to the
             # (depth, nnz) layout.
-            taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
-            tau += kb.margin_gathered(
+            taken_t = gather_rows_t(self._table_flat, flat_tail)
+            tau += margin_gathered(
                 taken_t, (tail_signs * tail_val).T,
                 self._scale, self._sqrt_s,
             )
@@ -417,7 +423,7 @@ class AWMSketch(ScaledSketchTable):
             if tail_n and self._scale != scale_before * decay:
                 # The decay underflowed the scale and folded it into the
                 # raw table; the pre-decay gather is stale.
-                taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
+                taken_t = gather_rows_t(self._table_flat, flat_tail)
 
         step = eta * y * g
 
@@ -461,7 +467,7 @@ class AWMSketch(ScaledSketchTable):
                 # admission threshold; only candidates that beat it take
                 # the sequential path (each re-checks the live minimum,
                 # which can only have risen).
-                live = kb.screen_abs_gt(candidates, heap.min_priority())
+                live = screen_abs_gt(candidates, heap.min_priority())
                 if live.size == 0:
                     stay = None  # everything stays; no masks needed
                 else:
@@ -603,7 +609,6 @@ class AWMSketch(ScaledSketchTable):
         indices = batch.indices
         values = batch.values
         heap = self.heap
-        kb = self.kernels
         depth = self.depth
         sqrt_s = self._sqrt_s
         l1 = self.l1
@@ -693,7 +698,7 @@ class AWMSketch(ScaledSketchTable):
                 if depth == 1:
                     queries = scale * (t_sign[0] * cells[0])
                 else:
-                    queries = kb.median_estimate(
+                    queries = median_estimate(
                         np.stack(cells, axis=1), np.stack(t_sign, axis=1),
                         sqrt_s * scale,
                     )

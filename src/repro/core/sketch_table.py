@@ -21,12 +21,13 @@ margin sums and element-order ``ufunc.at`` scatters are
 layout-independent, which makes per-example and batched replays produce
 identical tables.
 
-The helper bodies themselves live in :mod:`repro.kernels`: each hot
-primitive (margin, scatter, transposed gather, median recovery,
-estimate bound) dispatches through the table's kernel backend — the
-NumPy reference, or the compiled ``c`` backend for the fused update
-and predict loops — under the same bit-level contract, fuzz-checked
-across backends in ``tests/test_kernel_backends.py``.
+The helper bodies themselves (margin, scatter, transposed gather,
+median recovery, estimate bound, recovery query) are plain functions of
+:mod:`repro.kernels.numpy_backend`.  The compiled loops (WM's fused
+update and predict, the push codec's chunk apply) dispatch through the
+table's kernel backend (:attr:`ScaledSketchTable.kernels`) under the
+same bit-level contract, checked across backends in
+``tests/test_kernel_backends.py``.
 """
 
 from __future__ import annotations
@@ -155,13 +156,10 @@ class ScaledSketchTable(StreamingClassifier):
         self.loss = loss if loss is not None else LogisticLoss()
         self.lambda_ = lambda_
         self.schedule = as_schedule(learning_rate)
-        #: Kernel-backend override (None = follow the process default);
-        #: threaded into the hash family and every table kernel, and
-        #: serialized with the model.
+        #: Kernel-backend override for the compiled loops (None = follow
+        #: the process default); serialized with the model.
         self.backend = backend
-        self.family = HashFamily(
-            width, depth, seed=seed, kind=hash_kind, backend=backend
-        )
+        self.family = HashFamily(width, depth, seed=seed, kind=hash_kind)
         self.table = np.zeros((depth, width), dtype=np.float64)
         self._scale = 1.0  # the global alpha of Section 5.1
         # Cumulative log of every scale factor folded into the raw
@@ -201,7 +199,8 @@ class ScaledSketchTable(StreamingClassifier):
 
     @property
     def kernels(self) -> "kernels.KernelBackend":
-        """The kernel backend this table's hot loops dispatch through.
+        """The kernel backend this table's compiled loops dispatch
+        through.
 
         Resolved through a cached :class:`~repro.kernels.BackendHandle`
         (one integer epoch compare per access): an explicit per-model
@@ -857,9 +856,9 @@ class ScaledSketchTable(StreamingClassifier):
             factor = self._scale
         else:
             factor = self._sqrt_s * self._scale
-        self.kernels.fused_query(
+        numpy_backend.fused_query(
             self._table_flat, self._translate_flat(flat), signs.T,
-            factor, gathered, est, kernels.EMPTY_SCRATCH,
+            factor, gathered, est,
         )
         if self.l1 > 0.0:
             est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
@@ -894,7 +893,7 @@ class ScaledSketchTable(StreamingClassifier):
         # scratch=False: reached from the serial-scalar serving path,
         # which runs concurrently with the coalescer's batched reads on
         # the same snapshot and must not touch the shared workspace.
-        return self.kernels.margin(
+        return numpy_backend.margin(
             self._table_flat,
             self._translate_flat(flat_buckets, scratch=False),
             sign_values, self._scale, self._sqrt_s,
@@ -908,15 +907,14 @@ class ScaledSketchTable(StreamingClassifier):
     ) -> None:
         """Accumulate ``deltas`` into the raw table at ``buckets``.
 
-        One scatter kernel over the whole (depth, nnz) block; duplicate
+        One scatter over the whole (depth, nnz) block; duplicate
         buckets within a row accumulate in element order, the same
-        order as a per-row loop, so this is layout-deterministic
-        whichever backend runs it.
+        order as a per-row loop, so this is layout-deterministic.
         """
         if flat_buckets is None:
             flat_buckets = buckets + self._row_offsets
         self._mark_dirty_flat(flat_buckets)
-        self.kernels.scatter_add(self._table_flat, flat_buckets, deltas)
+        numpy_backend.scatter_add(self._table_flat, flat_buckets, deltas)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -941,14 +939,13 @@ class ScaledSketchTable(StreamingClassifier):
         pulled those cells (the AWM kernel shares one gather between
         the margin and the tail queries); it is read, never mutated.
         """
-        kb = self.kernels
         if gathered_t is None:
             if flat_buckets is None:
                 flat_buckets = buckets + self._row_offsets
             # scratch=False: top_weights / scalar estimates land here
             # from both the serial thread and the coalescer thread on a
             # shared snapshot — no workspace scratch allowed.
-            gathered_t = kb.gather_rows_t(
+            gathered_t = numpy_backend.gather_rows_t(
                 self._table_flat,
                 self._translate_flat(flat_buckets, scratch=False),
             )
@@ -956,7 +953,7 @@ class ScaledSketchTable(StreamingClassifier):
             factor = self._scale
         else:
             factor = self._sqrt_s * self._scale
-        est = kb.median_estimate(gathered_t, signs.T, factor)
+        est = numpy_backend.median_estimate(gathered_t, signs.T, factor)
         if self.l1 > 0.0:
             est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
         return est
@@ -979,7 +976,7 @@ class ScaledSketchTable(StreamingClassifier):
             return 0.0
         if flat_buckets is None:
             flat_buckets = buckets + self._row_offsets
-        hi = self.kernels.estimate_bound(
+        hi = numpy_backend.estimate_bound(
             self._table_flat,
             self._translate_flat(flat_buckets, scratch=False),
         )

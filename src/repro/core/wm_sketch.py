@@ -49,6 +49,7 @@ from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.heap.topk import BatchSlotCache, TopKStore
+from repro.kernels.numpy_backend import margin, scatter_add, screen_abs_gt
 from repro.learning.base import CELL_BYTES
 from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
@@ -87,10 +88,11 @@ class WMSketch(ScaledSketchTable):
     hash_kind:
         "tabulation" (default) or "polynomial" hash family.
     backend:
-        Kernel-backend override for every hot loop (hashing, margins,
-        scatters, recovery, heap screens); ``None`` follows the process
-        default (see :mod:`repro.kernels`).  Results are bit-identical
-        across backends.
+        Kernel-backend override for the compiled loops (the fused
+        update and predict, and the push codec's chunk kernels under
+        the parameter server); ``None`` follows the process default
+        (see :mod:`repro.kernels`).  Results are bit-identical across
+        backends.
     """
 
     #: The WM-Sketch is fully described by (raw chunks, scale, fold
@@ -125,8 +127,7 @@ class WMSketch(ScaledSketchTable):
         )
         self.l1 = l1
         self.heap: TopKStore | None = (
-            TopKStore(heap_capacity, backend=backend)
-            if heap_capacity > 0 else None
+            TopKStore(heap_capacity) if heap_capacity > 0 else None
         )
 
     # ------------------------------------------------------------------
@@ -155,7 +156,6 @@ class WMSketch(ScaledSketchTable):
         self.kernels.fused_predict(
             self._table_flat, self._translate_flat(flat), sign_values,
             batch.indptr, self._scale, self._sqrt_s, out,
-            kernels.EMPTY_SCRATCH,
         )
         return out
 
@@ -266,7 +266,7 @@ class WMSketch(ScaledSketchTable):
                 self._table_flat, flat, sign_values, batch.indptr,
                 batch.labels, etas, self.lambda_, self._scale, self._sqrt_s,
                 self.loss.kernel_id, self.loss.kernel_param,
-                margins, gathered, scales, kernels.EMPTY_SCRATCH, touched,
+                margins, gathered, scales, touched,
             )
         if touched[0]:
             # A renorm fold rewrote every bucket mid-batch.
@@ -413,7 +413,6 @@ class WMSketch(ScaledSketchTable):
         two paths cannot drift apart.
         """
         heap = self.heap
-        screen_k = self.kernels.screen_abs_gt
         member = slots >= 0
         any_member = bool(member.any())
         if heap.is_full:
@@ -421,13 +420,13 @@ class WMSketch(ScaledSketchTable):
                 if bound_for() <= heap.min_priority():
                     return
                 estimates = estimates_for()
-                cand = screen_k(estimates, heap.min_priority())
+                cand = screen_abs_gt(estimates, heap.min_priority())
             else:
                 estimates = estimates_for()
                 heap.set_many(slots[member], estimates[member])
                 if member.all():
                     return
-                cand = screen_k(estimates, heap.min_priority())
+                cand = screen_abs_gt(estimates, heap.min_priority())
                 cand = cand[~member[cand]]
             for pos in cand.tolist():
                 idx = int(indices[pos])
@@ -508,12 +507,7 @@ class WMSketch(ScaledSketchTable):
             slot_cache = BatchSlotCache(heap, indices)
         # The loop below is the same arithmetic as :meth:`update` with
         # the margin / decay / scatter helpers inlined — every method
-        # call costs ~0.5us of frame overhead at this granularity.  The
-        # kernel backend is resolved once and its functions bound to
-        # locals for the whole batch.
-        kb = self.kernels
-        margin_k = kb.margin
-        scatter_k = kb.scatter_add
+        # call costs ~0.5us of frame overhead at this granularity.
         dloss = self.loss.dloss
         table_flat = self._table_flat
         sqrt_s = self._sqrt_s
@@ -525,7 +519,7 @@ class WMSketch(ScaledSketchTable):
             fb = flat[:, lo:hi]
             sv = sign_values[:, lo:hi]
             scale = self._scale
-            tau = margin_k(table_flat, fb, sv, scale, sqrt_s)
+            tau = margin(table_flat, fb, sv, scale, sqrt_s)
             margins[i] = tau
             y = labels[i]
             g = dloss(y * tau)
@@ -543,7 +537,7 @@ class WMSketch(ScaledSketchTable):
                     scale = 1.0
                     self._mark_dirty_all()
                 self._scale = scale
-            scatter_k(table_flat, fb, (-eta * y * g / (sqrt_s * scale)) * sv)
+            scatter_add(table_flat, fb, (-eta * y * g / (sqrt_s * scale)) * sv)
             self.t += 1
             if heap is not None:
                 if slot_cache.stale:
@@ -645,7 +639,7 @@ class WMSketch(ScaledSketchTable):
                 capacity = max(capacity, other.heap.capacity)
                 candidates.update(k for k, _ in other.heap.items())
         if capacity > 0:
-            self.heap = TopKStore(capacity, backend=self.backend)
+            self.heap = TopKStore(capacity)
             self._repromote(self.heap, candidates, self.estimate_weights)
         return self
 

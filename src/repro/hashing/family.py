@@ -21,7 +21,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro import kernels
 from repro.hashing.tabulation import TabulationHash
 from repro.hashing.universal import PolynomialHash
 
@@ -58,11 +57,6 @@ class HashFamily:
         ``"polynomial"`` (k-wise independent, slower).
     independence:
         For ``kind="polynomial"``, the k in k-wise independence.
-    backend:
-        Kernel-backend override threaded into the row hashes and the
-        (bucket, sign) derivation (``None`` = follow the process
-        default; see :mod:`repro.kernels`).  Purely a *how*: every
-        backend computes identical buckets and signs.
     """
 
     def __init__(
@@ -72,7 +66,6 @@ class HashFamily:
         seed: int = 0,
         kind: Literal["tabulation", "polynomial"] = "tabulation",
         independence: int = 4,
-        backend: str | None = None,
     ):
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
@@ -83,36 +76,25 @@ class HashFamily:
         self.seed = seed
         self.kind = kind
         self.independence = independence
-        self.backend = backend
         root = np.random.SeedSequence(seed)
         children = root.spawn(depth)
         if kind == "tabulation":
-            self._hashes = [
-                TabulationHash(children[j], backend=backend)
-                for j in range(depth)
-            ]
+            self._hashes = [TabulationHash(children[j]) for j in range(depth)]
         elif kind == "polynomial":
             self._hashes = [
-                PolynomialHash(
-                    independence=independence,
-                    seed=children[j],
-                    backend=backend,
-                )
+                PolynomialHash(independence=independence, seed=children[j])
                 for j in range(depth)
             ]
         else:
             raise ValueError(f"unknown hash kind: {kind!r}")
         self._pow2 = width & (width - 1) == 0
-        # Dispatch-free backend binding for the (bucket, sign)
-        # derivation; rebuilt on unpickle (__setstate__ re-runs
-        # __init__), never serialized.
-        self._kb = kernels.BackendHandle(backend)
 
     # ------------------------------------------------------------------
     # Pickling: the whole family is derived deterministically from its
     # constructor parameters (per-row hashes come from SeedSequence
     # spawning of the root seed), so worker processes rebuild identical
-    # hash functions from a ~100-byte payload.
+    # hash functions from a ~100-byte payload.  Older pickles also carry
+    # a ``backend`` key, which is ignored.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {
@@ -121,11 +103,10 @@ class HashFamily:
             "seed": self.seed,
             "kind": self.kind,
             "independence": self.independence,
-            "backend": self.backend,
         }
 
     def __setstate__(self, state: dict) -> None:
-        state.setdefault("backend", None)  # pre-kernel pickles
+        state.pop("backend", None)
         self.__init__(**state)
 
     # ------------------------------------------------------------------
@@ -136,11 +117,16 @@ class HashFamily:
         return np.asarray(h, dtype=np.uint64)
 
     def _derive(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        backend = self._kb.get()
-        flat = np.atleast_1d(h).reshape(-1)
-        buckets, signs = backend.bucket_sign(
-            flat, self.width, self._pow2, _SIGN_BIT
-        )
+        """(bucket, sign) pairs of raw hash values: the bucket from the
+        low bits (a mask at a power-of-two width, else a modulo), the
+        sign from bit ``_SIGN_BIT`` mapped to {-1.0, +1.0}."""
+        flat = np.atleast_1d(h)
+        if self._pow2:
+            buckets = (flat & np.uint64(self.width - 1)).astype(np.int64)
+        else:
+            buckets = (flat % np.uint64(self.width)).astype(np.int64)
+        bit = ((flat >> np.uint64(_SIGN_BIT)) & np.uint64(1)).astype(np.int64)
+        signs = (2 * bit - 1).astype(np.float64)
         return buckets.reshape(h.shape), signs.reshape(h.shape)
 
     # ------------------------------------------------------------------

@@ -6,17 +6,13 @@ exactly 3-wise independent, and Appendix B of the paper notes that this
 suffices in practice for the WM-Sketch despite the analysis nominally
 requiring O(log(d/delta))-wise independence.
 
-The vectorized evaluation dispatches through the active kernel backend
-(:mod:`repro.kernels`): the NumPy reference gathers all per-byte table
-entries with ``n_bytes`` fancy-indexing operations and no per-key
-Python work (every backend shares this kernel).
+The vectorized evaluation gathers all per-byte table entries with one
+fancy-indexing operation and no per-key Python work.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import kernels
 
 
 class TabulationHash:
@@ -32,22 +28,16 @@ class TabulationHash:
         Number of key bits to consume (32 or 64).  Feature identifiers in
         this package are at most 2**63 - 1, so 64 covers everything; 32
         halves the table memory when ids are known to be small.
-    backend:
-        Kernel-backend override for the vectorized path (``None`` =
-        follow the process default; see :mod:`repro.kernels`).  Every
-        backend computes identical hashes — this only selects *how*.
     """
 
     def __init__(
         self,
         seed: int | np.random.SeedSequence = 0,
         key_bits: int = 64,
-        backend: str | None = None,
     ):
         if key_bits not in (32, 64):
             raise ValueError(f"key_bits must be 32 or 64, got {key_bits}")
         self.key_bits = key_bits
-        self.backend = backend
         self.n_bytes = key_bits // 8
         if isinstance(seed, np.random.SeedSequence):
             seq = seed
@@ -68,29 +58,19 @@ class TabulationHash:
         # Pure-Python table copy for the scalar fast path (plain list
         # indexing beats NumPy scalar indexing by ~5x for single keys).
         self._tables_py = [row.tolist() for row in self._tables]
-        # Dispatch-free backend binding: resolved once, revalidated by
-        # epoch compare (rebuilt on unpickle via __init__).
-        self._kb = kernels.BackendHandle(backend)
 
     # ------------------------------------------------------------------
     # Pickling: the function is fully determined by (seed, key_bits), so
     # snapshots carry the seed and rebuild the byte tables on load — a
     # few hundred bytes on the wire instead of the 8 KB+ of tables, and
-    # trivially spawn-safe for worker processes.
+    # trivially spawn-safe for worker processes.  Older pickles also
+    # carry a ``backend`` key, which is ignored.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {
-            "seed": self.seed_sequence,
-            "key_bits": self.key_bits,
-            "backend": self.backend,
-        }
+        return {"seed": self.seed_sequence, "key_bits": self.key_bits}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            seed=state["seed"],
-            key_bits=state["key_bits"],
-            backend=state.get("backend"),
-        )
+        self.__init__(seed=state["seed"], key_bits=state["key_bits"])
 
     def hash_one(self, key: int) -> int:
         """Scalar fast path: hash a single non-negative integer key.
@@ -121,7 +101,21 @@ class TabulationHash:
         k = np.asarray(keys, dtype=np.uint64)
         shape = k.shape
         flat = np.ascontiguousarray(k).reshape(-1)
-        out = self._kb.get().tabulation_hash(self._flat, self._offsets, flat)
+        if np.little_endian:
+            # Reinterpret each 8-byte key as its byte decomposition
+            # (little-endian: byte b == (key >> 8b) & 0xFF), then gather
+            # all per-byte table entries in a single fancy-index and
+            # XOR-reduce — O(1) NumPy calls independent of n_bytes.
+            key_bytes = flat.view(np.uint8).reshape(-1, 8)[:, : self.n_bytes]
+        else:  # pragma: no cover - big-endian fallback
+            shifts = (8 * np.arange(self.n_bytes, dtype=np.uint64)).reshape(
+                1, -1
+            )
+            key_bytes = (
+                (flat.reshape(-1, 1) >> shifts) & np.uint64(0xFF)
+            ).astype(np.uint8)
+        idx = key_bytes.astype(np.intp) + self._offsets
+        out = np.bitwise_xor.reduce(self._flat[idx], axis=1)
         return out.reshape(shape)
 
     def bucket(self, keys: np.ndarray | int, n_buckets: int) -> np.ndarray:

@@ -7,19 +7,15 @@ O(log(d/delta))-wise independence; this class provides it for users who
 want the guarantees verbatim (the default tabulation hash trades that for
 speed, per Appendix B).
 
-Arithmetic uses Python integers via ``object``-dtype only when necessary;
-the common path keeps everything in unsigned 128-bit emulation with
-NumPy ``uint64`` pairs.  For simplicity and correctness we evaluate the
-polynomial with Python-int arithmetic vectorized through ``np.vectorize``
--free loops over *coefficients* (degree is small), with values held as
-Python ints only at the final reduction.
+Evaluation is exact: the vectorized path runs Horner's rule over an
+``object``-dtype array of Python ints, one NumPy pass per coefficient
+(the degree is small), and the scalar path runs the same reduction
+steps on plain ints.  There is no fixed-width (e.g. 128-bit limb) path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import kernels
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -50,18 +46,12 @@ class PolynomialHash:
         coefficients.  Must be >= 2.
     seed:
         Seed for drawing the coefficients.
-    backend:
-        Kernel-backend override for the vectorized path (``None`` =
-        follow the process default).  The reference (numpy) backend
-        evaluates with exact Python-int arithmetic; compiled backends
-        reproduce the identical reduction with 128-bit limb emulation.
     """
 
     def __init__(
         self,
         independence: int = 4,
         seed: int | np.random.SeedSequence = 0,
-        backend: str | None = None,
     ):
         if independence < 2:
             raise ValueError(f"independence must be >= 2, got {independence}")
@@ -77,31 +67,19 @@ class PolynomialHash:
         while coeffs[-1] == 0:
             coeffs[-1] = rng.integers(1, MERSENNE_61, dtype=np.int64)
         self._coeffs = [int(c) for c in coeffs]
-        # uint64 copy for compiled kernels (coefficients are < 2**61).
-        self._coeffs_u64 = np.array(self._coeffs, dtype=np.uint64)
-        self.backend = backend
-        # Dispatch-free backend binding (rebuilt on unpickle via __init__).
-        self._kb = kernels.BackendHandle(backend)
 
     # ------------------------------------------------------------------
     # Pickling: fully determined by (independence, seed); the coefficient
     # draw (including the nonzero-leading-coefficient retry loop) is
     # deterministic given the seed sequence, so rebuilt instances compute
-    # the identical polynomial.  Spawn-safe for worker processes.
+    # the identical polynomial.  Spawn-safe for worker processes.  Older
+    # pickles also carry a ``backend`` key, which is ignored.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {
-            "independence": self.independence,
-            "seed": self.seed_sequence,
-            "backend": self.backend,
-        }
+        return {"independence": self.independence, "seed": self.seed_sequence}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            independence=state["independence"],
-            seed=state["seed"],
-            backend=state.get("backend"),
-        )
+        self.__init__(independence=state["independence"], seed=state["seed"])
 
     def hash(self, keys: np.ndarray | int) -> np.ndarray:
         """Hash keys to uniform values in ``[0, 2**61 - 1)``.
@@ -116,12 +94,11 @@ class PolynomialHash:
             # silently overflows and yields a *different* hash than the
             # vectorized evaluation of the same key.
             return np.asarray(self.hash_one(int(k)), dtype=object)
-        backend = self._kb.get()
-        shape = k.shape
-        flat = np.ascontiguousarray(k, dtype=np.uint64).reshape(-1)
-        # Hash values are equal across backends; the dtype differs
-        # (object on the exact-int reference path, uint64 compiled).
-        return backend.polynomial_hash(self._coeffs_u64, flat).reshape(shape)
+        x = _mod_mersenne61(np.asarray(k, dtype=np.uint64).astype(object))
+        acc = np.full(k.shape, self._coeffs[-1], dtype=object)
+        for c in reversed(self._coeffs[:-1]):
+            acc = _mod_mersenne61(acc * x + c)
+        return acc
 
     def hash_one(self, key: int) -> int:
         """Scalar fast path; bit-identical to the vectorized :meth:`hash`."""

@@ -61,7 +61,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro import kernels
+from repro.kernels.numpy_backend import screen_abs_gt
 
 _RENORM_THRESHOLD = 1e-150
 
@@ -90,12 +90,6 @@ class TopKStore:
         to ``abs``.  Must work elementwise on float64 arrays (``abs``,
         :func:`identity` and :func:`negate` do); module-level callables
         keep the store picklable.
-    backend:
-        Kernel-backend override for the vectorized admission pre-screen
-        (``None`` = follow the process default); the sketches thread
-        their own override through so a model's store screens on the
-        same backend as its tables.  Decisions are identical across
-        backends.
 
     Notes
     -----
@@ -114,12 +108,10 @@ class TopKStore:
         self,
         capacity: int,
         priority: Callable[[float], float] = abs,
-        backend: str | None = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.backend = backend
         self._priority = priority
         self._scale = 1.0
         self._keys = np.zeros(capacity, dtype=np.int64)
@@ -136,9 +128,6 @@ class TopKStore:
         self._sorted_slots: np.ndarray | None = None
         #: Membership-change counter (see class docstring).
         self.version = 0
-        # Dispatch-free backend binding for the push_many pre-screen
-        # (dropped by __getstate__'s whitelist; rebuilt on load).
-        self._kb = kernels.BackendHandle(backend)
         #: Debug-only owning-thread witness: the last thread that ran a
         #: batched mutation (see :meth:`push_many`).  ``snapshot_view``
         #: asserts against it — an off-thread publish would read the
@@ -156,11 +145,11 @@ class TopKStore:
         """Ship only the live prefix of the slot arrays; the position
         map, min-slot and sorted-key caches are all derivable and
         rebuilt on load (the same discipline as
-        ``ScaledSketchTable.__getstate__`` dropping ``_table_flat``)."""
+        ``ScaledSketchTable.__getstate__`` dropping ``_table_flat``).
+        Older pickles also carry a ``backend`` key, which is ignored."""
         return {
             "capacity": self.capacity,
             "priority": self._priority,
-            "backend": self.backend,
             "scale": self._scale,
             "keys": self._keys[: self._n].copy(),
             "raw": self._raw[: self._n].copy(),
@@ -169,8 +158,6 @@ class TopKStore:
     def __setstate__(self, state: dict) -> None:
         self.capacity = state["capacity"]
         self._priority = state["priority"]
-        self.backend = state.get("backend")  # pre-kernel pickles
-
         self._scale = state["scale"]
         keys = state["keys"]
         n = int(keys.size)
@@ -185,7 +172,6 @@ class TopKStore:
         self._sorted_keys = None
         self._sorted_slots = None
         self.version = 0
-        self._kb = kernels.BackendHandle(self.backend)
         self._writer_thread = None
         self._promo_log = None
 
@@ -226,7 +212,6 @@ class TopKStore:
         snap = TopKStore.__new__(TopKStore)
         n = self._n
         snap.capacity = self.capacity
-        snap.backend = self.backend
         snap._priority = self._priority
         snap._scale = 1.0
         snap._keys = self._keys[:n].copy()
@@ -240,7 +225,6 @@ class TopKStore:
         snap._sorted_keys = None
         snap._sorted_slots = None
         snap.version = 0
-        snap._kb = self._kb
         snap._writer_thread = None
         snap._promo_log = None
         return snap
@@ -577,11 +561,10 @@ class TopKStore:
         if member.any() or np.unique(rest_keys).size != rest_keys.size:
             survivors = range(rest_keys.size)
         elif self._priority is abs:
-            # The screen kernel computes |value| > threshold directly —
+            # The screen computes |value| > threshold directly —
             # identical decisions to the generic priority path below.
-            survivors = self._kb.get().screen_abs_gt(
-                rest_values, self.min_priority()
-            ).tolist()
+            threshold = self.min_priority()
+            survivors = screen_abs_gt(rest_values, threshold).tolist()
         else:
             prios = self._vprio(rest_values)
             survivors = np.flatnonzero(prios > self.min_priority()).tolist()

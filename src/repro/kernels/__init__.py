@@ -1,35 +1,32 @@
-"""Pluggable kernel backends for the hot inner loops.
+"""Pluggable kernel backends for the compiled inner loops.
 
-Every hot loop of the sketch classifiers — vectorized hashing
-(tabulation / polynomial bucket+sign), sketch-table scatter / gather,
-the exactly-rounded margin, transposed-row median recovery, the WM
-maintain / admission-screen, the AWM tail-promotion screen, the
-top-K store's ``push_many`` pre-screen, and the parameter-server push
-codec's chunk encode and apply — dispatches through a
-:class:`~repro.kernels.api.KernelBackend` selected here.
+The loops this repository compiles — WM's ``fused_update`` and
+``fused_predict`` and the parameter-server push codec's ``chunk_delta``
+and ``chunk_add`` (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch
+through a :class:`~repro.kernels.api.KernelBackend` selected here.
+Every other hot helper (margins, scatters, gathers, median recovery,
+admission screens, recovery queries) has one implementation, a plain
+function of :mod:`repro.kernels.numpy_backend`, and hashing lives in
+:mod:`repro.hashing`.
 
 Backends
 --------
 ``numpy``
-    The reference: the pre-kernel NumPy code extracted verbatim.
-    Always available; the executable specification the fuzzed
-    equivalence suite (``tests/test_kernel_backends.py``) checks every
-    other backend against.
+    The reference.  Always available; the executable specification the
+    equivalence suite (``tests/test_kernel_backends.py``) checks the
+    compiled backend against.
 ``c``
-    Four kernels compiled from :file:`ckernels.c` with the system
-    ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`):
-    ``fused_update`` and ``fused_predict``, whose NumPy body is a
-    per-example Python loop, and the push codec's ``chunk_delta`` and
-    ``chunk_add``, one pass per chunk where NumPy gathers, computes and
-    scatters; every other kernel is the NumPy function itself.  Built
-    once per machine and source hash; when cffi or a compiler is
+    The four kernels compiled from :file:`ckernels.c` with the system
+    ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
+    Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls
     back to ``numpy`` with zero behavior change.
 
 Selection order
 ---------------
-1. an explicit per-object override (the ``backend=`` constructor
-   argument of the sketches / hashes / stores, serialized with them);
+1. an explicit per-model override (the ``backend=`` constructor
+   argument of ``WMSketch``, ``AWMSketch`` and ``FeatureHashing``,
+   serialized with the model);
 2. the process-wide backend pinned by :func:`set_backend` (the CLI's
    ``--backend`` flag lands here);
 3. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by
@@ -38,12 +35,12 @@ Selection order
 4. ``"auto"``: ``c`` when it builds and loads, else ``numpy``.
 
 Strictness: :func:`set_backend` and ``get_backend(name, strict=True)``
-raise :class:`BackendUnavailableError` for an unavailable backend;
-per-object resolution uses ``strict=False``, which warns once per
-process and falls back to ``numpy`` — a checkpoint trained under the
-compiled backend loads fine on a host without a compiler, and one
-saved under a retired backend name (``numba``, ``python``) loads and
-trains on ``numpy``.
+raise :class:`BackendUnavailableError` for an unavailable explicit
+name.  Per-model overrides and the environment variable resolve like
+``strict=False``: an unavailable name warns once per process and falls
+back to ``numpy`` — a checkpoint trained under the compiled backend
+loads fine on a host without a compiler, and one saved under a retired
+backend name (``numba``, ``python``) loads and trains on ``numpy``.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from repro.kernels.api import (
 from repro.kernels.workspace import (
     EMPTY_GATHER,
     EMPTY_SCALES,
-    EMPTY_SCRATCH,
     EMPTY_TOUCHED,
     KernelWorkspace,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "KernelWorkspace",
     "EMPTY_GATHER",
     "EMPTY_SCALES",
-    "EMPTY_SCRATCH",
     "EMPTY_TOUCHED",
     "BackendHandle",
     "BackendUnavailableError",
@@ -169,13 +164,16 @@ def get_backend(
         With ``strict=True`` (default) an unavailable or unknown name
         raises :class:`BackendUnavailableError`.  With ``strict=False``
         it warns once per process (:class:`KernelBackendWarning`) and
-        falls back to the NumPy reference — the per-object resolution
-        mode, so deserialized models never fail on a leaner host.
+        falls back to the NumPy reference — the per-model resolution
+        mode, so deserialized models never fail on a leaner host.  A
+        name read from the environment variable always resolves this
+        way, as it does for the models built in the same process.
     """
     if name is None:
         if _active is not None:
             return _active
         name = os.environ.get(ENV_VAR, "") or "auto"
+        strict = False
     if name == "auto":
         try:
             return _load("c")
@@ -229,23 +227,23 @@ def backend_epoch() -> int:
 class BackendHandle:
     """A per-object cached backend resolution (the dispatch-free path).
 
-    Hot per-example code used to pay a full :func:`get_backend`
-    resolution — pin lookup, environment read, dict probes — on *every*
-    kernel dispatch (~1-2us/example across the hash rows, margin and
-    scatter of one update).  A handle resolves once and revalidates
-    with a single integer comparison against :func:`backend_epoch`, so
-    :func:`set_backend` still retargets live models while steady-state
-    dispatch is one attribute load.
+    A model (``ScaledSketchTable``, ``FeatureHashing``) resolves its
+    backend once through a handle, which revalidates with a single
+    integer comparison against :func:`backend_epoch` instead of a full
+    :func:`get_backend` resolution (pin lookup, environment read, dict
+    probes) per kernel call, so :func:`set_backend` still retargets
+    live models while steady-state dispatch is one attribute load.
 
     Mid-process *environment-variable* changes are the one thing a
     handle does not observe (plain resolution only reads the variable
     while no pin is active anyway); processes configure the environment
     before building models, and tests use :func:`set_backend`.
 
-    Handles hold a loaded backend (whose kernels may be jitted
-    closures), so they must never be pickled: owners drop them in
-    ``__getstate__`` and rebuild on load — which also re-resolves on
-    the destination host, exactly what a checkpoint wants.
+    Handles hold a loaded backend (whose compiled kernels are closures
+    over a ``dlopen``-ed library), so they must never be pickled:
+    owners drop them in ``__getstate__`` and rebuild on load — which
+    also re-resolves on the destination host, exactly what a checkpoint
+    wants.
     """
 
     __slots__ = ("name", "_backend", "_epoch")

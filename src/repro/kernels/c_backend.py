@@ -1,12 +1,12 @@
 """The compiled C backend (``"c"``).
 
-Four kernels are compiled, from :file:`ckernels.c`: ``fused_update``
-and ``fused_predict``, whose NumPy body is a per-example Python loop,
-and the parameter-server push codec's ``chunk_delta`` (encode each dirty
-chunk's delta and advance the sync base in one pass) and ``chunk_add``
-(add each shipped row into the driver table).  Every other kernel is the
-NumPy function itself.  The C bodies are bit-identical to the reference
-on every input, including the exception it raises and the partial state
+All four kernels are compiled, from :file:`ckernels.c`:
+``fused_update`` and ``fused_predict``, whose NumPy body is a
+per-example Python loop, and the parameter-server push codec's
+``chunk_delta`` (encode each dirty chunk's delta and advance the sync
+base in one pass) and ``chunk_add`` (add each shipped row into the
+driver table).  The C bodies are bit-identical to the reference on
+every input, including the exception it raises and the partial state
 it leaves.
 
 The library is built once per machine and source hash with the system
@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kernels import numpy_backend
-from repro.kernels.api import CHUNK, KERNEL_NAMES, KernelBackend
+from repro.kernels.api import CHUNK, KernelBackend
 
 SOURCE = Path(__file__).with_name("ckernels.c")
 
@@ -262,7 +262,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     def fused_update(
         table_flat, flat_buckets, sign_values, indptr, labels, etas,
         lam, scale, sqrt_s, loss_id, loss_param, margins_out,
-        gathered_out, scales_out, scratch, touched_out,
+        gathered_out, scales_out, touched_out,
     ):
         dtypes = (table_flat.dtype, flat_buckets.dtype, sign_values.dtype,
                   indptr.dtype, labels.dtype, etas.dtype, margins_out.dtype,
@@ -324,7 +324,6 @@ def _make_backend(ffi, lib) -> KernelBackend:
 
     def fused_predict(
         table_flat, flat_buckets, sign_values, indptr, scale, sqrt_s, out,
-        scratch,
     ):
         dtypes = (table_flat.dtype, flat_buckets.dtype, sign_values.dtype,
                   indptr.dtype, out.dtype)
@@ -394,9 +393,9 @@ def _make_backend(ffi, lib) -> KernelBackend:
         if status:
             _raise_status(status, None, size, k)
 
-    functions = {name: getattr(numpy_backend, name) for name in KERNEL_NAMES}
-    functions["fused_update"] = fused_update
-    functions["fused_predict"] = fused_predict
-    functions["chunk_delta"] = chunk_delta
-    functions["chunk_add"] = chunk_add
-    return KernelBackend("c", compiled=True, functions=functions)
+    return KernelBackend("c", functions={
+        "fused_update": fused_update,
+        "fused_predict": fused_predict,
+        "chunk_delta": chunk_delta,
+        "chunk_add": chunk_add,
+    })

@@ -1,15 +1,17 @@
-"""The NumPy reference backend.
+"""The NumPy reference backend, and the helpers no backend compiles.
 
-These are the hot-loop bodies extracted *verbatim* from the pre-kernel
-classifiers (``hashing/tabulation.py``, ``hashing/universal.py``,
-``hashing/family.py``, ``core/sketch_table.py``, ``core/awm_sketch.py``
-and ``heap/topk.py``) and from the parameter-server delta codec
-(``parallel/delta.py``) — the executable specification every other
-backend is fuzzed against.  Nothing here may change behavior: the
-bit-level guarantees of the batched engine (exactly rounded ``fsum``
-margins, layout-deterministic ``ufunc.at`` scatters, transposed-sort
-medians) are documented at the original call sites and preserved
-as-is.
+The four kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+(``fused_update``, ``fused_predict``, ``chunk_delta``, ``chunk_add``)
+are the executable specification the compiled ``c`` backend is checked
+against.  The other functions here are plain helpers with one
+implementation, which WM, AWM, feature hashing, the sketch table and
+the top-K store import and call by name: the exactly rounded margin,
+the element-order scatter, the transposed gather, median recovery, the
+estimate bound, the admission screen and the ``fused_query`` read.
+Their bodies were extracted verbatim from the pre-kernel classifiers,
+and the bit-level guarantees of the batched engine (exactly rounded
+``fsum`` margins, layout-deterministic ``ufunc.at`` scatters,
+transposed-sort medians) are documented where they sit.
 """
 
 from __future__ import annotations
@@ -20,54 +22,13 @@ import numpy as np
 
 from repro.kernels.api import CHUNK, CHUNK_LOG, KERNEL_NAMES, KernelBackend
 
-from repro.hashing import universal as _universal
-
-
-def tabulation_hash(
-    flat_tables: np.ndarray, offsets: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
-    n_bytes = offsets.shape[1]
-    if np.little_endian:
-        # Reinterpret each 8-byte key as its byte decomposition
-        # (little-endian: byte b == (key >> 8b) & 0xFF), then gather
-        # all per-byte table entries in a single fancy-index and
-        # XOR-reduce — O(1) NumPy calls independent of n_bytes.
-        key_bytes = keys.view(np.uint8).reshape(-1, 8)[:, :n_bytes]
-    else:  # pragma: no cover - big-endian fallback
-        shifts = (8 * np.arange(n_bytes, dtype=np.uint64)).reshape(1, -1)
-        key_bytes = ((keys.reshape(-1, 1) >> shifts) & np.uint64(0xFF)).astype(
-            np.uint8
-        )
-    idx = key_bytes.astype(np.intp) + offsets
-    return np.bitwise_xor.reduce(flat_tables[idx], axis=1)
-
-
-def polynomial_hash(coeffs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    # Exact Python-int Horner over object dtype — the reference path of
-    # :meth:`repro.hashing.universal.PolynomialHash.hash`.
-    coeff_list = [int(c) for c in coeffs.tolist()]
-    x = _universal._mod_mersenne61(keys.astype(object))
-    acc = np.full(keys.shape, coeff_list[-1], dtype=object)
-    for c in reversed(coeff_list[:-1]):
-        acc = _universal._mod_mersenne61(acc * x + c)
-    return acc
-
-
-def bucket_sign(
-    h: np.ndarray, width: int, pow2: bool, sign_bit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if pow2:
-        buckets = (h & np.uint64(width - 1)).astype(np.int64)
-    else:
-        buckets = (h % np.uint64(width)).astype(np.int64)
-    bit = ((h >> np.uint64(sign_bit)) & np.uint64(1)).astype(np.int64)
-    signs = (2 * bit - 1).astype(np.float64)
-    return buckets, signs
-
 
 def gather_rows_t(
     table_flat: np.ndarray, flat_buckets: np.ndarray
 ) -> np.ndarray:
+    """Transposed table gather ``table_flat.take(flat_buckets.T)``:
+    the ``(nnz, depth)`` layout whose per-feature rows are contiguous,
+    shared by the margin and median-recovery helpers."""
     # take() materializes (nnz, depth) C-contiguous, so each feature's
     # row values are adjacent — the layout the median kernel sorts.
     return table_flat.take(flat_buckets.T)
@@ -80,9 +41,11 @@ def margin(
     scale: float,
     sqrt_s: float,
 ) -> float:
-    # math.fsum is *exactly* rounded, so the reduction is independent
-    # of summation order and buffer alignment (NumPy's SIMD .sum() is
-    # not) — per-example and batched replays stay bit-identical.
+    """The linear margin ``scale * sum(table[b] * sv) / sqrt_s``.
+
+    ``math.fsum`` is *exactly* rounded, so the sum is independent of
+    summation order and buffer alignment (NumPy's SIMD ``.sum()`` is
+    not) — per-example and batched replays stay bit-identical."""
     products = table_flat.take(flat_buckets) * sign_values
     return scale * math.fsum(products.ravel().tolist()) / sqrt_s
 
@@ -93,6 +56,8 @@ def margin_gathered(
     scale: float,
     sqrt_s: float,
 ) -> float:
+    """:func:`margin` from an already-gathered cell block (the AWM loop
+    shares one transposed gather between margin and tail queries)."""
     products = gathered * sign_values
     return scale * math.fsum(products.ravel().tolist()) / sqrt_s
 
@@ -100,14 +65,19 @@ def margin_gathered(
 def scatter_add(
     table_flat: np.ndarray, flat_buckets: np.ndarray, deltas: np.ndarray
 ) -> None:
-    # One buffered ufunc.at; duplicate buckets accumulate in C element
-    # order, the same order as a per-row loop (layout-deterministic).
+    """Accumulate ``deltas`` into ``table_flat`` at ``flat_buckets``:
+    one buffered ``np.add.at``, so duplicate buckets fold in C element
+    order, the order of a per-row loop (layout-deterministic)."""
     np.add.at(table_flat, flat_buckets, deltas)
 
 
 def median_estimate(
     gathered_t: np.ndarray, signs_t: np.ndarray, factor: float
 ) -> np.ndarray:
+    """Count-Sketch recovery: the per-feature median over rows of
+    ``signs_t * gathered_t`` (both ``(nnz, depth)``), times ``factor``.
+    Depth 1 skips the sort; even depths average the two middle values
+    as ``0.5 * (a + b)``."""
     depth = gathered_t.shape[1]
     if depth == 1:
         return factor * (signs_t[:, 0] * gathered_t[:, 0])
@@ -126,19 +96,24 @@ def median_estimate(
 def estimate_bound(
     table_flat: np.ndarray, flat_buckets: np.ndarray
 ) -> float:
+    """``max |table_flat[flat_buckets]|``, the cheap bound that lets the
+    WM maintain loop skip recovery when no estimate could beat the
+    admission threshold.  ``flat_buckets`` must be non-empty."""
     return float(np.abs(table_flat.take(flat_buckets)).max())
 
 
 def screen_abs_gt(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Ascending positions where ``|values| > threshold`` (strictly: a
+    tie is rejected) — the admission screen of the WM maintain loop,
+    the AWM tail-promotion screen and ``TopKStore.push_many``."""
     return np.flatnonzero(np.abs(values) > threshold)
 
 
 # ----------------------------------------------------------------------
-# Fused mega-kernels: the per-example chains composed from the reference
-# primitives above, with every intermediate living in the caller's
-# scratch buffer (zero allocations in steady state).  Loss derivatives
-# come from the *actual* loss classes, so fused and unfused replays run
-# literally the same ``dloss`` code.
+# Fused loops: the per-example chains composed from the helpers above,
+# over the caller's batch-lifetime buffers.  Loss derivatives come from
+# the *actual* loss classes, so fused and unfused replays run literally
+# the same ``dloss`` code.
 # ----------------------------------------------------------------------
 
 def _loss_object(loss_id: int, loss_param: float):
@@ -183,13 +158,12 @@ def fused_update(
     margins_out: np.ndarray,
     gathered_out: np.ndarray,
     scales_out: np.ndarray,
-    scratch: np.ndarray,
     touched_out: np.ndarray,
 ) -> float:
     # The exact per-example chain of the unfused fit_batch loop with
-    # the margin / scatter kernel bodies inlined (``scratch`` unused:
-    # NumPy's small-block allocator beats ``np.take(out=)``'s checked
-    # copy path for per-example temporaries, measured ~20%; the
+    # the margin / scatter bodies inlined (per-example temporaries are
+    # fresh arrays: NumPy's small-block allocator beats
+    # ``np.take(out=)``'s checked copy path, measured ~20%; the
     # batch-lifetime arrays are the caller's workspace views).
     dloss = _loss_object(loss_id, loss_param).dloss
     record = gathered_out.shape[0] > 0
@@ -256,7 +230,6 @@ def fused_predict(
     scale: float,
     sqrt_s: float,
     out: np.ndarray,
-    scratch: np.ndarray,
 ) -> None:
     ip = indptr.tolist()
     n = out.shape[0]
@@ -277,8 +250,12 @@ def fused_query(
     factor: float,
     gathered_out: np.ndarray,
     est_out: np.ndarray,
-    scratch: np.ndarray,
 ) -> None:
+    """Recovery queries: one transposed gather (:func:`gather_rows_t`)
+    written to ``gathered_out`` plus the :func:`median_estimate` of
+    ``signs_t * gathered`` times ``factor`` written to ``est_out``, so
+    a caller that needs both (the serving ``query_many``) makes one
+    call."""
     depth = flat_buckets.shape[0]
     # gather_rows_t verbatim, landing in the caller's block.
     gathered_out[:] = table_flat.take(flat_buckets.T)
@@ -468,7 +445,5 @@ def chunk_add(
 
 
 BACKEND = KernelBackend(
-    "numpy",
-    compiled=False,
-    functions={name: globals()[name] for name in KERNEL_NAMES},
+    "numpy", functions={name: globals()[name] for name in KERNEL_NAMES}
 )

@@ -37,13 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 #: Empty singletons handed to ``fused_update`` when gather recording is
-#: off (the kernel branches on ``gathered_out.shape[0] > 0``), and to
-#: every fused kernel whose backend needs no scratch (none of the
-#: shipped backends do; the parameter exists for backends that want
-#: caller-owned intermediates).
+#: off (the kernel branches on ``gathered_out.shape[0] > 0``).
 EMPTY_GATHER = np.empty((0, 1), dtype=np.float64)
 EMPTY_SCALES = np.empty(0, dtype=np.float64)
-EMPTY_SCRATCH = np.empty(0, dtype=np.float64)
 #: Handed to ``fused_update`` when touched-index recording is off (the
 #: kernel branches on ``touched_out.shape[0]``; see kernels.api).
 EMPTY_TOUCHED = np.empty(0, dtype=np.int64)

@@ -22,6 +22,7 @@ from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.hashing.batch import BatchHasher
 from repro.hashing.family import HashFamily
+from repro.kernels.numpy_backend import margin, scatter_add
 from repro.learning.base import (
     CELL_BYTES,
     StreamingClassifier,
@@ -48,8 +49,8 @@ class FeatureHashing(StreamingClassifier):
         Use random sign flips (the unbiased "hash kernel"); disable for
         the plain unsigned variant (ablation).
     backend:
-        Kernel-backend override for hashing / margin / scatter
-        (``None`` = follow the process default; see
+        Kernel-backend override for the compiled fused update and
+        predict loops (``None`` = follow the process default; see
         :mod:`repro.kernels`).  Bit-identical across backends.
     """
 
@@ -78,7 +79,7 @@ class FeatureHashing(StreamingClassifier):
         self.schedule = as_schedule(learning_rate)
         self.signed = signed
         self.backend = backend
-        self.family = HashFamily(width, depth=1, seed=seed, backend=backend)
+        self.family = HashFamily(width, depth=1, seed=seed)
         self._batch_hasher = BatchHasher(self.family)
         self.table = np.zeros(width, dtype=np.float64)
         self._scale = 1.0
@@ -132,8 +133,8 @@ class FeatureHashing(StreamingClassifier):
 
     @property
     def kernels(self) -> "kernels.KernelBackend":
-        """The kernel backend the margin / scatter loops dispatch
-        through (cached handle; one epoch compare per access)."""
+        """The kernel backend the fused loops dispatch through (cached
+        handle; one epoch compare per access)."""
         return self._kb.get()
 
     def _workspace(self) -> "kernels.KernelWorkspace":
@@ -153,13 +154,11 @@ class FeatureHashing(StreamingClassifier):
 
     def predict_margin(self, x: SparseExample) -> float:
         buckets, signs = self._hashed(x.indices)
-        # The margin kernel's exactly-rounded sum (rather than BLAS dot
+        # The margin helper's exactly-rounded sum (rather than BLAS dot
         # / SIMD sum) keeps the reduction independent of buffer layout,
         # so per-example and batched (CSR-view) driving stay
         # bit-identical.  The depth-1 table needs no sqrt(s) factor.
-        return self.kernels.margin(
-            self.table, buckets, signs * x.values, self._scale, 1.0
-        )
+        return margin(self.table, buckets, signs * x.values, self._scale, 1.0)
 
     def _decay(self, eta: float) -> None:
         """One lazy L2 decay step with the same validity check the
@@ -193,15 +192,14 @@ class FeatureHashing(StreamingClassifier):
 
     def update(self, x: SparseExample) -> None:
         y = x.label
-        kb = self.kernels
         buckets, signs = self._hashed(x.indices)
         sign_values = signs * x.values
-        tau = kb.margin(self.table, buckets, sign_values, self._scale, 1.0)
+        tau = margin(self.table, buckets, sign_values, self._scale, 1.0)
         g = self.loss.dloss(y * tau)
         eta = self.schedule(self.t)
         if self.lambda_ > 0.0:
             self._decay(eta)
-        kb.scatter_add(
+        scatter_add(
             self.table, buckets, -(eta * y * g / self._scale) * sign_values
         )
         self.t += 1
@@ -225,8 +223,7 @@ class FeatureHashing(StreamingClassifier):
             sv = batch.values.reshape(1, -1)
         out = np.empty(n, dtype=np.float64)
         self.kernels.fused_predict(
-            self.table, buckets, sv, batch.indptr, self._scale, 1.0,
-            out, kernels.EMPTY_SCRATCH,
+            self.table, buckets, sv, batch.indptr, self._scale, 1.0, out,
         )
         return out
 
@@ -300,7 +297,7 @@ class FeatureHashing(StreamingClassifier):
             self.lambda_, self._scale, 1.0,
             self.loss.kernel_id, self.loss.kernel_param,
             margins, kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
-            kernels.EMPTY_SCRATCH, kernels.EMPTY_TOUCHED,
+            kernels.EMPTY_TOUCHED,
         )
         self.t += n
         return margins
@@ -328,21 +325,18 @@ class FeatureHashing(StreamingClassifier):
         indptr = batch.indptr.tolist()
         labels = batch.labels.tolist()
         table = self.table
-        kb = self.kernels
-        margin_k = kb.margin
-        scatter_k = kb.scatter_add
         for i in range(n):
             lo, hi = indptr[i], indptr[i + 1]
             b = buckets[lo:hi]
             sv = sign_values[lo:hi]
-            tau = margin_k(table, b, sv, self._scale, 1.0)
+            tau = margin(table, b, sv, self._scale, 1.0)
             margins[i] = tau
             y = labels[i]
             g = self.loss.dloss(y * tau)
             eta = self.schedule(self.t)
             if self.lambda_ > 0.0:
                 self._decay(eta)
-            scatter_k(table, b, -(eta * y * g / self._scale) * sv)
+            scatter_add(table, b, -(eta * y * g / self._scale) * sv)
             self.t += 1
         return margins
 

@@ -222,7 +222,7 @@ class PSWorker:
             # reached the driver through an earlier push's promo log),
             # so drain them: the next push ships only *new* promotions.
             candidates = {k for k, _ in heap.items()}
-            fresh = TopKStore(heap.capacity, backend=self.model.backend)
+            fresh = TopKStore(heap.capacity)
             fresh.enable_promo_log()
             self.model.heap = fresh
             self.model._repromote(
@@ -660,7 +660,7 @@ class PSHarness:
             # land; re-score the tracked set against the final table —
             # the same re-promotion the one-shot merge ends with.
             candidates = {k for k, _ in heap.items()}
-            fresh = TopKStore(heap.capacity, backend=model.backend)
+            fresh = TopKStore(heap.capacity)
             model.heap = fresh
             model._repromote(fresh, candidates, model.estimate_weights)
         if self.manager is not None:

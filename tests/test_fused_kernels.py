@@ -1,8 +1,8 @@
 """Fused mega-kernel equivalence: the PR 5 executable contract.
 
-The fused kernels (``fused_update`` / ``fused_predict`` /
-``fused_query``) must be *bit-identical* to the unfused chain of
-primitive kernels they collapse — per backend, at the kernel level and
+The fused kernels (``fused_update`` / ``fused_predict``, per backend,
+and the NumPy-only ``fused_query``) must be *bit-identical* to the
+unfused chain of NumPy helpers they collapse — at the kernel level and
 through the models (tables, heap state, margins, predictions, recovery
 queries), including workspace reuse across many batches and pickle
 round-trips that drop the workspace.
@@ -23,6 +23,7 @@ from repro.core.sketch_table import _RENORM_THRESHOLD
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
+from repro.kernels import numpy_backend
 from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.losses import (
     HingeLoss,
@@ -33,6 +34,7 @@ from repro.learning.losses import (
 
 ALT_BACKENDS = [c_backend_param()]
 ALL_BACKENDS = ["numpy"] + ALT_BACKENDS
+PER_BACKEND = pytest.mark.parametrize("backend", ALL_BACKENDS)
 #: Model-level cases also run a retired backend name (numpy fallback).
 MODEL_BACKENDS = ALL_BACKENDS + [retired_backend_param()]
 
@@ -72,11 +74,10 @@ class TestRenormConstant:
 # ----------------------------------------------------------------------
 # Kernel-level: fused calls vs the unfused primitive chain
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestKernelLevel:
-    def _replay_unfused(self, ref, loss, table, indptr, fb, sv, labels,
+    def _replay_unfused(self, loss, table, indptr, fb, sv, labels,
                         etas, lam, scale, sqrt_s, record):
-        """The documented primitive chain fused_update collapses."""
+        """The documented helper chain fused_update collapses."""
         n = indptr.size - 1
         nnz = fb.shape[1]
         margins = np.empty(n)
@@ -86,7 +87,7 @@ class TestKernelLevel:
             lo, hi = int(indptr[i]), int(indptr[i + 1])
             blk = fb[:, lo:hi]
             svb = sv[:, lo:hi]
-            tau = ref.margin(table, blk, svb, scale, sqrt_s)
+            tau = numpy_backend.margin(table, blk, svb, scale, sqrt_s)
             margins[i] = tau
             y = int(labels[i])
             g = loss.dloss(y * tau)
@@ -96,20 +97,20 @@ class TestKernelLevel:
                 if scale < _RENORM_THRESHOLD:
                     table *= scale
                     scale = 1.0
-            ref.scatter_add(
+            numpy_backend.scatter_add(
                 table, blk, (-eta * y * g / (sqrt_s * scale)) * svb
             )
             if record:
-                gathered[lo:hi] = ref.gather_rows_t(table, blk)
+                gathered[lo:hi] = numpy_backend.gather_rows_t(table, blk)
                 scales[i] = scale
         return margins, gathered, scales, scale
 
+    @PER_BACKEND
     @pytest.mark.parametrize("loss_pos", range(len(LOSSES)))
     @pytest.mark.parametrize("record", [False, True])
     def test_fused_update_matches_chain(self, backend, loss_pos, record,
                                         rng):
         kb = kernels.get_backend(backend)
-        ref = kernels.get_backend("numpy")
         loss = LOSSES[loss_pos]
         for depth, lam in ((1, 1e-3), (3, 1e-3), (4, 0.0)):
             width_flat = 96 * depth
@@ -132,13 +133,12 @@ class TestKernelLevel:
             end_scale = kb.fused_update(
                 t_fused, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 loss.kernel_id, loss.kernel_param,
-                margins, gathered, scales, kernels.EMPTY_SCRATCH,
-                kernels.EMPTY_TOUCHED,
+                margins, gathered, scales, kernels.EMPTY_TOUCHED,
             )
 
             t_ref = table.copy()
             m_ref, g_ref, s_ref, sc_ref = self._replay_unfused(
-                ref, loss, t_ref, indptr, fb, sv, labels, etas, lam,
+                loss, t_ref, indptr, fb, sv, labels, etas, lam,
                 1.0, sqrt_s, record,
             )
             assert np.array_equal(t_fused, t_ref)
@@ -148,6 +148,7 @@ class TestKernelLevel:
                 assert np.array_equal(gathered, g_ref)
                 assert np.array_equal(scales, s_ref)
 
+    @PER_BACKEND
     def test_fused_update_renormalizes_at_the_same_step(self, backend,
                                                         rng):
         kb = kernels.get_backend(backend)
@@ -165,21 +166,20 @@ class TestKernelLevel:
         end_scale = kb.fused_update(
             t, fb, sv, indptr, labels, etas, 1e-2, start,
             math.sqrt(depth), 0, 0.0, margins,
-            kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
-            kernels.EMPTY_SCRATCH, touched,
+            kernels.EMPTY_GATHER, kernels.EMPTY_SCALES, touched,
         )
         # The fold that fired must be visible in the fold counter.
         assert touched[0] >= 1
-        ref = kernels.get_backend("numpy")
         t_ref = table.copy()
-        _, _, _, sc_ref = TestKernelLevel._replay_unfused(
-            self, ref, LogisticLoss(), t_ref, indptr, fb, sv, labels,
+        _, _, _, sc_ref = self._replay_unfused(
+            LogisticLoss(), t_ref, indptr, fb, sv, labels,
             etas, 1e-2, start, math.sqrt(depth), False,
         )
         assert end_scale == sc_ref
         assert 0.5 < end_scale <= 1.0  # folded back near 1
         assert np.array_equal(t, t_ref)
 
+    @PER_BACKEND
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_touched_stream_records_scatter_order(self, backend, lam,
                                                   rng):
@@ -204,14 +204,13 @@ class TestKernelLevel:
             sc_rec = kb.fused_update(
                 t_rec, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
-                kernels.EMPTY_SCALES, kernels.EMPTY_SCRATCH, touched,
+                kernels.EMPTY_SCALES, touched,
             )
             t_off = table.copy()
             sc_off = kb.fused_update(
                 t_off, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
-                kernels.EMPTY_SCALES, kernels.EMPTY_SCRATCH,
-                kernels.EMPTY_TOUCHED,
+                kernels.EMPTY_SCALES, kernels.EMPTY_TOUCHED,
             )
             assert sc_rec == sc_off
             assert np.array_equal(t_rec, t_off)
@@ -229,25 +228,24 @@ class TestKernelLevel:
             sc_cnt = kb.fused_update(
                 t_cnt, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
-                kernels.EMPTY_SCALES, kernels.EMPTY_SCRATCH, folds,
+                kernels.EMPTY_SCALES, folds,
             )
             assert sc_cnt == sc_off
             assert np.array_equal(t_cnt, t_off)
             assert folds[0] == 0
 
+    @PER_BACKEND
     def test_fused_predict_matches_margin_kernel(self, backend, rng):
         kb = kernels.get_backend(backend)
-        ref = kernels.get_backend("numpy")
         for depth in (1, 3):
             indptr, fb, sv = _random_csr(rng, 25, 80 * depth, depth)
             table = rng.standard_normal(80 * depth)
             out = np.empty(25)
             kb.fused_predict(
                 table, fb, sv, indptr, 0.37, math.sqrt(depth), out,
-                kernels.EMPTY_SCRATCH,
             )
             expected = [
-                ref.margin(
+                numpy_backend.margin(
                     table,
                     fb[:, indptr[i]:indptr[i + 1]],
                     sv[:, indptr[i]:indptr[i + 1]],
@@ -258,9 +256,9 @@ class TestKernelLevel:
             ]
             assert out.tolist() == expected
 
+    # fused_query is a numpy_backend function under every backend.
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_fused_query_matches_gather_plus_median(self, backend, rng):
-        kb = kernels.get_backend(backend)
-        ref = kernels.get_backend("numpy")
         for depth in (1, 2, 3, 5):
             nnz = 31
             fb = rng.integers(0, 64 * depth, size=(depth, nnz)).astype(
@@ -270,12 +268,11 @@ class TestKernelLevel:
             signs_t = np.where(rng.random((nnz, depth)) < 0.5, -1.0, 1.0)
             gathered = np.empty((nnz, depth))
             est = np.empty(nnz)
-            kb.fused_query(
+            numpy_backend.fused_query(
                 table, fb, signs_t, 1.7, gathered, est,
-                kernels.EMPTY_SCRATCH,
             )
-            g_ref = ref.gather_rows_t(table, fb)
-            e_ref = ref.median_estimate(g_ref.copy(), signs_t, 1.7)
+            g_ref = numpy_backend.gather_rows_t(table, fb)
+            e_ref = numpy_backend.median_estimate(g_ref.copy(), signs_t, 1.7)
             assert np.array_equal(gathered, g_ref)
             assert np.array_equal(est, e_ref)
 

@@ -1,11 +1,12 @@
 """Cross-backend kernel equivalence: the PR 4 executable contract.
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
-identical inputs — hashes, tables, heap state and predictions alike.
-The ``c`` backend compiles ``fused_update``, ``fused_predict``,
-``chunk_delta`` and ``chunk_add`` (``repro/kernels/ckernels.c``) and
-reuses the NumPy function for every other kernel; its cases skip with
-the recorded reason on a host where it cannot build.  Beyond the
+identical inputs — tables, heap state and predictions alike.  The ``c``
+backend compiles all four kernels, ``fused_update``, ``fused_predict``,
+``chunk_delta`` and ``chunk_add`` (``repro/kernels/ckernels.c``); its
+cases skip with the recorded reason on a host where it cannot build.
+The NumPy helpers no backend compiles are tested directly here
+(``TestNumpyHelpers``).  Beyond the
 model-level fuzz, hypothesis properties compare the compiled kernels
 with NumPy bit for bit on adversarial inputs (repeated buckets, renorm
 folds, 1e300 magnitudes, signed zeros, infinities and NaNs, bad chunk
@@ -39,6 +40,7 @@ from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
 from repro.heap.topk import TopKStore
+from repro.kernels import numpy_backend
 from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.ogd import UncompressedClassifier
 
@@ -116,10 +118,42 @@ class TestRegistry:
                 assert kernels.get_backend(name, strict=False).name == "numpy"
 
     def test_backend_objects_are_complete(self):
+        assert kernels.KERNEL_NAMES == (
+            "fused_update", "fused_predict", "chunk_delta", "chunk_add",
+        )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
             for kernel_name in kernels.KERNEL_NAMES:
                 assert callable(getattr(backend, kernel_name))
+            # The table holds the compiled loops and nothing else.
+            assert set(vars(backend)) - {"name"} == set(kernels.KERNEL_NAMES)
+
+    def test_c_compiles_every_kernel(self):
+        # A numpy pass-through entry in the c table would be a kernel
+        # no backend compiles; those are plain numpy_backend functions.
+        c = _c_or_skip()
+        ref = kernels.get_backend("numpy")
+        for kernel_name in kernels.KERNEL_NAMES:
+            fn = getattr(c, kernel_name)
+            assert fn is not getattr(ref, kernel_name), kernel_name
+            assert fn is not getattr(numpy_backend, kernel_name), kernel_name
+
+    def test_retired_env_var_falls_back_like_models(self, monkeypatch):
+        # The process default resolves the environment variable the way
+        # a model's handle does: one warning, then the numpy reference.
+        monkeypatch.setenv(kernels.ENV_VAR, "numba")
+        monkeypatch.setattr(kernels, "_warned", set())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = WMSketch(64, 2, seed=0, heap_capacity=0)
+            assert model.kernels.name == "numpy"
+            assert kernels.active_backend_name() == model.kernels.name
+            assert kernels.set_backend(None) is kernels.get_backend("numpy")
+            assert kernels.get_backend().name == "numpy"
+        assert [w.category for w in caught] == [kernels.KernelBackendWarning]
+        # Explicit names stay strict.
+        with pytest.raises(kernels.BackendUnavailableError):
+            kernels.get_backend("numba")
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +204,7 @@ class TestCLoader:
             "ip = np.array([0, 7, 7, 20], dtype=np.int64)\n"
             "a, b = np.empty(3), np.empty(3)\n"
             "for kb, out in ((c, a), (ref, b)):\n"
-            "    kb.fused_predict(table, fb, sv, ip, 0.5, 1.7, out,\n"
-            "                     kernels.EMPTY_SCRATCH)\n"
+            "    kb.fused_predict(table, fb, sv, ip, 0.5, 1.7, out)\n"
             "assert a.tobytes() == b.tobytes()\n"
             "print('ok')\n"
         )
@@ -282,7 +315,6 @@ class TestCLoader:
             margins_out=np.full(n, -7.0),
             gathered_out=np.full((nnz, depth), -7.0),
             scales_out=np.full(n, -7.0),
-            scratch=kernels.EMPTY_SCRATCH,
             touched_out=np.full(1 + depth * nnz, -7, dtype=np.int64),
         )
 
@@ -327,12 +359,11 @@ class TestCLoader:
         with pytest.raises(TypeError):
             c.fused_predict(base["table_flat"].astype(np.float32),
                             base["flat_buckets"], base["sign_values"],
-                            base["indptr"], 1.0, 1.0, out[:3],
-                            kernels.EMPTY_SCRATCH)
+                            base["indptr"], 1.0, 1.0, out[:3])
         with pytest.raises(ValueError):
             c.fused_predict(base["table_flat"], base["flat_buckets"],
                             base["sign_values"], base["indptr"][:2], 1.0,
-                            1.0, out, kernels.EMPTY_SCRATCH)
+                            1.0, out)
         assert np.all(out == -7.0)
 
     @pytest.mark.parametrize("bucket", [32, -33, 10**12])
@@ -349,7 +380,7 @@ class TestCLoader:
         with pytest.raises(IndexError, match=f"index {bucket} is out"):
             c.fused_predict(args["table_flat"], args["flat_buckets"],
                             args["sign_values"], args["indptr"], 1.0, 1.0,
-                            out, kernels.EMPTY_SCRATCH)
+                            out)
 
     def test_strided_read_only_inputs_are_accepted(self, rng):
         c = _c_or_skip()
@@ -389,7 +420,6 @@ def _c_fsum(c, values):
     c.fused_predict(
         np.ones(1), np.zeros(values.shape, dtype=np.int64), values,
         np.array([0, values.shape[1]], dtype=np.int64), 1.0, 1.0, out,
-        kernels.EMPTY_SCRATCH,
     )
     return out[0]
 
@@ -469,7 +499,6 @@ class TestNonFiniteRegressions:
             np.zeros(8), np.array([[1, 2, 3]], dtype=np.int64),
             np.array([[-1.0, -2.0, -0.5]]),
             np.array([0, 3, 3], dtype=np.int64), 1.0, 1.0, out,
-            kernels.EMPTY_SCRATCH,
         )
         assert out.tobytes() == np.zeros(2).tobytes()
 
@@ -537,7 +566,6 @@ def _buffers(inputs):
                       else kernels.EMPTY_GATHER),
         scales_out=(np.full(n, -7.0) if inputs["record"]
                     else kernels.EMPTY_SCALES),
-        scratch=kernels.EMPTY_SCRATCH,
         touched_out=np.full({"off": 0, "count": 1, "full": full}[
             inputs["touched"]], -7, dtype=np.int64),
     )
@@ -573,7 +601,6 @@ class TestCMatchesNumpyProperty:
                     margins_out=np.full(1, -7.0),
                     gathered_out=kernels.EMPTY_GATHER,
                     scales_out=kernels.EMPTY_SCALES,
-                    scratch=kernels.EMPTY_SCRATCH,
                     touched_out=kernels.EMPTY_TOUCHED,
                 )
                 want = _run_update(kernels.get_backend("numpy"), args)
@@ -593,7 +620,6 @@ class TestCMatchesNumpyProperty:
                         inputs["table_flat"], inputs["flat_buckets"],
                         inputs["sign_values"], inputs["indptr"],
                         inputs["scale"], inputs["sqrt_s"], out,
-                        kernels.EMPTY_SCRATCH,
                     )
                 outcome = "ok"
             except Exception as exc:  # noqa: BLE001 - compared below
@@ -872,104 +898,70 @@ class TestChunkKernelChecks:
 
 
 # ----------------------------------------------------------------------
-# Kernel-level fuzz vs the NumPy reference
+# The helpers no backend compiles: one implementation, tested directly
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
-class TestKernelEquivalence:
-    def test_tabulation_hash(self, alt, rng):
-        from repro.hashing.tabulation import TabulationHash
+class TestNumpyHelpers:
+    def test_screen_abs_gt_is_strict(self, rng):
+        values = rng.standard_normal(40)
+        values[5], values[9] = 0.5, -0.5  # exact ties must be rejected
+        got = numpy_backend.screen_abs_gt(values, 0.5)
+        assert got.tolist() == [
+            i for i, v in enumerate(values.tolist()) if abs(v) > 0.5
+        ]
+        assert 5 not in got and 9 not in got
+        assert numpy_backend.screen_abs_gt(values, -1.0).tolist() == list(
+            range(40)
+        )
+        assert numpy_backend.screen_abs_gt(values, np.inf).size == 0
 
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        for key_bits in (32, 64):
-            th = TabulationHash(seed=11, key_bits=key_bits)
-            hi = 2**32 if key_bits == 32 else 2**63
-            keys = rng.integers(0, hi, size=500, dtype=np.uint64)
-            keys[:3] = (0, 1, hi - 1)
-            a = ref.tabulation_hash(th._flat, th._offsets, keys)
-            b = other.tabulation_hash(th._flat, th._offsets, keys)
-            assert np.array_equal(a, b)
+    def test_median_estimate_odd_even_and_depth_one(self, rng):
+        for depth in (1, 2, 3, 4, 7, 8):
+            gathered = rng.standard_normal((31, depth))
+            signs = np.where(rng.random((31, depth)) < 0.5, -1.0, 1.0)
+            before = gathered.copy()
+            got = numpy_backend.median_estimate(gathered, signs, 1.7)
+            assert gathered.tobytes() == before.tobytes()
+            want = []
+            for g_row, s_row in zip(gathered.tolist(), signs.tolist()):
+                row = sorted(s * g for s, g in zip(s_row, g_row))
+                mid = depth // 2
+                if depth % 2:
+                    want.append(1.7 * row[mid])
+                else:
+                    want.append(1.7 * (0.5 * (row[mid - 1] + row[mid])))
+            assert got.tolist() == want, depth
 
-    def test_polynomial_hash(self, alt, rng):
-        from repro.hashing.universal import PolynomialHash
+    def test_scatter_add_folds_duplicates_in_element_order(self, rng):
+        base = rng.standard_normal(64)
+        # Heavy duplication: eight buckets for 150 deltas.
+        fb = rng.integers(0, 8, size=(3, 50)).astype(np.int64)
+        deltas = rng.standard_normal((3, 50)) * 10.0 ** rng.integers(
+            -8, 8, size=(3, 50)
+        )
+        got = base.copy()
+        numpy_backend.scatter_add(got, fb, deltas)
+        want = base.copy()
+        for b, d in zip(fb.ravel().tolist(), deltas.ravel().tolist()):
+            want[b] += d
+        assert got.tobytes() == want.tobytes()
 
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        for independence in (2, 4, 7):
-            ph = PolynomialHash(independence=independence, seed=3)
-            keys = rng.integers(0, 2**63, size=300, dtype=np.uint64)
-            keys[:4] = (0, 1, 2**61 - 1, 2**62)
-            a = ref.polynomial_hash(ph._coeffs_u64, keys)
-            b = other.polynomial_hash(ph._coeffs_u64, keys)
-            assert [int(v) for v in a.tolist()] == [
-                int(v) for v in b.tolist()
-            ]
-
-    def test_bucket_sign(self, alt, rng):
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        h = rng.integers(0, 2**64, size=400, dtype=np.uint64)
-        for width, pow2 in ((1, True), (256, True), (37, False)):
-            ba, sa = ref.bucket_sign(h, width, pow2, 45)
-            bb, sb = other.bucket_sign(h, width, pow2, 45)
-            assert np.array_equal(ba, bb)
-            assert np.array_equal(sa, sb)
-
-    def test_margin_and_gather(self, alt, rng):
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
+    def test_margin_gathered_on_the_transposed_block_equals_margin(
+        self, rng
+    ):
         table = rng.standard_normal(128)
         for depth, nnz in ((1, 1), (3, 17), (5, 40)):
             fb = rng.integers(0, 128, size=(depth, nnz)).astype(np.int64)
             sv = rng.standard_normal((depth, nnz))
             scale, sqrt_s = 0.37, math.sqrt(depth)
-            assert ref.margin(table, fb, sv, scale, sqrt_s) == other.margin(
-                table, fb, sv, scale, sqrt_s
-            )
-            ga = ref.gather_rows_t(table, fb)
-            gb = other.gather_rows_t(table, fb)
-            assert np.array_equal(ga, gb)
-            assert ref.margin_gathered(
-                ga, sv.T.copy(), scale, sqrt_s
-            ) == other.margin_gathered(ga, sv.T.copy(), scale, sqrt_s)
-
-    def test_scatter_add_with_duplicates(self, alt, rng):
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        base = rng.standard_normal(64)
-        # Heavy duplication: accumulation order must match np.add.at.
-        fb = rng.integers(0, 8, size=(3, 50)).astype(np.int64)
-        deltas = rng.standard_normal((3, 50))
-        t1, t2 = base.copy(), base.copy()
-        ref.scatter_add(t1, fb, deltas)
-        other.scatter_add(t2, fb, deltas)
-        assert np.array_equal(t1, t2)
-
-    def test_median_estimate(self, alt, rng):
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        for depth in (1, 2, 3, 4, 7, 8):
-            gathered = rng.standard_normal((31, depth))
-            signs = np.where(rng.random((31, depth)) < 0.5, -1.0, 1.0)
-            a = ref.median_estimate(gathered.copy(), signs, 1.7)
-            b = other.median_estimate(gathered.copy(), signs, 1.7)
-            assert np.array_equal(a, b)
-
-    def test_estimate_bound_and_screen(self, alt, rng):
-        ref = kernels.get_backend("numpy")
-        other = kernels.get_backend(alt)
-        table = rng.standard_normal(64)
-        fb = rng.integers(0, 64, size=(2, 9)).astype(np.int64)
-        assert ref.estimate_bound(table, fb) == other.estimate_bound(
-            table, fb
-        )
-        values = rng.standard_normal(40)
-        values[5] = 0.5  # exact-tie probe: strict > must reject it
-        assert np.array_equal(
-            ref.screen_abs_gt(values, 0.5), other.screen_abs_gt(values, 0.5)
-        )
-        assert other.screen_abs_gt(np.abs(values), -1.0).size == 40
-        assert other.screen_abs_gt(values, np.inf).size == 0
+            gathered = numpy_backend.gather_rows_t(table, fb)
+            assert gathered.tobytes() == table[fb.T].tobytes()
+            want = numpy_backend.margin(table, fb, sv, scale, sqrt_s)
+            assert want == scale * math.fsum(
+                (table[fb] * sv).ravel().tolist()
+            ) / sqrt_s
+            assert numpy_backend.margin_gathered(
+                gathered, sv.T, scale, sqrt_s
+            ) == want
 
 
 # ----------------------------------------------------------------------
@@ -1103,12 +1095,11 @@ class TestModelEquivalence:
 # ----------------------------------------------------------------------
 # Heap screen decisions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("alt", MODEL_BACKENDS)
 class TestHeapScreen:
-    def test_push_many_decisions_match_reference(self, alt, rng):
+    def test_push_many_decisions_match_reference(self, rng):
         from repro.heap.reference import ReferenceTopKHeap
 
-        store = TopKStore(16, backend=alt)
+        store = TopKStore(16)
         reference = ReferenceTopKHeap(16)
         for round_ in range(30):
             n = int(rng.integers(1, 25))
@@ -1119,13 +1110,6 @@ class TestHeapScreen:
                 reference.push(k, v)
             assert sorted(store.items()) == sorted(reference.items())
             store.check_invariants()
-
-    def test_store_pickle_keeps_backend(self, alt):
-        store = TopKStore(8, backend=alt)
-        store.push(1, 2.0)
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.backend == alt
-        assert clone.items() == store.items()
 
 
 # ----------------------------------------------------------------------
@@ -1144,8 +1128,6 @@ class TestPersistence:
         )
         clone = pickle.loads(pickle.dumps(model))
         assert clone.backend == alt
-        assert clone.family.backend == alt
-        assert clone.heap.backend == alt
         _assert_models_identical(model, clone)
         # Training must continue identically on both copies.
         more = _stream(seed=18, n=80)
