@@ -1095,11 +1095,15 @@ class TestModelEquivalence:
 # ----------------------------------------------------------------------
 # Heap screen decisions
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("alt", ["c", "python"])
 class TestHeapScreen:
-    def test_push_many_decisions_match_reference(self, rng):
+    def test_push_many_decisions_match_reference(self, alt, rng):
+        """A store loaded from an older pickle, whose state still names
+        a kernel backend (``alt``), screens like the reference heap."""
         from repro.heap.reference import ReferenceTopKHeap
 
-        store = TopKStore(16)
+        store = TopKStore.__new__(TopKStore)
+        store.__setstate__({**TopKStore(16).__getstate__(), "backend": alt})
         reference = ReferenceTopKHeap(16)
         for round_ in range(30):
             n = int(rng.integers(1, 25))
