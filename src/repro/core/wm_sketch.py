@@ -49,7 +49,7 @@ from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.heap.topk import BatchSlotCache, TopKStore
-from repro.kernels.numpy_backend import margin, scatter_add, screen_abs_gt
+from repro.kernels.numpy_backend import maintain_decide, margin, scatter_add
 from repro.learning.base import CELL_BYTES
 from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
@@ -197,14 +197,13 @@ class WMSketch(ScaledSketchTable):
 
         With a passive heap attached, the fused kernel additionally
         records each example's post-update gathered cells and scale, and
-        the heap-maintain pass replays its admission decisions from the
-        recording afterwards — the WM heap never feeds back into the
-        table, so the decoupling is exact (fuzz-checked in
-        ``tests/test_fused_kernels.py``).  The replay runs per possible
-        admission, not per example: once the heap is full, examples
-        whose estimates cannot beat a lower bound on the admission
-        threshold only refresh members, and their refreshes collapse
-        into one store write (see :meth:`_maintain_batch_recorded`).
+        the ``heap_maintain`` kernel replays the heap's refreshes and
+        admissions from the recording afterwards — the WM heap never
+        feeds back into the table, so the decoupling is exact
+        (fuzz-checked in ``tests/test_fused_kernels.py``).  On numpy the
+        replay runs per possible admission, not per example; under
+        ``c`` one C loop runs every example that meets a full heap (see
+        :meth:`_maintain_batch_recorded`).
 
         ``rows`` may carry precomputed ``(buckets, signs)`` for
         ``batch.indices`` (shape ``(depth, nnz)``), as produced by the
@@ -288,185 +287,22 @@ class WMSketch(ScaledSketchTable):
         scales: np.ndarray,
     ) -> None:
         """Replay the passive heap maintenance from the fused kernel's
-        recording, running the decision core only where it can admit.
+        recording through the ``heap_maintain`` kernel.
 
-        The recording (each example's post-update cells and scale) gives
-        every position's estimate in one vectorized pass: the floats
-        :meth:`_maintain_heap` computes mid-replay.  While the heap has
-        free slots, every example runs :meth:`_maintain_decide`.  Once
-        it is full, a run starts at its minimum priority ``t0``.  Until
-        something is admitted, every heap priority is a start-of-run
-        entry or a member refresh (the WM heap never decays, so a
-        refreshed priority is exactly the |estimate|), so ``min(t0,
-        every refresh up to the end of example i)`` bounds the threshold
-        example ``i`` faces from below.  Examples whose non-member
-        estimates all stay at or below it only refresh members; their
-        refreshes collapse into one ``TopKStore.set_many`` (each slot
-        keeps its last write).  The first example that beats it runs the
-        decision core, its admissions patch the ``BatchSlotCache``, and
-        the next run starts after it.  Runs screen windows of examples
-        that double in size, so a rescan costs the distance to the next
-        possible admission, not the rest of the batch.
+        The recording (each example's post-update cells and scale)
+        gives every position's estimate: the floats :meth:`_maintain_heap`
+        computes mid-replay.  Every example then gets the refresh and
+        admissions of :func:`~repro.kernels.numpy_backend.maintain_decide`,
+        the decision core per-example :meth:`update` runs.  The numpy
+        body runs that core only where an admission is possible (a
+        screen against a lower bound on the admission threshold); the
+        ``c`` backend runs it until the heap is full and then one C loop
+        over the rest of the batch (see :mod:`repro.kernels.api`).
         """
-        heap = self.heap
-        indices = batch.indices
-        indptr = batch.indptr
-        nnz = indices.size
-        n = len(batch)
-        ws = self._ws
-        # The median_estimate kernel's value selection (product, row
-        # sort, middle pick), times each position's recorded factor.
-        est = ws.array("est", nnz)
-        if self.depth == 1:
-            np.multiply(signs[0], gathered[:, 0], out=est)
-        else:
-            rows = ws.array("med_rows", (nnz, self.depth))
-            np.multiply(signs.T, gathered, out=rows)
-            rows.sort(axis=1)
-            mid = self.depth // 2
-            if self.depth % 2:
-                np.copyto(est, rows[:, mid])
-            else:
-                np.add(rows[:, mid - 1], rows[:, mid], out=est)
-                est *= 0.5
-        # Each position's example (np.repeat without the allocation).
-        example = ws.array("pos_example", nnz, np.intp)
-        example.fill(0)
-        starts = indptr[1:-1]
-        np.add.at(example, starts[starts < nnz], 1)
-        np.cumsum(example, out=example)
-        factors = scales if self.depth == 1 else scales * self._sqrt_s
-        est *= factors.take(example, out=ws.array("factor", nnz), mode="clip")
-        if self.l1 > 0.0:
-            est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
-        mag = np.abs(est, out=ws.array("est_abs", nnz))
-        # Screen scratch: each position's example end, the non-member
-        # mask, the running lower bound, and that bound at the end of
-        # each position's example (what the example's candidates face).
-        end = np.take(indptr[1:] - 1, example, mode="clip",
-                      out=ws.array("pos_end", nnz, np.intp))
-        cand = ws.array("screen_cand", nnz, bool)
-        run = ws.array("screen_run", nnz)
-        floor = ws.array("screen_floor", nnz)
-        slot_cache = BatchSlotCache(heap, indices, ws=ws)
-        promo_log: list = []
-        bounds = indptr.tolist()
-        i = 0
-        while i < n:
-            if slot_cache.stale:
-                slot_cache = BatchSlotCache(heap, indices, slot_cache, ws)
-            slots, k = slot_cache.slots, i
-            if heap.is_full:
-                t0, k, a, width = heap.min_priority(), n, i, 8
-                while a < n:
-                    b = min(a + width, n)
-                    pa, pb = bounds[a], bounds[b]
-                    a, width = b, 2 * width
-                    if pa == pb:
-                        continue
-                    c, r = cand[pa:pb], run[pa:pb]
-                    np.less(slots[pa:pb], 0, out=c)
-                    np.copyto(r, mag[pa:pb])
-                    np.copyto(r, np.inf, where=c)
-                    r[0] = min(r[0], t0)
-                    np.minimum.accumulate(r, out=r)
-                    np.take(run, end[pa:pb], out=floor[pa:pb], mode="clip")
-                    c &= mag[pa:pb] > floor[pa:pb]
-                    first = int(c.argmax())
-                    if c[first]:
-                        k = int(example[pa + first])
-                        break
-                    t0 = float(r[-1])
-                lo, hi = bounds[i], bounds[k]
-                member = slots[lo:hi] >= 0
-                heap.set_many(slots[lo:hi][member], est[lo:hi][member])
-                if k == n:
-                    break
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo:
-                e = est[lo:hi]
-                self._maintain_decide(indices[lo:hi], slots[lo:hi],
-                                      lambda: math.inf, lambda: e, promo_log)
-                for admitted, evicted in promo_log:
-                    slot_cache.apply(admitted, evicted)
-                promo_log.clear()
-            i = k + 1
-
-    def _maintain_decide(
-        self,
-        indices: np.ndarray,
-        slots: np.ndarray,
-        bound_for,
-        estimates_for,
-        promo_log: list | None,
-    ) -> None:
-        """The admission-decision core shared by the live
-        (:meth:`_maintain_heap`) and recorded
-        (:meth:`_maintain_batch_recorded`) maintain paths.
-
-        ``bound_for()`` / ``estimates_for()`` lazily provide the
-        estimate bound and the per-feature estimates — from the live
-        table on the unfused path; on the fused path, the estimates
-        precomputed from the fused kernel's recording and an infinite
-        bound (the replay only calls this core for examples that can
-        admit) — so the decision structure exists exactly once and the
-        two paths cannot drift apart.
-        """
-        heap = self.heap
-        member = slots >= 0
-        any_member = bool(member.any())
-        if heap.is_full:
-            if not any_member:
-                if bound_for() <= heap.min_priority():
-                    return
-                estimates = estimates_for()
-                cand = screen_abs_gt(estimates, heap.min_priority())
-            else:
-                estimates = estimates_for()
-                heap.set_many(slots[member], estimates[member])
-                if member.all():
-                    return
-                cand = screen_abs_gt(estimates, heap.min_priority())
-                cand = cand[~member[cand]]
-            for pos in cand.tolist():
-                idx = int(indices[pos])
-                w = float(estimates[pos])
-                # Re-check the live threshold: earlier admissions can
-                # only have raised it.  A duplicate feature admitted
-                # earlier in this example updates in place via push.
-                if idx in heap:
-                    heap.push(idx, w)
-                elif abs(w) > heap.min_priority():
-                    evicted = heap.push(idx, w)
-                    if promo_log is not None:
-                        promo_log.append(
-                            (idx, evicted[0] if evicted else None)
-                        )
-        else:
-            estimates = estimates_for()
-            # Free slots remain: sequential admits (the heap can fill
-            # mid-example, after which the threshold rule applies).
-            push = heap.push
-            minp = None
-            for idx, w in zip(indices.tolist(), estimates.tolist()):
-                if idx in heap:
-                    push(idx, w)
-                    minp = None
-                elif not heap.is_full:
-                    push(idx, w)
-                    minp = None
-                    if promo_log is not None:
-                        promo_log.append((idx, None))
-                else:
-                    if minp is None:
-                        minp = heap.min_priority()
-                    if abs(w) > minp:
-                        evicted = push(idx, w)
-                        minp = None
-                        if promo_log is not None:
-                            promo_log.append(
-                                (idx, evicted[0] if evicted else None)
-                            )
+        self.kernels.heap_maintain(
+            self.heap, batch.indices, batch.indptr, signs, gathered, scales,
+            self._sqrt_s, self.l1, self._ws,
+        )
 
     def _fit_batch_unfused(
         self,
@@ -589,11 +425,13 @@ class WMSketch(ScaledSketchTable):
         left by this example's refreshed members), and the surviving
         candidates re-check the live minimum in order, exactly as
         sequential pushes would.  The decision structure itself lives
-        in :meth:`_maintain_decide`, shared with the fused replay.
+        in :func:`~repro.kernels.numpy_backend.maintain_decide`, shared
+        with the fused replay.
         """
         if slots is None:
             slots = self.heap.member_slots(indices)
-        self._maintain_decide(
+        maintain_decide(
+            self.heap,
             indices,
             slots,
             lambda: self._estimate_bound(

@@ -650,6 +650,31 @@ class TopKStore:
             self._promo_log.append(key)
         return evicted
 
+    def apply_admissions(self, log: np.ndarray, min_slot: int) -> None:
+        """Finish the admissions a compiled maintain loop made in place.
+
+        The loop (the ``c`` backend's ``heap_maintain``) writes
+        ``_keys`` / ``_raw`` itself and hands back its admissions in
+        order, one ``(key, evicted key, slot)`` row each, plus its
+        cached minimum slot (-1 = stale).  Applying them here leaves
+        the store exactly as the same evicting :meth:`push` calls
+        would: the key -> slot map, one :attr:`version` bump per
+        admission, the promotion log, and the min and sorted-key
+        caches.
+        """
+        pos = self._pos
+        promo = self._promo_log
+        for key, evicted, slot in log.tolist():
+            del pos[evicted]
+            pos[key] = slot
+            if promo is not None:
+                promo.append(key)
+        if log.shape[0]:
+            self._sorted_keys = None
+            self._sorted_slots = None
+            self.version += log.shape[0]
+        self._min_slot = min_slot
+
     def add_delta(self, key: int, delta: float) -> None:
         """Add ``delta`` to the true value of an existing ``key``.
 

@@ -1,12 +1,14 @@
 """Pluggable kernel backends for the compiled inner loops.
 
-The loops this repository compiles — WM's ``fused_update`` and
-``fused_predict`` and the parameter-server push codec's ``chunk_delta``
-and ``chunk_add`` (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch
-through a :class:`~repro.kernels.api.KernelBackend` selected here.
-Every other hot helper (margins, scatters, gathers, median recovery,
-admission screens, recovery queries) has one implementation, a plain
-function of :mod:`repro.kernels.numpy_backend`, and hashing lives in
+The loops this repository compiles — WM's ``fused_update``,
+``fused_predict`` and passive-heap ``heap_maintain``, and the
+parameter-server push codec's ``chunk_delta`` and ``chunk_add``
+(:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch through a
+:class:`~repro.kernels.api.KernelBackend` selected here.  Every other
+hot helper (margins, scatters, gathers, median recovery, admission
+screens, recovery queries, the WM heap's decision core) has one
+implementation, a plain function of
+:mod:`repro.kernels.numpy_backend`, and hashing lives in
 :mod:`repro.hashing`.
 
 Backends
@@ -16,7 +18,7 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks the
     compiled backend against.
 ``c``
-    The four kernels compiled from :file:`ckernels.c` with the system
+    The five kernels compiled from :file:`ckernels.c` with the system
     ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
     Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls

@@ -1,8 +1,8 @@
 """The kernel API every backend implements: the compiled loops.
 
 A *kernel backend* is a named table of the loops this repository
-compiles: WM's fused training and prediction loops and the
-parameter-server push codec's chunk encode and apply
+compiles: WM's fused training and prediction loops, its passive-heap
+maintain, and the parameter-server push codec's chunk encode and apply
 (:data:`KERNEL_NAMES`).  Every backend implements them with the same
 *bit-level* semantics.  The NumPy backend is the executable reference,
 and the compiled ``c`` backend is checked against it in
@@ -75,6 +75,49 @@ sqrt_s, out) -> None``
     to per-example ``predict_margin``, so serving responses do not
     depend on how requests were batched.
 
+WM passive-heap maintain
+------------------------
+``heap_maintain(store, indices, indptr, signs, gathered, scales, sqrt_s,
+l1, ws) -> None``
+    The heap refresh and admissions per-example ``update()`` makes
+    after each example of one batch, replayed in stream order from a
+    ``fused_update`` recording.  ``store`` is the model's
+    :class:`~repro.heap.topk.TopKStore` (default ``abs`` priority);
+    ``indices`` (int64, ``nnz``) and ``indptr`` (int64, ``n + 1``,
+    non-decreasing within ``[0, nnz]``) are the batch's CSR feature
+    ids; ``signs`` (float64, ``(depth, nnz)``) their hash signs;
+    ``gathered`` (float64, ``(nnz, depth)``) and ``scales`` (float64,
+    at least ``n``) the recorded post-update cells and scales; ``ws``
+    the model's :class:`~repro.kernels.workspace.KernelWorkspace`.
+
+    A position's estimate is the ``numpy_backend.median_estimate``
+    value of ``signs.T * gathered`` (its stable row sort: ``+-0`` ties
+    keep row order, NaN sorts last; ``(a + b) * 0.5`` at even depth),
+    times ``scales[i]`` (``scales[i] * sqrt_s`` at depth > 1), then the
+    soft threshold ``sign(e) * max(|e| - l1, 0)`` when ``l1 > 0``.
+    Each example then runs ``numpy_backend.maintain_decide`` on those
+    estimates: members (keys stored at the start of the example) take
+    their estimate, the last write to a slot winning; while the store
+    has free slots every position is pushed in order; once it is full,
+    each non-member whose ``|estimate|`` beats the threshold left by
+    the refresh re-checks the live minimum and replaces the first
+    minimal slot (ties reject; a NaN minimum admits nothing).  The
+    store ends bit-identical on both backends: slot order, raw bits,
+    the key -> slot map, ``version``, the promotion log, and the entry
+    its cached minimum names (NaN bits as in the module's rule below).
+
+    The numpy body replays that core only where an admission is
+    possible (a screen against a lower bound on the threshold).  The
+    ``c`` backend runs the same core in Python until the store is
+    full, then one C loop from the first example that meets a full
+    store: it writes the store's ``_keys`` / ``_raw`` in place and
+    returns its admissions in order as ``(key, evicted key, slot)``
+    rows, which ``TopKStore.apply_admissions`` applies to the rest of
+    the store.  The ``c`` wrapper raises ``TypeError`` for wrong dtypes
+    and ``ValueError`` for inconsistent shapes, a store not ordered by
+    ``abs``, an ``indptr`` out of range or decreasing, or a store whose
+    live keys are not distinct, all before anything is written.
+
 Parameter-server push codec
 ---------------------------
 The two chunk kernels move whole :data:`CHUNK`-cell chunks of a flat
@@ -104,6 +147,10 @@ never a silent copy.
     row ``i`` of ``data`` (``t + u`` when ``scale == 1.0``, else
     ``t + u / scale``); a partial last chunk's padded tail is ignored.
 
+When both operands of one operation are NaN with different bits,
+which of them the result carries is unspecified (numpy's own pick
+depends on the array length).
+
 Exact sums follow ``math.fsum`` on every input, non-finite values
 included: zero partials are dropped (so a sum of ``-0.0`` terms is
 ``+0.0``), ``+-inf`` and NaN pass through, ``inf + -inf`` raises
@@ -116,7 +163,10 @@ leaving the same partial state behind.
 from __future__ import annotations
 
 #: Every kernel a backend must provide, in documentation order.
-KERNEL_NAMES = ("fused_update", "fused_predict", "chunk_delta", "chunk_add")
+KERNEL_NAMES = (
+    "fused_update", "fused_predict", "heap_maintain", "chunk_delta",
+    "chunk_add",
+)
 
 #: Cells per chunk of the dirty bitmap and of the delta codec's wire
 #: rows (``repro.core.sketch_table`` tracks dirtiness per chunk).

@@ -1,13 +1,15 @@
 """The compiled C backend (``"c"``).
 
-All four kernels are compiled, from :file:`ckernels.c`:
+All five kernels are compiled, from :file:`ckernels.c`:
 ``fused_update`` and ``fused_predict``, whose NumPy body is a
-per-example Python loop, and the parameter-server push codec's
-``chunk_delta`` (encode each dirty chunk's delta and advance the sync
-base in one pass) and ``chunk_add`` (add each shipped row into the
-driver table).  The C bodies are bit-identical to the reference on
-every input, including the exception it raises and the partial state
-it leaves.
+per-example Python loop; ``heap_maintain``, WM's passive-heap refresh
+and admissions, which runs the shared decision core in Python until
+the store is full and one C loop from there; and the parameter-server
+push codec's ``chunk_delta`` (encode each dirty chunk's delta and
+advance the sync base in one pass) and ``chunk_add`` (add each shipped
+row into the driver table).  The C bodies are bit-identical to the
+reference on every input, including the exception it raises and the
+partial state it leaves.
 
 The library is built once per machine and source hash with the system
 ``cc`` into the first usable cache directory (``$XDG_CACHE_HOME/repro``,
@@ -21,7 +23,8 @@ every call).  Any failure raises :class:`BuildError`, which the
 registry records as the backend's unavailability reason.
 
 The wrappers do O(1) work in Python — dtype, shape and contiguity
-checks — before one C call.  Buffers the kernels write must already be
+checks — before one C call (``heap_maintain`` first runs the decision
+core itself while the store has free slots).  Buffers the kernels write must already be
 C-contiguous and writable (a copy would silently drop the writes);
 strided read-only inputs are copied.  Range checks (``indptr``, every
 flat bucket, chunk ids, the buffers' lengths) run in C before anything
@@ -44,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.heap.topk import BatchSlotCache
 from repro.kernels import numpy_backend
 from repro.kernels.api import CHUNK, KernelBackend
 
@@ -71,6 +75,15 @@ int64_t repro_fused_predict(
     void *fb, void *sv, int64_t depth, int64_t ncols,
     void *indptr, int64_t n, double scale, double sqrt_s,
     void *out);
+int64_t repro_heap_maintain(
+    void *indices, int64_t nnz, void *indptr, int64_t n, int64_t start,
+    void *signs, void *gathered, int64_t depth,
+    void *scales, int64_t n_scales, double sqrt_s, double l1,
+    void *keys, void *raw, int64_t live, int64_t capacity, double scale,
+    void *probe, int64_t probe_len,
+    void *est, void *slots, int64_t scratch_len,
+    void *row, int64_t row_len,
+    void *log, int64_t log_len, int64_t *min_io);
 int64_t repro_chunk_delta(
     void *table, int64_t size, void *base, int64_t base_len,
     void *ids, int64_t k, double alpha, double drift,
@@ -209,6 +222,8 @@ _I64 = np.dtype(np.int64)
 _UPDATE_DTYPES = (_F64, _I64, _F64, _I64, _I64, _F64, _F64, _F64, _F64, _I64)
 #: Dtypes of (table_flat, flat_buckets, sign_values, indptr, out).
 _PREDICT_DTYPES = (_F64, _I64, _F64, _I64, _F64)
+#: Dtypes of (indices, indptr, signs, gathered, scales).
+_MAINTAIN_DTYPES = (_I64, _I64, _F64, _F64, _F64)
 
 
 def _raise_status(status: int, flat_buckets, size: int, n: int,
@@ -235,7 +250,12 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
                          "depth * nnz slots",
                          "gathered_out / scales_out are too short for "
                          "the batch",
-                         "a chunk buffer is too short")[min(detail, 2)]),
+                         "a chunk buffer is too short",
+                         "a heap_maintain buffer is too short for the "
+                         "batch")[min(detail, 3)]),
+        11: (ValueError, ("the store's live keys are not distinct",
+                          "heap_maintain needs a full store with its "
+                          "cached minimum slot in range")[min(detail, 1)]),
     }.get(code, (RuntimeError, f"C kernel failed with status {status}"))
     raise exc_type(message)
 
@@ -251,6 +271,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     new = ffi.new
     c_update = lib.repro_fused_update
     c_predict = lib.repro_fused_predict
+    c_maintain = lib.repro_heap_maintain
     c_delta = lib.repro_chunk_delta
     c_add = lib.repro_chunk_add
     check_chunk_buffers = numpy_backend.check_chunk_buffers
@@ -359,6 +380,78 @@ def _make_backend(ffi, lib) -> KernelBackend:
         if status:
             _raise_status(status, flat_buckets, table_flat.shape[0], n)
 
+    def heap_maintain(
+        store, indices, indptr, signs, gathered, scales, sqrt_s, l1, ws,
+    ):
+        dtypes = (indices.dtype, indptr.dtype, signs.dtype, gathered.dtype,
+                  scales.dtype)
+        if dtypes != _MAINTAIN_DTYPES:
+            raise TypeError(f"heap_maintain dtypes must be "
+                            f"{_MAINTAIN_DTYPES}, got {dtypes}")
+        n = indptr.shape[0] - 1
+        if (indices.ndim != 1 or indptr.ndim != 1 or n < 0
+                or signs.ndim != 2 or signs.shape[0] < 1
+                or signs.shape[1] != indices.shape[0]
+                or gathered.shape != signs.shape[::-1]
+                or scales.ndim != 1 or scales.shape[0] < n):
+            raise ValueError(
+                "heap_maintain: inconsistent shapes (see kernels.api)"
+            )
+        if store._priority is not abs:
+            raise ValueError("heap_maintain needs a store ordered by abs")
+        start = 0
+        if not store.is_full:
+            # Free slots: every example runs the shared decision core
+            # (as in the numpy body) until one meets a full store.  It
+            # writes, so it gets C's indptr check first.
+            bad = np.flatnonzero(
+                (indptr < 0) | (indptr > indices.shape[0])
+                | np.r_[False, indptr[1:] < indptr[:-1]]
+            )
+            if bad.size:
+                _raise_status(5 | (int(bad[0]) << 4), None, 0, n)
+            est, _ = numpy_backend.recorded_estimates(
+                indptr, signs, gathered, scales, sqrt_s, l1, ws
+            )
+            start = numpy_backend.maintain_until_full(
+                store, indices, indptr.tolist(), est,
+                BatchSlotCache(store, indices, ws=ws),
+            )
+            if start == n:
+                return
+        depth, nnz = signs.shape
+        live = store._n
+        cells = 8
+        while cells < 8 * live:
+            cells *= 2
+        try:
+            ids, ip, sg, gt, sc = (
+                view(indices), view(indptr), view(signs), view(gathered),
+                view(scales),
+            )
+        except ValueError:
+            ids, ip, sg, gt, sc = copied_views(
+                indices, indptr, signs, gathered, scales
+            )
+        log = ws.array("hm_log", 3 * nnz, np.int64)
+        min_io = new("int64_t[2]", [store._min_slot, 0])
+        status = c_maintain(
+            ids, nnz, ip, n, start, sg, gt, depth, sc, scales.shape[0],
+            sqrt_s, l1, view(store._keys, require_writable=True),
+            view(store._raw, require_writable=True), live, store.capacity,
+            store._scale,
+            view(ws.array("hm_probe", 2 * cells, np.int64),
+                 require_writable=True), 2 * cells,
+            view(ws.array("hm_est", nnz), require_writable=True),
+            view(ws.array("hm_slots", nnz, np.int64), require_writable=True),
+            nnz, view(ws.array("hm_row", depth), require_writable=True),
+            depth, view(log, require_writable=True), log.shape[0], min_io,
+        )
+        if status:
+            _raise_status(status, None, 0, n)
+        count = min_io[1]
+        store.apply_admissions(log[:3 * count].reshape(count, 3), min_io[0])
+
     def chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out):
         check_chunk_buffers(
             table_flat, chunk_ids, out,
@@ -396,6 +489,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     return KernelBackend("c", functions={
         "fused_update": fused_update,
         "fused_predict": fused_predict,
+        "heap_maintain": heap_maintain,
         "chunk_delta": chunk_delta,
         "chunk_add": chunk_add,
     })

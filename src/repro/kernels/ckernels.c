@@ -1,9 +1,11 @@
 /*
- * The compiled bodies of four kernels whose contract is in api.py:
+ * The compiled bodies of five kernels whose contract is in api.py:
  * fused_update and fused_predict, whose NumPy reference
- * (numpy_backend.py) is a per-example Python loop, and the
- * parameter-server push codec's chunk_delta and chunk_add, whose
- * reference is a gather -> arithmetic -> scatter over whole chunks.
+ * (numpy_backend.py) is a per-example Python loop; heap_maintain, whose
+ * reference replays the WM passive heap's decision core per possible
+ * admission; and the parameter-server push codec's chunk_delta and
+ * chunk_add, whose reference is a gather -> arithmetic -> scatter over
+ * whole chunks.
  * Loaded by c_backend.py, which builds this file with exactly
  * "cc -O2 -fPIC -shared -ffp-contract=off": FMA contraction, -ffast-math
  * reassociation or -march=native code would change float bits.
@@ -13,7 +15,9 @@
  * (special values and its two errors included); dloss is the arithmetic
  * of the repro.learning.losses classes; scatters run in np.add.at's
  * element order over each example's (depth, nnz_i) block; the chunk
- * loops do per cell the rounded operations numpy does per element.  When
+ * loops do per cell the rounded operations numpy does per element; the
+ * heap loop sorts each median row the way numpy's stable sort does and
+ * finds the store minimum the way argmin does.  When
  * both operands of one operation are NaN, which payload the result
  * carries is unspecified: numpy's own choice depends on the array length
  * (its SIMD body and scalar remainder differ).
@@ -42,8 +46,10 @@ enum {
     ST_GAMMA,         /* ValueError: smoothed-hinge gamma <= 0 */
     ST_SHORT,         /* ValueError: a recording buffer is too short */
     ST_PARTIALS,      /* RuntimeError: partials exhausted (unreachable) */
-    ST_CHUNK_ID       /* ValueError: chunk ids not strictly increasing
+    ST_CHUNK_ID,      /* ValueError: chunk ids not strictly increasing
                          within [0, n_chunks) */
+    ST_STORE          /* ValueError: the store's live keys repeat, or its
+                         cached minimum slot is out of range */
 };
 
 #define STATUS(code, detail) ((int64_t)(code) | ((int64_t)(detail) << 4))
@@ -425,5 +431,251 @@ int64_t repro_chunk_add(
                 t[j] += u[j] / scale;
         }
     }
+    return ST_OK;
+}
+
+/*
+ * heap_maintain: the WM passive heap's refresh and admissions for the
+ * examples start..n-1 of one batch, against a full store of `live`
+ * entries (keys, raw, scale; min_io[0] its cached minimum slot, -1 =
+ * stale).  Per example, in stream order, exactly what
+ * numpy_backend.maintain_decide does with the recorded estimates: the
+ * members take their estimate (the last write to a slot wins), then
+ * each non-member that beats the threshold left by the refresh
+ * re-checks the live minimum and replaces the first minimal slot (ties
+ * reject).  Membership comes from a probe table over the live keys.
+ * Admissions go to log as (key, evicted key, slot) rows, their count
+ * to min_io[1]; min_io[0] receives the final cached minimum.  Checks
+ * indptr, the store and every buffer length before writing anything.
+ */
+
+/* numpy's float sort order: NaN after everything else. */
+static inline int sort_lt(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* The estimate of position p: the median of its depth products
+ * signs[j, p] * gathered[p, j] as numpy's stable row sort orders them,
+ * times factor, then the l1 soft threshold of numpy's sign / maximum. */
+static double position_estimate(const double *signs, const double *gathered,
+                                int64_t nnz, int64_t depth, int64_t p,
+                                double factor, double l1, double *row)
+{
+    double med;
+    if (depth == 1) {
+        med = signs[p] * gathered[p];
+    } else {
+        for (int64_t j = 0; j < depth; j++) {
+            double v = signs[j * nnz + p] * gathered[p * depth + j];
+            int64_t k = j;
+            while (k > 0 && sort_lt(v, row[k - 1])) {
+                row[k] = row[k - 1];
+                k--;
+            }
+            row[k] = v;
+        }
+        int64_t mid = depth / 2;
+        med = depth % 2 ? row[mid] : (row[mid - 1] + row[mid]) * 0.5;
+    }
+    double e = med * factor;
+    if (l1 > 0.0) {
+        double sign = e > 0.0 ? 1.0 : e < 0.0 ? -1.0 : e == 0.0 ? 0.0 : e;
+        double shrunk = fabs(e) - l1;
+        e = sign * (shrunk < 0.0 ? 0.0 : shrunk);
+    }
+    return e;
+}
+
+/* Linear-probing table of key -> slot + 1 (0 = empty cell), one
+ * (key, slot + 1) pair per cell.  At most 1/8 full, so a lookup of a
+ * non-member (most positions) is usually one probe. */
+typedef struct {
+    int64_t *cell;
+    uint64_t mask;
+    int shift;
+} probe_table;
+
+static inline uint64_t probe_home(const probe_table *t, int64_t key)
+{
+    return ((uint64_t)key * 0x9E3779B97F4A7C15ull) >> t->shift;
+}
+
+static inline int64_t probe_find(const probe_table *t, int64_t key)
+{
+    for (uint64_t i = probe_home(t, key);; i = (i + 1) & t->mask) {
+        const int64_t *c = t->cell + 2 * i;
+        if (c[1] == 0)
+            return -1;
+        if (c[0] == key)
+            return c[1] - 1;
+    }
+}
+
+/* Insert an absent key; 0, or -1 when the key is already there. */
+static int probe_insert(probe_table *t, int64_t key, int64_t slot)
+{
+    uint64_t i = probe_home(t, key);
+    for (; t->cell[2 * i + 1] != 0; i = (i + 1) & t->mask) {
+        if (t->cell[2 * i] == key)
+            return -1;
+    }
+    t->cell[2 * i] = key;
+    t->cell[2 * i + 1] = slot + 1;
+    return 0;
+}
+
+/* Remove a present key, shifting later cells of its run back. */
+static void probe_remove(probe_table *t, int64_t key)
+{
+    uint64_t i = probe_home(t, key);
+    while (t->cell[2 * i + 1] == 0 || t->cell[2 * i] != key)
+        i = (i + 1) & t->mask;
+    for (uint64_t j = (i + 1) & t->mask; t->cell[2 * j + 1] != 0;
+         j = (j + 1) & t->mask) {
+        uint64_t home = probe_home(t, t->cell[2 * j]);
+        if (((j - home) & t->mask) >= ((j - i) & t->mask)) {
+            t->cell[2 * i] = t->cell[2 * j];
+            t->cell[2 * i + 1] = t->cell[2 * j + 1];
+            i = j;
+        }
+    }
+    t->cell[2 * i + 1] = 0;
+}
+
+/* TopKStore._min: the cached minimum slot, else the first NaN or the
+ * first smallest |raw| (numpy's argmin), cached. */
+static inline int64_t store_min(const double *raw, int64_t live,
+                                int64_t *min_slot)
+{
+    int64_t ms = *min_slot;
+    if (ms < 0) {
+        double best = fabs(raw[0]);
+        ms = 0;
+        for (int64_t i = 1; i < live && best == best; i++) {
+            double v = fabs(raw[i]);
+            if (v < best || v != v) {
+                best = v;
+                ms = i;
+            }
+        }
+        *min_slot = ms;
+    }
+    return ms;
+}
+
+/* Smallest power of two >= 8 * live, and its log2. */
+static int64_t probe_cells(int64_t live, int *bits)
+{
+    int64_t cells = 8;
+    *bits = 3;
+    while (cells < 8 * live) {
+        cells <<= 1;
+        (*bits)++;
+    }
+    return cells;
+}
+
+int64_t repro_heap_maintain(
+    const int64_t *indices, int64_t nnz,
+    const int64_t *indptr, int64_t n, int64_t start,
+    const double *signs, const double *gathered, int64_t depth,
+    const double *scales, int64_t n_scales, double sqrt_s, double l1,
+    int64_t *keys, double *raw, int64_t live, int64_t capacity,
+    double scale,
+    int64_t *probe, int64_t probe_len,
+    double *est, int64_t *slots, int64_t scratch_len,
+    double *row, int64_t row_len,
+    int64_t *log, int64_t log_len, int64_t *min_io)
+{
+    probe_table t;
+    int bits;
+    int64_t cells, st, admitted = 0;
+    int64_t min_slot = min_io[0];
+
+    st = check_indptr(indptr, n, nnz);
+    if (st)
+        return st;
+    if (start < 0 || start > n)
+        return STATUS(ST_INDPTR, 0);
+    if (live < 1 || live != capacity || min_slot < -1 || min_slot >= live)
+        return STATUS(ST_STORE, 1);
+    cells = probe_cells(live, &bits);
+    if (depth < 1 || n_scales < n || scratch_len < nnz || row_len < depth
+        || probe_len < 2 * cells
+        || log_len < 3 * (indptr[n] - indptr[start]))
+        return STATUS(ST_SHORT, 3);
+    t.cell = probe;
+    t.mask = (uint64_t)cells - 1;
+    t.shift = 64 - bits;
+    for (int64_t c = 0; c < cells; c++)
+        t.cell[2 * c + 1] = 0;
+    for (int64_t s = 0; s < live; s++) {
+        if (probe_insert(&t, keys[s], s))
+            return STATUS(ST_STORE, 0);
+    }
+
+    for (int64_t i = start; i < n; i++) {
+        int64_t lo = indptr[i], hi = indptr[i + 1];
+        if (hi == lo)
+            continue;
+        double factor = depth == 1 ? scales[i] : scales[i] * sqrt_s;
+        int any_member = 0, all_member = 1;
+        for (int64_t p = lo; p < hi; p++) {
+            est[p] = position_estimate(signs, gathered, nnz, depth, p,
+                                       factor, l1, row);
+            slots[p] = probe_find(&t, indices[p]);
+            if (slots[p] >= 0)
+                any_member = 1;
+            else
+                all_member = 0;
+        }
+        if (any_member) {
+            for (int64_t p = lo; p < hi; p++) {
+                if (slots[p] >= 0)
+                    raw[slots[p]] = scale == 1.0 ? est[p] : est[p] / scale;
+            }
+            min_slot = -1;
+            if (all_member)
+                continue;
+        }
+        double threshold =
+            fabs(raw[store_min(raw, live, &min_slot)] * scale);
+        for (int64_t p = lo; p < hi; p++) {
+            double w = est[p];
+            if (slots[p] >= 0 || !(fabs(w) > threshold))
+                continue;
+            int64_t s = probe_find(&t, indices[p]);
+            if (s >= 0) {
+                /* A repeated key admitted earlier in this example:
+                 * push updates it in place (TopKStore._touch_value). */
+                raw[s] = w / scale;
+                if (min_slot >= 0) {
+                    if (s == min_slot) {
+                        min_slot = -1;
+                    } else {
+                        double pn = fabs(raw[s]), pm = fabs(raw[min_slot]);
+                        if (pn < pm || (pn == pm && s < min_slot))
+                            min_slot = s;
+                    }
+                }
+                continue;
+            }
+            int64_t ms = store_min(raw, live, &min_slot);
+            if (!(fabs(w) > fabs(raw[ms] * scale)))
+                continue;
+            log[3 * admitted] = indices[p];
+            log[3 * admitted + 1] = keys[ms];
+            log[3 * admitted + 2] = ms;
+            admitted++;
+            probe_remove(&t, keys[ms]);
+            probe_insert(&t, indices[p], ms);
+            keys[ms] = indices[p];
+            raw[ms] = w / scale;
+            min_slot = -1;
+        }
+    }
+    min_io[0] = min_slot;
+    min_io[1] = admitted;
     return ST_OK;
 }

@@ -1,13 +1,16 @@
 """The NumPy reference backend, and the helpers no backend compiles.
 
-The four kernels of :data:`repro.kernels.api.KERNEL_NAMES`
-(``fused_update``, ``fused_predict``, ``chunk_delta``, ``chunk_add``)
-are the executable specification the compiled ``c`` backend is checked
-against.  The other functions here are plain helpers with one
-implementation, which WM, AWM, feature hashing, the sketch table and
-the top-K store import and call by name: the exactly rounded margin,
-the element-order scatter, the transposed gather, median recovery, the
-estimate bound, the admission screen and the ``fused_query`` read.
+The five kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+(``fused_update``, ``fused_predict``, ``heap_maintain``,
+``chunk_delta``, ``chunk_add``) are the executable specification the
+compiled ``c`` backend is checked against.  The other functions here
+are plain helpers with one implementation, which WM, AWM, feature
+hashing, the sketch table and the top-K store import and call by name:
+the exactly rounded margin, the element-order scatter, the transposed
+gather, median recovery, the estimate bound, the admission screen, the
+``fused_query`` read, and the WM heap's decision core
+(:func:`maintain_decide`, which the ``c`` backend's ``heap_maintain``
+also runs until the store is full).
 Their bodies were extracted verbatim from the pre-kernel classifiers,
 and the bit-level guarantees of the batched engine (exactly rounded
 ``fsum`` margins, layout-deterministic ``ufunc.at`` scatters,
@@ -77,14 +80,20 @@ def median_estimate(
     """Count-Sketch recovery: the per-feature median over rows of
     ``signs_t * gathered_t`` (both ``(nnz, depth)``), times ``factor``.
     Depth 1 skips the sort; even depths average the two middle values
-    as ``0.5 * (a + b)``."""
+    as ``0.5 * (a + b)``.
+
+    The row sort is the stable one: ``+-0`` ties keep their row order
+    and NaN sorts last with its bits intact, on every host.  The
+    default sort's SIMD path reorders ``+-0`` ties at depth >= 4 and
+    rewrites NaN payloads on AVX-512 hosts, so a median picked from it
+    could not be reproduced bit for bit by a compiled loop."""
     depth = gathered_t.shape[1]
     if depth == 1:
         return factor * (signs_t[:, 0] * gathered_t[:, 0])
     # In-place row sort plus a middle-column pick selects the exact
     # same values as np.median without its per-call dispatch overhead.
     rows = signs_t * gathered_t
-    rows.sort(axis=1)
+    rows.sort(axis=1, kind="stable")
     mid = depth // 2
     if depth % 2:
         med = rows[:, mid]
@@ -266,7 +275,7 @@ def fused_query(
         return
     # median_estimate body: rows product, in-place row sort, middle pick.
     rows = signs_t * gathered_out
-    rows.sort(axis=1)
+    rows.sort(axis=1, kind="stable")
     mid = depth // 2
     if depth % 2:
         np.multiply(rows[:, mid], factor, out=est_out)
@@ -274,6 +283,240 @@ def fused_query(
         np.add(rows[:, mid - 1], rows[:, mid], out=est_out)
         est_out *= 0.5
         est_out *= factor
+
+
+# ----------------------------------------------------------------------
+# WM passive-heap maintain: per-example update()'s heap refresh and
+# admissions, replayed over the fused_update recording.
+# ----------------------------------------------------------------------
+
+def recorded_estimates(
+    indptr: np.ndarray,
+    signs: np.ndarray,
+    gathered: np.ndarray,
+    scales: np.ndarray,
+    sqrt_s: float,
+    l1: float,
+    ws,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every position's heap estimate from a ``fused_update`` recording:
+    the :func:`median_estimate` value selection on ``signs.T *
+    gathered``, times the example's recorded factor (``scales[i]``, or
+    ``scales[i] * sqrt_s`` at depth > 1), then the l1 soft threshold —
+    the floats per-example ``update()`` computes mid-replay.  Returns
+    ``(est, example)``, ``example`` being each position's example; both
+    live in the workspace ``ws``."""
+    depth, nnz = signs.shape
+    est = ws.array("est", nnz)
+    if depth == 1:
+        np.multiply(signs[0], gathered[:, 0], out=est)
+    else:
+        rows = ws.array("med_rows", (nnz, depth))
+        np.multiply(signs.T, gathered, out=rows)
+        rows.sort(axis=1, kind="stable")
+        mid = depth // 2
+        if depth % 2:
+            np.copyto(est, rows[:, mid])
+        else:
+            np.add(rows[:, mid - 1], rows[:, mid], out=est)
+            est *= 0.5
+    # Each position's example (np.repeat without the allocation).
+    example = ws.array("pos_example", nnz, np.intp)
+    example.fill(0)
+    starts = indptr[1:-1]
+    np.add.at(example, starts[starts < nnz], 1)
+    np.cumsum(example, out=example)
+    factors = scales if depth == 1 else scales * sqrt_s
+    est *= factors.take(example, out=ws.array("factor", nnz), mode="clip")
+    if l1 > 0.0:
+        est = np.sign(est) * np.maximum(np.abs(est) - l1, 0.0)
+    return est, example
+
+
+def maintain_decide(
+    store,
+    indices: np.ndarray,
+    slots: np.ndarray,
+    bound_for,
+    estimates_for,
+    promo_log: list | None,
+) -> None:
+    """The WM passive heap's admission-decision core for one example.
+
+    Shared by per-example ``update()`` (``WMSketch._maintain_heap``)
+    and the recorded batch replay (the ``heap_maintain`` kernel's
+    numpy body, which the ``c`` backend also runs until the store is
+    full), so the decision structure exists exactly once.  ``slots``
+    holds each position's store slot at the start of the example (-1
+    for non-members).  ``bound_for()`` / ``estimates_for()`` lazily
+    provide the estimate bound and the per-feature estimates: from the
+    live table per example, or precomputed from the fused kernel's
+    recording with an infinite bound (the replay only calls this core
+    for examples that can admit).  Each admission is appended to
+    ``promo_log`` as ``(key, evicted key or None)``.
+    """
+    member = slots >= 0
+    any_member = bool(member.any())
+    if store.is_full:
+        if not any_member:
+            if bound_for() <= store.min_priority():
+                return
+            estimates = estimates_for()
+            cand = screen_abs_gt(estimates, store.min_priority())
+        else:
+            estimates = estimates_for()
+            store.set_many(slots[member], estimates[member])
+            if member.all():
+                return
+            cand = screen_abs_gt(estimates, store.min_priority())
+            cand = cand[~member[cand]]
+        for pos in cand.tolist():
+            idx = int(indices[pos])
+            w = float(estimates[pos])
+            # Re-check the live threshold: earlier admissions can
+            # only have raised it.  A duplicate feature admitted
+            # earlier in this example updates in place via push.
+            if idx in store:
+                store.push(idx, w)
+            elif abs(w) > store.min_priority():
+                evicted = store.push(idx, w)
+                if promo_log is not None:
+                    promo_log.append(
+                        (idx, evicted[0] if evicted else None)
+                    )
+    else:
+        estimates = estimates_for()
+        # Free slots remain: sequential admits (the store can fill
+        # mid-example, after which the threshold rule applies).
+        push = store.push
+        minp = None
+        for idx, w in zip(indices.tolist(), estimates.tolist()):
+            if idx in store:
+                push(idx, w)
+                minp = None
+            elif not store.is_full:
+                push(idx, w)
+                minp = None
+                if promo_log is not None:
+                    promo_log.append((idx, None))
+            else:
+                if minp is None:
+                    minp = store.min_priority()
+                if abs(w) > minp:
+                    evicted = push(idx, w)
+                    minp = None
+                    if promo_log is not None:
+                        promo_log.append(
+                            (idx, evicted[0] if evicted else None)
+                        )
+
+
+def _decide_example(store, indices, lo, hi, est, slot_cache):
+    """The shared decision core on positions ``[lo, hi)``, then its
+    admissions patched into ``slot_cache``."""
+    e = est[lo:hi]
+    admissions: list = []
+    maintain_decide(store, indices[lo:hi], slot_cache.slots[lo:hi],
+                    lambda: math.inf, lambda: e, admissions)
+    for admitted, evicted in admissions:
+        slot_cache.apply(admitted, evicted)
+
+
+def maintain_until_full(store, indices, bounds, est, slot_cache) -> int:
+    """Run the decision core on each example, in order, while the store
+    has free slots; returns the first example that meets a full store
+    (``len(bounds) - 1`` when none does).  ``bounds`` is the batch's
+    ``indptr`` as a list."""
+    n = len(bounds) - 1
+    i = 0
+    while i < n and not store.is_full:
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi > lo:
+            _decide_example(store, indices, lo, hi, est, slot_cache)
+        i += 1
+    return i
+
+
+def heap_maintain(
+    store,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    signs: np.ndarray,
+    gathered: np.ndarray,
+    scales: np.ndarray,
+    sqrt_s: float,
+    l1: float,
+    ws,
+) -> None:
+    # The replay runs the decision core only where it can admit.  While
+    # the store has free slots, every example runs it.  Once it is
+    # full, a run starts at its minimum priority t0.  Until something
+    # is admitted, every priority is a start-of-run entry or a member
+    # refresh (the WM heap never decays, so a refreshed priority is
+    # exactly the |estimate|), so the smallest non-NaN of t0 and every
+    # refresh up to the end of example i bounds the threshold example
+    # i faces from below whenever that threshold is not NaN (a NaN
+    # threshold admits nothing).  Examples whose non-member estimates
+    # all stay at or below it only refresh members; their refreshes
+    # collapse into one set_many (each slot keeps its last write).  The
+    # first example that beats it runs the decision core, and the next
+    # run starts after it.  Runs screen windows of examples that double
+    # in size, so a rescan costs the distance to the next possible
+    # admission, not the rest of the batch.
+    from repro.heap.topk import BatchSlotCache
+
+    nnz = indices.size
+    n = indptr.shape[0] - 1
+    est, example = recorded_estimates(indptr, signs, gathered, scales,
+                                      sqrt_s, l1, ws)
+    mag = np.abs(est, out=ws.array("est_abs", nnz))
+    # Screen scratch: each position's example end, the non-member
+    # mask, the running lower bound, and that bound at the end of
+    # each position's example (what the example's candidates face).
+    end = np.take(indptr[1:] - 1, example, mode="clip",
+                  out=ws.array("pos_end", nnz, np.intp))
+    cand = ws.array("screen_cand", nnz, bool)
+    run = ws.array("screen_run", nnz)
+    floor = ws.array("screen_floor", nnz)
+    slot_cache = BatchSlotCache(store, indices, ws=ws)
+    bounds = indptr.tolist()
+    i = maintain_until_full(store, indices, bounds, est, slot_cache)
+    while i < n:
+        if slot_cache.stale:
+            slot_cache = BatchSlotCache(store, indices, slot_cache, ws)
+        slots = slot_cache.slots
+        t0, k, a, width = store.min_priority(), n, i, 8
+        if t0 != t0:
+            # A NaN minimum bounds nothing: screen no example out.
+            t0 = -math.inf
+        while a < n:
+            b = min(a + width, n)
+            pa, pb = bounds[a], bounds[b]
+            a, width = b, 2 * width
+            if pa == pb:
+                continue
+            c, r = cand[pa:pb], run[pa:pb]
+            np.less(slots[pa:pb], 0, out=c)
+            np.copyto(r, mag[pa:pb])
+            np.copyto(r, np.inf, where=c)
+            if not r[0] <= t0:
+                r[0] = t0
+            np.fmin.accumulate(r, out=r)
+            np.take(run, end[pa:pb], out=floor[pa:pb], mode="clip")
+            c &= mag[pa:pb] > floor[pa:pb]
+            first = int(c.argmax())
+            if c[first]:
+                k = int(example[pa + first])
+                break
+            t0 = float(r[-1])
+        lo, hi = bounds[i], bounds[k]
+        member = slots[lo:hi] >= 0
+        store.set_many(slots[lo:hi][member], est[lo:hi][member])
+        if k == n:
+            break
+        _decide_example(store, indices, bounds[k], bounds[k + 1], est,
+                        slot_cache)
+        i = k + 1
 
 
 # ----------------------------------------------------------------------

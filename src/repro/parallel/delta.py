@@ -56,14 +56,19 @@ readers read published snapshots, never a live table.
 
 :func:`apply_push` and :func:`apply_pull` check the whole message first
 — geometry, chunk ids (1-d int64, strictly increasing within
-``[0, n_chunks)``), chunk rows (float64, ``(k, 256)``), and a finite
-positive decay or scale — and raise ``ValueError`` with the model
-untouched.
+``[0, n_chunks)``), chunk rows (float64, ``(k, 256)``), a finite
+positive decay or scale, and the header: a push's worker id, round id
+and example count, a pull's example clock, all non-negative integers,
+and a pull's fold log finite — and raise ``ValueError`` with the model
+untouched.  The parameter server also checks the worker id against its
+worker count (:func:`check_push_header`) before its dedup ledger reads
+the round id.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 
 import numpy as np
@@ -79,6 +84,7 @@ __all__ = [
     "apply_push",
     "encode_pull",
     "apply_pull",
+    "check_push_header",
     "full_table_bytes",
     "payload_crc",
 ]
@@ -270,6 +276,29 @@ def _check_message(model, chunk_ids, chunks, n_chunks: int,
         )
 
 
+def _check_count(name: str, value) -> None:
+    """A header id or count: a non-negative integer."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+
+
+def check_push_header(delta: "PushDelta", n_workers: int | None = None
+                      ) -> None:
+    """Raise ``ValueError`` unless the push's worker id (below
+    ``n_workers`` when given), round id and example count are
+    non-negative integers."""
+    _check_count("push worker_id", delta.worker_id)
+    if n_workers is not None and delta.worker_id >= n_workers:
+        raise ValueError(
+            f"push worker_id must be in [0, {n_workers}), "
+            f"got {delta.worker_id!r}"
+        )
+    _check_count("push round_id", delta.round_id)
+    _check_count("push n_examples", delta.n_examples)
+
+
 def encode_push(
     model,
     sync: SyncPoint,
@@ -353,6 +382,7 @@ def apply_push(model, delta: PushDelta) -> bool:
     A malformed message (see the module docstring) raises
     ``ValueError`` before anything changes.
     """
+    check_push_header(delta)
     _check_message(model, delta.chunk_ids, delta.chunks, delta.n_chunks,
                    "push decay", delta.decay)
     fold_log_before = model._fold_log
@@ -398,6 +428,15 @@ def apply_pull(model, pull: PullDelta) -> None:
     """
     _check_message(model, pull.chunk_ids, pull.chunks, pull.n_chunks,
                    "pull scale", pull.scale)
+    _check_count("pull t", pull.t)
+    try:
+        finite = math.isfinite(pull.fold_log)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"pull fold_log must be finite, got {pull.fold_log!r}"
+        )
     model.scatter_chunks(pull.chunk_ids, pull.chunks)
     model._scale = pull.scale
     model._fold_log = pull.fold_log

@@ -75,6 +75,7 @@ from repro.parallel.delta import (
     SyncPoint,
     apply_pull,
     apply_push,
+    check_push_header,
     encode_pull,
     encode_push,
     full_table_bytes,
@@ -310,11 +311,14 @@ class ParameterServer:
         below the last applied round for its worker is dropped whole
         (a retransmission racing its own ack; applying it twice would
         double-count every update it carries).  Returns True when the
-        delta was applied, False when it was deduplicated away.
+        delta was applied, False when it was deduplicated away.  A
+        malformed header (a worker id outside ``[0, n_workers)``, a
+        negative or non-integer round id or example count) raises
+        ``ValueError`` before the ledger or the model is touched.
         """
+        check_push_header(delta, self.n_workers)
         wid = int(delta.worker_id)
-        if (0 <= wid < self.n_workers
-                and delta.round_id <= self._applied_round[wid]):
+        if delta.round_id <= self._applied_round[wid]:
             self._m_dup_dropped.inc()
             return False
         with trace.span("ps.apply_push", worker=delta.worker_id,
@@ -344,8 +348,7 @@ class ParameterServer:
             delta.chunk_ids.size / max(1, delta.n_chunks)
         )
         self._m_examples.inc(delta.n_examples)
-        if 0 <= wid < self.n_workers:
-            self._applied_round[wid] = delta.round_id
+        self._applied_round[wid] = delta.round_id
         if metrics_delta is not None:
             self.registry.merge_snapshot(metrics_delta)
         return True

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _CHUNK_LOG, _RENORM_THRESHOLD
 from repro.core.wm_sketch import WMSketch
@@ -35,6 +36,12 @@ from repro.learning.ogd import UncompressedClassifier
 from repro.learning.truncation import ProbabilisticTruncation, SimpleTruncation
 
 UNIVERSE = 5_000
+
+#: The WM cases run every kernel backend this host has: the numpy and
+#: c heap maintain are different code, so both must match update().
+WM_BACKENDS = ["numpy"] + [
+    name for name in kernels.available_backends() if name != "numpy"
+]
 
 
 def _stream(n, seed, max_nnz=8, one_sparse_fraction=0.0):
@@ -84,7 +91,7 @@ def _assert_heaps_equal(a, b):
 def test_wm_sketch_equivalence(depth, hash_kind, batch_size):
     examples = _stream(600, seed=depth * 31 + batch_size)
 
-    def make():
+    def make(backend="numpy"):
         return WMSketch(
             256,
             depth,
@@ -92,15 +99,20 @@ def test_wm_sketch_equivalence(depth, hash_kind, batch_size):
             seed=5,
             heap_capacity=16,
             hash_kind=hash_kind,
+            backend=backend,
         )
 
-    seq, seq_tr, bat, bat_tr = _drive_pair(make, examples, batch_size)
-    assert np.array_equal(seq.table, bat.table)
-    assert seq._scale == bat._scale
-    assert seq.t == bat.t
-    _assert_heaps_equal(seq.heap, bat.heap)
-    assert seq_tr.mistakes == bat_tr.mistakes
-    assert seq_tr.curve == bat_tr.curve
+    seq = make()
+    seq_tr = run_stream(seq, examples, OnlineErrorTracker())
+    for backend in WM_BACKENDS:
+        bat = make(backend)
+        bat_tr = bat.fit_stream(examples, batch_size=batch_size)
+        assert np.array_equal(seq.table, bat.table), backend
+        assert seq._scale == bat._scale
+        assert seq.t == bat.t
+        _assert_heaps_equal(seq.heap, bat.heap)
+        assert seq_tr.mistakes == bat_tr.mistakes
+        assert seq_tr.curve == bat_tr.curve
 
 
 def test_wm_sketch_equivalence_with_l1_and_no_heap():
@@ -124,13 +136,18 @@ def test_wm_sketch_equivalence_with_l1_and_no_heap():
 def test_wm_sketch_equivalence_property(batch_size, depth, n, seed):
     examples = _stream(n, seed=seed)
 
-    def make():
-        return WMSketch(64, depth, lambda_=1e-3, seed=9, heap_capacity=8)
+    def make(backend="numpy"):
+        return WMSketch(64, depth, lambda_=1e-3, seed=9, heap_capacity=8,
+                        backend=backend)
 
-    seq, seq_tr, bat, bat_tr = _drive_pair(make, examples, batch_size)
-    assert np.array_equal(seq.table, bat.table)
-    _assert_heaps_equal(seq.heap, bat.heap)
-    assert seq_tr.mistakes == bat_tr.mistakes
+    seq = make()
+    seq_tr = run_stream(seq, examples, OnlineErrorTracker())
+    for backend in WM_BACKENDS:
+        bat = make(backend)
+        bat_tr = bat.fit_stream(examples, batch_size=batch_size)
+        assert np.array_equal(seq.table, bat.table), backend
+        _assert_heaps_equal(seq.heap, bat.heap)
+        assert seq_tr.mistakes == bat_tr.mistakes
 
 
 @st.composite
@@ -171,27 +188,33 @@ def _tie_streams(draw):
 def test_wm_maintain_matches_update_property(
     examples, capacity, width, depth, l1, batch_size
 ):
-    """Batched heap maintain == per-example ``update()``, aimed at where
-    the admission screen can go wrong: exact threshold ties, capacities
-    1-4, even depths (two-middle median), l1 shrinkage, empty examples
-    mid-batch and trailing, a heap that fills mid-batch, and several
-    admissions in one batch."""
-    def make():
+    """Batched heap maintain == per-example ``update()``, on every
+    backend, aimed at where the admission screen and the compiled loop
+    can go wrong: exact threshold ties, capacities 1-4, even depths
+    (two-middle median), l1 shrinkage, empty examples mid-batch and
+    trailing, a heap that fills mid-batch (where the compiled loop
+    takes over), and several admissions in one batch."""
+    def make(backend="numpy"):
         model = WMSketch(width, depth, lambda_=0.0, l1=l1, seed=3,
-                         heap_capacity=capacity)
+                         heap_capacity=capacity, backend=backend)
         model.heap.enable_promo_log()
         return model
 
-    seq, bat = make(), make()
+    seq = make()
     for ex in examples:
         seq.update(ex)
-    for lo in range(0, len(examples), batch_size):
-        bat.fit_batch(SparseBatch.from_examples(examples[lo:lo + batch_size]))
-    assert seq.table.tobytes() == bat.table.tobytes()
-    _assert_heaps_equal(seq.heap, bat.heap)
     log = seq.heap.drain_promo_log()
-    assert bat.heap.drain_promo_log() == log
     assert log
+    for backend in WM_BACKENDS:
+        bat = make(backend)
+        for lo in range(0, len(examples), batch_size):
+            bat.fit_batch(
+                SparseBatch.from_examples(examples[lo:lo + batch_size])
+            )
+        assert seq.table.tobytes() == bat.table.tobytes(), backend
+        _assert_heaps_equal(seq.heap, bat.heap)
+        assert bat.heap.version == seq.heap.version
+        assert bat.heap.drain_promo_log() == log
 
 
 # ----------------------------------------------------------------------

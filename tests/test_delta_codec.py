@@ -562,6 +562,11 @@ class TestMalformedMessages:
             {"decay": 0.0}, {"decay": -0.5}, {"decay": math.inf},
             {"decay": math.nan}, {"decay": None},
             {"n_chunks": 5},
+            # Header fields: the clock went negative, the ledger write
+            # raised after the table changed, the dedup was skipped.
+            {"n_examples": -10**6}, {"n_examples": 2.5},
+            {"round_id": math.nan}, {"round_id": -1},
+            {"worker_id": -1}, {"worker_id": 0.5},
         ]
         assert k > 1
         for override in bad_fields:
@@ -589,6 +594,10 @@ class TestMalformedMessages:
             {"scale": 0.0}, {"scale": -1.0}, {"scale": math.inf},
             {"scale": math.nan},
             {"n_chunks": 3},
+            # Header fields: a negative clock broke the next fit_batch,
+            # a NaN fold log the next push's decay.
+            {"t": -7}, {"t": 1.5}, {"fold_log": math.nan},
+            {"fold_log": -math.inf}, {"fold_log": None},
         ]
         for override in bad_fields:
             worker = _multi_chunk_factory()

@@ -443,8 +443,9 @@ class TestWorkspaceLifecycle:
         # feature in the *last* position.
         from repro.data.sparse import SparseExample
 
-        def build(use_fused):
-            model = WMSketch(4, 1, seed=0, heap_capacity=1, lambda_=0.0)
+        def build(use_fused, backend="numpy"):
+            model = WMSketch(4, 1, seed=0, heap_capacity=1, lambda_=0.0,
+                             backend=backend)
             model.use_fused = use_fused
             model.table[0] = [5.0, 0.01, 0.0, 0.0]
             model.heap.push(10_000, 0.5)  # full at a small priority
@@ -462,13 +463,19 @@ class TestWorkspaceLifecycle:
             ),
             SparseExample(np.empty(0, dtype=np.int64), np.empty(0), 1),
         ])
-        fused, unfused = build(True), build(False)
-        fused.fit_batch(batch)
+        unfused = build(False)
         unfused.fit_batch(batch)
-        _assert_same(fused, unfused)
-        # The heavy feature's |estimate| (~5) beats the 0.5 threshold,
-        # so the admission must actually have happened.
-        assert any(k == heavy for k, _ in fused.heap.items())
+        # Every backend's heap maintain (the c loop runs this batch,
+        # since the heap is full from the start).
+        for backend in ["numpy"] + [
+            name for name in kernels.available_backends() if name != "numpy"
+        ]:
+            fused = build(True, backend)
+            fused.fit_batch(batch)
+            _assert_same(fused, unfused)
+            # The heavy feature's |estimate| (~5) beats the 0.5
+            # threshold, so the admission must actually have happened.
+            assert any(k == heavy for k, _ in fused.heap.items()), backend
 
     def test_awm_fused_query_branch_applies_l1(self):
         # Regression: a fused query path once skipped the l1

@@ -2,21 +2,23 @@
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
 identical inputs — tables, heap state and predictions alike.  The ``c``
-backend compiles all four kernels, ``fused_update``, ``fused_predict``,
-``chunk_delta`` and ``chunk_add`` (``repro/kernels/ckernels.c``); its
-cases skip with the recorded reason on a host where it cannot build.
+backend compiles all five kernels, ``fused_update``, ``fused_predict``,
+``heap_maintain``, ``chunk_delta`` and ``chunk_add``
+(``repro/kernels/ckernels.c``); its cases skip with the recorded reason
+on a host where it cannot build.
 The NumPy helpers no backend compiles are tested directly here
 (``TestNumpyHelpers``).  Beyond the
 model-level fuzz, hypothesis properties compare the compiled kernels
 with NumPy bit for bit on adversarial inputs (repeated buckets, renorm
 folds, 1e300 magnitudes, signed zeros, infinities and NaNs, bad chunk
 ids), including the exception raised and the partial state left behind,
-and pin the NumPy chunk kernels to the delta codec's earlier
-composition.
+pin the NumPy chunk kernels to the delta codec's earlier composition,
+and pin the NumPy heap maintain to the per-example decision core.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -119,7 +121,8 @@ class TestRegistry:
 
     def test_backend_objects_are_complete(self):
         assert kernels.KERNEL_NAMES == (
-            "fused_update", "fused_predict", "chunk_delta", "chunk_add",
+            "fused_update", "fused_predict", "heap_maintain", "chunk_delta",
+            "chunk_add",
         )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
@@ -626,6 +629,287 @@ class TestCMatchesNumpyProperty:
                 outcome = type(exc).__name__
             results.append((outcome, out.tobytes()))
         assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# heap_maintain: c == numpy == the per-example decision core, from
+# stores and recordings with exact ties, +-0 and NaN cells
+# ----------------------------------------------------------------------
+#: Recorded cells and store values: few magnitudes (so estimates tie the
+#: threshold exactly), both zeros, and NaN.  One NaN bit pattern only:
+#: which operand's bits an operation on two different NaNs keeps is
+#: unspecified (numpy's own pick depends on the array length).
+_CELLS = st.sampled_from([0.0, -0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5,
+                          math.nan])
+#: The NaN x86 arithmetic makes (sign bit set).
+_NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+
+
+@st.composite
+def _maintain_inputs(draw):
+    """A store (capacity 1-4, full or not, built so its cached minimum
+    may be warm) and one batch's recording (depths 1-4, keys from at
+    most 16 ids, empty examples, repeated keys within an example)."""
+    capacity = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 4))
+    universe = draw(st.integers(1, 16))
+    distinct = draw(st.booleans())
+    ids, indptr = [], [0]
+    for _ in range(draw(st.integers(1, 8))):
+        ids += draw(st.lists(st.integers(0, universe - 1), max_size=4,
+                             unique=distinct))
+        indptr.append(len(ids))
+    nnz, n = len(ids), len(indptr) - 1
+    return dict(
+        capacity=capacity,
+        # (key, value, read the minimum first): pushes into free slots
+        # and evictions; a read caches the minimum, which a later free
+        # slot push patches instead of rescanning.
+        ops=draw(st.lists(
+            st.tuples(st.integers(0, universe + 2), _CELLS, st.booleans()),
+            max_size=capacity + 3,
+        )),
+        decay=draw(st.booleans()),
+        indices=np.array(ids, dtype=np.int64),
+        indptr=np.array(indptr, dtype=np.int64),
+        signs=np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                     min_size=depth * nnz,
+                                     max_size=depth * nnz)),
+                       dtype=np.float64).reshape(depth, nnz),
+        gathered=np.array(draw(st.lists(_CELLS, min_size=depth * nnz,
+                                        max_size=depth * nnz)),
+                          dtype=np.float64).reshape(nnz, depth),
+        scales=np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 0.75]),
+                                      min_size=n, max_size=n))),
+        sqrt_s=math.sqrt(depth),
+        l1=draw(st.sampled_from([0.0, 0.01])),
+    )
+
+
+def _maintain_store(inputs):
+    store = TopKStore(inputs["capacity"])
+    for key, value, read_min in inputs["ops"]:
+        if read_min and len(store):
+            store.min_priority()
+        store.push(key, value)
+    if inputs["decay"]:
+        store.decay(0.5)
+    store.enable_promo_log()
+    return store
+
+
+def _maintain_args(inputs):
+    return {k: inputs[k] for k in ("indices", "indptr", "signs", "gathered",
+                                   "scales", "sqrt_s", "l1")}
+
+
+def _store_state(store):
+    """Everything a later operation can observe: slot order and raw
+    bits, the key -> slot map, version, promotion log, and the entry
+    the (possibly cached) minimum names."""
+    n = len(store)
+    state = (store._keys[:n].tobytes(), store._raw[:n].tobytes(),
+             np.float64(store.scale).tobytes(), dict(store._pos),
+             store.version, store.drain_promo_log())
+    if not n:
+        return state
+    key, value = store.min_entry()
+    return state + (key, np.float64(value).tobytes())
+
+
+def _spec_heap_maintain(store, inputs):
+    """Per-example ``update()``'s maintain: each example's estimates
+    through ``median_estimate`` (factor = the recorded scale, times
+    ``sqrt_s`` at depth > 1) and the soft threshold, then the decision
+    core with live membership."""
+    indices, bounds = inputs["indices"], inputs["indptr"].tolist()
+    signs, gathered, l1 = inputs["signs"], inputs["gathered"], inputs["l1"]
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi == lo:
+            continue
+        factor = inputs["scales"][i]
+        if signs.shape[0] > 1:
+            factor = inputs["sqrt_s"] * factor
+        est = numpy_backend.median_estimate(
+            gathered[lo:hi], signs[:, lo:hi].T, factor
+        )
+        if l1 > 0.0:
+            est = np.sign(est) * np.maximum(np.abs(est) - l1, 0.0)
+        numpy_backend.maintain_decide(
+            store, indices[lo:hi], store.member_slots(indices[lo:hi]),
+            lambda: math.inf, lambda: est, None,
+        )
+
+
+class TestHeapMaintainProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_maintain_inputs())
+    def test_c_matches_numpy(self, inputs):
+        c = _c_or_skip()
+        states = []
+        for kb in (kernels.get_backend("numpy"), c):
+            store = _maintain_store(inputs)
+            with np.errstate(all="ignore"):
+                kb.heap_maintain(store, **_maintain_args(inputs),
+                                 ws=kernels.KernelWorkspace())
+            states.append(_store_state(store))
+        assert states[0] == states[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_maintain_inputs())
+    def test_numpy_matches_the_decision_core(self, inputs):
+        # The screen only skips examples that cannot admit, NaN
+        # estimates and minimums included.
+        replay, spec = _maintain_store(inputs), _maintain_store(inputs)
+        with np.errstate(all="ignore"):
+            numpy_backend.heap_maintain(replay, **_maintain_args(inputs),
+                                        ws=kernels.KernelWorkspace())
+            _spec_heap_maintain(spec, inputs)
+        assert _store_state(replay) == _store_state(spec)
+
+    @pytest.mark.parametrize("start, refreshed, candidate, admitted", [
+        # The only member goes NaN, then back to 1.0; the non-member's
+        # 5.0 beats the restored threshold.
+        ([(7, 1.0)], 1.0, 5.0, [(9, 5.0)]),
+        # The minimum (7 at 1.0) goes NaN, then to 4.0; the non-member's
+        # 3.5 beats the untouched 3.0 entry the run started above.
+        ([(7, 1.0), (8, 3.0)], 4.0, 3.5, [(7, 4.0), (9, 3.5)]),
+    ])
+    def test_screen_survives_a_nan_refresh(self, start, refreshed, candidate,
+                                           admitted):
+        # A NaN refresh used to poison the screen's running minimum (and
+        # drop the run's starting minimum), screening the admission out.
+        inputs = dict(
+            capacity=len(start), ops=[(k, v, False) for k, v in start],
+            decay=False,
+            indices=np.array([7, 7, 9], dtype=np.int64),
+            indptr=np.array([0, 1, 3], dtype=np.int64),
+            signs=np.ones((1, 3)),
+            gathered=np.array([[math.nan], [refreshed], [candidate]]),
+            scales=np.ones(2), sqrt_s=1.0, l1=0.0,
+        )
+        for name in kernels.available_backends():
+            store = _maintain_store(inputs)
+            kernels.get_backend(name).heap_maintain(
+                store, **_maintain_args(inputs), ws=kernels.KernelWorkspace()
+            )
+            assert sorted(store.items()) == admitted, name
+            assert store.drain_promo_log() == [9]
+
+    def test_repeated_key_updates_in_place_and_patches_the_minimum(self):
+        # Key 4 is admitted, then its second position updates it in place
+        # below the cached minimum (key 2's 3.0, read by key 5's
+        # rejection), so key 6's 2.8 beats it and evicts it.
+        inputs = dict(
+            capacity=3, ops=[(1, 2.0, False), (2, 3.0, False),
+                             (3, 10.0, False)],
+            decay=False,
+            indices=np.array([4, 5, 4, 6], dtype=np.int64),
+            indptr=np.array([0, 4], dtype=np.int64),
+            signs=np.ones((1, 4)),
+            gathered=np.array([[5.0], [2.5], [2.6], [2.8]]),
+            scales=np.ones(1), sqrt_s=1.0, l1=0.0,
+        )
+        for name in kernels.available_backends():
+            store = _maintain_store(inputs)
+            kernels.get_backend(name).heap_maintain(
+                store, **_maintain_args(inputs), ws=kernels.KernelWorkspace()
+            )
+            assert store.items() == [(6, 2.8), (2, 3.0), (3, 10.0)], name
+            assert store.drain_promo_log() == [4, 6]
+            assert store.version == 5
+
+    def test_member_refresh_bits_exhaustive(self):
+        # Every depth-1..4 row over {-0, +0, -1, 1, NaN}: a member's
+        # refreshed raw bits carry the median's tie order and zero sign.
+        c = _c_or_skip()
+        pool = [-0.0, 0.0, -1.0, 1.0, math.nan]
+        for depth in (1, 2, 3, 4):
+            cells = np.array(list(itertools.product(pool, repeat=depth)))
+            for l1 in (0.0, 0.01):
+                got = []
+                for kb in (kernels.get_backend("numpy"), c):
+                    raws = []
+                    for row in cells:
+                        store = TopKStore(1)
+                        store.push(7, 3.0)
+                        kb.heap_maintain(
+                            store, np.array([7], dtype=np.int64),
+                            np.array([0, 1], dtype=np.int64),
+                            np.ones((depth, 1)), row.reshape(1, depth),
+                            np.ones(1), math.sqrt(depth), l1,
+                            kernels.KernelWorkspace(),
+                        )
+                        raws.append(store._raw[0])
+                    got.append(np.array(raws).tobytes())
+                assert got[0] == got[1], (depth, l1)
+
+    def test_median_row_sort_is_stable(self):
+        # +-0 ties keep their row order and NaN keeps its bits, on every
+        # host: the compiled median reproduces exactly this.  (The
+        # default sort rewrites the NaN below on AVX-512 hosts.)
+        rows = np.array([[0.0, -0.0, -0.0, 1.0, 2.0],
+                         [_NEG_NAN, _NEG_NAN, 1.0, -0.0, 0.0],
+                         [-0.0, -0.0, 0.0, -1.0, -0.0]])
+        for depth in (3, 4, 5):
+            got = numpy_backend.median_estimate(
+                rows[:, :depth], np.ones((3, depth)), 1.0
+            )
+            want = []
+            for row in rows[:, :depth].tolist():
+                row = sorted(row, key=lambda v: (v != v, 0.0 if v != v else v))
+                mid = depth // 2
+                want.append(row[mid] if depth % 2
+                            else 1.0 * (0.5 * (row[mid - 1] + row[mid])))
+            assert got.tobytes() == np.array(want).tobytes(), depth
+
+    def test_wrapper_rejects_bad_arguments_before_writing(self):
+        c = _c_or_skip()
+        base = dict(
+            capacity=2, ops=[(1, 1.0, False), (2, -2.0, False)],
+            decay=False,
+            indices=np.array([1, 3, 4], dtype=np.int64),
+            indptr=np.array([0, 1, 3], dtype=np.int64),
+            signs=np.ones((2, 3)), gathered=np.full((3, 2), 5.0),
+            scales=np.ones(2), sqrt_s=math.sqrt(2.0), l1=0.0,
+        )
+        bad_cases = [
+            (TypeError, {"indices": base["indices"].astype(np.int32)}),
+            (TypeError, {"scales": np.ones(2, dtype=np.float32)}),
+            (ValueError, {"gathered": np.full((3, 3), 5.0)}),
+            (ValueError, {"signs": np.ones((2, 2))}),
+            (ValueError, {"scales": np.ones(1)}),
+            (ValueError, {"indptr": np.array([0, 3, 1], dtype=np.int64)}),
+            (ValueError, {"indptr": np.array([0, 1, 4], dtype=np.int64)}),
+        ]
+        for exc_type, override in bad_cases:
+            # A full store (C checks) and one with a free slot (the
+            # decision core runs in Python first).
+            for capacity in (2, 3):
+                inputs = {**base, "capacity": capacity, **override}
+                store = _maintain_store(inputs)
+                before = _store_state(store)
+                with pytest.raises(exc_type):
+                    c.heap_maintain(store, **_maintain_args(inputs),
+                                    ws=kernels.KernelWorkspace())
+                assert _store_state(store) == before, override.keys()
+        # A store ordered by anything but abs, or with repeated keys.
+        from repro.heap.topk import identity
+
+        store = TopKStore(2, priority=identity)
+        store.push(1, 1.0)
+        store.push(2, 2.0)
+        with pytest.raises(ValueError, match="ordered by abs"):
+            c.heap_maintain(store, **_maintain_args(base),
+                            ws=kernels.KernelWorkspace())
+        store = _maintain_store(base)
+        store._keys[1] = 1
+        raw = store._raw.copy()
+        with pytest.raises(ValueError, match="not distinct"):
+            c.heap_maintain(store, **_maintain_args(base),
+                            ws=kernels.KernelWorkspace())
+        assert store._raw.tobytes() == raw.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from conftest import c_backend_param
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
+from repro.data.batch import SparseBatch
 from repro.data.synthetic import SyntheticStream
 from repro.learning.schedules import ConstantSchedule
 from repro.parallel.ps import ParameterServer, PSHarness, PSWorker
@@ -287,6 +288,25 @@ class TestReplicaAndPromotions:
         model = harness.fit(_synthetic(300))
         assert model.heap is None
         assert harness.stats()["counters"]["ps.promo.keys"] == 0
+
+    def test_out_of_range_worker_push_is_rejected(self):
+        # Worker id 7 on a 2-worker server skipped the dedup ledger: the
+        # same push delivered twice was applied twice.
+        from repro.parallel.delta import SyncPoint, encode_push
+
+        worker = _logistic_factory()()
+        sync = SyncPoint(worker)
+        worker._dirty[:] = False
+        worker.fit_batch(SparseBatch.from_examples(_synthetic(60)))
+        push = encode_push(worker, sync, n_examples=60, worker_id=7)
+        server = ParameterServer(_logistic_factory()(), n_workers=2)
+        before = server.model.table.tobytes()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="worker_id"):
+                server.apply_push(push)
+        assert server.model.table.tobytes() == before
+        assert server.model.t == 0
+        assert server._applied_round.tolist() == [-1, -1]
 
 
 # ----------------------------------------------------------------------
