@@ -6,9 +6,7 @@ Demonstrates the PR 2 parallel subsystem end to end:
 2. train one WM-Sketch per shard in a spawn-safe process pool;
 3. merge the workers' sketches (summed Count-Sketch tables — exact by
    linearity) and compare top-K recovery against a single-stream model;
-4. checkpoint the merged model (worker count travels in the header);
-5. bonus: single-node pipelined ingestion (hash batch t+1 while batch t
-   trains) producing bit-identical results to the plain batched engine.
+4. checkpoint the merged model (worker count travels in the header).
 
 Run::
 
@@ -17,9 +15,7 @@ Run::
 
 import time
 
-import numpy as np
-
-from repro import ParallelHarness, WMSketch, fit_stream_pipelined
+from repro import ParallelHarness, WMSketch
 from repro.core.serialization import from_bytes, roundtrip_bytes
 from repro.data.datasets import rcv1_like
 
@@ -69,14 +65,7 @@ def main() -> None:
     restored = from_bytes(roundtrip_bytes(merged))
     assert restored.merged_from == N_WORKERS
     print(f"checkpoint round trip ok "
-          f"({len(roundtrip_bytes(merged)):,} bytes)\n")
-
-    # Pipelined single-node ingestion: bit-identical to fit_stream.
-    plain, piped = WMSketch(**KWARGS), WMSketch(**KWARGS)
-    plain.fit_stream(examples, batch_size=256)
-    fit_stream_pipelined(piped, examples, batch_size=256)
-    assert np.array_equal(plain.table, piped.table)
-    print("pipelined ingestion: state identical to the batched engine")
+          f"({len(roundtrip_bytes(merged)):,} bytes)")
 
 
 if __name__ == "__main__":

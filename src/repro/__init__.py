@@ -56,11 +56,7 @@ from repro.learning import (
     run_stream,
 )
 from repro.learning.adagrad import AdaGradAWMSketch, AdaGradFeatureHashing
-from repro.parallel import (
-    ParallelHarness,
-    fit_stream_pipelined,
-    train_sharded,
-)
+from repro.parallel import ParallelHarness, train_sharded
 from repro.data.partition import partition_stream
 from repro.kernels import (
     available_backends,
@@ -96,7 +92,6 @@ __all__ = [
     "AdaGradAWMSketch",
     "ParallelHarness",
     "train_sharded",
-    "fit_stream_pipelined",
     "partition_stream",
     "available_backends",
     "get_backend",

@@ -536,11 +536,7 @@ class AWMSketch(ScaledSketchTable):
             self._mark_dirty_bucket(j, int(bucket))
             table[j, bucket] += coeff * sign
 
-    def fit_batch(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def fit_batch(self, batch: SparseBatch) -> np.ndarray:
         """Mini-batch Algorithm 2: hash the batch once, replay in order.
 
         All of the batch's indices are hashed in one deduplicated call
@@ -553,10 +549,6 @@ class AWMSketch(ScaledSketchTable):
         step over batch-lifetime state (see :meth:`_fit_batch`).  State
         and the returned pre-update margins are bit-identical to
         per-example :meth:`update` calls.
-
-        ``rows`` may carry precomputed ``(buckets, signs)`` for
-        ``batch.indices`` from the pipelined prefetch hasher; hashes are
-        pure, so they are interchangeable with hashing here.
         """
         n = len(batch)
         if n == 0:
@@ -567,17 +559,12 @@ class AWMSketch(ScaledSketchTable):
         if _trace.enabled:
             with _trace.span("fit_batch", model="AWMSketch", n=n) as span:
                 before = self.n_promotions
-                margins = self._fit_batch(batch, rows, n)
+                margins = self._fit_batch(batch, n)
                 span.tag(promotions=self.n_promotions - before)
                 return margins
-        return self._fit_batch(batch, rows, n)
+        return self._fit_batch(batch, n)
 
-    def _fit_batch(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None,
-        n: int,
-    ) -> np.ndarray:
+    def _fit_batch(self, batch: SparseBatch, n: int) -> np.ndarray:
         """The :meth:`fit_batch` loop.
 
         The inlined step keeps every float operation of
@@ -634,7 +621,7 @@ class AWMSketch(ScaledSketchTable):
                 # Hash lazily: all-1-sparse batches (the Section 8
                 # application workloads) never need the batch rows.
                 with _trace.span("hash"):
-                    buckets, signs, sv, flat = self._batch_rows(batch, rows)
+                    buckets, signs, sv, flat = self._batch_rows(batch)
             if not heap.is_full:
                 margins[i] = self._update_example(
                     indices[lo:hi], values[lo:hi], y,

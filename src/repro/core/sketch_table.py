@@ -124,16 +124,6 @@ class ScaledSketchTable(StreamingClassifier):
     #: one-shot :meth:`merge`).
     ps_delta_sync: bool = False
 
-    #: Route batched work through the fused mega-kernels
-    #: (:mod:`repro.kernels.api`) over the model's preallocated
-    #: :class:`~repro.kernels.workspace.KernelWorkspace`.  On by
-    #: default; turned off (or forced off by a loss without a
-    #: ``kernel_id``) the WM-Sketch's batched path falls back to the
-    #: original per-kernel chain — the executable reference the fused
-    #: path is fuzz-checked against (``tests/test_fused_kernels.py``).
-    #: The AWM-Sketch's batch loop has no fused variant and ignores it.
-    use_fused: bool = True
-
     def __init__(
         self,
         width: int,
@@ -777,9 +767,7 @@ class ScaledSketchTable(StreamingClassifier):
         return self.family.all_rows(indices)
 
     def _batch_rows(
-        self,
-        batch,
-        rows: tuple[np.ndarray, np.ndarray] | None,
+        self, batch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(buckets, signs, sign*value products, flat buckets) for a
         whole batch, every array living in the model's workspace.
@@ -793,12 +781,9 @@ class ScaledSketchTable(StreamingClassifier):
         ws = self._workspace()
         depth = self.depth
         nnz = batch.indices.size
-        if rows is None:
-            buckets = ws.array("b_buckets", (depth, nnz), np.int64)
-            signs = ws.array("b_signs", (depth, nnz))
-            self._batch_hasher.rows_into(batch.indices, buckets, signs)
-        else:
-            buckets, signs = rows
+        buckets = ws.array("b_buckets", (depth, nnz), np.int64)
+        signs = ws.array("b_signs", (depth, nnz))
+        self._batch_hasher.rows_into(batch.indices, buckets, signs)
         sign_values = ws.array("b_sv", (depth, nnz))
         np.multiply(signs, batch.values, out=sign_values)
         flat = ws.array("b_flat", (depth, nnz), np.int64)
@@ -808,7 +793,7 @@ class ScaledSketchTable(StreamingClassifier):
     def _check_decay_window(self, etas: np.ndarray) -> None:
         """Pre-validate a whole window of decays for the fused kernel.
 
-        The unfused chain raises mid-batch at the first offending
+        The per-example spec raises mid-batch at the first offending
         example (with earlier updates already applied); the fused
         kernel cannot raise mid-stream, so the window is validated up
         front — same trigger condition (``1 - eta * lambda <= 0`` iff
@@ -871,12 +856,9 @@ class ScaledSketchTable(StreamingClassifier):
         return self._margin_from_products(buckets, signs * values)
 
     def _margin_from_products(
-        self,
-        buckets: np.ndarray,
-        sign_values: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
+        self, buckets: np.ndarray, sign_values: np.ndarray
     ) -> float:
-        """Margin from precomputed sign*value products (batched kernels).
+        """Margin from precomputed sign*value products.
 
         Bit-identical to :meth:`_margin_from_rows` — the elementwise
         ``signs * values`` products are the same floats whether computed
@@ -884,18 +866,13 @@ class ScaledSketchTable(StreamingClassifier):
         *exactly* rounded (``math.fsum`` semantics), so the reduction is
         independent of summation order and buffer alignment (NumPy's
         SIMD ``.sum()`` is not).
-
-        ``flat_buckets`` may carry precomputed ``buckets + row_offsets``
-        (batched kernels amortize that add over the whole batch).
         """
-        if flat_buckets is None:
-            flat_buckets = buckets + self._row_offsets
         # scratch=False: reached from the serial-scalar serving path,
         # which runs concurrently with the coalescer's batched reads on
         # the same snapshot and must not touch the shared workspace.
         return numpy_backend.margin(
             self._table_flat,
-            self._translate_flat(flat_buckets, scratch=False),
+            self._translate_flat(buckets + self._row_offsets, scratch=False),
             sign_values, self._scale, self._sqrt_s,
         )
 
@@ -958,11 +935,7 @@ class ScaledSketchTable(StreamingClassifier):
             est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
         return est
 
-    def _estimate_bound(
-        self,
-        buckets: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
-    ) -> float:
+    def _estimate_bound(self, buckets: np.ndarray) -> float:
         """Cheap upper bound on ``max_i |estimate_i|`` for the given rows.
 
         The median over rows is bounded in magnitude by the largest row
@@ -974,11 +947,9 @@ class ScaledSketchTable(StreamingClassifier):
         """
         if buckets.size == 0:
             return 0.0
-        if flat_buckets is None:
-            flat_buckets = buckets + self._row_offsets
         hi = numpy_backend.estimate_bound(
             self._table_flat,
-            self._translate_flat(flat_buckets, scratch=False),
+            self._translate_flat(buckets + self._row_offsets, scratch=False),
         )
         if self.depth == 1:
             bound = self._scale * hi

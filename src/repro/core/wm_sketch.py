@@ -40,16 +40,14 @@ sequence over the precomputed rows — bit-identical state to calling
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro import kernels
 from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
-from repro.heap.topk import BatchSlotCache, TopKStore
-from repro.kernels.numpy_backend import maintain_decide, margin, scatter_add
+from repro.heap.topk import TopKStore
+from repro.kernels.numpy_backend import maintain_decide
 from repro.learning.base import CELL_BYTES
 from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
@@ -151,7 +149,7 @@ class WMSketch(ScaledSketchTable):
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        _, _, sign_values, flat = self._batch_rows(batch, None)
+        _, _, sign_values, flat = self._batch_rows(batch)
         out = np.empty(n, dtype=np.float64)
         self.kernels.fused_predict(
             self._table_flat, self._translate_flat(flat), sign_values,
@@ -179,11 +177,7 @@ class WMSketch(ScaledSketchTable):
         if self.heap is not None:
             self._maintain_heap(x.indices, buckets, signs)
 
-    def fit_batch(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def fit_batch(self, batch: SparseBatch) -> np.ndarray:
         """Mini-batch update kernel: hash once, fuse the replay.
 
         The batch's whole index set is hashed in a single deduplicated
@@ -205,41 +199,31 @@ class WMSketch(ScaledSketchTable):
         ``c`` one C loop runs every example that meets a full heap (see
         :meth:`_maintain_batch_recorded`).
 
-        ``rows`` may carry precomputed ``(buckets, signs)`` for
-        ``batch.indices`` (shape ``(depth, nnz)``), as produced by the
-        pipelined ingestion path's prefetch hasher; hashes are pure, so
-        supplied rows are interchangeable with hashing here.
-
-        Losses without a kernel id (custom losses) and
-        ``use_fused=False`` take the original per-kernel chain
-        (:meth:`_fit_batch_unfused`) — the executable reference for the
-        fused path.  One visible difference: an invalid decay
-        (``eta * lambda >= 1``) raises *before* any update on the fused
-        path, where the unfused chain raises mid-batch.
+        Losses without a kernel id (custom losses) run the per-example
+        spec, :meth:`StreamingClassifier.fit_batch
+        <repro.learning.base.StreamingClassifier.fit_batch>`.  One
+        visible difference: an invalid decay (``eta * lambda >= 1``)
+        raises *before* any update here, where the per-example spec
+        raises mid-batch.
         """
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.use_fused or self.loss.kernel_id is None:
-            return self._fit_batch_unfused(batch, rows)
+        if self.loss.kernel_id is None:
+            return super().fit_batch(batch)
         # The enabled check runs before any span allocation, so the
         # disabled cost is one flag read plus one extra call — the
         # telemetry overhead contract gated by BENCH_telemetry.json.
         if _trace.enabled:
             with _trace.span("fit_batch", model="WMSketch", n=n):
-                return self._fit_batch_fused(batch, rows, n)
-        return self._fit_batch_fused(batch, rows, n)
+                return self._fit_batch_fused(batch, n)
+        return self._fit_batch_fused(batch, n)
 
-    def _fit_batch_fused(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None,
-        n: int,
-    ) -> np.ndarray:
+    def _fit_batch_fused(self, batch: SparseBatch, n: int) -> np.ndarray:
         """The fused :meth:`fit_batch` body, with per-phase trace spans
         (no-ops while tracing is disabled)."""
         with _trace.span("hash"):
-            buckets, signs, sign_values, flat = self._batch_rows(batch, rows)
+            buckets, signs, sign_values, flat = self._batch_rows(batch)
         ws = self._ws
         nnz = batch.indices.size
         etas = ws.array("etas", n)
@@ -304,105 +288,8 @@ class WMSketch(ScaledSketchTable):
             self._sqrt_s, self.l1, self._ws,
         )
 
-    def _fit_batch_unfused(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The original per-kernel mini-batch chain (pre-fusion).
-
-        Retained verbatim as the executable reference the fused path is
-        fuzz-checked against, and as the fallback for custom losses the
-        kernels cannot represent.  State is bit-identical to per-example
-        :meth:`update` calls *and* to the fused path.
-        """
-        n = len(batch)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        if rows is None:
-            buckets, signs = self._batch_hasher.rows(batch.indices)
-        else:
-            buckets, signs = rows
-        sign_values = signs * batch.values
-        flat = buckets + self._row_offsets
-        # Mark the whole batch's scatter targets dirty up front: the
-        # decay check below can raise mid-batch, after some examples
-        # already scattered — over-marking is always safe, a missed
-        # write never is.
-        self._mark_dirty_flat(flat)
-        etas = self.schedule.many(self.t, n)
-        indptr = batch.indptr.tolist()
-        labels = batch.labels.tolist()
-        indices = batch.indices
-        heap = self.heap
-        # Heap membership for the whole batch, answered once and patched
-        # per admission/eviction (see BatchSlotCache).
-        slot_cache: BatchSlotCache | None = None
-        promo_log: list = []
-        if heap is not None:
-            slot_cache = BatchSlotCache(heap, indices)
-        # The loop below is the same arithmetic as :meth:`update` with
-        # the margin / decay / scatter helpers inlined — every method
-        # call costs ~0.5us of frame overhead at this granularity.
-        dloss = self.loss.dloss
-        table_flat = self._table_flat
-        sqrt_s = self._sqrt_s
-        lam = self.lambda_
-        margins = [0.0] * n
-        lo = indptr[0]
-        for i in range(n):
-            hi = indptr[i + 1]
-            fb = flat[:, lo:hi]
-            sv = sign_values[:, lo:hi]
-            scale = self._scale
-            tau = margin(table_flat, fb, sv, scale, sqrt_s)
-            margins[i] = tau
-            y = labels[i]
-            g = dloss(y * tau)
-            eta = etas[i]
-            if lam > 0.0:
-                decay = 1.0 - eta * lam
-                if decay <= 0.0:
-                    raise ValueError(
-                        f"eta * lambda = {eta * lam} >= 1; decrease eta0"
-                    )
-                scale *= decay
-                if scale < _RENORM_THRESHOLD:
-                    self._fold_log += math.log(scale)
-                    self.table *= scale
-                    scale = 1.0
-                    self._mark_dirty_all()
-                self._scale = scale
-            scatter_add(table_flat, fb, (-eta * y * g / (sqrt_s * scale)) * sv)
-            self.t += 1
-            if heap is not None:
-                if slot_cache.stale:
-                    slot_cache = BatchSlotCache(
-                        heap, indices, reuse=slot_cache
-                    )
-                self._maintain_heap(
-                    indices[lo:hi],
-                    buckets[:, lo:hi],
-                    signs[:, lo:hi],
-                    flat_buckets=fb,
-                    slots=slot_cache.slice(lo, hi),
-                    promo_log=promo_log,
-                )
-                if promo_log:
-                    for admitted, evicted in promo_log:
-                        slot_cache.apply(admitted, evicted)
-                    promo_log.clear()
-            lo = hi
-        return np.asarray(margins)
-
     def _maintain_heap(
-        self,
-        indices: np.ndarray,
-        buckets: np.ndarray,
-        signs: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
-        slots: np.ndarray | None = None,
-        promo_log: list | None = None,
+        self, indices: np.ndarray, buckets: np.ndarray, signs: np.ndarray
     ) -> None:
         """Passive heavy-weight tracking after one example's update.
 
@@ -415,9 +302,7 @@ class WMSketch(ScaledSketchTable):
         be pure waste.
 
         The store turned the per-feature probe-and-sift loop into three
-        vectorized strokes: one membership probe (or a precomputed
-        ``slots`` view from the batched kernel's
-        :class:`~repro.heap.topk.BatchSlotCache`), one
+        vectorized strokes: one membership probe, one
         :meth:`~repro.heap.topk.TopKStore.set_many` refreshing every
         member's estimate, and one screen selecting the candidates that
         beat the admission threshold — members are refreshed before
@@ -426,21 +311,15 @@ class WMSketch(ScaledSketchTable):
         candidates re-check the live minimum in order, exactly as
         sequential pushes would.  The decision structure itself lives
         in :func:`~repro.kernels.numpy_backend.maintain_decide`, shared
-        with the fused replay.
+        with the batched replay.
         """
-        if slots is None:
-            slots = self.heap.member_slots(indices)
         maintain_decide(
             self.heap,
             indices,
-            slots,
-            lambda: self._estimate_bound(
-                buckets, flat_buckets=flat_buckets
-            ),
-            lambda: self._estimate_from_rows(
-                buckets, signs, flat_buckets=flat_buckets
-            ),
-            promo_log,
+            self.heap.member_slots(indices),
+            lambda: self._estimate_bound(buckets),
+            lambda: self._estimate_from_rows(buckets, signs),
+            None,
         )
 
     # ------------------------------------------------------------------

@@ -15,17 +15,10 @@ specification the store is fuzzed against.
 """
 
 from repro.heap.reference import ReferenceTopKHeap
-from repro.heap.topk import (
-    BatchSlotCache,
-    TopKHeap,
-    TopKStore,
-    identity,
-    negate,
-)
+from repro.heap.topk import BatchSlotCache, TopKStore, identity, negate
 
 __all__ = [
     "TopKStore",
-    "TopKHeap",
     "ReferenceTopKHeap",
     "BatchSlotCache",
     "identity",

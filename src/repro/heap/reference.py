@@ -71,15 +71,6 @@ class ReferenceTopKHeap:
     def __contains__(self, key: int) -> bool:
         return key in self._pos
 
-    def has_any(self, keys: list[int]) -> bool:
-        """Whether any of ``keys`` is currently stored (hot-path helper:
-        one call instead of a membership probe per key)."""
-        pos = self._pos
-        for key in keys:
-            if key in pos:
-                return True
-        return False
-
     def __iter__(self) -> Iterator[int]:
         return iter(list(self._keys))
 

@@ -238,15 +238,6 @@ class TopKStore:
     def __contains__(self, key: int) -> bool:
         return key in self._pos
 
-    def has_any(self, keys: list[int]) -> bool:
-        """Whether any of ``keys`` is currently stored (scalar-path
-        helper; batched callers use :meth:`contains_many`)."""
-        pos = self._pos
-        for key in keys:
-            if key in pos:
-                return True
-        return False
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._keys[: self._n].tolist())
 
@@ -297,7 +288,9 @@ class TopKStore:
         scale-invariant per the :meth:`decay` contract) and break exact
         ties by slot order, so a warm cache always names the same entry
         a cold ``argmin`` rescan would: cached vs rescanned stores never
-        diverge on which tied minimum they evict.
+        diverge on which tied minimum they evict.  A NaN priority drops
+        the cache: the rescan's ``argmin`` picks the first NaN, which no
+        ordered comparison can express.
         """
         ms = self._min_slot
         if ms < 0:
@@ -308,7 +301,9 @@ class TopKStore:
             return
         p_new = self._priority(float(self._raw[slot]))
         p_min = self._priority(float(self._raw[ms]))
-        if p_new < p_min or (p_new == p_min and slot < ms):
+        if p_new != p_new:
+            self._min_slot = -1
+        elif p_new < p_min or (p_new == p_min and slot < ms):
             self._min_slot = slot
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -500,13 +495,9 @@ class TopKStore:
             self._n = n + 1
             if self._promo_log is not None:
                 self._promo_log.append(key)
-            ms = self._min_slot
-            # Raw-space compare, ties keep the (earlier) cached slot —
-            # exactly what a cold rescan's first-minimum pick does.
-            if ms >= 0 and self._priority(raw) < self._priority(
-                float(self._raw[ms])
-            ):
-                self._min_slot = n
+            # The new last slot can only win a strict compare (a tie
+            # keeps the earlier cached slot) or drop the cache on NaN.
+            self._touch_value(n)
             self._membership_changed()
             return None
         # Full: compare priorities on true values; ties reject.
@@ -786,10 +777,18 @@ class TopKStore:
         if self._min_slot >= 0:
             assert self._min_slot < n
             prios = self._vprio(self._raw[:n] * self._scale)
-            assert prios[self._min_slot] <= prios.min() + 1e-12, (
-                f"cached min slot {self._min_slot} "
-                f"({prios[self._min_slot]}) is not minimal ({prios.min()})"
-            )
+            cached = prios[self._min_slot]
+            if np.isnan(prios).any():
+                # The rescan's argmin picks a NaN whenever one is live.
+                assert np.isnan(cached), (
+                    f"cached min slot {self._min_slot} ({cached}) is "
+                    f"not NaN while a NaN entry is live"
+                )
+            else:
+                assert cached <= prios.min() + 1e-12, (
+                    f"cached min slot {self._min_slot} "
+                    f"({cached}) is not minimal ({prios.min()})"
+                )
         if self._sorted_keys is not None:
             assert self._sorted_keys.size == n
             assert np.array_equal(
@@ -874,10 +873,6 @@ class BatchSlotCache:
         """Whether the store changed membership without :meth:`apply`."""
         return self.version != self.store.version
 
-    def slice(self, lo: int, hi: int) -> np.ndarray:
-        """Slots for batch index positions ``[lo, hi)`` (a view)."""
-        return self.slots[lo:hi]
-
     def apply(self, admitted: int, evicted: int | None) -> None:
         """Patch the cache after one admission (and optional eviction).
 
@@ -895,10 +890,3 @@ class BatchSlotCache:
         lo, hi = np.searchsorted(self._sorted_indices, (key, key + 1))
         if hi > lo:
             self.slots[self._order[lo:hi]] = slot
-
-
-#: Backwards-compatible alias: every consumer that imported the binary
-#: heap now gets the array-backed store (same visible semantics; the
-#: original implementation lives on as
-#: :class:`repro.heap.reference.ReferenceTopKHeap`).
-TopKHeap = TopKStore

@@ -30,8 +30,8 @@ those helpers and the C bodies re-derive the same floats.
 
 Loss derivatives are selected by an integer ``loss_id`` matching
 :attr:`repro.learning.losses.Loss.kernel_id` (0 logistic, 1 smoothed
-hinge with ``loss_param`` = gamma, 2 hinge, 3 squared); a loss without
-a ``kernel_id`` simply keeps the unfused path.
+hinge with ``loss_param`` = gamma, 2 hinge, 3 squared); a model whose
+loss has no ``kernel_id`` trains through the per-example spec instead.
 
 ``fused_update(table_flat, flat_buckets, sign_values, indptr, labels,
 etas, lam, scale, sqrt_s, loss_id, loss_param, margins_out,
@@ -41,7 +41,7 @@ gathered_out, scales_out, touched_out) -> float``
     (``numpy_backend.margin``), the loss derivative, the lazy L2 decay
     of ``scale`` (with the 1e-150 underflow renormalization folded into
     ``table_flat``), and the eta-scaled ``scatter_add`` — state
-    bit-identical to the unfused per-example chain.  Pre-update margins
+    bit-identical to per-example ``update()`` calls.  Pre-update margins
     land in ``margins_out``.  When ``gathered_out`` is non-empty
     (shape ``(nnz, depth)``), the example's *post-update* table cells
     are recorded into its rows and the post-decay scale into
@@ -65,8 +65,8 @@ gathered_out, scales_out, touched_out) -> float``
     ``ValueError`` (the C backend before touching anything).
 
     Returns the final scale.  Callers must pre-validate ``eta * lam <
-    1`` for the whole window (the unfused chain raises mid-batch; the
-    fused kernel assumes validity).
+    1`` for the whole window (the per-example spec raises mid-batch;
+    the fused kernel assumes validity).
 
 ``fused_predict(table_flat, flat_buckets, sign_values, indptr, scale,
 sqrt_s, out) -> None``
@@ -175,8 +175,8 @@ CHUNK = 1 << CHUNK_LOG
 
 #: The lazy-scale underflow threshold shared with the classifiers
 #: (``repro.core.sketch_table._RENORM_THRESHOLD``); the fused update
-#: kernels renormalize at exactly this boundary so fused and unfused
-#: replays fold the scale into the table on the same step.
+#: kernels renormalize at exactly this boundary so fused and
+#: per-example replays fold the scale into the table on the same step.
 RENORM_THRESHOLD = 1e-150
 
 

@@ -121,8 +121,8 @@ def screen_abs_gt(values: np.ndarray, threshold: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Fused loops: the per-example chains composed from the helpers above,
 # over the caller's batch-lifetime buffers.  Loss derivatives come from
-# the *actual* loss classes, so fused and unfused replays run literally
-# the same ``dloss`` code.
+# the *actual* loss classes, so fused and per-example replays run
+# literally the same ``dloss`` code.
 # ----------------------------------------------------------------------
 
 def _loss_object(loss_id: int, loss_param: float):
@@ -169,11 +169,11 @@ def fused_update(
     scales_out: np.ndarray,
     touched_out: np.ndarray,
 ) -> float:
-    # The exact per-example chain of the unfused fit_batch loop with
-    # the margin / scatter bodies inlined (per-example temporaries are
-    # fresh arrays: NumPy's small-block allocator beats
-    # ``np.take(out=)``'s checked copy path, measured ~20%; the
-    # batch-lifetime arrays are the caller's workspace views).
+    # The exact chain of per-example ``update()`` with the margin /
+    # scatter bodies inlined (per-example temporaries are fresh arrays:
+    # NumPy's small-block allocator beats ``np.take(out=)``'s checked
+    # copy path, measured ~20%; the batch-lifetime arrays are the
+    # caller's workspace views).
     dloss = _loss_object(loss_id, loss_param).dloss
     record = gathered_out.shape[0] > 0
     n_touched = touched_out.shape[0]

@@ -57,10 +57,6 @@ class FeatureHashing(StreamingClassifier):
     #: Number of independently trained models folded in via :meth:`merge`.
     merged_from: int = 1
 
-    #: Route ``fit_batch`` through the fused update mega-kernel (see
-    #: :class:`repro.core.sketch_table.ScaledSketchTable.use_fused`).
-    use_fused: bool = True
-
     def __init__(
         self,
         width: int,
@@ -164,8 +160,8 @@ class FeatureHashing(StreamingClassifier):
         """One lazy L2 decay step with the same validity check the
         sketches apply (``eta * lambda >= 1`` would flip or zero the
         model — historically this corrupted silently; now it raises on
-        every path, so fused, unfused and per-example stay equivalent
-        in the pathological regime too)."""
+        every path, so batched and per-example stay equivalent in the
+        pathological regime too)."""
         decay = 1.0 - eta * self.lambda_
         if decay <= 0.0:
             raise ValueError(
@@ -251,36 +247,28 @@ class FeatureHashing(StreamingClassifier):
             np.multiply(gathered, self._scale, out=out)
         return out
 
-    def fit_batch(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def fit_batch(self, batch: SparseBatch) -> np.ndarray:
         """Mini-batch updates with one (deduplicated, cached) hash and
         one fused kernel call per batch.
 
         The whole per-example chain — exactly-rounded margin, loss
         derivative, lazy decay, gradient scatter — runs inside a single
         ``fused_update`` over workspace buffers; state is bit-identical
-        to per-example updates and to the retained unfused chain
-        (:meth:`_fit_batch_unfused`, used for custom losses or
-        ``use_fused=False``).  Returns the pre-update margins.  ``rows``
-        may carry precomputed ``(buckets, signs)`` from the pipelined
-        prefetch hasher.
+        to per-example :meth:`update` calls.  Returns the pre-update
+        margins.  Losses without a kernel id run the per-example spec,
+        :meth:`StreamingClassifier.fit_batch
+        <repro.learning.base.StreamingClassifier.fit_batch>`.
         """
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.use_fused or self.loss.kernel_id is None:
-            return self._fit_batch_unfused(batch, rows)
+        if self.loss.kernel_id is None:
+            return super().fit_batch(batch)
         ws = self._workspace()
         nnz = batch.indices.size
-        if rows is None:
-            buckets = ws.array("b_buckets", (1, nnz), np.int64)
-            signs = ws.array("b_signs", (1, nnz))
-            self._batch_hasher.rows_into(batch.indices, buckets, signs)
-        else:
-            buckets, signs = rows[0][:1], rows[1][:1]
+        buckets = ws.array("b_buckets", (1, nnz), np.int64)
+        signs = ws.array("b_signs", (1, nnz))
+        self._batch_hasher.rows_into(batch.indices, buckets, signs)
         if self.signed:
             sv = ws.array("b_sv", (1, nnz))
             np.multiply(signs, batch.values, out=sv)
@@ -300,44 +288,6 @@ class FeatureHashing(StreamingClassifier):
             kernels.EMPTY_TOUCHED,
         )
         self.t += n
-        return margins
-
-    def _fit_batch_unfused(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The original per-kernel mini-batch chain — the executable
-        reference the fused path is fuzz-checked against."""
-        n = len(batch)
-        margins = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return margins
-        if rows is None:
-            all_buckets, all_signs = self._batch_hasher.rows(batch.indices)
-        else:
-            all_buckets, all_signs = rows
-        buckets = all_buckets[0]
-        if self.signed:
-            sign_values = all_signs[0] * batch.values
-        else:
-            sign_values = batch.values
-        indptr = batch.indptr.tolist()
-        labels = batch.labels.tolist()
-        table = self.table
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            b = buckets[lo:hi]
-            sv = sign_values[lo:hi]
-            tau = margin(table, b, sv, self._scale, 1.0)
-            margins[i] = tau
-            y = labels[i]
-            g = self.loss.dloss(y * tau)
-            eta = self.schedule(self.t)
-            if self.lambda_ > 0.0:
-                self._decay(eta)
-            scatter_add(table, b, -(eta * y * g / self._scale) * sv)
-            self.t += 1
         return margins
 
     # ------------------------------------------------------------------

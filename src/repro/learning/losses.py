@@ -30,8 +30,9 @@ class Loss(ABC):
     #: Integer id the fused update kernels use to select the derivative
     #: formula inside a single backend call (see
     #: :mod:`repro.kernels.api`).  ``None`` marks a loss the kernels do
-    #: not know — models then transparently fall back to the unfused
-    #: per-kernel chain, so custom losses keep working unchanged.
+    #: not know — models then train it through the per-example spec
+    #: (:meth:`repro.learning.base.StreamingClassifier.fit_batch`), so
+    #: custom losses keep working unchanged.
     kernel_id: int | None = None
     #: Scalar parameter forwarded to the fused kernels alongside
     #: :attr:`kernel_id` (only the smoothed hinge uses it, for gamma).

@@ -15,9 +15,7 @@ This package turns that observation into an executable subsystem:
   weights for the uncompressed LR baseline (approximate, parameter
   averaging);
 * :class:`~repro.parallel.harness.ParallelHarness` orchestrates
-  partition -> pool -> merge behind one call, and
-  :func:`~repro.parallel.pipeline.fit_stream_pipelined` overlaps
-  hashing of batch t+1 with training of batch t on a single node;
+  partition -> pool -> merge behind one call;
 * :mod:`~repro.parallel.ps` upgrades the one-shot merge to a live
   stale-synchronous parameter-server loop — workers push O(dirty)
   chunk deltas (:mod:`~repro.parallel.delta`) and pull merged state
@@ -42,7 +40,6 @@ from repro.parallel.delta import (
     full_table_bytes,
 )
 from repro.parallel.harness import ParallelHarness, train_sharded
-from repro.parallel.pipeline import fit_stream_pipelined
 from repro.parallel.ps import ParameterServer, PSHarness, PSWorker
 from repro.parallel.worker import pack_shard, train_shard
 
@@ -60,7 +57,6 @@ __all__ = [
     "encode_push",
     "full_table_bytes",
     "train_sharded",
-    "fit_stream_pipelined",
     "pack_shard",
     "train_shard",
 ]

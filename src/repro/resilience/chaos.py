@@ -61,8 +61,9 @@ class ConstGradLoss(Loss):
     float64.  Not a statistical loss (it is unbounded below) — it
     exists to make parallel-training algebra *exact* so schedules,
     merges, and fault recovery can be asserted bit-for-bit.
-    ``kernel_id`` stays ``None``: models take the unfused per-kernel
-    chain — same arithmetic, no fused-path special cases.
+    ``kernel_id`` stays ``None``: models train it through the
+    per-example spec (``StreamingClassifier.fit_batch``), the reference
+    every fast path is checked against.
     """
 
     smoothness = 0.0

@@ -6,7 +6,7 @@ returned margins array and interpreter bookkeeping, nothing scaling
 with the number of batches and nothing at nnz scale.  Measured with
 tracemalloc (NumPy registers its buffers with it), the same tool the
 committed allocation benchmark (``benchmarks/bench_allocations.py``)
-uses for the peak-transient comparison.
+uses for the peak-transient ceiling.
 """
 
 from __future__ import annotations
@@ -77,27 +77,24 @@ def test_workspace_arenas_stop_growing():
 
 
 def test_fused_peak_transients_beat_unfused():
-    """The fused path's transient high-water mark must undercut the
-    unfused chain's by a wide margin (the committed benchmark records
-    the exact ratio; this is the always-on floor)."""
+    """The fused path's transient high-water mark stays under a byte
+    ceiling (the committed benchmark records the exact peaks; this is
+    the always-on ceiling).  126,000 B is half the 252,016 B peak the
+    per-kernel chain without workspaces reached in this
+    configuration."""
     batches = _batches(n=512)
-
-    def peak(use_fused):
-        model = WMSketch(2**12, 3, seed=0, heap_capacity=0)
-        model.use_fused = use_fused
+    model = WMSketch(2**12, 3, seed=0, heap_capacity=0)
+    for b in batches:
+        model.fit_batch(b)  # warmup
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
         for b in batches:
-            model.fit_batch(b)  # warmup
-        gc.collect()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            for b in batches:
-                model.fit_batch(b)
-            _, high = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return max(high - base, 1)
-
-    fused, unfused = peak(True), peak(False)
-    assert fused * 2 < unfused, (fused, unfused)
+            model.fit_batch(b)
+        _, high = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fused = max(high - base, 1)
+    assert fused < 126_000, fused

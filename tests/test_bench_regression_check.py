@@ -267,11 +267,11 @@ class TestQueryGate:
 # ----------------------------------------------------------------------
 # Allocation gate (--kind alloc, PR 5)
 # ----------------------------------------------------------------------
-def _alloc_doc(headline=12.0, heap=10.0):
+def _alloc_doc(headline=38_000, heap=109_000):
     return {
         "workload": {"dataset": "x"},
-        "wm_algorithm1": {"peak_reduction_x": headline},
-        "wm_with_heap": {"peak_reduction_x": heap},
+        "wm_algorithm1": {"peak_transient_bytes": headline},
+        "wm_with_heap": {"peak_transient_bytes": heap},
     }
 
 
@@ -281,10 +281,24 @@ class TestAllocGate:
         assert check_regression.check_alloc(doc, doc, 0.30) == []
 
     def test_reduction_below_floor_fails(self):
+        # A peak above the byte ceiling fails even when the committed
+        # baseline agrees (the ceiling holds whatever is committed).
+        ceiling = check_regression.ALLOC_CEILINGS["wm_algorithm1"]
+        doc = _alloc_doc(headline=ceiling + 1)
+        failures = check_regression.check_alloc(doc, doc, 0.30)
+        assert any("wm_algorithm1" in f and "ceiling" in f
+                   for f in failures)
+        at_ceiling = _alloc_doc(headline=ceiling)
+        assert check_regression.check_alloc(at_ceiling, at_ceiling,
+                                            0.30) == []
+        # Under the ceiling, a peak above committed / 0.7 still fails.
         failures = check_regression.check_alloc(
-            _alloc_doc(headline=2.0), _alloc_doc(), 0.30
+            _alloc_doc(headline=20_000), _alloc_doc(headline=10_000), 0.30
         )
         assert any("wm_algorithm1" in f for f in failures)
+        assert check_regression.check_alloc(
+            _alloc_doc(headline=14_285), _alloc_doc(headline=10_000), 0.30
+        ) == []
 
     def test_missing_config_fails(self):
         failures = check_regression.check_alloc(
@@ -589,7 +603,9 @@ class TestGatesPolicyFile:
             policy["throughput"]["floors"]
         )
         assert check_regression.QUERY_FLOORS == policy["query"]["floors"]
-        assert check_regression.ALLOC_FLOORS == policy["alloc"]["floors"]
+        assert check_regression.ALLOC_CEILINGS == (
+            policy["alloc"]["ceilings"]
+        )
         assert check_regression.SERVING_FLOORS == (
             policy["serving"]["floors"]
         )
@@ -608,6 +624,15 @@ class TestGatesPolicyFile:
         policy = self._policy()
         floors = policy["resilience"]["floors"]
         assert floors["recovery_bit_identical"] == 1.0
+
+    def test_alloc_ceilings_hold_the_ratio_gates_pass_line(self):
+        # The fused-vs-unfused ratio gate (floors 5.0 / 6.0, 30% of the
+        # committed 12.09x / 10.74x) passed iff the fused peak stayed
+        # under ~112.4 KB / ~159.2 KB on numpy; the ceilings may not
+        # be looser than that.
+        ceilings = self._policy()["alloc"]["ceilings"]
+        assert ceilings["wm_algorithm1"] <= 112_436
+        assert ceilings["wm_with_heap"] <= 159_157
 
     def test_telemetry_floor_is_the_three_percent_contract(self):
         policy = self._policy()

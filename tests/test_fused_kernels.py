@@ -10,6 +10,7 @@ round-trips that drop the workspace.
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 
@@ -278,7 +279,7 @@ class TestKernelLevel:
 
 
 # ----------------------------------------------------------------------
-# Model-level: fused vs unfused vs sequential, per backend
+# Model-level: fused vs per-example spec vs sequential, per backend
 # ----------------------------------------------------------------------
 def _stream(seed, n=320, d=2_500):
     return SyntheticStream(
@@ -300,6 +301,16 @@ def _drive(model, examples, batch_sizes=(64, 1, 37, 256)):
         for batch in iter_batches(window, size):
             margins.append(model.fit_batch(batch))
     return np.concatenate([m for m in margins if m.size])
+
+
+def _kernel_less(model):
+    """Give ``model`` a kernel-less copy of its loss: the same ``dloss``
+    code, which WM and feature hashing then train through the
+    per-example spec (``StreamingClassifier.fit_batch``)."""
+    loss = copy.copy(model.loss)
+    loss.kernel_id = None
+    model.loss = loss
+    return model
 
 
 def _assert_same(a, b):
@@ -344,9 +355,8 @@ class TestModelLevel:
         examples = _stream(seed=11)
         factory = FACTORIES[name]
         fused = factory(backend)
-        assert fused.use_fused  # the default ships on
-        unfused = factory(backend)
-        unfused.use_fused = False
+        assert fused.loss.kernel_id is not None  # the fast path runs
+        unfused = _kernel_less(factory(backend))
         m_fused = _drive(fused, examples)
         m_unfused = _drive(unfused, examples)
         _assert_same(fused, unfused)
@@ -437,21 +447,20 @@ class TestWorkspaceLifecycle:
         # the reduceat segment starts, splitting the last non-empty
         # example's bound segment — its final feature's row magnitude
         # dropped out of the estimate bound, so the fused maintain pass
-        # could skip an admission the unfused path makes.  Construct
+        # could skip an admission per-example update() makes.  Construct
         # that exactly: a full heap holding a small entry, a trailing-
         # empty batch whose last (= only) example carries its heavy
         # feature in the *last* position.
         from repro.data.sparse import SparseExample
 
-        def build(use_fused, backend="numpy"):
+        def build(backend="numpy"):
             model = WMSketch(4, 1, seed=0, heap_capacity=1, lambda_=0.0,
                              backend=backend)
-            model.use_fused = use_fused
             model.table[0] = [5.0, 0.01, 0.0, 0.0]
             model.heap.push(10_000, 0.5)  # full at a small priority
             return model
 
-        fam = build(True).family
+        fam = build().family
         light = next(i for i in range(1_000)
                      if fam.bucket_sign_one(i, 0)[0] == 1)
         heavy = next(i for i in range(1_000)
@@ -463,16 +472,17 @@ class TestWorkspaceLifecycle:
             ),
             SparseExample(np.empty(0, dtype=np.int64), np.empty(0), 1),
         ])
-        unfused = build(False)
-        unfused.fit_batch(batch)
+        sequential = build()
+        for ex in batch:
+            sequential.update(ex)
         # Every backend's heap maintain (the c loop runs this batch,
         # since the heap is full from the start).
         for backend in ["numpy"] + [
             name for name in kernels.available_backends() if name != "numpy"
         ]:
-            fused = build(True, backend)
+            fused = build(backend)
             fused.fit_batch(batch)
-            _assert_same(fused, unfused)
+            _assert_same(fused, sequential)
             # The heavy feature's |estimate| (~5) beats the 0.5
             # threshold, so the admission must actually have happened.
             assert any(k == heavy for k, _ in fused.heap.items()), backend
@@ -510,15 +520,17 @@ class TestWorkspaceLifecycle:
         # Historically FeatureHashing let eta * lambda >= 1 flip the
         # model's sign silently; all three paths now raise like the
         # sketches do (and therefore stay equivalent to each other in
-        # the pathological regime too).
+        # the pathological regime too).  The "unfused" driver is the
+        # per-example spec a kernel-less loss runs through fit_batch.
         examples = _stream(seed=49, n=8)
         for driver in ("update", "fused", "unfused"):
             model = FeatureHashing(64, lambda_=0.5, learning_rate=4.0)
+            if driver == "unfused":
+                _kernel_less(model)
             with pytest.raises(ValueError, match="decrease eta0"):
                 if driver == "update":
                     model.update(examples[0])
                 else:
-                    model.use_fused = driver == "fused"
                     model.fit_batch(SparseBatch.from_examples(examples))
 
 

@@ -1,4 +1,4 @@
-"""Property-based tests: TopKHeap vs a naive reference implementation."""
+"""Property-based tests: TopKStore vs a naive reference implementation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.heap.topk import TopKHeap
+from repro.heap.topk import TopKStore
 
 # A random operation sequence: (op, key, value).
 ops_strategy = st.lists(
@@ -47,7 +47,7 @@ class NaiveTopK:
 
 @given(ops_strategy, st.integers(min_value=1, max_value=8))
 def test_heap_matches_reference(ops, capacity):
-    heap = TopKHeap(capacity)
+    heap = TopKStore(capacity)
     ref = NaiveTopK(capacity)
     for op, key, value in ops:
         if op == "push":
@@ -100,7 +100,7 @@ def test_heap_matches_reference(ops, capacity):
 def test_final_contents_are_topk_of_final_values(pairs, capacity):
     """Pushing a sequence of (key, value) pairs leaves the heap holding a
     top-``capacity`` (by |value|) subset of the final per-key values."""
-    heap = TopKHeap(capacity)
+    heap = TopKStore(capacity)
     final: dict[int, float] = {}
     for key, value in pairs:
         heap.push(key, value)
@@ -126,7 +126,7 @@ def test_final_contents_are_topk_of_final_values(pairs, capacity):
 )
 def test_decay_composition(factors):
     """Sequential decays compose multiplicatively on true values."""
-    heap = TopKHeap(3)
+    heap = TopKStore(3)
     heap.push(0, 8.0)
     product = 1.0
     for f in factors:

@@ -1,20 +1,23 @@
-"""Tests for the array-backed top-K store (and its TopKHeap alias)."""
+"""Tests for the array-backed top-K store."""
 
 from __future__ import annotations
+
+import math
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.heap.topk import BatchSlotCache, TopKHeap, TopKStore
+from repro.heap.topk import BatchSlotCache, TopKStore
 
 
 class TestBasics:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            TopKHeap(0)
+            TopKStore(0)
 
     def test_push_and_value(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, 2.0)
         h.push(2, -3.0)
         assert h.value(1) == 2.0
@@ -23,17 +26,17 @@ class TestBasics:
         assert 1 in h and 2 in h and 3 not in h
 
     def test_get_default(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         assert h.get(9) == 0.0
         assert h.get(9, default=5.0) == 5.0
 
     def test_value_raises_for_missing(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         with pytest.raises(KeyError):
             h.value(1)
 
     def test_min_entry_by_magnitude(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, -5.0)
         h.push(2, 1.0)
         h.push(3, 3.0)
@@ -42,7 +45,7 @@ class TestBasics:
         assert h.min_priority() == 1.0
 
     def test_min_on_empty_raises(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         with pytest.raises(IndexError):
             h.min_entry()
         with pytest.raises(IndexError):
@@ -51,7 +54,7 @@ class TestBasics:
 
 class TestEviction:
     def test_eviction_of_minimum(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         h.push(1, 1.0)
         h.push(2, 2.0)
         evicted = h.push(3, 5.0)
@@ -59,7 +62,7 @@ class TestEviction:
         assert 1 not in h and 3 in h
 
     def test_rejection_of_weak_candidate(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         h.push(1, 2.0)
         h.push(2, 3.0)
         evicted = h.push(3, 1.0)  # weaker than the min -> not admitted
@@ -67,14 +70,14 @@ class TestEviction:
         assert 3 not in h and len(h) == 2
 
     def test_update_existing_never_evicts(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         h.push(1, 2.0)
         h.push(2, 3.0)
         assert h.push(1, 0.5) is None  # update, even if smaller
         assert h.value(1) == 0.5
 
     def test_top_sorted_by_magnitude(self):
-        h = TopKHeap(5)
+        h = TopKStore(5)
         for key, v in [(1, 1.0), (2, -9.0), (3, 4.0), (4, -2.0)]:
             h.push(key, v)
         top = h.top(3)
@@ -82,7 +85,7 @@ class TestEviction:
         assert top[0][1] == -9.0
 
     def test_pop_min_drains_in_order(self):
-        h = TopKHeap(8)
+        h = TopKStore(8)
         values = [5.0, -1.0, 3.0, -4.0, 2.0]
         for i, v in enumerate(values):
             h.push(i, v)
@@ -94,19 +97,19 @@ class TestEviction:
 
 class TestDeltasAndRemoval:
     def test_add_delta(self):
-        h = TopKHeap(3)
+        h = TopKStore(3)
         h.push(1, 2.0)
         h.add_delta(1, -5.0)
         assert h.value(1) == -3.0
         h.check_invariants()
 
     def test_add_delta_missing_raises(self):
-        h = TopKHeap(3)
+        h = TopKStore(3)
         with pytest.raises(KeyError):
             h.add_delta(1, 1.0)
 
     def test_remove(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, 1.0)
         h.push(2, 2.0)
         h.push(3, 3.0)
@@ -115,7 +118,7 @@ class TestDeltasAndRemoval:
         h.check_invariants()
 
     def test_clear(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, 1.0)
         h.decay(0.5)
         h.clear()
@@ -124,7 +127,7 @@ class TestDeltasAndRemoval:
 
 class TestDecay:
     def test_decay_scales_all_values(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, 2.0)
         h.push(2, -4.0)
         h.decay(0.5)
@@ -132,7 +135,7 @@ class TestDecay:
         assert h.value(2) == pytest.approx(-2.0)
 
     def test_decay_preserves_order(self):
-        h = TopKHeap(4)
+        h = TopKStore(4)
         h.push(1, 1.0)
         h.push(2, 3.0)
         h.decay(0.9)
@@ -140,14 +143,14 @@ class TestDecay:
         h.check_invariants()
 
     def test_decay_rejects_non_positive(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         with pytest.raises(ValueError):
             h.decay(0.0)
         with pytest.raises(ValueError):
             h.decay(-1.0)
 
     def test_underflow_renormalization(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         h.push(1, 1.0)
         for _ in range(200):
             h.decay(1e-2)
@@ -157,7 +160,7 @@ class TestDecay:
         h.check_invariants()
 
     def test_push_interacts_with_scale(self):
-        h = TopKHeap(2)
+        h = TopKStore(2)
         h.push(1, 4.0)
         h.decay(0.5)
         h.push(2, 3.0)  # true value, should not be divided wrongly
@@ -228,6 +231,58 @@ class TestEvictionTieSemantics:
         assert sorted(k for k, _ in h.items()) == [2, 4]
 
 
+def _same_entry(a, b):
+    """(key, value) equality that treats two NaN values as equal."""
+    return a[0] == b[0] and (
+        a[1] == b[1] or (math.isnan(a[1]) and math.isnan(b[1]))
+    )
+
+
+class TestNanMinCache:
+    """A warm min cache must name a NaN entry whenever one is live: a
+    cold rescan's ``argmin`` picks the first NaN, so a cache that kept
+    a finite minimum would evict a different key than the store's
+    pickled (cold) copy."""
+
+    def _assert_agrees_with_cold_copy(self, warm):
+        cold = pickle.loads(pickle.dumps(warm))  # caches reset
+        assert _same_entry(warm.min_entry(), cold.min_entry())
+        assert math.isnan(warm.min_entry()[1])
+        warm.check_invariants()
+        cold.check_invariants()
+        # The next evicting push drops the same entry on both sides.
+        assert _same_entry(warm.push(4, 5.0), cold.push(4, 5.0))
+        assert sorted(warm.items()) == sorted(cold.items())
+        warm.check_invariants()
+
+    def test_nan_pushed_into_free_slot_on_warm_cache(self):
+        h = TopKStore(3)
+        h.push(1, 1.0)
+        h.push(2, 2.0)
+        h.min_priority()  # warm the cache (points at key 1)
+        h.push(3, math.nan)
+        assert h.min_entry()[0] == 3
+        self._assert_agrees_with_cold_copy(h)
+
+    def test_member_set_to_nan_through_push(self):
+        h = TopKStore(3)
+        for key, v in [(1, 1.0), (2, 2.0), (3, 3.0)]:
+            h.push(key, v)
+        h.min_priority()
+        h.push(3, math.nan)  # member update
+        assert h.min_entry()[0] == 3
+        self._assert_agrees_with_cold_copy(h)
+
+    def test_member_set_to_nan_through_add_delta(self):
+        h = TopKStore(3)
+        for key, v in [(1, 1.0), (2, 2.0), (3, 3.0)]:
+            h.push(key, v)
+        h.min_priority()
+        h.add_delta(2, math.nan)
+        assert h.min_entry()[0] == 2
+        self._assert_agrees_with_cold_copy(h)
+
+
 class TestVectorizedApi:
     def test_contains_and_get_many(self):
         h = TopKStore(4)
@@ -294,7 +349,7 @@ class TestVectorizedApi:
 
 class TestCustomPriority:
     def test_identity_priority(self):
-        h = TopKHeap(2, priority=lambda v: v)
+        h = TopKStore(2, priority=lambda v: v)
         h.push(1, -10.0)  # very negative = lowest priority
         h.push(2, 1.0)
         evicted = h.push(3, 5.0)
@@ -302,7 +357,7 @@ class TestCustomPriority:
 
     def test_negated_priority(self):
         # Keep the *smallest* values (used by the A-Res reservoir).
-        h = TopKHeap(2, priority=lambda v: -v)
+        h = TopKStore(2, priority=lambda v: -v)
         h.push(1, 10.0)
         h.push(2, 1.0)
         evicted = h.push(3, 0.5)

@@ -25,6 +25,7 @@ from repro.core.sketch_table import (
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
+from repro.learning.losses import LogisticLoss
 from repro.serving import SnapshotManager
 
 STREAM = SyntheticStream(d=50_000, n_signal=60, avg_nnz=8.0, seed=7)
@@ -33,8 +34,9 @@ EXAMPLES = STREAM.materialize(700)
 FACTORIES = {
     "wm": lambda: WMSketch(1 << 14, 2, seed=0, heap_capacity=32,
                            lambda_=1e-4),
-    "wm_unfused": lambda: _unfused(
-        WMSketch(1 << 14, 2, seed=1, heap_capacity=16, lambda_=1e-4)
+    "wm_unfused": lambda: WMSketch(
+        1 << 14, 2, seed=1, heap_capacity=16, lambda_=1e-4,
+        loss=_KernelLessLogistic(),
     ),
     "awm": lambda: AWMSketch(1 << 13, depth=1, heap_capacity=48, seed=0,
                              lambda_=1e-4),
@@ -43,9 +45,11 @@ FACTORIES = {
 }
 
 
-def _unfused(model):
-    model.use_fused = False
-    return model
+class _KernelLessLogistic(LogisticLoss):
+    """The logistic loss without a kernel id: ``fit_batch`` then runs
+    the per-example spec, whose dirty marking the chain must see."""
+
+    kernel_id = None
 
 
 def _read_keys(rng):
