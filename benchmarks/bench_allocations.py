@@ -16,7 +16,7 @@ workload:
   reported to show the path does not leak.
 
 The committed ``BENCH_alloc.json`` records the peaks;
-``check_throughput_regression.py --kind alloc`` gates them in CI
+``benchmarks/gate.py alloc`` gates them in CI
 against the byte ceilings in ``benchmarks/gates.json`` and against the
 committed peaks (byte counts do not depend on machine speed, but do on
 the kernel backend: CI runs numpy), and ``tests/test_allocations.py``

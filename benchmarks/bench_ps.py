@@ -13,8 +13,8 @@ uses (depth-1 sketch, fixed per-round write count set by the stream):
   (chunk payloads + ids + header) against the full-table bytes a
   full-state sync would move.  The **headline** is the ratio at 2^20
   buckets — byte accounting from one in-process run, fully
-  machine-independent — gated at >= 5x by
-  ``check_throughput_regression.py --kind ps``.
+  machine-independent — gated by ``benchmarks/gate.py ps`` (floor
+  in ``benchmarks/gates.json``).
 * **Modeled critical-path throughput** at 1/2/4 workers on a fixed
   stream: workers train their shards in parallel on their own modeled
   cores (slowest worker binds), driver-side encode/apply/pull/publish

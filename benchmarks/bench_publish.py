@@ -14,8 +14,8 @@ rate is set by the stream, not the table), and times both publish
 paths at every width.  Per width it reports the median per-publish
 latency of each path, their ratio, and the observed dirty fraction /
 chunks copied.  The **headline** is the incremental speedup at 2^20
-buckets, gated by ``benchmarks/check_throughput_regression.py --kind
-publish`` (floor in ``benchmarks/gates.json``).  A bit-identity guard
+buckets, gated by ``benchmarks/gate.py publish`` (floor in
+``benchmarks/gates.json``).  A bit-identity guard
 asserts the chained snapshot answers exactly like the full copy at
 every width.
 

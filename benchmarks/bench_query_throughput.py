@@ -17,7 +17,7 @@ the fused kernels:
   of a dashboard or a top-K monitor.
 
 Results land in ``BENCH_query.json`` at the repository root;
-``benchmarks/check_throughput_regression.py --kind query`` gates the
+``benchmarks/gate.py query`` gates the
 machine-independent speedup ratios (plus absolute floors) in CI.
 
 Timing discipline matches ``bench_update_throughput``: every repeat

@@ -24,7 +24,7 @@ Two halves, matching the two promises ``repro.resilience`` makes:
   reports what the worker respawn actually cost.
 
 Results land in ``BENCH_resilience.json`` at the repository root;
-``benchmarks/check_throughput_regression.py --kind resilience`` gates
+``benchmarks/gate.py resilience`` gates
 ``goodput_ratio`` (machine-independent: both sides of the ratio come
 from the same process on the same machine) and ``recovery_bit_identical``.
 

@@ -18,7 +18,7 @@ sketch dimensions) behind :class:`repro.serving.server.SketchServer`:
   coalescer actually formed, plus the reader hash-cache hit rate.
 
 Results land in ``BENCH_serving.json`` at the repository root;
-``benchmarks/check_throughput_regression.py --kind serving`` gates the
+``benchmarks/gate.py serving`` gates the
 speedup ratios (machine-independent: both sides of each ratio come
 from the same process on the same machine) plus absolute floors.
 

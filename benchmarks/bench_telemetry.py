@@ -12,10 +12,10 @@ every batch).  The report is::
 
     telemetry_overhead_ratio = enabled_eps / disabled_eps
 
-and the contract, gated in CI by
-``check_throughput_regression.py --kind telemetry`` against
-``benchmarks/gates.json``, is **ratio >= 0.97**: turning the tracer on
-may cost at most 3% of training throughput.  (Metric counters are
+and the contract, gated in CI by ``benchmarks/gate.py telemetry``
+under the floor in ``benchmarks/gates.json``, is **ratio >= 0.97**:
+turning the tracer on may cost at most 3% of training throughput.
+(Metric counters are
 always on and per-batch amortized; "telemetry enabled" here means the
 expensive axis — span capture.)
 

@@ -79,10 +79,13 @@ class AWMSketch(ScaledSketchTable):
         dispatches no compiled loop yet: its batch loop and the 1-sparse
         scalar fast path call the NumPy helpers directly, so every
         backend gives the same results at the same speed.
-    scalar_fast_path:
-        Use the all-scalar update for 1-sparse inputs (identical results
-        to the batch path, ~10x faster for the Section 8 applications).
-        Exposed so tests can verify the equivalence.
+
+    Notes
+    -----
+    1-sparse examples (the Section 8 applications) always take the
+    all-scalar step :meth:`_update_one`, ~10x faster than the general
+    step :meth:`_update_example` and checked against it in
+    ``tests/test_awm_fast_path.py``.
     """
 
     def __init__(
@@ -96,7 +99,6 @@ class AWMSketch(ScaledSketchTable):
         seed: int = 0,
         hash_kind: str = "tabulation",
         backend: str | None = None,
-        scalar_fast_path: bool = True,
     ):
         if heap_capacity < 1:
             raise ValueError(f"heap_capacity must be >= 1, got {heap_capacity}")
@@ -111,7 +113,6 @@ class AWMSketch(ScaledSketchTable):
             backend=backend,
         )
         self.heap = TopKStore(heap_capacity)
-        self.scalar_fast_path = scalar_fast_path
         # Diagnostics: promotion/eviction churn (exposed for ablations).
         self.n_promotions = 0
 
@@ -327,7 +328,7 @@ class AWMSketch(ScaledSketchTable):
     # Learning (Algorithm 2)
     # ------------------------------------------------------------------
     def update(self, x: SparseExample) -> None:
-        if self.scalar_fast_path and x.indices.size == 1:
+        if x.indices.size == 1:
             self._update_one(int(x.indices[0]), float(x.values[0]), x.label)
             return
         self._update_example(x.indices, x.values, x.label)
@@ -607,7 +608,7 @@ class AWMSketch(ScaledSketchTable):
         for i in range(n):
             lo, hi = indptr[i], indptr[i + 1]
             y = labels[i]
-            if hi - lo == 1 and self.scalar_fast_path:
+            if hi - lo == 1:
                 margins[i] = self._update_one(
                     int(indices[lo]), float(values[lo]), y
                 )

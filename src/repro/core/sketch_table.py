@@ -446,6 +446,7 @@ class ScaledSketchTable(StreamingClassifier):
     def __setstate__(self, state: dict) -> None:
         state.setdefault("backend", None)  # pre-kernel pickles
         state.setdefault("_fold_log", 0.0)  # pre-fold-log pickles
+        state.pop("scalar_fast_path", None)  # older AWM pickles
         dirty = state.pop("_dirty", None)
         self.__dict__.update(state)
         depth, width = self.depth, self.width

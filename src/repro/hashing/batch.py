@@ -132,12 +132,13 @@ class BatchHasher:
         self._set_scratch = np.empty(cap, dtype=np.intp)
         self._slot_scratch = np.empty(cap, dtype=np.intp)
         self._tag_scratch = np.empty(WAYS * cap, dtype=np.int64)
-        # One int64 of match flags per position, and the (WAYS, cap)
-        # view of the bytes the comparison fills (the rest stay 0).
+        # One int64 of match flags per position, and per way the 1-D
+        # view of the byte the comparison fills (the rest stay 0).  A
+        # 1-D strided output needs no buffer, where one (WAYS, n) view
+        # made numpy allocate an iteration buffer on every lookup.
         self._flag_scratch = np.zeros(cap, dtype=np.dtype("<i8"))
-        self._match_scratch = (
-            self._flag_scratch.view(np.bool_).reshape(cap, 8)[:, :WAYS].T
-        )
+        flag_bytes = self._flag_scratch.view(np.bool_)
+        self._match_scratch = [flag_bytes[w::8] for w in range(WAYS)]
         self._scratch = cap
 
     def __len__(self) -> int:
@@ -208,7 +209,8 @@ class BatchHasher:
         # mode="clip" (indices are in range anyway) keeps take from
         # buffering its output.
         self._tags.take(sets, axis=1, out=way_tags, mode="clip")
-        np.equal(way_tags, keys, out=self._match_scratch[:, :n])
+        for w, match in enumerate(self._match_scratch):
+            np.equal(way_tags[w], keys, out=match[:n])
         n_hit = int(np.count_nonzero(flags))
         # slot = way * _SETS + set; a miss reads way 0 and is rewritten.
         np.multiply(flags, _WAY_MAGIC, out=slot)

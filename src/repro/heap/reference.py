@@ -166,9 +166,9 @@ class ReferenceTopKHeap:
         -------
         The evicted (key, true value) pair if an insertion into a full
         heap displaced the minimum entry; ``None`` otherwise.  If the heap
-        is full and ``value`` has priority <= the current minimum (and
-        ``key`` is absent), the pair ``(key, value)`` itself is returned
-        as "evicted" (i.e. it was not admitted).
+        is full and ``value``'s priority is not greater than the current
+        minimum (and ``key`` is absent), the pair ``(key, value)`` itself
+        is returned as "evicted" (i.e. it was not admitted).
         """
         raw = value / self._scale
         idx = self._pos.get(key)
@@ -179,8 +179,9 @@ class ReferenceTopKHeap:
         if not self.is_full:
             self._append(key, raw)
             return None
-        # Full: compare priorities on true values.
-        if self._priority(value) <= self.min_priority():
+        # Full: compare priorities on true values.  Only a strictly
+        # greater priority admits (ties and NaN reject).
+        if not self._priority(value) > self.min_priority():
             return (key, value)
         evicted = self._replace_min(key, raw)
         return evicted

@@ -13,8 +13,8 @@ default) — but stores everything in contiguous slot arrays:
   never moves while it stays a member (only removal compacts).
 * a ``key -> slot`` dict for O(1) scalar membership and lookup, plus a
   lazily rebuilt *sorted-key snapshot* that serves the vectorized
-  membership path (:meth:`contains_many` / :meth:`member_slots` /
-  :meth:`get_many`) via one ``searchsorted`` per query batch.
+  membership path (:meth:`contains_many` / :meth:`member_slots`) via
+  one ``searchsorted`` per query batch.
 * a lazily tracked *min slot* instead of a heap ordering: scalar
   mutations patch or invalidate the cached argmin in O(1); a stale
   minimum is recomputed with one vectorized ``argmin`` over the live
@@ -415,16 +415,6 @@ class TopKStore:
         slots = np.where(found, sorted_slots[pos], -1)
         return slots
 
-    def get_many(self, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
-        """True values for ``keys`` (``default`` where absent), vectorized."""
-        slots = self.member_slots(keys)
-        out = self._raw[np.maximum(slots, 0)] * self._scale
-        if default == 0.0:
-            out[slots < 0] = 0.0
-        else:
-            out = np.where(slots >= 0, out, default)
-        return out
-
     def values_at(self, slots: np.ndarray) -> np.ndarray:
         """True values at known-member ``slots`` (from
         :meth:`member_slots`); no membership re-checking."""
@@ -451,9 +441,7 @@ class TopKStore:
 
         ``factor`` must be positive (ordering by priority is preserved
         only under positive scaling).  Raw values are folded back in
-        when the scale underflows toward zero; folding multiplies every
-        raw value by the same constant, so the cached minimum stays a
-        minimum.
+        when the scale underflows toward zero.
         """
         if factor <= 0.0:
             raise ValueError(f"decay factor must be positive, got {factor}")
@@ -462,9 +450,15 @@ class TopKStore:
             self._renormalize()
 
     def _renormalize(self) -> None:
-        """Fold the scale into the raw values to avoid underflow."""
+        """Fold the scale into the raw values to avoid underflow.
+
+        The fold keeps the cached minimum a minimum, but rounding can
+        tie it with an earlier slot (two values flushed to zero, say),
+        which a cold rescan would pick instead; so the cache goes.
+        """
         self._raw[: self._n] *= self._scale
         self._scale = 1.0
+        self._min_slot = -1
 
     def push(self, key: int, value: float) -> tuple[int, float] | None:
         """Insert or update ``key`` with true value ``value``.
@@ -474,11 +468,12 @@ class TopKStore:
         The evicted (key, true value) pair if an insertion into a full
         store displaced the minimum entry; ``None`` otherwise.  If the
         store is full, ``key`` is absent and ``value``'s priority is
-        **less than or equal to** the current minimum, the pair
+        not **strictly greater** than the current minimum, the pair
         ``(key, value)`` itself is returned as "evicted" — i.e. it was
         not admitted.  Equality deterministically rejects: a candidate
         that merely *ties* the admission threshold never evicts an
-        incumbent (see the module docstring).
+        incumbent (see the module docstring); a NaN candidate, or any
+        candidate against a NaN minimum, is rejected too.
         """
         scale = self._scale
         raw = value / scale
@@ -500,8 +495,10 @@ class TopKStore:
             self._touch_value(n)
             self._membership_changed()
             return None
-        # Full: compare priorities on true values; ties reject.
-        if self._priority(value) <= self.min_priority():
+        # Full: compare priorities on true values.  Only a strictly
+        # greater priority admits, so ties and NaN reject (as in
+        # push_many's screen), and a NaN minimum admits nothing.
+        if not self._priority(value) > self.min_priority():
             return (key, value)
         ms = self._min()
         evicted = (int(self._keys[ms]), float(self._raw[ms]) * scale)
@@ -746,10 +743,14 @@ class TopKStore:
             self._raw[slot] = self._raw[last]
             self._pos[int(self._keys[slot])] = slot
         self._n = last
-        # The moved entry (or the removal of the cached min itself)
-        # invalidates the cached argmin unless it provably survives.
-        if self._min_slot in (slot, last):
+        if self._min_slot == last:
+            # The cached minimum moved (or was the removed last entry).
             self._min_slot = -1
+        elif slot != last:
+            # The moved entry may tie the cached minimum at an earlier
+            # slot, which a cold rescan would pick; removing the cached
+            # minimum itself drops the cache here too.
+            self._touch_value(slot)
         self._membership_changed()
 
     def clear(self) -> None:
@@ -776,19 +777,14 @@ class TopKStore:
             assert int(self._keys[slot]) == key
         if self._min_slot >= 0:
             assert self._min_slot < n
-            prios = self._vprio(self._raw[:n] * self._scale)
-            cached = prios[self._min_slot]
-            if np.isnan(prios).any():
-                # The rescan's argmin picks a NaN whenever one is live.
-                assert np.isnan(cached), (
-                    f"cached min slot {self._min_slot} ({cached}) is "
-                    f"not NaN while a NaN entry is live"
-                )
-            else:
-                assert cached <= prios.min() + 1e-12, (
-                    f"cached min slot {self._min_slot} "
-                    f"({cached}) is not minimal ({prios.min()})"
-                )
+            # A warm cache names the slot a cold rescan picks: the first
+            # minimum in slot order, or the first NaN when one is live.
+            rescan = int(self._vprio(self._raw[:n]).argmin())
+            assert self._min_slot == rescan, (
+                f"cached min slot {self._min_slot} "
+                f"({self._raw[self._min_slot]}) is not the rescan's "
+                f"slot {rescan} ({self._raw[rescan]})"
+            )
         if self._sorted_keys is not None:
             assert self._sorted_keys.size == n
             assert np.array_equal(

@@ -168,7 +168,6 @@ class AdaGradAWMSketch(AWMSketch):
     """
 
     def __init__(self, width: int, heap_capacity: int = 128, **kwargs):
-        kwargs.setdefault("scalar_fast_path", False)
         super().__init__(
             width=width, depth=1, heap_capacity=heap_capacity, **kwargs
         )

@@ -18,8 +18,8 @@ Prometheus text, a JSON dump, or the ``repro telemetry`` terminal view.
 Overhead contract: metric updates are per-batch (never per example)
 and tracing costs nothing measurable while disabled —
 ``BENCH_telemetry.json`` demonstrates tracing-enabled Fig. 7 training
-within 3% of disabled, and CI gates it
-(``check_throughput_regression --kind telemetry``).
+within 3% of disabled, and CI gates it (``benchmarks/gate.py
+telemetry``).
 """
 
 from repro.telemetry.exporters import render_terminal, to_json, to_prometheus

@@ -1,9 +1,11 @@
-"""Equivalence of the AWM-Sketch's scalar fast path and batch path.
+"""Equivalence of the AWM-Sketch's scalar fast path and its spec.
 
-The Section 8 applications stream 1-sparse examples, which the
-AWM-Sketch handles with an all-scalar update.  These tests drive two
-sketches through identical streams — one with the fast path, one forced
-through the batch path — and require bit-identical state.
+The Section 8 applications stream 1-sparse examples, which
+``AWMSketch.update`` always hands to the all-scalar step
+``_update_one``.  These tests drive two sketches through identical
+streams — one through ``update``, one through the general per-example
+step ``_update_example`` (the Algorithm 2 spec) — and require the same
+state.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ def test_scalar_path_matches_batch_path(depth, lambda_):
         learning_rate=ConstantSchedule(0.2),
         seed=7,
     )
-    fast = AWMSketch(scalar_fast_path=True, **kwargs)
-    slow = AWMSketch(scalar_fast_path=False, **kwargs)
+    fast = AWMSketch(**kwargs)
+    slow = AWMSketch(**kwargs)
     stream = _one_sparse_stream(800, universe=2_000, seed=3)
     for ex in stream:
         fast.update(ex)
-        slow.update(ex)
+        slow._update_example(ex.indices, ex.values, ex.label)
     # Identical sketch state, heap contents and diagnostics.
     assert np.allclose(fast.sketch_state(), slow.sketch_state(),
                        rtol=1e-12, atol=1e-12)
@@ -84,11 +86,11 @@ def test_scalar_estimate_matches_vector_estimate():
 
 def test_mixed_sparsity_stream_consistency():
     """Streams mixing 1-sparse and multi-sparse examples go through both
-    paths inside one sketch; results must match a batch-only sketch."""
+    steps inside one sketch; results must match the spec alone."""
     kwargs = dict(width=512, depth=2, heap_capacity=8, lambda_=1e-5,
                   learning_rate=ConstantSchedule(0.1), seed=5)
-    fast = AWMSketch(scalar_fast_path=True, **kwargs)
-    slow = AWMSketch(scalar_fast_path=False, **kwargs)
+    fast = AWMSketch(**kwargs)
+    slow = AWMSketch(**kwargs)
     rng = np.random.default_rng(9)
     for _ in range(400):
         nnz = int(rng.integers(1, 5))
@@ -97,6 +99,6 @@ def test_mixed_sparsity_stream_consistency():
         y = 1 if rng.random() < 0.5 else -1
         ex = SparseExample(idx, vals, y)
         fast.update(ex)
-        slow.update(ex)
+        slow._update_example(ex.indices, ex.values, ex.label)
     assert np.allclose(fast.sketch_state(), slow.sketch_state())
     assert fast.n_promotions == slow.n_promotions

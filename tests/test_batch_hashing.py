@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -165,6 +166,26 @@ def test_hit_rate_counter():
     assert hasher.hit_rate == 0.5  # 50 misses then 50 hits
     hasher.rows(keys)
     assert hasher.hit_rate == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_all_hit_lookup_allocates_nothing_per_key(n):
+    """A hit allocates nothing at key scale: the tag comparison writes
+    straight into the scratch (comparing into one (WAYS, n) view of it
+    made numpy allocate an iteration buffer, ~37 B a key)."""
+    hasher = BatchHasher(HashFamily(2**13, 3, seed=0))
+    keys = np.arange(n, dtype=np.int64) * 7 + 3
+    buckets = np.empty((3, n), dtype=np.int64)
+    signs = np.empty((3, n), dtype=np.float64)
+    hasher.rows_into(keys, buckets, signs)  # fills the memo and scratch
+    tracemalloc.start()
+    try:
+        hasher.rows_into(keys, buckets, signs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hasher.hits == n
+    assert peak < 4096
 
 
 def test_high_cardinality_stream_stays_bounded(rng):

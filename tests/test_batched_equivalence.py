@@ -222,11 +222,12 @@ def test_wm_maintain_matches_update_property(
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("hash_kind", ["tabulation", "polynomial"])
 @pytest.mark.parametrize("depth", [1, 3])
-@pytest.mark.parametrize("scalar_fast_path", [True, False])
-def test_awm_sketch_equivalence(depth, hash_kind, scalar_fast_path):
-    # Mix in 1-sparse examples so the scalar fast path is exercised
-    # inside batches exactly as it is in per-example updates.
-    examples = _stream(600, seed=depth * 7, one_sparse_fraction=0.4)
+@pytest.mark.parametrize("one_sparse", [True, False])
+def test_awm_sketch_equivalence(depth, hash_kind, one_sparse):
+    # With one_sparse, mix in 1-sparse examples so the scalar fast path
+    # runs inside batches as often as in per-example updates.
+    examples = _stream(600, seed=depth * 7,
+                       one_sparse_fraction=0.4 if one_sparse else 0.0)
 
     def make():
         return AWMSketch(
@@ -236,7 +237,6 @@ def test_awm_sketch_equivalence(depth, hash_kind, scalar_fast_path):
             lambda_=1e-4,
             seed=5,
             hash_kind=hash_kind,
-            scalar_fast_path=scalar_fast_path,
         )
 
     seq, seq_tr, bat, bat_tr = _drive_pair(make, examples, 64)
@@ -270,7 +270,7 @@ def test_awm_sketch_equivalence_property(batch_size, depth, seed):
 def _update_margin(model, ex):
     """``model.update(ex)``, returning the pre-update margin its step
     computed (the same dispatch ``AWMSketch.update`` makes)."""
-    if model.scalar_fast_path and ex.nnz == 1:
+    if ex.nnz == 1:
         return model._update_one(
             int(ex.indices[0]), float(ex.values[0]), ex.label
         )
@@ -288,26 +288,25 @@ def _update_margin(model, ex):
     l1=st.sampled_from([0.0, 0.01]),
     regime=st.sampled_from(["ties", "decay", "renorm"]),
     fold_at=st.integers(min_value=0, max_value=12),
-    scalar_fast_path=st.booleans(),
     batch_size=st.integers(min_value=1, max_value=16),
 )
 def test_awm_fit_batch_matches_update_property(
     examples, capacity, width, depth, loss, l1, regime, fold_at,
-    scalar_fast_path, batch_size,
+    batch_size,
 ):
     """Batched AWM == per-example ``update()``, aimed at the batch
     loop's edge cases: a store full from the first batch (capacities
     1-4) or filling mid-batch, exact admission ties (``lambda_=0`` with
     +-1 values over width <= 16; ties reject), even depths (two-middle
     median), every loss, l1 shrinkage, empty examples mid-batch and
-    trailing, 1-sparse examples on and off the scalar fast path, and
+    trailing, 1-sparse examples (the scalar fast path), and
     renorm folds of both scales (``regime="renorm"`` starts them just
     above the threshold, far enough that they fold at step ``fold_at``,
     so the fold can land after the store is full)."""
     def make():
         model = AWMSketch(width, depth, heap_capacity=capacity, loss=loss,
                           lambda_=0.0 if regime == "ties" else 0.01,
-                          seed=3, scalar_fast_path=scalar_fast_path)
+                          seed=3)
         model.l1 = l1
         if regime == "renorm":
             brink = _RENORM_THRESHOLD * 1.0000001

@@ -52,7 +52,7 @@ def _stream(seed=0, d=600):
 def _step(model, ex):
     """``model.update(ex)``, returning the pre-update margin its step
     computed (the same dispatch ``AWMSketch.update`` makes)."""
-    if model.scalar_fast_path and ex.nnz == 1:
+    if ex.nnz == 1:
         return model._update_one(
             int(ex.indices[0]), float(ex.values[0]), ex.label
         )

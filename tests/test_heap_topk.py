@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.heap.reference import ReferenceTopKHeap
 from repro.heap.topk import BatchSlotCache, TopKStore
 
 
@@ -159,6 +160,20 @@ class TestDecay:
         assert np.isfinite(h.value(1))
         h.check_invariants()
 
+    def test_renormalization_keeps_the_warm_min_on_the_cold_rescan_pick(
+        self,
+    ):
+        # The fold flushes both values to 0.0: a tie a cold rescan
+        # breaks by slot order, so the warm cache must too.
+        warm = TopKStore(2)
+        warm.push(1, 3e-200)
+        warm.push(2, 1e-200)
+        assert warm.min_entry()[0] == 2  # warms the cache
+        warm.decay(1e-160)  # below the threshold: folds the scale in
+        warm.check_invariants()
+        cold = pickle.loads(pickle.dumps(warm))  # caches reset
+        assert warm.min_entry() == cold.min_entry() == (1, 0.0)
+
     def test_push_interacts_with_scale(self):
         h = TopKStore(2)
         h.push(1, 4.0)
@@ -230,6 +245,24 @@ class TestEvictionTieSemantics:
         assert admitted == 3
         assert sorted(k for k, _ in h.items()) == [2, 4]
 
+    def test_remove_keeps_the_warm_min_on_the_cold_rescan_pick(self):
+        """``remove`` moves the last entry into the freed slot; when
+        it ties the cached minimum at an earlier slot, the warm cache
+        must move to it, as a cold rescan does."""
+        warm = TopKStore(3)
+        for key, v in [(1, 3.0), (2, 1.0), (3, 1.0)]:
+            warm.push(key, v)
+        assert warm.min_entry() == (2, 1.0)  # warms the cache
+        warm.remove(1)  # key 3 moves into slot 0, ahead of key 2
+        warm.check_invariants()
+        cold = pickle.loads(pickle.dumps(warm))  # caches reset
+        assert warm.min_entry() == cold.min_entry() == (3, 1.0)
+        for key, v in [(4, 5.0), (5, 6.0)]:
+            warm.push(key, v)
+            cold.push(key, v)
+        assert sorted(k for k, _ in warm.items()) == [2, 4, 5]
+        assert sorted(warm.items()) == sorted(cold.items())
+
 
 def _same_entry(a, b):
     """(key, value) equality that treats two NaN values as equal."""
@@ -250,9 +283,12 @@ class TestNanMinCache:
         assert math.isnan(warm.min_entry()[1])
         warm.check_invariants()
         cold.check_invariants()
-        # The next evicting push drops the same entry on both sides.
+        # The next push gets the same verdict on both sides (a full
+        # store with a NaN minimum admits nothing).
         assert _same_entry(warm.push(4, 5.0), cold.push(4, 5.0))
-        assert sorted(warm.items()) == sorted(cold.items())
+        items, cold_items = sorted(warm.items()), sorted(cold.items())
+        assert len(items) == len(cold_items)
+        assert all(map(_same_entry, items, cold_items))
         warm.check_invariants()
 
     def test_nan_pushed_into_free_slot_on_warm_cache(self):
@@ -283,6 +319,21 @@ class TestNanMinCache:
         self._assert_agrees_with_cold_copy(h)
 
 
+@pytest.mark.parametrize("cls", [TopKStore, ReferenceTopKHeap])
+def test_full_store_rejects_a_nan_candidate(cls):
+    """Only a strictly greater priority admits, so ``push`` rejects a
+    NaN on a full store, as ``push_many``'s screen does."""
+    h = cls(2)
+    h.push(1, 1.0)
+    h.push(2, 2.0)
+    key, value = h.push(3, math.nan)
+    assert key == 3 and math.isnan(value)
+    assert sorted(h) == [1, 2]
+    twin = TopKStore(2)
+    twin.push_many(np.array([1, 2, 3]), np.array([1.0, 2.0, math.nan]))
+    assert sorted(twin) == [1, 2]
+
+
 class TestVectorizedApi:
     def test_contains_and_get_many(self):
         h = TopKStore(4)
@@ -290,8 +341,9 @@ class TestVectorizedApi:
         h.push(20, -2.0)
         probe = np.array([5, 10, 20, 30], dtype=np.int64)
         assert h.contains_many(probe).tolist() == [False, True, True, False]
-        assert h.get_many(probe).tolist() == [0.0, 1.0, -2.0, 0.0]
-        assert h.get_many(probe, default=9.0).tolist() == [9.0, 1.0, -2.0, 9.0]
+        slots = h.member_slots(probe)
+        assert slots.tolist() == [-1, 0, 1, -1]
+        assert h.values_at(slots[1:3]).tolist() == [1.0, -2.0]
 
     def test_member_slots_stay_valid_across_value_updates(self):
         h = TopKStore(4)
