@@ -30,6 +30,10 @@ partitioner, the worker transport, or the merge path.
 Run::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py
+
+The kernel backend is the process default (``REPRO_KERNEL_BACKEND``,
+else ``auto``), which the pool workers inherit with the environment;
+the JSON records its name.
 """
 
 from __future__ import annotations
@@ -132,27 +136,11 @@ def main(argv=None) -> int:
              "(modeled_eps only; useful where spawning is restricted)",
     )
     parser.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *kernels.BACKEND_NAMES),
-        help="kernel backend for the hot loops, recorded in the JSON "
-             "and propagated to pool workers via REPRO_KERNEL_BACKEND "
-             "(unavailable choices fall back to numpy with a notice)",
-    )
-    parser.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent
                     / "BENCH_parallel.json"),
     )
     args = parser.parse_args(argv)
-
-    try:
-        backend_name = kernels.set_backend(args.backend).name
-    except kernels.BackendUnavailableError as exc:
-        print(f"notice: {exc}; using the numpy reference backend")
-        backend_name = kernels.set_backend("numpy").name
-    # Workers inherit the environment; the kwargs pin is belt and braces.
-    os.environ[kernels.ENV_VAR] = backend_name
-    WM_KWARGS["backend"] = backend_name
 
     spec = rcv1_like(scale=0.08)
     examples = spec.stream.materialize(args.examples, seed_offset=5)
@@ -165,10 +153,10 @@ def main(argv=None) -> int:
             "width": WIDTH,
             "depth": DEPTH,
             "model": "wm_algorithm1 (no heap)",
-            "kernel_backend": backend_name,
+            "kernel_backend": kernels.active_backend_name(),
             "python": platform.python_version(),
-            "cores_visible": len(__import__("os").sched_getaffinity(0))
-            if hasattr(__import__("os"), "sched_getaffinity")
+            "cores_visible": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
             else None,
         },
         "metric_note": (

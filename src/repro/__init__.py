@@ -58,11 +58,7 @@ from repro.learning import (
 from repro.learning.adagrad import AdaGradAWMSketch, AdaGradFeatureHashing
 from repro.parallel import ParallelHarness, train_sharded
 from repro.data.partition import partition_stream
-from repro.kernels import (
-    available_backends,
-    get_backend,
-    set_backend,
-)
+from repro.kernels import available_backends, get_backend
 from repro.sketch import CountMinSketch, CountSketch, SpaceSaving
 
 __version__ = "1.0.0"
@@ -95,7 +91,6 @@ __all__ = [
     "partition_stream",
     "available_backends",
     "get_backend",
-    "set_backend",
     "CountSketch",
     "CountMinSketch",
     "SpaceSaving",

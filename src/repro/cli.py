@@ -63,7 +63,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -78,25 +77,6 @@ from repro.data.datasets import ALL_PRESETS
 from repro.evaluation.harness import RecoveryExperiment
 
 
-def _apply_backend(name: str) -> str:
-    """Activate the requested kernel backend; returns the resolved name.
-
-    An unavailable backend (``--backend c`` without cffi or a C
-    compiler) prints a notice and falls back to the NumPy reference —
-    results are identical either way, so the run proceeds.  The
-    resolved name is exported through ``REPRO_KERNEL_BACKEND`` so
-    spawned worker processes (the ``parallel`` subcommand) follow it.
-    """
-    try:
-        backend = kernels.set_backend(name)
-    except kernels.BackendUnavailableError as exc:
-        print(f"notice: {exc}; using the numpy reference backend",
-              file=sys.stderr)
-        backend = kernels.set_backend("numpy")
-    os.environ[kernels.ENV_VAR] = backend.name
-    return backend.name
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     preset = ALL_PRESETS.get(f"{args.dataset}_like")
     if preset is None:
@@ -104,12 +84,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"choose from rcv1, url, kdda", file=sys.stderr)
         return 2
     spec = preset(seed=args.seed)
-    backend = _apply_backend(args.backend)
     batch_size = args.batch_size if args.batch_size > 0 else None
     print(f"dataset={spec.name} d={spec.stream.d:,} "
           f"examples={args.examples:,} lambda={args.lambda_:g} "
           f"batch_size={batch_size or 'off (per-example)'} "
-          f"backend={backend}")
+          f"backend={kernels.active_backend_name()}")
     examples = spec.stream.materialize(args.examples)
     experiment = RecoveryExperiment(
         examples,
@@ -169,15 +148,11 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_factory(
-    method: str, budget_bytes: int, seed: int, backend: str | None = None
-):
+def _parallel_factory(method: str, budget_bytes: int, seed: int):
     """(picklable factory, kwargs) for one sharded-training method.
 
-    ``backend`` (a resolved kernel-backend name, or None) is baked into
-    the model kwargs so worker processes reconstruct their per-shard
-    models on the same backend as the parent — belt and braces on top
-    of the inherited ``REPRO_KERNEL_BACKEND`` environment variable.
+    The models follow the process default backend; worker processes
+    inherit ``REPRO_KERNEL_BACKEND`` with the rest of the environment.
     """
     from repro.core.awm_sketch import AWMSketch
     from repro.core.config import (
@@ -192,18 +167,17 @@ def _parallel_factory(
         cfg = default_wm_config(budget_bytes)
         return WMSketch, dict(
             width=cfg.width, depth=cfg.depth,
-            heap_capacity=cfg.heap_capacity, seed=seed, backend=backend,
+            heap_capacity=cfg.heap_capacity, seed=seed,
         )
     if method == "awm":
         cfg = default_awm_config(budget_bytes)
         return AWMSketch, dict(
             width=cfg.width, depth=cfg.depth,
-            heap_capacity=cfg.heap_capacity, seed=seed, backend=backend,
+            heap_capacity=cfg.heap_capacity, seed=seed,
         )
     if method == "hash":
         return FeatureHashing, dict(
             width=feature_hashing_width(budget_bytes), seed=seed,
-            backend=backend,
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -222,14 +196,14 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
               f"choose from rcv1, url, kdda", file=sys.stderr)
         return 2
     spec = preset(seed=args.seed)
-    backend = _apply_backend(args.backend)
     examples = spec.stream.materialize(args.examples)
     factory, kwargs = _parallel_factory(
-        args.method, args.budget_kb * 1024, args.seed, backend=backend
+        args.method, args.budget_kb * 1024, args.seed
     )
     print(f"dataset={spec.name} examples={len(examples):,} "
           f"method={args.method} workers={args.workers} "
-          f"batch_size={args.batch_size} backend={backend}")
+          f"batch_size={args.batch_size} "
+          f"backend={kernels.active_backend_name()}")
 
     # Single-stream reference for the top-K agreement report.
     single = factory(**kwargs)
@@ -243,7 +217,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         batch_size=args.batch_size,
         seed=args.seed,
-        start_method=args.start_method,
     ) as harness:
         start = time.perf_counter()
         merged = harness.fit(examples)
@@ -299,9 +272,8 @@ def _cmd_parallel_app(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    backend = _apply_backend(args.backend)
     factory, kwargs = _parallel_factory(
-        args.method, args.budget_kb * 1024, args.seed, backend=backend
+        args.method, args.budget_kb * 1024, args.seed
     )
     with ParallelHarness(
         factory,
@@ -309,7 +281,6 @@ def _cmd_parallel_app(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         batch_size=args.batch_size,
         seed=args.seed,
-        start_method=args.start_method,
     ) as harness:
         if args.task == "explain":
             from repro.apps.explanation import StreamingExplainer
@@ -378,14 +349,14 @@ def _cmd_ps(args: argparse.Namespace) -> int:
               f"choose from rcv1, url, kdda", file=sys.stderr)
         return 2
     spec = preset(seed=args.seed)
-    backend = _apply_backend(args.backend)
     examples = spec.stream.materialize(args.examples)
     factory, kwargs = _parallel_factory(
-        "wm", args.budget_kb * 1024, args.seed, backend=backend
+        "wm", args.budget_kb * 1024, args.seed
     )
     print(f"dataset={spec.name} examples={len(examples):,} "
           f"workers={args.workers} staleness={args.staleness} "
-          f"sync_every={args.sync_every} backend={backend}")
+          f"sync_every={args.sync_every} "
+          f"backend={kernels.active_backend_name()}")
 
     harness = PSHarness(
         factory,
@@ -485,10 +456,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if (report["bit_identical"] and cons_ok) else 1
 
 
-def _serving_model(args, backend: str | None):
-    """One live model for the serve/loadgen subcommands."""
+def _serving_model(args):
+    """One live model for the serve/loadgen/telemetry subcommands."""
     factory, kwargs = _parallel_factory(
-        args.method, args.budget_kb * 1024, args.seed, backend=backend
+        args.method, args.budget_kb * 1024, args.seed
     )
     return factory(**kwargs)
 
@@ -540,15 +511,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"choose from rcv1, url, kdda", file=sys.stderr)
         return 2
     spec = preset(seed=args.seed)
-    backend = _apply_backend(args.backend)
     examples = spec.stream.materialize(args.examples)
     batches = list(iter_batches(examples, args.batch_size))
-    make = lambda: _serving_model(args, backend)  # noqa: E731
+    make = lambda: _serving_model(args)  # noqa: E731
 
     print(f"dataset={spec.name} examples={len(examples):,} "
           f"method={args.method} budget={args.budget_kb}KB "
           f"latency_budget={args.latency_budget_ms:g}ms "
-          f"max_batch={args.max_batch} backend={backend}")
+          f"max_batch={args.max_batch} "
+          f"backend={kernels.active_backend_name()}")
     server = SketchServer(
         make(),
         latency_budget=args.latency_budget_ms * 1e-3,
@@ -651,10 +622,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
               f"choose from rcv1, url, kdda", file=sys.stderr)
         return 2
     spec = preset(seed=args.seed)
-    backend = _apply_backend(args.backend)
     train = spec.stream.materialize(args.examples)
     held_out = spec.stream.materialize(512, seed_offset=9)
-    model = _serving_model(args, backend)
+    model = _serving_model(args)
     for batch in iter_batches(train, args.batch_size):
         model.fit_batch(batch)
     mix = (("query", 0.6), ("predict", 0.3), ("top_k", 0.1))
@@ -676,7 +646,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
     _install_graceful_close(server)
     print(f"dataset={spec.name} method={args.method} "
-          f"requests={args.requests:,} mode={args.mode} backend={backend}")
+          f"requests={args.requests:,} mode={args.mode} "
+          f"backend={kernels.active_backend_name()}")
     try:
         if args.mode == "closed":
             elapsed, _ = run_closed_loop(
@@ -746,11 +717,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
                   f"choose from rcv1, url, kdda", file=sys.stderr)
             return 2
         spec = preset(seed=args.seed)
-        backend = _apply_backend(args.backend)
         examples = spec.stream.materialize(args.examples)
         batches = list(iter_batches(examples, args.batch_size))
         server = SketchServer(
-            _serving_model(args, backend),
+            _serving_model(args),
             latency_budget=args.latency_budget_ms * 1e-3,
             max_batch=args.max_batch,
         )
@@ -800,14 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(0 = per-example updates; results are identical either "
              "way, batching is faster)",
     )
-    compare.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *kernels.BACKEND_NAMES),
-        help="kernel backend for the hot loops (auto = c when it "
-             "builds, else numpy; results are bit-identical either "
-             "way — an unavailable choice falls back to numpy with a "
-             "notice)",
-    )
     compare.set_defaults(func=_cmd_compare)
 
     configs = sub.add_parser(
@@ -845,19 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="top-K for the overlap report "
                                "(classify task only)")
     parallel.add_argument("--seed", type=int, default=0)
-    parallel.add_argument(
-        "--start-method", default="spawn", choices=("spawn", "fork"),
-        help="multiprocessing start method (spawn is the portable "
-             "default the subsystem is tested with)",
-    )
-    parallel.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *kernels.BACKEND_NAMES),
-        help="kernel backend for the hot loops, propagated to worker "
-             "processes via REPRO_KERNEL_BACKEND (auto = c when it "
-             "builds, else numpy; unavailable choices fall back to "
-             "numpy with a notice)",
-    )
     parallel.set_defaults(func=_cmd_parallel)
 
     ps = sub.add_parser(
@@ -888,12 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, default=10,
                     help="top-K weights printed from the global model")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *kernels.BACKEND_NAMES),
-        help="kernel backend for the hot loops (results are "
-             "bit-identical on every backend)",
-    )
     ps.set_defaults(func=_cmd_ps)
 
     chaos = sub.add_parser(
@@ -932,12 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch", type=int, default=64,
                        help="coalescer flush bound in requests")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--backend", default="auto",
-            choices=("auto", *kernels.BACKEND_NAMES),
-            help="kernel backend for the hot loops (results are "
-                 "bit-identical on every backend)",
-        )
 
     serve = sub.add_parser(
         "serve",

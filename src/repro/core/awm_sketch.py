@@ -74,18 +74,19 @@ class AWMSketch(ScaledSketchTable):
     loss, lambda_, learning_rate, seed, hash_kind:
         As for :class:`repro.core.wm_sketch.WMSketch`.
     backend:
-        Kernel-backend override, recorded with the model (``None`` =
-        follow the process default; see :mod:`repro.kernels`).  AWM
-        dispatches no compiled loop yet: its batch loop and the 1-sparse
-        scalar fast path call the NumPy helpers directly, so every
-        backend gives the same results at the same speed.
+        Kernel-backend override, recorded with the model and resolved
+        once (``None`` = follow the process default; see
+        :mod:`repro.kernels`).  AWM dispatches no compiled loop yet: its
+        batch loop and the 1-sparse scalar fast path call the NumPy
+        helpers directly, so every backend gives the same results at
+        the same speed.
 
     Notes
     -----
     1-sparse examples (the Section 8 applications) always take the
-    all-scalar step :meth:`_update_one`, ~10x faster than the general
-    step :meth:`_update_example` and checked against it in
-    ``tests/test_awm_fast_path.py``.
+    all-scalar step :meth:`_update_one`, ~6x faster than the general
+    step :meth:`_update_example` and bit-identical to it
+    (``tests/test_awm_fast_path.py``).
     """
 
     def __init__(
@@ -237,92 +238,81 @@ class AWMSketch(ScaledSketchTable):
     # ------------------------------------------------------------------
     # Scalar fast path (1-sparse inputs: the Section 8 applications)
     # ------------------------------------------------------------------
-    def _estimate_one(self, index: int) -> float:
-        """Scalar sketch estimate (median over rows) for one feature."""
-        vals = []
-        factor = self._sqrt_s * self._scale
-        for j in range(self.depth):
-            bucket, sign = self.family.bucket_sign_one(index, j)
-            vals.append(factor * sign * float(self.table[j, bucket]))
-        vals.sort()
+    def _query_one(self, rows: list[tuple[int, float]]) -> float:
+        """One feature's sketch estimate from its per-row (bucket, sign)
+        pairs: the scalar :func:`~repro.kernels.numpy_backend.
+        median_estimate` (median of the signed cells, then the factor),
+        soft-thresholded by ``l1`` as :meth:`_estimate_from_rows` does
+        (whose ``np.sign`` maps a zero of either sign to +0)."""
+        table = self.table
+        vals = sorted(sign * float(table[j, bucket])
+                      for j, (bucket, sign) in enumerate(rows))
         mid = len(vals) // 2
         if len(vals) % 2:
-            return vals[mid]
-        return 0.5 * (vals[mid - 1] + vals[mid])
+            med = vals[mid]
+        else:
+            med = 0.5 * (vals[mid - 1] + vals[mid])
+        query = self._sqrt_s * self._scale * med
+        l1 = self.l1
+        if l1 > 0.0:
+            shrunk = max(abs(query) - l1, 0.0)
+            query = math.copysign(shrunk, query) if query else shrunk
+        return query
 
     def _update_one(self, idx: int, val: float, y: int) -> float:
         """Algorithm 2 specialized to nnz(x) = 1, all-scalar arithmetic.
 
-        Returns the pre-update margin (for progressive validation).
+        Bit-identical to :meth:`_update_example` on the same example:
+        every float operation is the spec's, in the spec's order (its
+        margin is a running sum from ``0.0``, which turns a ``-0.0``
+        term into ``+0.0``; hence the ``0.0 +`` below).  Returns the
+        pre-update margin (for progressive validation).
         """
-        in_heap = idx in self.heap
-        rows: list[tuple[int, float]] = []
+        heap = self.heap
+        in_heap = idx in heap
         if in_heap:
-            tau = self.heap.value(idx) * val
+            tau = 0.0 + heap.value(idx) * val
         else:
-            # The margin uses the *linear* form z^T R x (sum over rows /
-            # sqrt(s)), exactly like the batch path — the median is only
-            # for recovery queries.  The float association mirrors
-            # :meth:`~repro.core.sketch_table.ScaledSketchTable.
-            # _margin_from_products` (table-value times sign*value
-            # product, fsum, then scale/sqrt(s)) so the returned margin
-            # is bit-identical to :meth:`predict_margin`.
+            # The margin uses the *linear* form z^T R x, as the spec's
+            # margin kernel does: one exactly rounded sum of table value
+            # times sign*value, then scale / sqrt(s).  The median is
+            # only for the query below.
             rows = [
                 self.family.bucket_sign_one(idx, j) for j in range(self.depth)
             ]
-            total = math.fsum(
-                float(self.table[j, bucket]) * (sign * val)
+            table = self.table
+            tau = 0.0 + self._scale * math.fsum(
+                float(table[j, bucket]) * (sign * val)
                 for j, (bucket, sign) in enumerate(rows)
-            )
-            tau = self._scale * total / self._sqrt_s
+            ) / self._sqrt_s
 
         g = self.loss.dloss(y * tau)
         eta = self.schedule(self.t)
         if self.lambda_ > 0.0:
             decay = self._decay_factor(eta)
-            self.heap.decay(decay)
+            heap.decay(decay)
             self._decay_scale(decay)
         step = eta * y * g
 
         if in_heap:
-            self.heap.add_delta(idx, -step * val)
+            heap.add_delta(idx, -step * val)
         else:
-            # Query *after* the decay (Algorithm 2 decays z first); the
-            # stored rows make this a median over |depth| scalars.
-            factor = self._sqrt_s * self._scale
-            vals = sorted(
-                factor * sign * float(self.table[j, bucket])
-                for j, (bucket, sign) in enumerate(rows)
-            )
-            mid = len(vals) // 2
-            if len(vals) % 2:
-                query = vals[mid]
-            else:
-                query = 0.5 * (vals[mid - 1] + vals[mid])
-            candidate = query - step * val
-            if not self.heap.is_full:
-                self.heap.push(idx, candidate)
+            # Query *after* the decay (Algorithm 2 decays z first).
+            candidate = self._query_one(rows) - step * val
+            if not heap.is_full:
+                heap.push(idx, candidate)
                 self.n_promotions += 1
             else:
-                min_key, min_weight = self.heap.min_entry()
+                min_key, min_weight = heap.min_entry()
                 if abs(candidate) > abs(min_weight):
-                    self.heap.replace_min(idx, candidate)
-                    self.n_promotions += 1
-                    self._sketch_add_one(
-                        min_key, min_weight - self._estimate_one(min_key)
-                    )
+                    self._promote(idx, candidate, min_key, min_weight)
                 else:
-                    self._sketch_add_one(idx, -step * val)
+                    coeff = (-step / (self._sqrt_s * self._scale)) * val
+                    for j, (bucket, sign) in enumerate(rows):
+                        self._mark_dirty_bucket(j, bucket)
+                        table[j, bucket] += coeff * sign
         self.t += 1
         return tau
-
-    def _sketch_add_one(self, index: int, delta: float) -> None:
-        """Scalar version of :meth:`_sketch_add`."""
-        coeff = delta / (self._sqrt_s * self._scale)
-        for j in range(self.depth):
-            bucket, sign = self.family.bucket_sign_one(index, j)
-            self._mark_dirty_bucket(j, int(bucket))
-            self.table[j, bucket] += coeff * sign
 
     # ------------------------------------------------------------------
     # Learning (Algorithm 2)

@@ -55,33 +55,11 @@ def _powers_of_two(max_value: int, min_value: int = 1) -> list[int]:
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """A (heap, width, depth) configuration for WM/AWM sketches.
-
-    ``backend`` names the kernel backend the model should run on
-    (``"auto"`` = c when it builds, else numpy; see
-    :mod:`repro.kernels`).  It costs no cells — backends change *how*
-    the hot loops run, never the results — and is threaded into model
-    constructors via :meth:`model_kwargs`.
-    """
+    """A (heap, width, depth) configuration for WM/AWM sketches."""
 
     heap_capacity: int
     width: int
     depth: int
-    backend: str = "auto"
-
-    def model_kwargs(self) -> dict:
-        """Constructor kwargs for WM/AWM sketches built from this config.
-
-        The ``"auto"`` backend maps to ``None`` (follow the process
-        default) so that configs stay inert unless a specific backend
-        was requested.
-        """
-        return {
-            "heap_capacity": self.heap_capacity,
-            "width": self.width,
-            "depth": self.depth,
-            "backend": None if self.backend == "auto" else self.backend,
-        }
 
     @property
     def cells(self) -> int:

@@ -80,19 +80,13 @@ def _common_meta(sketch) -> dict:
         # restored checkpoints know their estimates sit on the
         # merged_from * w* scale.
         "merged_from": getattr(sketch, "merged_from", 1),
-        # Kernel-backend provenance: the model's explicit override ("" =
-        # none, follow the process default) round-trips through load;
-        # trained_backend records which backend computed the state when
-        # it was *first* checkpointed — a restored model keeps its
-        # original provenance across re-saves instead of adopting the
-        # current host's backend (informational either way: every
-        # backend is bit-equivalent, so a checkpoint trained under c
-        # restores exactly on a numpy-only host, and one naming a
-        # retired backend trains on numpy after one warning).
+        # The model's kernel-backend override ("" = none, follow the
+        # process default) round-trips through load.  Every backend is
+        # bit-equivalent, so a checkpoint trained under c restores
+        # exactly on a numpy-only host, and one naming a retired backend
+        # trains on numpy after one warning.  Older archives also carry
+        # the name of the backend that trained them, which load ignores.
         "backend": getattr(sketch, "backend", None) or "",
-        "trained_backend": (
-            getattr(sketch, "trained_backend", None) or sketch.kernels.name
-        ),
     }
 
 
@@ -176,8 +170,6 @@ def load_sketch(source: str | BinaryIO) -> WMSketch | AWMSketch:
     # Archives written before the parallel subsystem lack the key;
     # those are single-stream models by definition.
     sketch.merged_from = int(meta.get("merged_from", 1))
-    # Which backend computed the checkpointed state (provenance only).
-    sketch.trained_backend = str(meta.get("trained_backend", "")) or None
     heap = sketch.heap
     if heap is not None and heap_keys.size:
         heap.push_many(heap_keys, heap_values)

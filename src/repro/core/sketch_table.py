@@ -81,7 +81,7 @@ _POOL_MAX_FACTOR = 4
 #: Attributes a snapshot never inherits from the live model's __dict__
 #: (each is re-established explicitly by the snapshot builders).
 _SNAPSHOT_DROPPED = (
-    "table", "_scale", "_table_flat", "_batch_hasher", "_kb", "_ws",
+    "table", "_scale", "_table_flat", "_batch_hasher", "_ws",
     "heap", "_dirty", "_pool", "_chunk_map",
     "_chain_token", "_chain_seq", "_snap_pool", "_snap_used", "_snap_map",
 )
@@ -109,11 +109,6 @@ class ScaledSketchTable(StreamingClassifier):
     #: :meth:`merge` (1 for a single-stream model).  Serialized alongside
     #: the table so merged checkpoints are self-describing.
     merged_from: int = 1
-
-    #: Kernel-backend provenance restored from a checkpoint: the name of
-    #: the backend that computed the saved state (None for models built
-    #: in-process).  Informational — backends are bit-equivalent.
-    trained_backend: str | None = None
 
     #: Whether the model supports O(dirty) parameter-server delta sync
     #: (:mod:`repro.parallel.ps`).  Requires that *all* state a replica
@@ -149,6 +144,9 @@ class ScaledSketchTable(StreamingClassifier):
         #: Kernel-backend override for the compiled loops (None = follow
         #: the process default); serialized with the model.
         self.backend = backend
+        #: The backend the compiled loops dispatch through, resolved once
+        #: (see :mod:`repro.kernels`); snapshots share it, pickles drop it.
+        self.kernels = kernels.get_backend(backend, strict=False)
         self.family = HashFamily(width, depth, seed=seed, kind=hash_kind)
         self.table = np.zeros((depth, width), dtype=np.float64)
         self._scale = 1.0  # the global alpha of Section 5.1
@@ -181,24 +179,10 @@ class ScaledSketchTable(StreamingClassifier):
         self._pool: np.ndarray | None = None
         self._chunk_map: np.ndarray | None = None
         self._reset_chain()
-        # Dispatch-free kernel binding + lazily-built workspace (both
-        # per-process caches: dropped on pickling, rebuilt on load).
-        self._kb = kernels.BackendHandle(backend)
+        # Lazily-built workspace (a per-process cache: dropped on
+        # pickling, rebuilt on first use).
         self._ws: kernels.KernelWorkspace | None = None
         self.t = 0
-
-    @property
-    def kernels(self) -> "kernels.KernelBackend":
-        """The kernel backend this table's compiled loops dispatch
-        through.
-
-        Resolved through a cached :class:`~repro.kernels.BackendHandle`
-        (one integer epoch compare per access): an explicit per-model
-        ``backend`` wins, otherwise the process default
-        (:func:`repro.kernels.get_backend`) applies — ``set_backend``
-        still takes effect on live models because it bumps the epoch.
-        """
-        return self._kb.get()
 
     def _workspace(self) -> "kernels.KernelWorkspace":
         """The model's grow-only fused-kernel workspace (lazily built,
@@ -415,8 +399,9 @@ class ScaledSketchTable(StreamingClassifier):
         """Drop derived buffers; critically, ``_table_flat`` is a *view*
         of ``table`` — pickling it naively would materialize a detached
         copy and silently break the aliasing every scatter/gather relies
-        on.  The batch hasher, the kernel-backend handle and the fused
-        workspace are pure per-process caches and restart cold.
+        on.  The batch hasher, the resolved kernel backend and the fused
+        workspace are per-process and are rebuilt on load (the backend
+        is resolved again, on the loading host).
 
         The *dirty bitmap* travels with the model: it records which
         chunks changed since the owner's last publish/sync, a fact about
@@ -437,7 +422,7 @@ class ScaledSketchTable(StreamingClassifier):
         dirty = self._dirty
         state["_dirty"] = None if dirty is None else dirty.copy()
         for key in ("_table_flat", "_row_idx", "_row_offsets",
-                    "_batch_hasher", "_kb", "_ws",
+                    "_batch_hasher", "kernels", "_ws",
                     "_pool", "_chunk_map", "_chain_token",
                     "_chain_seq", "_snap_pool", "_snap_used", "_snap_map"):
             state.pop(key, None)
@@ -456,7 +441,7 @@ class ScaledSketchTable(StreamingClassifier):
         ).reshape(-1, 1)
         self._table_flat = self.table.ravel()
         self._batch_hasher = BatchHasher(self.family)
-        self._kb = kernels.BackendHandle(self.backend)
+        self.kernels = kernels.get_backend(self.backend, strict=False)
         self._ws = None  # rebuilt lazily on first fused batch
         # Carry the pickled dirty bitmap when it is shaped for this
         # table; anything else (old pickles, densified snapshots) falls
@@ -507,7 +492,6 @@ class ScaledSketchTable(StreamingClassifier):
             if batch_hasher is not None
             else BatchHasher(self.family)
         )
-        snap._kb = self._kb
         snap._ws = workspace
         heap = getattr(self, "heap", None)
         if heap is not None:

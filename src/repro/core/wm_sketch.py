@@ -87,9 +87,11 @@ class WMSketch(ScaledSketchTable):
         "tabulation" (default) or "polynomial" hash family.
     backend:
         Kernel-backend override for the compiled loops (the fused
-        update and predict, and the push codec's chunk kernels under
-        the parameter server); ``None`` follows the process default
-        (see :mod:`repro.kernels`).  Results are bit-identical across
+        update and predict, the passive-heap maintain, and the push
+        codec's chunk kernels under the parameter server); ``None``
+        follows the process default.  Resolved once, when the model is
+        built or unpickled, into :attr:`kernels` (see
+        :mod:`repro.kernels`).  Results are bit-identical across
         backends.
     """
 

@@ -24,25 +24,26 @@ Backends
     missing the backend is recorded unavailable and everything falls
     back to ``numpy`` with zero behavior change.
 
-Selection order
----------------
-1. an explicit per-model override (the ``backend=`` constructor
-   argument of ``WMSketch``, ``AWMSketch`` and ``FeatureHashing``,
-   serialized with the model);
-2. the process-wide backend pinned by :func:`set_backend` (the CLI's
-   ``--backend`` flag lands here);
-3. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by
-   spawned worker processes, which is how the parallel subsystem
-   propagates the choice);
-4. ``"auto"``: ``c`` when it builds and loads, else ``numpy``.
+Selection
+---------
+A model (``WMSketch``, ``AWMSketch``, ``FeatureHashing``) resolves its
+backend once, with ``get_backend(backend, strict=False)`` when it is
+built or unpickled, and keeps the result for its lifetime:
 
-Strictness: :func:`set_backend` and ``get_backend(name, strict=True)``
-raise :class:`BackendUnavailableError` for an unavailable explicit
-name.  Per-model overrides and the environment variable resolve like
-``strict=False``: an unavailable name warns once per process and falls
-back to ``numpy`` — a checkpoint trained under the compiled backend
-loads fine on a host without a compiler, and one saved under a retired
-backend name (``numba``, ``python``) loads and trains on ``numpy``.
+1. its ``backend=`` constructor argument, serialized with the model;
+2. otherwise the ``REPRO_KERNEL_BACKEND`` environment variable, read
+   at that moment (spawned worker processes inherit it);
+3. otherwise ``"auto"``: ``c`` when it builds and loads, else
+   ``numpy``.
+
+Strictness: ``get_backend(name, strict=True)`` raises
+:class:`BackendUnavailableError` for an unavailable or unknown name.
+Models and the environment variable resolve like ``strict=False``: an
+unavailable name warns once per process and falls back to ``numpy`` —
+a checkpoint trained under the compiled backend loads fine on a host
+without a compiler, and one saved under a retired backend name
+(``numba``, ``python``) loads and trains on ``numpy``.  Backends give
+bit-identical results, so the choice affects speed only.
 """
 
 from __future__ import annotations
@@ -75,14 +76,11 @@ __all__ = [
     "EMPTY_GATHER",
     "EMPTY_SCALES",
     "EMPTY_TOUCHED",
-    "BackendHandle",
     "BackendUnavailableError",
     "KernelBackendWarning",
     "available_backends",
     "get_backend",
-    "set_backend",
     "active_backend_name",
-    "backend_epoch",
 ]
 
 #: Environment variable naming the default backend for the process.
@@ -102,13 +100,7 @@ class KernelBackendWarning(RuntimeWarning):
 
 _loaded: dict[str, KernelBackend] = {}
 _unavailable: dict[str, str] = {}
-_active: KernelBackend | None = None
 _warned: set[str] = set()
-#: Bumped by every :func:`set_backend` call; cached per-object backend
-#: bindings (:class:`BackendHandle`) revalidate against it, so pinning a
-#: new process backend still takes effect on live models while the
-#: steady-state resolution cost drops to one integer comparison.
-_epoch: int = 0
 
 
 def _load(name: str) -> KernelBackend:
@@ -158,10 +150,9 @@ def get_backend(
     Parameters
     ----------
     name:
-        ``None`` follows the process default (:func:`set_backend`, then
-        the ``REPRO_KERNEL_BACKEND`` environment variable, then
-        ``"auto"``).  ``"auto"`` picks ``c`` when available, else
-        ``numpy``.
+        ``None`` follows the process default: the
+        ``REPRO_KERNEL_BACKEND`` environment variable, else ``"auto"``.
+        ``"auto"`` picks ``c`` when available, else ``numpy``.
     strict:
         With ``strict=True`` (default) an unavailable or unknown name
         raises :class:`BackendUnavailableError`.  With ``strict=False``
@@ -172,8 +163,6 @@ def get_backend(
         way, as it does for the models built in the same process.
     """
     if name is None:
-        if _active is not None:
-            return _active
         name = os.environ.get(ENV_VAR, "") or "auto"
         strict = False
     if name == "auto":
@@ -196,74 +185,6 @@ def get_backend(
         return _load("numpy")
 
 
-def set_backend(name: str | None) -> KernelBackend:
-    """Pin the process-wide backend; returns the resolved backend.
-
-    ``"auto"`` pins whatever auto-resolution picks *now* (availability
-    cannot change mid-process); ``None`` clears the pin, restoring the
-    environment-variable / auto flow.  Unavailable or unknown names
-    raise :class:`BackendUnavailableError` and leave the pin unchanged.
-    """
-    global _active, _epoch
-    if name is None:
-        _active = None
-        _epoch += 1
-        return get_backend()
-    backend = get_backend(name, strict=True)
-    _active = backend
-    _epoch += 1
-    return backend
-
-
 def active_backend_name() -> str:
     """Name of the backend the process default currently resolves to."""
     return get_backend().name
-
-
-def backend_epoch() -> int:
-    """Monotone counter of process-wide backend changes (see
-    :class:`BackendHandle`)."""
-    return _epoch
-
-
-class BackendHandle:
-    """A per-object cached backend resolution (the dispatch-free path).
-
-    A model (``ScaledSketchTable``, ``FeatureHashing``) resolves its
-    backend once through a handle, which revalidates with a single
-    integer comparison against :func:`backend_epoch` instead of a full
-    :func:`get_backend` resolution (pin lookup, environment read, dict
-    probes) per kernel call, so :func:`set_backend` still retargets
-    live models while steady-state dispatch is one attribute load.
-
-    Mid-process *environment-variable* changes are the one thing a
-    handle does not observe (plain resolution only reads the variable
-    while no pin is active anyway); processes configure the environment
-    before building models, and tests use :func:`set_backend`.
-
-    Handles hold a loaded backend (whose compiled kernels are closures
-    over a ``dlopen``-ed library), so they must never be pickled:
-    owners drop them in ``__getstate__`` and rebuild on load — which
-    also re-resolves on the destination host, exactly what a checkpoint
-    wants.
-    """
-
-    __slots__ = ("name", "_backend", "_epoch")
-
-    def __init__(self, name: str | None = None):
-        self.name = name
-        self._backend: KernelBackend | None = None
-        self._epoch = -1
-
-    def get(self) -> KernelBackend:
-        """The resolved backend (one int compare when nothing changed)."""
-        if self._epoch != _epoch:
-            self._backend = get_backend(self.name, strict=False)
-            self._epoch = _epoch
-        return self._backend
-
-    def __reduce__(self):  # pragma: no cover - guarded by owners
-        raise TypeError(
-            "BackendHandle is not picklable; owners must drop it in "
-            "__getstate__ and rebuild it on load"
-        )

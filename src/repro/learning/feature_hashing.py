@@ -51,7 +51,8 @@ class FeatureHashing(StreamingClassifier):
     backend:
         Kernel-backend override for the compiled fused update and
         predict loops (``None`` = follow the process default; see
-        :mod:`repro.kernels`).  Bit-identical across backends.
+        :mod:`repro.kernels`), resolved once into :attr:`kernels`.
+        Bit-identical across backends.
     """
 
     #: Number of independently trained models folded in via :meth:`merge`.
@@ -75,27 +76,27 @@ class FeatureHashing(StreamingClassifier):
         self.schedule = as_schedule(learning_rate)
         self.signed = signed
         self.backend = backend
+        self.kernels = kernels.get_backend(backend, strict=False)
         self.family = HashFamily(width, depth=1, seed=seed)
         self._batch_hasher = BatchHasher(self.family)
         self.table = np.zeros(width, dtype=np.float64)
         self._scale = 1.0
-        self._kb = kernels.BackendHandle(backend)
         self._ws: kernels.KernelWorkspace | None = None
         self.t = 0
 
     # ------------------------------------------------------------------
-    # Pickling: the backend handle, workspace and hash cache are pure
-    # per-process caches — dropped on save, rebuilt (lazily) on load.
+    # Pickling: the resolved backend and the workspace are per-process —
+    # dropped on save, rebuilt on load.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_kb", "_ws"):
+        for key in ("kernels", "_ws"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._kb = kernels.BackendHandle(self.backend)
+        self.kernels = kernels.get_backend(self.backend, strict=False)
         self._ws = None
 
     def snapshot(
@@ -109,7 +110,7 @@ class FeatureHashing(StreamingClassifier):
         snapshot`, which documents the cache-threading parameters)."""
         snap = object.__new__(type(self))
         state = self.__dict__.copy()
-        for key in ("table", "_scale", "_batch_hasher", "_kb", "_ws"):
+        for key in ("table", "_scale", "_batch_hasher", "_ws"):
             state.pop(key, None)
         snap.__dict__.update(state)
         snap.table = np.multiply(self.table, self._scale)
@@ -123,15 +124,8 @@ class FeatureHashing(StreamingClassifier):
             if batch_hasher is not None
             else BatchHasher(self.family)
         )
-        snap._kb = self._kb
         snap._ws = workspace
         return snap
-
-    @property
-    def kernels(self) -> "kernels.KernelBackend":
-        """The kernel backend the fused loops dispatch through (cached
-        handle; one epoch compare per access)."""
-        return self._kb.get()
 
     def _workspace(self) -> "kernels.KernelWorkspace":
         ws = self._ws

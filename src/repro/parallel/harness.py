@@ -53,10 +53,10 @@ class ParallelHarness:
         Mini-batch size for the in-worker batched engine.
     seed:
         Partitioner seed (determines the shard assignment only).
-    start_method:
-        ``multiprocessing`` start method; the default ``"spawn"`` is
-        the portable, state-isolation-safe choice the subsystem is
-        tested with (``"fork"`` also works on POSIX and starts faster).
+
+    Workers are started with ``spawn``: each is a fresh interpreter
+    that inherits nothing but the environment (``REPRO_KERNEL_BACKEND``
+    included) and the pickled payload.
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class ParallelHarness:
         n_workers: int = 4,
         batch_size: int = 256,
         seed: int = 0,
-        start_method: str = "spawn",
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -77,7 +76,6 @@ class ParallelHarness:
         self.n_workers = n_workers
         self.batch_size = batch_size
         self.seed = seed
-        self.start_method = start_method
         self._pool = None
         #: Per-worker results of the most recent :meth:`fit` call
         #: (shard sizes and in-worker train seconds, for diagnostics
@@ -87,7 +85,7 @@ class ParallelHarness:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            ctx = multiprocessing.get_context(self.start_method)
+            ctx = multiprocessing.get_context("spawn")
             self._pool = ctx.Pool(self.n_workers)
         return self._pool
 
@@ -174,7 +172,6 @@ def train_sharded(
     factory_kwargs: dict[str, Any] | None = None,
     batch_size: int = 256,
     seed: int = 0,
-    start_method: str = "spawn",
 ) -> StreamingClassifier:
     """One-shot convenience: sharded training without keeping a pool."""
     with ParallelHarness(
@@ -183,6 +180,5 @@ def train_sharded(
         n_workers=n_workers,
         batch_size=batch_size,
         seed=seed,
-        start_method=start_method,
     ) as harness:
         return harness.fit(examples)

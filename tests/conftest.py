@@ -34,18 +34,18 @@ def c_backend_param():
 
 
 @pytest.fixture
-def kernel_backend(request):
-    """Pin the process kernel backend for one test: ``numpy`` unless the
+def kernel_backend(request, monkeypatch):
+    """Set the process default kernel backend for one test, through the
+    ``REPRO_KERNEL_BACKEND`` environment variable: ``numpy`` unless the
     test parametrizes this fixture (``indirect=True``) with another
-    name, e.g. ``c_backend_param()``."""
+    name, e.g. ``c_backend_param()``.  Models resolve their backend
+    when they are built or unpickled, so this covers every model the
+    test builds."""
     from repro import kernels
 
     name = getattr(request, "param", "numpy")
-    kernels.set_backend(name)
-    try:
-        yield name
-    finally:
-        kernels.set_backend(None)
+    monkeypatch.setenv(kernels.ENV_VAR, name)
+    return name
 
 
 def retired_backend_param(name: str = "python"):

@@ -5,7 +5,8 @@ The Section 8 applications stream 1-sparse examples, which
 ``_update_one``.  These tests drive two sketches through identical
 streams — one through ``update``, one through the general per-example
 step ``_update_example`` (the Algorithm 2 spec) — and require the same
-state.
+state bit for bit: table bytes, scales, the heap's slot order and raw
+bits, the promotion count and every returned margin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _one_sparse_stream(n, universe, seed):
     out = []
     for _ in range(n):
         idx = int(rng.integers(0, universe))
-        val = float(rng.choice([0.5, 1.0, 2.0]))
+        val = float(rng.choice([0.5, 1.0, 2.0, 0.3]))
         label = 1 if rng.random() < 0.6 else -1
         out.append(
             SparseExample(np.array([idx], dtype=np.int64),
@@ -32,9 +33,20 @@ def _one_sparse_stream(n, universe, seed):
     return out
 
 
-@pytest.mark.parametrize("depth", [1, 3])
-@pytest.mark.parametrize("lambda_", [0.0, 1e-4])
-def test_scalar_path_matches_batch_path(depth, lambda_):
+def _assert_identical(fast, slow):
+    assert fast.table.tobytes() == slow.table.tobytes()
+    assert fast._scale == slow._scale
+    assert fast.t == slow.t
+    assert fast.n_promotions == slow.n_promotions
+    a, b = fast.heap.__getstate__(), slow.heap.__getstate__()
+    assert a["scale"] == b["scale"]
+    assert a["keys"].tolist() == b["keys"].tolist()  # slot order
+    assert a["raw"].tobytes() == b["raw"].tobytes()
+
+
+def _drive(depth, lambda_, l1=0.0, n=800):
+    """Twins over one 1-sparse stream: ``update`` (the scalar step)
+    against ``_update_example``; returns both models and margins."""
     kwargs = dict(
         width=256,
         depth=depth,
@@ -45,22 +57,46 @@ def test_scalar_path_matches_batch_path(depth, lambda_):
     )
     fast = AWMSketch(**kwargs)
     slow = AWMSketch(**kwargs)
-    stream = _one_sparse_stream(800, universe=2_000, seed=3)
-    for ex in stream:
-        fast.update(ex)
-        slow._update_example(ex.indices, ex.values, ex.label)
-    # Identical sketch state, heap contents and diagnostics.
-    assert np.allclose(fast.sketch_state(), slow.sketch_state(),
-                       rtol=1e-12, atol=1e-12)
-    assert sorted(fast.heap.items()) == pytest.approx(
-        sorted(slow.heap.items())
-    )
-    assert fast.n_promotions == slow.n_promotions
+    fast.l1 = slow.l1 = l1
+    fast_margins, slow_margins = [], []
+    for ex in _one_sparse_stream(n, universe=2_000, seed=3):
+        fast_margins.append(fast._update_one(
+            int(ex.indices[0]), float(ex.values[0]), ex.label
+        ))
+        slow_margins.append(
+            slow._update_example(ex.indices, ex.values, ex.label)
+        )
+    assert (np.array(fast_margins).tobytes()
+            == np.array(slow_margins).tobytes())
+    return fast, slow
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("lambda_", [0.0, 1e-4])
+def test_scalar_path_matches_batch_path(depth, lambda_):
+    fast, slow = _drive(depth, lambda_)
+    _assert_identical(fast, slow)
     # And identical estimates for arbitrary features.
     probe = np.arange(0, 2_000, 37, dtype=np.int64)
-    assert np.allclose(
-        fast.estimate_weights(probe), slow.estimate_weights(probe)
-    )
+    assert (fast.estimate_weights(probe).tobytes()
+            == slow.estimate_weights(probe).tobytes())
+    # update() dispatches 1-sparse examples to the same step.
+    more = _one_sparse_stream(50, universe=2_000, seed=4)
+    for ex in more:
+        fast.update(ex)
+        slow._update_example(ex.indices, ex.values, ex.label)
+    _assert_identical(fast, slow)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("l1", [0.0, 0.01])
+def test_scalar_path_soft_thresholds_like_the_spec(l1, depth):
+    """The scalar query soft-thresholds by ``l1`` (set on the instance,
+    as the batched-equivalence property does) exactly as the spec's
+    recovery does; the promotions then follow the thresholded
+    candidates."""
+    fast, slow = _drive(depth, 1e-4, l1=l1)
+    _assert_identical(fast, slow)
 
 
 def test_scalar_estimate_matches_vector_estimate():
@@ -74,14 +110,13 @@ def test_scalar_estimate_matches_vector_estimate():
                 1 if rng.random() < 0.5 else -1,
             )
         )
-    for key in range(0, 500, 11):
-        scalar = clf._estimate_one(key)
-        vector = float(
-            clf._sketch_estimate(np.array([key], dtype=np.int64))[0]
-        )
-        if key in clf.heap:
-            continue  # estimate_weights would use the heap; compare raw
-        assert scalar == pytest.approx(vector, abs=1e-12)
+    for l1 in (0.0, 0.01):
+        clf.l1 = l1
+        for key in range(0, 500, 11):
+            rows = [clf.family.bucket_sign_one(key, j) for j in range(5)]
+            scalar = clf._query_one(rows)
+            vector = clf._sketch_estimate(np.array([key], dtype=np.int64))
+            assert np.float64(scalar).tobytes() == vector.tobytes()
 
 
 def test_mixed_sparsity_stream_consistency():
@@ -100,5 +135,4 @@ def test_mixed_sparsity_stream_consistency():
         ex = SparseExample(idx, vals, y)
         fast.update(ex)
         slow._update_example(ex.indices, ex.values, ex.label)
-    assert np.allclose(fast.sketch_state(), slow.sketch_state())
-    assert fast.n_promotions == slow.n_promotions
+    _assert_identical(fast, slow)

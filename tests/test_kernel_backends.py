@@ -18,6 +18,7 @@ and pin the NumPy heap maintain to the per-example decision core.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -79,21 +80,8 @@ class TestRegistry:
         else:
             assert name == "numpy"
 
-    def test_set_backend_pins_and_clears(self, monkeypatch):
-        # Without the environment variable, clearing the pin restores
-        # "auto" (the numpy-default CI rerun sets the variable).
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        try:
-            pinned = kernels.set_backend("numpy")
-            assert kernels.get_backend() is pinned
-            assert kernels.active_backend_name() == "numpy"
-        finally:
-            kernels.set_backend(None)
-        assert kernels.get_backend() is kernels.get_backend("auto")
-
     def test_env_var_drives_default(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        kernels.set_backend(None)
         assert kernels.active_backend_name() == "numpy"
         monkeypatch.delenv(kernels.ENV_VAR)
         assert kernels.get_backend() is kernels.get_backend("auto")
@@ -101,8 +89,10 @@ class TestRegistry:
     def test_unknown_backend_strict_raises(self):
         with pytest.raises(kernels.BackendUnavailableError):
             kernels.get_backend("no-such-backend")
-        with pytest.raises(kernels.BackendUnavailableError):
-            kernels.set_backend("no-such-backend")
+        with pytest.raises(kernels.BackendUnavailableError,
+                           match="known backends: numpy, c"):
+            kernels.get_backend("no-such-backend", strict=True)
+        assert "no-such-backend" not in kernels.available_backends()
 
     def test_non_strict_falls_back_to_numpy(self):
         backend = kernels.get_backend("no-such-backend", strict=False)
@@ -115,7 +105,7 @@ class TestRegistry:
         monkeypatch.setattr(kernels, "_warned", set())
         for name in ("numba", "python"):
             with pytest.raises(kernels.BackendUnavailableError):
-                kernels.set_backend(name)
+                kernels.get_backend(name)
             with pytest.warns(kernels.KernelBackendWarning):
                 assert kernels.get_backend(name, strict=False).name == "numpy"
 
@@ -151,12 +141,88 @@ class TestRegistry:
             model = WMSketch(64, 2, seed=0, heap_capacity=0)
             assert model.kernels.name == "numpy"
             assert kernels.active_backend_name() == model.kernels.name
-            assert kernels.set_backend(None) is kernels.get_backend("numpy")
-            assert kernels.get_backend().name == "numpy"
+            assert kernels.get_backend() is kernels.get_backend("numpy")
         assert [w.category for w in caught] == [kernels.KernelBackendWarning]
         # Explicit names stay strict.
         with pytest.raises(kernels.BackendUnavailableError):
             kernels.get_backend("numba")
+
+
+# ----------------------------------------------------------------------
+# The whole resolution rule, case by case
+# ----------------------------------------------------------------------
+#: Per-model ``backend=`` values and ``REPRO_KERNEL_BACKEND`` settings
+#: (None: unset) the resolution table covers.
+OVERRIDES = [None, "numpy", "c", "numba", "bogus"]
+ENV_VALUES = [None, "", "auto", "numpy", "c", "numba", "bogus"]
+
+
+def _resolves_to(name, c_builds):
+    """The rule, stated independently: auto and c give c when it builds,
+    every other name (numpy, retired, unknown) gives numpy."""
+    if name in ("auto", "c"):
+        return "c" if c_builds else "numpy"
+    return "numpy"
+
+
+class TestResolutionTable:
+    @pytest.mark.parametrize("c_builds", [True, False],
+                             ids=["c-builds", "c-unavailable"])
+    @pytest.mark.parametrize("env", ENV_VALUES,
+                             ids=["unset", "empty", *ENV_VALUES[2:]])
+    @pytest.mark.parametrize("override", OVERRIDES,
+                             ids=["none", *OVERRIDES[1:]])
+    def test_each_case_resolves_once(self, override, env, c_builds,
+                                     monkeypatch):
+        if c_builds:
+            _c_or_skip()
+        else:
+            monkeypatch.setattr(kernels, "_loaded", {
+                k: v for k, v in kernels._loaded.items() if k != "c"
+            })
+            monkeypatch.setattr(kernels, "_unavailable", {
+                "c": "kernel backend 'c' unavailable: patched out"
+            })
+        monkeypatch.setattr(kernels, "_warned", set())
+        if env is None:
+            monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(kernels.ENV_VAR, env)
+        env_name = env or "auto"
+        want = _resolves_to(override or env_name, c_builds)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            models = [
+                make(override)
+                for make in (
+                    lambda be: WMSketch(64, 2, seed=0, heap_capacity=4,
+                                        backend=be),
+                    lambda be: AWMSketch(64, 2, heap_capacity=4, seed=0,
+                                         backend=be),
+                    lambda be: FeatureHashing(64, seed=0, backend=be),
+                )
+                for _ in range(2)
+            ]
+            resolved = [m.kernels for m in models]
+            defaults = [kernels.active_backend_name() for _ in range(2)]
+        assert {b.name for b in resolved} == {want}
+        assert defaults == [_resolves_to(env_name, c_builds)] * 2
+        if override is None:
+            assert defaults[0] == want
+        # One warning per unavailable name that was resolved, no more.
+        unavailable = {
+            name for name in (override, env_name)
+            if name not in (None, "auto")
+            and _resolves_to(name, c_builds) != name
+        }
+        assert all(w.category is kernels.KernelBackendWarning
+                   for w in caught)
+        assert sorted(str(w.message).split("'")[1] for w in caught) == \
+            sorted(unavailable)
+        # A built model keeps its backend when the variable changes.
+        for later in ("numpy", "c", "bogus"):
+            monkeypatch.setenv(kernels.ENV_VAR, later)
+            assert [m.kernels for m in models] == resolved
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +239,6 @@ class TestCLoader:
         monkeypatch.setattr(kernels, "_loaded", {})
         monkeypatch.setattr(kernels, "_unavailable", {})
         monkeypatch.setattr(kernels, "_warned", set())
-        monkeypatch.setattr(kernels, "_active", None)
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         monkeypatch.setattr(c_backend, "_find_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
@@ -1338,41 +1403,37 @@ class TestModelEquivalence:
         assert ref.n_promotions == other.n_promotions
 
     @pytest.mark.parametrize("alt", ALT_BACKENDS)
-    def test_lr_baseline_indifferent_to_backend(self, alt):
-        # The dense LR baseline uses no kernels; pinning a backend (via
+    def test_lr_baseline_indifferent_to_backend(self, alt, monkeypatch):
+        # The dense LR baseline uses no kernels; choosing a backend (via
         # the process default) must not change a single bit of it.
         examples = _stream(seed=21, n=200, d=800)
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
         ref = UncompressedClassifier(d=800)
         for ex in examples:
             ref.update(ex)
-        try:
-            kernels.set_backend(alt)
-            other = UncompressedClassifier(d=800)
-            for ex in examples:
-                other.update(ex)
-        finally:
-            kernels.set_backend(None)
+        monkeypatch.setenv(kernels.ENV_VAR, alt)
+        other = UncompressedClassifier(d=800)
+        for ex in examples:
+            other.update(ex)
         assert np.array_equal(ref._raw, other._raw)
         assert ref._scale == other._scale
         assert ref.heap.items() == other.heap.items()
 
     @pytest.mark.parametrize("alt", ALT_BACKENDS)
-    def test_process_default_backend_drives_models(self, alt):
-        # Models without an explicit override follow set_backend().
+    def test_process_default_backend_drives_models(self, alt, monkeypatch):
+        # Models without an explicit override follow the environment
+        # variable as it stands when they are built.
         examples = _stream(seed=31, n=150)
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
         ref = _train(
             lambda: WMSketch(256, 2, seed=4, heap_capacity=16), examples, 50
         )
-        try:
-            kernels.set_backend(alt)
-            other = _train(
-                lambda: WMSketch(256, 2, seed=4, heap_capacity=16),
-                examples,
-                50,
-            )
-            assert other.kernels.name == alt
-        finally:
-            kernels.set_backend(None)
+        monkeypatch.setenv(kernels.ENV_VAR, alt)
+        other = _train(
+            lambda: WMSketch(256, 2, seed=4, heap_capacity=16), examples, 50
+        )
+        assert ref.kernels.name == "numpy"
+        assert other.kernels.name == alt
         _assert_models_identical(ref, other)
 
 
@@ -1434,18 +1495,29 @@ class TestPersistence:
             examples,
             50,
         )
-        restored = from_bytes(roundtrip_bytes(model))
+        payload = roundtrip_bytes(model)
+        with np.load(io.BytesIO(payload)) as archive:
+            assert archive["meta_backend"].item() == alt
+            assert "meta_trained_backend" not in archive.files
+        restored = from_bytes(payload)
         assert restored.backend == alt
-        assert restored.trained_backend == alt
+        assert restored.kernels.name == alt
         _assert_models_identical(model, restored)
 
 
 class TestPersistenceDefaults:
-    def test_checkpoint_without_override_records_resolved_backend(self):
+    def test_checkpoint_without_override_records_resolved_backend(
+        self, monkeypatch
+    ):
+        # No override is saved as none: the restored model resolves the
+        # loading process's default, not the saving one's.
+        monkeypatch.setenv(kernels.ENV_VAR, kernels.available_backends()[-1])
         model = WMSketch(128, 2, seed=0, heap_capacity=8)
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
         restored = from_bytes(roundtrip_bytes(model))
         assert restored.backend is None
-        assert restored.trained_backend == kernels.active_backend_name()
+        assert restored.kernels.name == "numpy"
+        assert not hasattr(restored, "trained_backend")
 
 
 @pytest.mark.parametrize("retired", ["numba", "python"])
@@ -1462,7 +1534,6 @@ class TestRetiredBackendNames:
                                  backend=retired),
                 examples, 50,
             )
-        old.trained_backend = retired  # the provenance old code wrote
         ref = _train(
             lambda: WMSketch(256, 2, seed=0, heap_capacity=16,
                              backend="numpy"),
@@ -1489,7 +1560,7 @@ class TestRetiredBackendNames:
             lambda m: from_bytes(roundtrip_bytes(m)), old, ref, monkeypatch
         )
         assert restored.backend == retired
-        assert restored.trained_backend == retired
+        assert not hasattr(restored, "trained_backend")
 
     def test_pickle_round_trip(self, retired, monkeypatch):
         old, ref = self._twins(retired)

@@ -14,9 +14,10 @@ Two kinds of evidence:
   objects built now;
 * ``fixtures/wm_5317a45.pkl`` and ``fixtures/awm_5317a45.pkl``, a small
   WM- and AWM-Sketch pickled by that commit (``python
-  tests/test_pickle_compat.py <dir>`` is the script that wrote them).
-  Each must load, then train and answer bit-identically to a twin built
-  and trained on the same stream by the current code.
+  tests/test_pickle_compat.py <dir>``, run against that commit's
+  ``src/``, is the script that wrote them).  Each must load, then train
+  and answer bit-identically to a twin built and trained on the same
+  stream by the current code.
 """
 
 from __future__ import annotations
@@ -110,34 +111,39 @@ class TestOldStates:
 # ----------------------------------------------------------------------
 # Models pickled by the older code
 # ----------------------------------------------------------------------
-def _examples(seed, n, universe=400):
+def _examples(seed, n, universe=400, min_nnz=1):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        nnz = int(rng.integers(1, 8))
+        nnz = int(rng.integers(min_nnz, 8))
         idx = rng.choice(universe, size=nnz, replace=False).astype(np.int64)
         out.append(SparseExample(idx, rng.standard_normal(nnz),
                                  1 if rng.random() < 0.5 else -1))
     return out
 
 
-#: name -> (constructor of the model the fixture holds, training seed).
-#: The WM fixture carries ``backend="c"`` on the model, its family and
-#: its store; the AWM one the retired name ``"numba"`` and a
-#: polynomial family of even depth.
+#: name -> (constructor of the model the fixture holds, training seed,
+#: fewest features per training example).  The WM fixture carries
+#: ``backend="c"`` on the model, its family and its store; the AWM one
+#: the retired name ``"numba"`` and a polynomial family of even depth.
+#: The AWM fixture trains on examples of two or more features: older
+#: code ran 1-sparse AWM examples through a scalar step that rounded
+#: differently from the Algorithm 2 spec, so a state trained through it
+#: has no twin in the current code.  Continued training below still
+#: runs 1-sparse examples on both copies.
 MODELS = {
     "wm": (lambda: WMSketch(128, 3, heap_capacity=16, lambda_=1e-4,
-                            seed=2, backend="c"), 3),
+                            seed=2, backend="c"), 3, 1),
     "awm": (lambda: AWMSketch(128, depth=2, heap_capacity=16,
                               lambda_=1e-4, seed=2,
-                              hash_kind="polynomial", backend="numba"), 4),
+                              hash_kind="polynomial", backend="numba"), 4, 2),
 }
 
 
 def _build_and_train(name):
-    factory, seed = MODELS[name]
+    factory, seed, min_nnz = MODELS[name]
     model = factory()
-    for batch in iter_batches(_examples(seed, 120), 32):
+    for batch in iter_batches(_examples(seed, 120, min_nnz=min_nnz), 32):
         model.fit_batch(batch)
     return model
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -218,3 +222,56 @@ class TestStoreCheckpointing:
         assert restored.merged_from == a.merged_from
         assert restored.heap.items() == a.heap.items()
         assert restored.top_weights(8) == a.top_weights(8)
+
+
+class TestIntegrity:
+    """``np.savez`` stores every member with a zip CRC-32, so damage to
+    a checkpoint makes it fail to load; it never loads as a different
+    model.  (There is no format version.)"""
+
+    MODELS = {
+        "wm": lambda: _train(WMSketch(64, 3, heap_capacity=8,
+                                      lambda_=1e-5, l1=0.01, seed=5)),
+        "awm": lambda: _train(AWMSketch(128, depth=2, heap_capacity=16,
+                                        lambda_=1e-4, seed=3)),
+    }
+
+    @staticmethod
+    def _raises_or_loads_the_same(damaged, payload):
+        """True if loading raised; otherwise the model must re-save to
+        the original bytes (every saved field identical)."""
+        try:
+            restored = from_bytes(damaged)
+        except Exception:
+            return True
+        assert roundtrip_bytes(restored) == payload
+        return False
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_bit_flips_and_truncations_never_load_another_model(self, name):
+        payload = roundtrip_bytes(self.MODELS[name]())
+        assert roundtrip_bytes(from_bytes(payload)) == payload
+        rng = np.random.default_rng(11)
+        raised = 0
+        for bit in rng.integers(0, 8 * len(payload), 300).tolist():
+            damaged = bytearray(payload)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            raised += self._raises_or_loads_the_same(bytes(damaged), payload)
+        assert raised > 0
+        for size in range(len(payload)):
+            assert self._raises_or_loads_the_same(payload[:size], payload)
+
+    @pytest.mark.parametrize("member", ["table.npy", "meta_t.npy"])
+    def test_flipped_member_byte_fails_the_crc(self, member):
+        payload = roundtrip_bytes(self.MODELS["wm"]())
+        info = zipfile.ZipFile(io.BytesIO(payload)).getinfo(member)
+        # Local header: 30 fixed bytes, then the name and extra field.
+        name_len, extra_len = struct.unpack_from(
+            "<HH", payload, info.header_offset + 26
+        )
+        data_end = (info.header_offset + 30 + name_len + extra_len
+                    + info.compress_size)
+        damaged = bytearray(payload)
+        damaged[data_end - 1] ^= 0x01  # the last value's high byte
+        with pytest.raises(zipfile.BadZipFile, match="CRC"):
+            from_bytes(bytes(damaged))
