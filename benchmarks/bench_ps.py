@@ -23,6 +23,8 @@ uses (depth-1 sketch, fixed per-round write count set by the stream):
   as with ``--kind parallel``).
 
 Results land in ``BENCH_ps.json`` at the repository root.
+The kernel backend is the process default (``REPRO_KERNEL_BACKEND``,
+else ``auto``); the JSON records the one it resolved to.
 
 Run::
 
@@ -46,12 +48,9 @@ HEADLINE_WIDTH = 2**20
 SCALING_WORKERS = [1, 2, 4]
 
 
-def _factory(width, backend):
+def _factory(width):
     def factory():
-        return WMSketch(
-            width, 1, seed=0, heap_capacity=0, lambda_=1e-4,
-            backend=backend,
-        )
+        return WMSketch(width, 1, seed=0, heap_capacity=0, lambda_=1e-4)
 
     return factory
 
@@ -66,7 +65,7 @@ def bench_delta_bytes(width: int, args) -> dict:
     """Delta bytes per sync vs the full-table wire cost at ``width``."""
     n = args.sync_every * args.rounds_per_worker * args.workers
     harness = PSHarness(
-        _factory(width, args.backend),
+        _factory(width),
         n_workers=args.workers,
         staleness=args.staleness,
         sync_every=args.sync_every,
@@ -106,7 +105,7 @@ def bench_scaling(args) -> dict:
     rows: dict = {}
     for workers in SCALING_WORKERS:
         harness = PSHarness(
-            _factory(HEADLINE_WIDTH, args.backend),
+            _factory(HEADLINE_WIDTH),
             n_workers=workers,
             staleness=args.staleness,
             sync_every=args.scaling_sync_every,
@@ -148,7 +147,6 @@ def main(argv=None) -> int:
              "large enough that the parallelizable training work, not "
              "fixed per-sync driver overhead, sets the critical path",
     )
-    parser.add_argument("--backend", default=None)
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke sizing (fewer widths and rounds)",
@@ -176,9 +174,7 @@ def main(argv=None) -> int:
             "scaling_sync_every": args.scaling_sync_every,
             "depth": 1,
             "python": platform.python_version(),
-            "kernel_backend": (
-                args.backend or kernels.active_backend_name()
-            ),
+            "kernel_backend": kernels.active_backend_name(),
         },
         "widths": {},
     }

@@ -20,6 +20,8 @@ asserts the chained snapshot answers exactly like the full copy at
 every width.
 
 Results land in ``BENCH_publish.json`` at the repository root.
+The kernel backend is the process default (``REPRO_KERNEL_BACKEND``,
+else ``auto``); the JSON records the one it resolved to.
 
 Run::
 
@@ -56,10 +58,7 @@ def _train_interval(model, batches, cursor):
 
 
 def bench_width(width: int, args) -> dict:
-    model = WMSketch(
-        width, 1, seed=0, heap_capacity=0, lambda_=1e-4,
-        backend=args.backend,
-    )
+    model = WMSketch(width, 1, seed=0, heap_capacity=0, lambda_=1e-4)
     stream = SyntheticStream(
         d=4 * width, n_signal=64, avg_nnz=float(args.avg_nnz), seed=1
     )
@@ -152,7 +151,6 @@ def main(argv=None) -> int:
     parser.add_argument("--avg-nnz", type=float, default=8.0)
     parser.add_argument("--publishes", type=int, default=15)
     parser.add_argument("--warmup", type=int, default=3)
-    parser.add_argument("--backend", default=None)
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke sizing (fewer widths and publishes)",
@@ -175,9 +173,7 @@ def main(argv=None) -> int:
             "publishes": args.publishes,
             "depth": 1,
             "python": platform.python_version(),
-            "kernel_backend": (
-                args.backend or kernels.active_backend_name()
-            ),
+            "kernel_backend": kernels.active_backend_name(),
         },
         "widths": {},
     }

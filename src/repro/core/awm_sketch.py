@@ -29,15 +29,15 @@ giving *half* the budget to the heap and using a depth-1 sketch
 The table / scale / margin / recovery machinery is shared with the
 WM-Sketch through :class:`~repro.core.sketch_table.ScaledSketchTable`.
 :meth:`AWMSketch.fit_batch` hashes a whole batch's index set once
-(deduplicated, vectorized) and, once the active set is full, runs
-Algorithm 2 per example as one inlined loop over batch-lifetime state —
-state-identical to per-example :meth:`update` calls.
+(deduplicated, vectorized) and, once the active set is full, runs the
+rest of the batch as one ``awm_update`` kernel call (see
+:mod:`repro.kernels.api`) — state-identical to per-example
+:meth:`update` calls on every backend.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.kernels.numpy_backend import (
     gather_rows_t,
     margin,
     margin_gathered,
-    median_estimate,
+    scalar_estimate,
     screen_abs_gt,
 )
 from repro.learning.base import CELL_BYTES
@@ -76,16 +76,17 @@ class AWMSketch(ScaledSketchTable):
     backend:
         Kernel-backend override, recorded with the model and resolved
         once (``None`` = follow the process default; see
-        :mod:`repro.kernels`).  AWM dispatches no compiled loop yet: its
-        batch loop and the 1-sparse scalar fast path call the NumPy
-        helpers directly, so every backend gives the same results at
-        the same speed.
+        :mod:`repro.kernels`).  :meth:`fit_batch` runs Algorithm 2
+        against a full active set through its ``awm_update`` kernel,
+        compiled under ``c``; per-example :meth:`update` and the
+        free-slot phase call the NumPy helpers directly.  Results are
+        bit-identical across backends.
 
     Notes
     -----
-    1-sparse examples (the Section 8 applications) always take the
-    all-scalar step :meth:`_update_one`, ~6x faster than the general
-    step :meth:`_update_example` and bit-identical to it
+    :meth:`update` runs 1-sparse examples (the Section 8 applications)
+    through the all-scalar step :meth:`_update_one`, ~6x faster than
+    the general step :meth:`_update_example` and bit-identical to it
     (``tests/test_awm_fast_path.py``).
     """
 
@@ -240,24 +241,16 @@ class AWMSketch(ScaledSketchTable):
     # ------------------------------------------------------------------
     def _query_one(self, rows: list[tuple[int, float]]) -> float:
         """One feature's sketch estimate from its per-row (bucket, sign)
-        pairs: the scalar :func:`~repro.kernels.numpy_backend.
-        median_estimate` (median of the signed cells, then the factor),
-        soft-thresholded by ``l1`` as :meth:`_estimate_from_rows` does
-        (whose ``np.sign`` maps a zero of either sign to +0)."""
+        pairs: :func:`~repro.kernels.numpy_backend.scalar_estimate`, the
+        float :meth:`_estimate_from_rows` gives (median of the signed
+        cells in numpy's stable NaN-last order, times the factor, then
+        the ``l1`` soft threshold)."""
         table = self.table
-        vals = sorted(sign * float(table[j, bucket])
-                      for j, (bucket, sign) in enumerate(rows))
-        mid = len(vals) // 2
-        if len(vals) % 2:
-            med = vals[mid]
-        else:
-            med = 0.5 * (vals[mid - 1] + vals[mid])
-        query = self._sqrt_s * self._scale * med
-        l1 = self.l1
-        if l1 > 0.0:
-            shrunk = max(abs(query) - l1, 0.0)
-            query = math.copysign(shrunk, query) if query else shrunk
-        return query
+        return scalar_estimate(
+            [sign * float(table[j, bucket])
+             for j, (bucket, sign) in enumerate(rows)],
+            self._sqrt_s * self._scale, self.l1,
+        )
 
     def _update_one(self, idx: int, val: float, y: int) -> float:
         """Algorithm 2 specialized to nnz(x) = 1, all-scalar arithmetic.
@@ -335,9 +328,9 @@ class AWMSketch(ScaledSketchTable):
 
         The per-example spec: :meth:`update` runs it for every example
         the scalar fast path does not take, and :meth:`fit_batch` runs
-        it for empty examples and while the active set has free slots.
-        Once the store is full, ``fit_batch`` runs its own inlined copy
-        of this step instead, bit-identical to this one.
+        it while the active set has free slots.  Once the store is
+        full, ``fit_batch`` runs the ``awm_update`` kernel instead,
+        bit-identical to this step.
 
         ``buckets`` / ``signs`` may carry pre-hashed rows for *all* of
         ``indices`` (shape ``(depth, nnz)``), as produced by the batched
@@ -497,13 +490,11 @@ class AWMSketch(ScaledSketchTable):
         """Promote ``idx`` over the current minimum: evict, and fold the
         evictee's exact weight back into the sketch (credit the
         difference between its true weight and the sketch's current
-        estimate).
+        estimate, :meth:`_query_one`, the rule promotion candidates are
+        estimated by).
 
         The evictee is hashed *once*: its per-row (bucket, sign) pairs
-        serve both the retiring estimate and the fold-in scatter (the
-        old path hashed it twice, once per helper — at one promotion
-        every couple of examples that was the single hottest line of the
-        batched kernel).
+        serve both the retiring estimate and the fold-in scatter.
         """
         self.heap.replace_min(idx, candidate)
         self.n_promotions += 1
@@ -511,39 +502,39 @@ class AWMSketch(ScaledSketchTable):
             self.family.bucket_sign_one(min_key, j)
             for j in range(self.depth)
         ]
-        table = self.table
-        factor = self._sqrt_s * self._scale
-        vals = sorted(
-            factor * sign * float(table[j, bucket])
-            for j, (bucket, sign) in enumerate(rows)
+        coeff = (min_weight - self._query_one(rows)) / (
+            self._sqrt_s * self._scale
         )
-        mid = len(vals) // 2
-        if len(vals) % 2:
-            evict_query = vals[mid]
-        else:
-            evict_query = 0.5 * (vals[mid - 1] + vals[mid])
-        coeff = (min_weight - evict_query) / factor
+        table = self.table
         for j, (bucket, sign) in enumerate(rows):
             self._mark_dirty_bucket(j, int(bucket))
             table[j, bucket] += coeff * sign
 
     def fit_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Mini-batch Algorithm 2: hash the batch once, replay in order.
+        """Mini-batch Algorithm 2: the per-example spec until the active
+        set is full, then one ``awm_update`` kernel call.
 
-        All of the batch's indices are hashed in one deduplicated call
-        through the hash memo, then the examples replay in stream order.
-        1-sparse examples keep the scalar fast path, exactly as
-        :meth:`update` would.  Empty examples, and every example that
-        arrives while the active set still has free slots, run
-        :meth:`_update_example`, the per-example spec.  Once the store
-        is full, each remaining example runs one inlined Algorithm 2
-        step over batch-lifetime state (see :meth:`_fit_batch`).  State
-        and the returned pre-update margins are bit-identical to
-        per-example :meth:`update` calls.
+        While the store has free slots, examples run as :meth:`update`
+        runs them: 1-sparse ones through the scalar step
+        :meth:`_update_one`, the rest (and empty ones) through
+        :meth:`_update_example`, over the batch's rows hashed once
+        through the hash memo.  The first example that meets a full
+        store and every later one run in the kernel (see
+        :meth:`_fit_batch`).  State and the returned pre-update margins
+        are bit-identical to per-example :meth:`update` calls.
+
+        Losses without a kernel id (custom losses) run the per-example
+        spec, :meth:`StreamingClassifier.fit_batch
+        <repro.learning.base.StreamingClassifier.fit_batch>`.  One
+        visible difference: an invalid decay (``eta * lambda >= 1``)
+        raises *before* any update here, where the per-example spec
+        raises mid-batch.
         """
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
+        if self.loss.kernel_id is None:
+            return super().fit_batch(batch)
         # The enabled check runs before any span allocation, as in
         # WMSketch.fit_batch: one flag read per batch while tracing is
         # off.
@@ -556,158 +547,80 @@ class AWMSketch(ScaledSketchTable):
         return self._fit_batch(batch, n)
 
     def _fit_batch(self, batch: SparseBatch, n: int) -> np.ndarray:
-        """The :meth:`fit_batch` loop.
+        """The :meth:`fit_batch` body, with per-phase trace spans (no-ops
+        while tracing is disabled).
 
-        The inlined step keeps every float operation of
-        :meth:`_update_example`'s full-store branch, rearranged around
-        state built once per batch:
-
-        * the flat buckets, signs and sign·value products as ``depth``
-          1-D row views (a 1-D boolean select costs about a third of a
-          2-D one);
-        * the store's live key -> slot map, which every admission and
-          eviction updates in place, so membership needs no patching
-          after a promotion;
-        * one dirty mark over the batch's flat buckets, a superset of
-          what the stay-scatters write (:meth:`_promote` marks its
-          evictee fold itself).
-
-        The tail margin is one ``fsum`` over every row's products
-        (exactly rounded, so any order gives the spec's float).  The
-        promotion loop runs only when some ``|candidate|`` beats
-        ``min_priority()``, and promotes through :meth:`_promote`.  The
-        stay-scatter runs one ``np.add.at`` per row in row order, the
-        element order of the spec's 2-D scatter; its deltas scale the
-        sign·value products, which equals the spec's
-        ``(coeff * value) * sign`` bit for bit because signs are ±1.
+        The kernel gets the batch's rows, the learning rates (validated
+        up front, as WM's fused path does), and the (flat bucket, sign)
+        rows of the store's live keys, hashed here once per call and
+        kept current by the kernel as it admits keys, so neither body
+        hashes.  The batch's flat buckets are marked dirty once, a
+        superset of what the stay-scatters write; the kernel marks the
+        evictee folds and renorm folds itself.  If the kernel raises
+        (an ``fsum`` overflow or ``inf - inf`` in a margin), the model
+        keeps the completed examples: the clock, scale, fold log and
+        promotion count cover exactly them.
         """
         margins = np.empty(n, dtype=np.float64)
-        indptr = batch.indptr.tolist()
-        labels = batch.labels.tolist()
-        indices = batch.indices
-        values = batch.values
         heap = self.heap
-        depth = self.depth
-        sqrt_s = self._sqrt_s
-        l1 = self.l1
-        table = self._table_flat
-        take = table.take
-        fsum = math.fsum
-        absent = repeat(-1)
-        buckets = keys = None
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            y = labels[i]
-            if hi - lo == 1:
-                margins[i] = self._update_one(
-                    int(indices[lo]), float(values[lo]), y
-                )
-                continue
-            if hi == lo:
-                margins[i] = self._update_example(
-                    indices[lo:hi], values[lo:hi], y
-                )
-                continue
-            if buckets is None:
-                # Hash lazily: all-1-sparse batches (the Section 8
-                # application workloads) never need the batch rows.
-                with _trace.span("hash"):
-                    buckets, signs, sv, flat = self._batch_rows(batch)
-            if not heap.is_full:
-                margins[i] = self._update_example(
-                    indices[lo:hi], values[lo:hi], y,
-                    buckets=buckets[:, lo:hi], signs=signs[:, lo:hi],
-                )
-                continue
-            if keys is None:
-                keys = indices.tolist()
-                slot_of = heap.slot_map().get
-                flat_rows, sign_rows, sv_rows = (
-                    list(flat), list(signs), list(sv)
-                )
-                self._mark_dirty_flat(flat)
-
-            # Split members from the tail; member margin in slot order.
-            slots = np.fromiter(
-                map(slot_of, keys[lo:hi], absent), np.intp, hi - lo
-            )
-            tail = slots < 0
-            k = np.count_nonzero(tail)
-            member = k < hi - lo
-            vals = values[lo:hi]
-            tau = 0.0
-            if member:
-                held = ~tail
-                m_slots = slots[held]
-                m_vals = vals[held]
-                for p in (heap.values_at(m_slots) * m_vals).tolist():
-                    tau += p
-                t_flat = [f[lo:hi][tail] for f in flat_rows]
-                t_sign = [s[lo:hi][tail] for s in sign_rows]
-                t_sv = [s[lo:hi][tail] for s in sv_rows]
-                t_vals = vals[tail]
-            else:
-                t_flat = [f[lo:hi] for f in flat_rows]
-                t_sign = [s[lo:hi] for s in sign_rows]
-                t_sv = [s[lo:hi] for s in sv_rows]
-                t_vals = vals
-            if k:
-                cells = [take(f) for f in t_flat]
-                tau += self._scale * fsum(chain.from_iterable(
-                    [(c * s).tolist() for c, s in zip(cells, t_sv)]
-                )) / sqrt_s
-
-            g = self.loss.dloss(y * tau)
-            eta = self.schedule(self.t)
-            if self.lambda_ > 0.0:
-                decay = self._decay_factor(eta)
-                heap.decay(decay)
-                scale_before = self._scale
-                self._decay_scale(decay)
-                if k and self._scale != scale_before * decay:
-                    # A renorm fold rewrote the raw table: re-gather.
-                    cells = [take(f) for f in t_flat]
-            step = eta * y * g
-            if member:
-                heap.add_many(m_slots, -step * m_vals)
-
-            if k:
-                scale = self._scale
-                if depth == 1:
-                    queries = scale * (t_sign[0] * cells[0])
+        etas = self._workspace().array("etas", n)
+        etas[:] = self.schedule.many(self.t, n)
+        self._check_decay_window(etas)
+        rows = None
+        i = 0
+        if not heap.is_full:
+            indptr = batch.indptr.tolist()
+            indices = batch.indices
+            values = batch.values
+            while i < n and not heap.is_full:
+                lo, hi = indptr[i], indptr[i + 1]
+                y = int(batch.labels[i])
+                if hi - lo == 1:
+                    margins[i] = self._update_one(
+                        int(indices[lo]), float(values[lo]), y
+                    )
+                elif hi == lo:
+                    margins[i] = self._update_example(
+                        indices[lo:hi], values[lo:hi], y
+                    )
                 else:
-                    queries = median_estimate(
-                        np.stack(cells, axis=1), np.stack(t_sign, axis=1),
-                        sqrt_s * scale,
+                    if rows is None:
+                        # Hash lazily: warm-up batches of 1-sparse
+                        # examples never need the batch rows.
+                        with _trace.span("hash"):
+                            rows = self._batch_rows(batch)
+                    buckets, signs = rows[0], rows[1]
+                    margins[i] = self._update_example(
+                        indices[lo:hi], values[lo:hi], y,
+                        buckets=buckets[:, lo:hi], signs=signs[:, lo:hi],
                     )
-                if l1 > 0.0:
-                    queries = np.sign(queries) * np.maximum(
-                        np.abs(queries) - l1, 0.0
-                    )
-                candidates = queries - step * t_vals
-                # The threshold after the member step, as in the spec.
-                over = np.abs(candidates) > heap.min_priority()
-                if np.count_nonzero(over):
-                    t_idx = indices[lo:hi][tail] if member else indices[lo:hi]
-                    promoted = []
-                    for pos in np.flatnonzero(over).tolist():
-                        c = float(candidates[pos])
-                        min_key, min_weight = heap.min_entry()
-                        if abs(c) > abs(min_weight):
-                            self._promote(
-                                int(t_idx[pos]), c, min_key, min_weight
-                            )
-                            promoted.append(pos)
-                    if promoted:
-                        stay = np.ones(k, dtype=bool)
-                        stay[promoted] = False
-                        t_flat = [f[stay] for f in t_flat]
-                        t_sv = [s[stay] for s in t_sv]
-                coeff = -step / (sqrt_s * scale)
-                for f, s in zip(t_flat, t_sv):
-                    np.add.at(table, f, coeff * s)
-            self.t += 1
-            margins[i] = tau
+                i += 1
+            if i == n:
+                return margins
+        if rows is None:
+            with _trace.span("hash"):
+                rows = self._batch_rows(batch)
+        _, signs, sv, flat = rows
+        key_flat, key_signs = self.family.all_rows(
+            np.fromiter(heap, np.int64, len(heap))
+        )
+        if self.depth > 1:
+            key_flat += self._row_offsets
+        state = np.array([self._scale, self._fold_log])
+        progress = np.zeros(2, dtype=np.int64)
+        self._mark_dirty_flat(flat)
+        try:
+            with _trace.span("awm_update"):
+                self.kernels.awm_update(
+                    heap, batch, i, etas, flat, signs, sv, key_flat,
+                    key_signs, self._table_flat, self.lambda_, self._sqrt_s,
+                    self.l1, self.loss.kernel_id, self.loss.kernel_param,
+                    state, progress, margins, self._dirty, self._ws,
+                )
+        finally:
+            self._scale, self._fold_log = state.tolist()
+            self.t += int(progress[0])
+            self.n_promotions += int(progress[1])
         return margins
 
     # ------------------------------------------------------------------

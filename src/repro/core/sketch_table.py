@@ -898,8 +898,9 @@ class ScaledSketchTable(StreamingClassifier):
 
         ``gathered_t`` may carry that gather
         (``table_flat.take(flat_buckets.T)``) when the caller already
-        pulled those cells (the AWM kernel shares one gather between
-        the margin and the tail queries); it is read, never mutated.
+        pulled those cells (the AWM per-example step shares one gather
+        between the margin and the tail queries); it is read, never
+        mutated.
         """
         if gathered_t is None:
             if flat_buckets is None:

@@ -189,10 +189,12 @@ class TopKStore:
 
         Snapshots are **read-only by contract**: their slot arrays are
         sized to the live prefix, so mutating methods (``push``,
-        ``decay``, ...) are out of contract.  Lazily built caches
-        (``_min_slot``, ``_sorted_keys``) may still materialize on first
-        read — single-reader or externally serialized use only, the same
-        single-threaded discipline as every other model structure.
+        ``decay``, ...) are out of contract.  The sorted-key arrays are
+        built here, on the publishing thread, so reads probe membership
+        without sorting; the cached minimum may still materialize on
+        first read — single-reader or externally serialized use only,
+        the same single-threaded discipline as every other model
+        structure.
 
         **Trainer-thread-only**: this method reads ``_keys`` / ``_raw``
         / ``_n`` without synchronization, so calling it from a thread
@@ -218,12 +220,13 @@ class TopKStore:
         snap._raw = self._raw[:n] * self._scale
         snap._scratch = np.empty(n, dtype=np.float64)
         snap._n = n
-        snap._pos = {
-            int(k): i for i, k in enumerate(snap._keys.tolist())
-        }
+        # The copied prefix keeps every live key's slot, so the live
+        # map and sorted-key arrays are the snapshot's.  The arrays are
+        # replaced, never written, on a membership change; building
+        # them here keeps that work off the readers' first probe.
+        snap._pos = self._pos.copy()
         snap._min_slot = -1
-        snap._sorted_keys = None
-        snap._sorted_slots = None
+        snap._sorted_keys, snap._sorted_slots = self._sorted()
         snap.version = 0
         snap._writer_thread = None
         snap._promo_log = None
@@ -638,17 +641,20 @@ class TopKStore:
             self._promo_log.append(key)
         return evicted
 
-    def apply_admissions(self, log: np.ndarray, min_slot: int) -> None:
-        """Finish the admissions a compiled maintain loop made in place.
+    def apply_admissions(
+        self, log: np.ndarray, min_slot: int, scale: float | None = None
+    ) -> None:
+        """Finish the admissions a compiled loop made in place.
 
-        The loop (the ``c`` backend's ``heap_maintain``) writes
-        ``_keys`` / ``_raw`` itself and hands back its admissions in
-        order, one ``(key, evicted key, slot)`` row each, plus its
-        cached minimum slot (-1 = stale).  Applying them here leaves
-        the store exactly as the same evicting :meth:`push` calls
-        would: the key -> slot map, one :attr:`version` bump per
-        admission, the promotion log, and the min and sorted-key
-        caches.
+        The loop (the ``c`` backend's ``heap_maintain`` or
+        ``awm_update``) writes ``_keys`` / ``_raw`` itself and hands
+        back its admissions in order, one ``(key, evicted key, slot)``
+        row each, plus its cached minimum slot (-1 = stale) and, when it
+        decayed the store, the scale it left (``None`` keeps it).
+        Applying them here leaves the store exactly as the same
+        evicting :meth:`push` / :meth:`replace_min` calls would: the
+        key -> slot map, one :attr:`version` bump per admission, the
+        promotion log, and the min and sorted-key caches.
         """
         pos = self._pos
         promo = self._promo_log
@@ -662,6 +668,8 @@ class TopKStore:
             self._sorted_slots = None
             self.version += log.shape[0]
         self._min_slot = min_slot
+        if scale is not None:
+            self._scale = scale
 
     def add_delta(self, key: int, delta: float) -> None:
         """Add ``delta`` to the true value of an existing ``key``.

@@ -1,9 +1,10 @@
 """Pluggable kernel backends for the compiled inner loops.
 
 The loops this repository compiles — WM's ``fused_update``,
-``fused_predict`` and passive-heap ``heap_maintain``, and the
-parameter-server push codec's ``chunk_delta`` and ``chunk_add``
-(:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch through a
+``fused_predict`` and passive-heap ``heap_maintain``, AWM's
+``awm_update``, and the parameter-server push codec's ``chunk_delta``
+and ``chunk_add`` (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch
+through a
 :class:`~repro.kernels.api.KernelBackend` selected here.  Every other
 hot helper (margins, scatters, gathers, median recovery, admission
 screens, recovery queries, the WM heap's decision core) has one
@@ -18,7 +19,7 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks the
     compiled backend against.
 ``c``
-    The five kernels compiled from :file:`ckernels.c` with the system
+    The six kernels compiled from :file:`ckernels.c` with the system
     ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
     Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls

@@ -2,7 +2,8 @@
 
 A *kernel backend* is a named table of the loops this repository
 compiles: WM's fused training and prediction loops, its passive-heap
-maintain, and the parameter-server push codec's chunk encode and apply
+maintain, AWM's Algorithm 2 step against a full active set, and the
+parameter-server push codec's chunk encode and apply
 (:data:`KERNEL_NAMES`).  Every backend implements them with the same
 *bit-level* semantics.  The NumPy backend is the executable reference,
 and the compiled ``c`` backend is checked against it in
@@ -13,9 +14,10 @@ bit-identical tables, heap state and predictions whichever backend
 computed them.
 
 The helpers no backend compiles (the exactly rounded ``margin``, the
-``scatter_add`` scatter, the transposed gather, median recovery, the
-estimate bound, the admission screen and the ``fused_query`` read) are
-plain functions of :mod:`repro.kernels.numpy_backend`, called by name.
+``scatter_add`` scatter, the transposed gather, median recovery and its
+scalar form, the estimate bound, the admission screen and the
+``fused_query`` read) are plain functions of
+:mod:`repro.kernels.numpy_backend`, called by name.
 
 Shapes below use ``depth`` = sketch rows and ``nnz`` = number of
 key/feature positions in the call.
@@ -118,6 +120,64 @@ l1, ws) -> None``
     ``abs``, an ``indptr`` out of range or decreasing, or a store whose
     live keys are not distinct, all before anything is written.
 
+AWM-Sketch step
+---------------
+``awm_update(store, batch, start, etas, flat, signs, sv, key_flat,
+key_signs, table_flat, lam, sqrt_s, l1, loss_id, loss_param, state,
+progress, margins_out, dirty, ws) -> None``
+    Algorithm 2 for examples ``start .. n-1`` of ``batch`` (a
+    :class:`~repro.data.batch.SparseBatch`, so keys are distinct within
+    an example), bit-identical to per-example ``AWMSketch.update()``
+    calls from the first example that meets a full active set.
+    ``store`` is the model's :class:`~repro.heap.topk.TopKStore`, full
+    and ordered by ``abs``; ``etas`` (float64, ``n``) the learning rate
+    of each example, validated by the caller (``eta * lam < 1``);
+    ``flat`` / ``signs`` / ``sv`` (``(depth, nnz)``) the batch's flat
+    buckets, hash signs and sign * value products; ``key_flat`` /
+    ``key_signs`` (``(depth, capacity)``, int64 / float64, written) the
+    same rows for the key in each store slot, which the kernel
+    overwrites with an admitted key's rows; ``table_flat`` the raw table
+    (written).  ``state`` (float64 ``[scale, fold log]``) and
+    ``progress`` (int64 ``[examples completed, promotions]``) are read
+    and advanced; ``margins_out[i]`` receives example ``i``'s
+    pre-update margin; ``dirty`` (bool, one flag per :data:`CHUNK`
+    cells) gains the chunk of every evictee-fold cell, and every chunk
+    on a table fold (the caller marks the batch's own buckets).
+
+    Per example: membership at its start (members are keys stored
+    then); the margin, a running sum from ``0.0`` of ``(raw * store
+    scale) * value`` over members in position order plus ``scale *
+    fsum(cell * sv) / sqrt_s`` over the tail, row by row; ``dloss``; the
+    store's and the table's lazy decay by ``1 - eta * lam``, each
+    folding at :data:`RENORM_THRESHOLD` (the store's live prefix; the
+    whole table, adding ``log(scale)`` to the fold log); the member
+    step in ``add_many``'s element order; each tail key's estimate
+    (``numpy_backend.median_estimate`` of its signed cells, factor
+    ``scale`` at depth 1 and ``sqrt_s * scale`` above, then the l1 soft
+    threshold) minus ``step * value``; a screen against the threshold
+    left by the member step, then for each survivor in position order
+    a re-check of the live minimum, replacing the first minimal slot
+    (ties reject, a NaN minimum admits nothing) and folding the
+    evictee's exact weight minus its estimate (factor ``sqrt_s *
+    scale``) into its cells; and the stay-scatter of the tail keys not
+    promoted, ``-step / (sqrt_s * scale) * sv`` one row at a time.
+
+    The store ends as the same ``replace_min`` calls leave it: slot
+    order, raw bits, scale, the key -> slot map, ``version``, the
+    promotion log, and the entry its cached minimum names.  The ``c``
+    body builds a probe table over the live keys per call, writes
+    ``_keys`` / ``_raw`` in place and hands its admissions to
+    ``TopKStore.apply_admissions`` as ``(key, evicted key, slot)`` rows,
+    on a raising status too.  An ``fsum`` error stops both bodies
+    before the failing example changes anything, with ``state``,
+    ``progress``, the margins, the store and the dirty flags covering
+    the completed examples.  Both raise ``ValueError`` for a store that
+    is not full or not ordered by ``abs`` and a ``start`` outside ``[0,
+    n]``, and ``IndexError`` for a bucket outside the table, before
+    writing anything; the ``c`` wrapper also raises ``TypeError`` for
+    wrong dtypes and ``ValueError`` for inconsistent shapes or a store
+    whose live keys are not distinct.
+
 Parameter-server push codec
 ---------------------------
 The two chunk kernels move whole :data:`CHUNK`-cell chunks of a flat
@@ -164,8 +224,8 @@ from __future__ import annotations
 
 #: Every kernel a backend must provide, in documentation order.
 KERNEL_NAMES = (
-    "fused_update", "fused_predict", "heap_maintain", "chunk_delta",
-    "chunk_add",
+    "fused_update", "fused_predict", "heap_maintain", "awm_update",
+    "chunk_delta", "chunk_add",
 )
 
 #: Cells per chunk of the dirty bitmap and of the delta codec's wire

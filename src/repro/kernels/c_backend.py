@@ -1,15 +1,17 @@
 """The compiled C backend (``"c"``).
 
-All five kernels are compiled, from :file:`ckernels.c`:
+All six kernels are compiled, from :file:`ckernels.c`:
 ``fused_update`` and ``fused_predict``, whose NumPy body is a
 per-example Python loop; ``heap_maintain``, WM's passive-heap refresh
 and admissions, which runs the shared decision core in Python until
-the store is full and one C loop from there; and the parameter-server
-push codec's ``chunk_delta`` (encode each dirty chunk's delta and
-advance the sync base in one pass) and ``chunk_add`` (add each shipped
-row into the driver table).  The C bodies are bit-identical to the
-reference on every input, including the exception it raises and the
-partial state it leaves.
+the store is full and one C loop from there; ``awm_update``, AWM's
+Algorithm 2 step against a full active set, one C loop whose
+admissions ``TopKStore.apply_admissions`` finishes; and the
+parameter-server push codec's ``chunk_delta`` (encode each dirty
+chunk's delta and advance the sync base in one pass) and ``chunk_add``
+(add each shipped row into the driver table).  The C bodies are
+bit-identical to the reference on every input, including the exception
+it raises and the partial state it leaves.
 
 The library is built once per machine and source hash with the system
 ``cc`` into the first usable cache directory (``$XDG_CACHE_HOME/repro``,
@@ -24,7 +26,9 @@ registry records as the backend's unavailability reason.
 
 The wrappers do O(1) work in Python — dtype, shape and contiguity
 checks — before one C call (``heap_maintain`` first runs the decision
-core itself while the store has free slots).  Buffers the kernels write must already be
+core itself while the store has free slots; the two store kernels
+finish with ``TopKStore.apply_admissions``, on a raising status too).
+Buffers the kernels write must already be
 C-contiguous and writable (a copy would silently drop the writes);
 strided read-only inputs are copied.  Range checks (``indptr``, every
 flat bucket, chunk ids, the buffers' lengths) run in C before anything
@@ -84,6 +88,20 @@ int64_t repro_heap_maintain(
     void *est, void *slots, int64_t scratch_len,
     void *row, int64_t row_len,
     void *log, int64_t log_len, int64_t *min_io);
+int64_t repro_awm_update(
+    void *table, int64_t size,
+    void *indices, void *values, void *indptr, void *labels, void *etas,
+    int64_t n, int64_t start,
+    void *fb, void *signs, void *sv, int64_t depth, int64_t nnz,
+    void *key_fb, void *key_signs,
+    void *keys, void *raw, int64_t live, int64_t capacity,
+    double lam, double sqrt_s, double l1, int64_t loss_id,
+    double loss_param, double *state, int64_t *io,
+    void *margins, void *dirty, int64_t n_dirty,
+    void *probe, int64_t probe_len,
+    void *slots, void *cand, int64_t scratch_len,
+    void *row, int64_t row_len,
+    void *admits, int64_t admits_len);
 int64_t repro_chunk_delta(
     void *table, int64_t size, void *base, int64_t base_len,
     void *ids, int64_t k, double alpha, double drift,
@@ -224,6 +242,10 @@ _UPDATE_DTYPES = (_F64, _I64, _F64, _I64, _I64, _F64, _F64, _F64, _F64, _I64)
 _PREDICT_DTYPES = (_F64, _I64, _F64, _I64, _F64)
 #: Dtypes of (indices, indptr, signs, gathered, scales).
 _MAINTAIN_DTYPES = (_I64, _I64, _F64, _F64, _F64)
+#: Dtypes of (etas, flat, signs, sv, key_flat, key_signs, table_flat,
+#: state, progress, margins_out, dirty).
+_AWM_DTYPES = (_F64, _I64, _F64, _F64, _I64, _F64, _F64, _F64, _I64, _F64,
+               np.dtype(bool))
 
 
 def _raise_status(status: int, flat_buckets, size: int, n: int,
@@ -252,12 +274,24 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
                          "the batch",
                          "a chunk buffer is too short",
                          "a heap_maintain buffer is too short for the "
-                         "batch")[min(detail, 3)]),
+                         "batch",
+                         "an awm_update buffer is too short for the "
+                         "batch")[min(detail, 4)]),
         11: (ValueError, ("the store's live keys are not distinct",
-                          "heap_maintain needs a full store with its "
-                          "cached minimum slot in range")[min(detail, 1)]),
+                          "the kernel needs a full store with its "
+                          "cached minimum slot in range",
+                          "a key repeats within an example")[min(detail, 2)]),
     }.get(code, (RuntimeError, f"C kernel failed with status {status}"))
     raise exc_type(message)
+
+
+def _probe_cells(live: int) -> int:
+    """Cells of the C probe table over ``live`` store keys: the smallest
+    power of two >= 8 * live, at least 8 (ckernels.c's probe_cells)."""
+    cells = 8
+    while cells < 8 * live:
+        cells *= 2
+    return cells
 
 
 def _layout_error(name: str, exc: Exception) -> ValueError:
@@ -272,6 +306,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     c_update = lib.repro_fused_update
     c_predict = lib.repro_fused_predict
     c_maintain = lib.repro_heap_maintain
+    c_awm = lib.repro_awm_update
     c_delta = lib.repro_chunk_delta
     c_add = lib.repro_chunk_add
     check_chunk_buffers = numpy_backend.check_chunk_buffers
@@ -421,9 +456,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
                 return
         depth, nnz = signs.shape
         live = store._n
-        cells = 8
-        while cells < 8 * live:
-            cells *= 2
+        cells = _probe_cells(live)
         try:
             ids, ip, sg, gt, sc = (
                 view(indices), view(indptr), view(signs), view(gathered),
@@ -451,6 +484,91 @@ def _make_backend(ffi, lib) -> KernelBackend:
             _raise_status(status, None, 0, n)
         count = min_io[1]
         store.apply_admissions(log[:3 * count].reshape(count, 3), min_io[0])
+
+    def awm_update(
+        store, batch, start, etas, flat, signs, sv, key_flat, key_signs,
+        table_flat, lam, sqrt_s, l1, loss_id, loss_param, state, progress,
+        margins_out, dirty, ws,
+    ):
+        dtypes = (etas.dtype, flat.dtype, signs.dtype, sv.dtype,
+                  key_flat.dtype, key_signs.dtype, table_flat.dtype,
+                  state.dtype, progress.dtype, margins_out.dtype, dirty.dtype)
+        if dtypes != _AWM_DTYPES:
+            raise TypeError(f"awm_update dtypes must be {_AWM_DTYPES}, "
+                            f"got {dtypes}")
+        indptr = batch.indptr
+        n = indptr.shape[0] - 1
+        nnz = batch.indices.shape[0]
+        depth = flat.shape[0] if flat.ndim == 2 else 0
+        capacity = store.capacity
+        if (flat.ndim != 2 or depth < 1 or flat.shape[1] != nnz
+                or signs.shape != flat.shape or sv.shape != flat.shape
+                or key_flat.shape != (depth, capacity)
+                or key_signs.shape != key_flat.shape
+                or etas.ndim != 1 or etas.shape[0] < n
+                or table_flat.ndim != 1 or state.shape != (2,)
+                or progress.shape != (2,) or margins_out.ndim != 1
+                or margins_out.shape[0] < n or dirty.ndim != 1):
+            raise ValueError(
+                "awm_update: inconsistent shapes (see kernels.api)"
+            )
+        numpy_backend.check_awm_args(store, start, n)
+        try:
+            ids, vals, ip, ys, es, fb, sg, svv = (
+                view(batch.indices), view(batch.values), view(indptr),
+                view(batch.labels), view(etas), view(flat), view(signs),
+                view(sv),
+            )
+        except ValueError:
+            ids, vals, ip, ys, es, fb, sg, svv = copied_views(
+                batch.indices, batch.values, indptr, batch.labels, etas,
+                flat, signs, sv,
+            )
+        written = []
+        for name, arr in (("key_flat", key_flat), ("key_signs", key_signs),
+                          ("table_flat", table_flat),
+                          ("margins_out", margins_out), ("dirty", dirty)):
+            try:
+                written.append(view(arr, require_writable=True))
+            except ValueError as exc:
+                raise _layout_error(name, exc) from None
+        kf, ks, table, margins, marks = written
+        live = store._n
+        cells = _probe_cells(live)
+        log = ws.array("awm_log", 3 * nnz, np.int64)
+        scales = new("double[3]", [state[0], state[1], store._scale])
+        io = new("int64_t[3]", [0, 0, store._min_slot])
+        status = c_awm(
+            table, table_flat.shape[0], ids, vals, ip, ys, es, n, start,
+            fb, sg, svv, depth, nnz, kf, ks,
+            view(store._keys, require_writable=True),
+            view(store._raw, require_writable=True), live, capacity,
+            lam, sqrt_s, l1, loss_id, loss_param, scales, io,
+            margins, marks, dirty.shape[0],
+            view(ws.array("awm_probe", 2 * cells, np.int64),
+                 require_writable=True), 2 * cells,
+            view(ws.array("awm_slots", nnz, np.int64),
+                 require_writable=True),
+            view(ws.array("awm_cand", nnz), require_writable=True), nnz,
+            view(ws.array("awm_row", depth), require_writable=True), depth,
+            view(log, require_writable=True), log.shape[0],
+        )
+        # Partial state first: a raising status still leaves the
+        # completed examples applied.
+        state[0], state[1] = scales[0], scales[1]
+        progress[0] += io[0]
+        progress[1] += io[1]
+        count = io[1]
+        store.apply_admissions(log[:3 * count].reshape(count, 3), io[2],
+                               scales[2])
+        if status & 15 == 1:
+            # The range check the numpy body runs names the bucket.
+            numpy_backend.check_awm_buckets(
+                table_flat.shape[0], flat[:, indptr[start]:indptr[n]],
+                key_flat,
+            )
+        if status:
+            _raise_status(status, None, 0, n, loss_id, loss_param)
 
     def chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out):
         check_chunk_buffers(
@@ -490,6 +608,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
         "fused_update": fused_update,
         "fused_predict": fused_predict,
         "heap_maintain": heap_maintain,
+        "awm_update": awm_update,
         "chunk_delta": chunk_delta,
         "chunk_add": chunk_add,
     })

@@ -1,11 +1,12 @@
 /*
- * The compiled bodies of five kernels whose contract is in api.py:
+ * The compiled bodies of six kernels whose contract is in api.py:
  * fused_update and fused_predict, whose NumPy reference
  * (numpy_backend.py) is a per-example Python loop; heap_maintain, whose
  * reference replays the WM passive heap's decision core per possible
- * admission; and the parameter-server push codec's chunk_delta and
- * chunk_add, whose reference is a gather -> arithmetic -> scatter over
- * whole chunks.
+ * admission; awm_update, whose reference is AWM's Algorithm 2 step per
+ * example against a full active set; and the parameter-server push
+ * codec's chunk_delta and chunk_add, whose reference is a gather ->
+ * arithmetic -> scatter over whole chunks.
  * Loaded by c_backend.py, which builds this file with exactly
  * "cc -O2 -fPIC -shared -ffp-contract=off": FMA contraction, -ffast-math
  * reassociation or -march=native code would change float bits.
@@ -16,8 +17,8 @@
  * of the repro.learning.losses classes; scatters run in np.add.at's
  * element order over each example's (depth, nnz_i) block; the chunk
  * loops do per cell the rounded operations numpy does per element; the
- * heap loop sorts each median row the way numpy's stable sort does and
- * finds the store minimum the way argmin does.  When
+ * heap loops sort each median row the way numpy's stable sort does and
+ * find the store minimum the way argmin does.  When
  * both operands of one operation are NaN, which payload the result
  * carries is unspecified: numpy's own choice depends on the array length
  * (its SIMD body and scalar remainder differ).
@@ -455,19 +456,19 @@ static inline int sort_lt(double a, double b)
     return a < b || (b != b && a == a);
 }
 
-/* The estimate of position p: the median of its depth products
- * signs[j, p] * gathered[p, j] as numpy's stable row sort orders them,
- * times factor, then the l1 soft threshold of numpy's sign / maximum. */
-static double position_estimate(const double *signs, const double *gathered,
-                                int64_t nnz, int64_t depth, int64_t p,
-                                double factor, double l1, double *row)
+/* The estimate of one feature from its depth signed cells row[0..depth)
+ * (sorted in place the way numpy's stable row sort orders them): the
+ * median, times factor, then the l1 soft threshold of numpy's sign /
+ * maximum. */
+static double row_estimate(double *row, int64_t depth, double factor,
+                           double l1)
 {
     double med;
     if (depth == 1) {
-        med = signs[p] * gathered[p];
+        med = row[0];
     } else {
-        for (int64_t j = 0; j < depth; j++) {
-            double v = signs[j * nnz + p] * gathered[p * depth + j];
+        for (int64_t j = 1; j < depth; j++) {
+            double v = row[j];
             int64_t k = j;
             while (k > 0 && sort_lt(v, row[k - 1])) {
                 row[k] = row[k - 1];
@@ -485,6 +486,17 @@ static double position_estimate(const double *signs, const double *gathered,
         e = sign * (shrunk < 0.0 ? 0.0 : shrunk);
     }
     return e;
+}
+
+/* The estimate of position p from the recorded products
+ * signs[j, p] * gathered[p, j]. */
+static double position_estimate(const double *signs, const double *gathered,
+                                int64_t nnz, int64_t depth, int64_t p,
+                                double factor, double l1, double *row)
+{
+    for (int64_t j = 0; j < depth; j++)
+        row[j] = signs[j * nnz + p] * gathered[p * depth + j];
+    return row_estimate(row, depth, factor, l1);
 }
 
 /* Linear-probing table of key -> slot + 1 (0 = empty cell), one
@@ -562,6 +574,27 @@ static inline int64_t store_min(const double *raw, int64_t live,
         *min_slot = ms;
     }
     return ms;
+}
+
+/* TopKStore._touch_value: patch the cached minimum after raw[slot]
+ * changed, in raw space with ties to the lower slot, so it names the
+ * slot a rescan picks; a write to the cached slot itself, or a NaN,
+ * drops it. */
+static inline void touch_min(const double *raw, int64_t slot,
+                             int64_t *min_slot)
+{
+    int64_t ms = *min_slot;
+    if (ms < 0)
+        return;
+    if (slot == ms) {
+        *min_slot = -1;
+        return;
+    }
+    double pn = fabs(raw[slot]), pm = fabs(raw[ms]);
+    if (pn != pn)
+        *min_slot = -1;
+    else if (pn < pm || (pn == pm && slot < ms))
+        *min_slot = slot;
 }
 
 /* Smallest power of two >= 8 * live, and its log2. */
@@ -650,15 +683,7 @@ int64_t repro_heap_maintain(
                 /* A repeated key admitted earlier in this example:
                  * push updates it in place (TopKStore._touch_value). */
                 raw[s] = w / scale;
-                if (min_slot >= 0) {
-                    if (s == min_slot) {
-                        min_slot = -1;
-                    } else {
-                        double pn = fabs(raw[s]), pm = fabs(raw[min_slot]);
-                        if (pn < pm || (pn == pm && s < min_slot))
-                            min_slot = s;
-                    }
-                }
+                touch_min(raw, s, &min_slot);
                 continue;
             }
             int64_t ms = store_min(raw, live, &min_slot);
@@ -678,4 +703,229 @@ int64_t repro_heap_maintain(
     min_io[0] = min_slot;
     min_io[1] = admitted;
     return ST_OK;
+}
+
+/*
+ * awm_update: AWM-Sketch Algorithm 2 for the examples start..n-1 of one
+ * batch, against a full active set of `live` entries (keys, raw; state
+ * holds the table scale, the fold log and the store scale, io[2] the
+ * cached minimum slot, -1 = stale).  Per example, in stream order,
+ * exactly numpy_backend.awm_update's floats: the member margin (a
+ * running sum from 0.0 of (raw * hscale) * value in position order), the
+ * tail margin scale * fsum(cell * sv) / sqrt_s (row by row), dloss, both
+ * lazy decays with their folds, the member step, the tail estimates, the
+ * screen against the threshold left by the member step, a live re-check
+ * and replacement of the first minimal slot with the evictee fold, and
+ * the stay-scatter.  Membership comes from a probe table over the live
+ * keys; an evictee's rows from key_fb / key_signs (depth x capacity, per
+ * slot), which each admission overwrites with the admitted position's
+ * rows.  Admissions go to log as (key, evicted key, slot) rows.  Every
+ * evictee-fold cell's chunk, and on a table fold every chunk, is marked
+ * in dirty.  io[0] receives the examples completed, io[1] the
+ * admissions, io[2] the cached minimum, and state the scales, on every
+ * return; an fsum error stops before the failing example changes
+ * anything.  Checks indptr, the store, every buffer length and every
+ * flat bucket first.
+ */
+int64_t repro_awm_update(
+    double *table, int64_t size,
+    const int64_t *indices, const double *values, const int64_t *indptr,
+    const int64_t *labels, const double *etas, int64_t n, int64_t start,
+    const int64_t *fb, const double *signs, const double *sv,
+    int64_t depth, int64_t nnz,
+    int64_t *key_fb, double *key_signs,
+    int64_t *keys, double *raw, int64_t live, int64_t capacity,
+    double lam, double sqrt_s, double l1, int64_t loss_id,
+    double loss_param, double *state, int64_t *io,
+    double *margins, uint8_t *dirty, int64_t n_dirty,
+    int64_t *probe, int64_t probe_len,
+    int64_t *slots, double *cand, int64_t scratch_len,
+    double *row, int64_t row_len,
+    int64_t *admits, int64_t admits_len)
+{
+    probe_table t;
+    fsum_state s;
+    int bits;
+    int64_t cells, st = ST_OK, done = 0, admitted = 0;
+    int64_t min_slot = io[2];
+    double scale = state[0], fold_log = state[1], hscale = state[2];
+
+    if (loss_id < 0 || loss_id > 3)
+        return STATUS(ST_LOSS_ID, 0);
+    if (loss_id == 1 && loss_param <= 0.0)
+        return STATUS(ST_GAMMA, 0);
+    st = check_indptr(indptr, n, nnz);
+    if (st)
+        return st;
+    if (start < 0 || start > n)
+        return STATUS(ST_INDPTR, 0);
+    if (live < 1 || live != capacity || min_slot < -1 || min_slot >= live)
+        return STATUS(ST_STORE, 1);
+    cells = probe_cells(live, &bits);
+    if (depth < 1 || scratch_len < nnz || row_len < depth
+        || probe_len < 2 * cells
+        || admits_len < 3 * (indptr[n] - indptr[start])
+        || n_dirty < ((size + CHUNK - 1) >> CHUNK_LOG))
+        return STATUS(ST_SHORT, 4);
+    for (int64_t j = 0; j < depth; j++) {
+        for (int64_t p = indptr[start]; p < indptr[n]; p++) {
+            if (fb[j * nnz + p] < 0 || fb[j * nnz + p] >= size)
+                return STATUS(ST_BUCKET, 0);
+        }
+        for (int64_t c = 0; c < live; c++) {
+            if (key_fb[j * capacity + c] < 0
+                || key_fb[j * capacity + c] >= size)
+                return STATUS(ST_BUCKET, 0);
+        }
+    }
+    t.cell = probe;
+    t.mask = (uint64_t)cells - 1;
+    t.shift = 64 - bits;
+    for (int64_t c = 0; c < cells; c++)
+        t.cell[2 * c + 1] = 0;
+    for (int64_t c = 0; c < live; c++) {
+        if (probe_insert(&t, keys[c], c))
+            return STATUS(ST_STORE, 0);
+    }
+
+    for (int64_t i = start; i < n; i++) {
+        int64_t lo = indptr[i], hi = indptr[i + 1], k = 0;
+        int any_member = 0;
+        double tau = 0.0, total;
+
+        /* Membership at the start of the example; the member margin. */
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t sl = probe_find(&t, indices[p]);
+            slots[p] = sl;
+            if (sl >= 0) {
+                tau += raw[sl] * hscale * values[p];
+                any_member = 1;
+            } else {
+                k++;
+            }
+        }
+        if (k) {
+            s.n = 0;
+            s.special_sum = s.inf_sum = 0.0;
+            for (int64_t j = 0; j < depth && !st; j++) {
+                for (int64_t p = lo; p < hi && !st; p++) {
+                    if (slots[p] < 0)
+                        st = fsum_add(&s, table[fb[j * nnz + p]]
+                                              * sv[j * nnz + p]);
+                }
+            }
+            if (!st)
+                st = fsum_result(&s, &total);
+            if (st)
+                break;
+            tau += scale * total / sqrt_s;
+        }
+
+        double y = (double)labels[i];
+        double g = dloss(loss_id, loss_param, y * tau);
+        double eta = etas[i];
+        if (lam > 0.0) {
+            double decay = 1.0 - eta * lam;
+            hscale *= decay;
+            if (hscale < RENORM) {
+                for (int64_t c = 0; c < live; c++)
+                    raw[c] *= hscale;
+                hscale = 1.0;
+                min_slot = -1;
+            }
+            scale *= decay;
+            if (scale < RENORM) {
+                fold_log += log(scale);
+                for (int64_t c = 0; c < size; c++)
+                    table[c] *= scale;
+                scale = 1.0;
+                for (int64_t c = 0; c < n_dirty; c++)
+                    dirty[c] = 1;
+            }
+        }
+        double step = eta * y * g;
+        if (any_member) {
+            for (int64_t p = lo; p < hi; p++) {
+                int64_t sl = slots[p];
+                if (sl < 0)
+                    continue;
+                double d = -step * values[p];
+                raw[sl] += hscale == 1.0 ? d : d / hscale;
+                touch_min(raw, sl, &min_slot);
+            }
+        }
+
+        if (k) {
+            double factor = depth == 1 ? scale : sqrt_s * scale;
+            for (int64_t p = lo; p < hi; p++) {
+                if (slots[p] >= 0)
+                    continue;
+                for (int64_t j = 0; j < depth; j++)
+                    row[j] = signs[j * nnz + p] * table[fb[j * nnz + p]];
+                cand[p] = row_estimate(row, depth, factor, l1)
+                          - step * values[p];
+            }
+            double threshold =
+                fabs(raw[store_min(raw, live, &min_slot)] * hscale);
+            double fold = sqrt_s * scale;
+            for (int64_t p = lo; p < hi; p++) {
+                double c = cand[p];
+                if (slots[p] >= 0 || !(fabs(c) > threshold))
+                    continue;
+                int64_t ms = store_min(raw, live, &min_slot);
+                double mw = raw[ms] * hscale;
+                if (!(fabs(c) > fabs(mw)))
+                    continue;
+                if (probe_find(&t, indices[p]) >= 0) {
+                    /* A key repeated within the example (a SparseBatch
+                     * never holds one): stop before the store holds it
+                     * twice. */
+                    st = STATUS(ST_STORE, 2);
+                    break;
+                }
+                admits[3 * admitted] = indices[p];
+                admits[3 * admitted + 1] = keys[ms];
+                admits[3 * admitted + 2] = ms;
+                admitted++;
+                probe_remove(&t, keys[ms]);
+                probe_insert(&t, indices[p], ms);
+                keys[ms] = indices[p];
+                raw[ms] = c / hscale;
+                min_slot = -1;
+                /* The evictee fold, from the evictee's rows. */
+                int64_t *ef = key_fb + ms;
+                double *es = key_signs + ms;
+                for (int64_t j = 0; j < depth; j++)
+                    row[j] = es[j * capacity] * table[ef[j * capacity]];
+                double coeff = (mw - row_estimate(row, depth, fold, l1))
+                               / fold;
+                for (int64_t j = 0; j < depth; j++) {
+                    int64_t f = ef[j * capacity];
+                    table[f] += coeff * es[j * capacity];
+                    dirty[f >> CHUNK_LOG] = 1;
+                    ef[j * capacity] = fb[j * nnz + p];
+                    es[j * capacity] = signs[j * nnz + p];
+                }
+                slots[p] = -2; /* promoted: no stay-scatter */
+            }
+            if (st)
+                break;
+            double coeff = -step / (sqrt_s * scale);
+            for (int64_t j = 0; j < depth; j++) {
+                for (int64_t p = lo; p < hi; p++) {
+                    if (slots[p] == -1)
+                        table[fb[j * nnz + p]] += coeff * sv[j * nnz + p];
+                }
+            }
+        }
+        margins[i] = tau;
+        done++;
+    }
+    state[0] = scale;
+    state[1] = fold_log;
+    state[2] = hscale;
+    io[0] = done;
+    io[1] = admitted;
+    io[2] = min_slot;
+    return st;
 }

@@ -1,13 +1,14 @@
 """The NumPy reference backend, and the helpers no backend compiles.
 
-The five kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+The six kernels of :data:`repro.kernels.api.KERNEL_NAMES`
 (``fused_update``, ``fused_predict``, ``heap_maintain``,
-``chunk_delta``, ``chunk_add``) are the executable specification the
-compiled ``c`` backend is checked against.  The other functions here
-are plain helpers with one implementation, which WM, AWM, feature
-hashing, the sketch table and the top-K store import and call by name:
-the exactly rounded margin, the element-order scatter, the transposed
-gather, median recovery, the estimate bound, the admission screen, the
+``awm_update``, ``chunk_delta``, ``chunk_add``) are the executable
+specification the compiled ``c`` backend is checked against.  The other
+functions here are plain helpers with one implementation, which WM,
+AWM, feature hashing, the sketch table and the top-K store import and
+call by name: the exactly rounded margin, the element-order scatter,
+the transposed gather, median recovery and its scalar form
+(:func:`scalar_estimate`), the estimate bound, the admission screen, the
 ``fused_query`` read, and the WM heap's decision core
 (:func:`maintain_decide`, which the ``c`` backend's ``heap_maintain``
 also runs until the store is full).
@@ -19,6 +20,7 @@ transposed-sort medians) are documented where they sit.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +102,30 @@ def median_estimate(
     else:
         med = 0.5 * (rows[:, mid - 1] + rows[:, mid])
     return factor * med
+
+
+def _nan_last(v: float) -> tuple[bool, float]:
+    return (v != v, 0.0 if v != v else v)
+
+
+def scalar_estimate(row: list[float], factor: float, l1: float) -> float:
+    """One feature's :func:`median_estimate` from its signed cells
+    ``row`` (a list, sorted in place), then the l1 soft threshold of
+    ``sign(e) * max(|e| - l1, 0)``: the same float, in plain Python.
+
+    The sort is stable with NaN last, the order numpy's stable sort
+    gives, so a NaN cell lands where it does in the vectorized median.
+    """
+    if len(row) > 1:
+        row.sort(key=_nan_last)
+    mid = len(row) // 2
+    med = row[mid] if len(row) % 2 else 0.5 * (row[mid - 1] + row[mid])
+    query = factor * med
+    if l1 > 0.0:
+        shrunk = max(abs(query) - l1, 0.0)
+        # np.sign maps a zero of either sign to +0.
+        query = math.copysign(shrunk, query) if query else shrunk
+    return query
 
 
 def estimate_bound(
@@ -517,6 +543,193 @@ def heap_maintain(
         _decide_example(store, indices, bounds[k], bounds[k + 1], est,
                         slot_cache)
         i = k + 1
+
+
+# ----------------------------------------------------------------------
+# AWM-Sketch (Algorithm 2) against a full active set: per-example
+# update()'s whole step, over the batch-lifetime rows.
+# ----------------------------------------------------------------------
+
+def check_awm_args(store, start: int, n: int) -> None:
+    """Raise ``ValueError`` unless ``store`` is full and ordered by
+    ``abs`` and ``0 <= start <= n``; both ``awm_update`` bodies run
+    this first."""
+    if store._priority is not abs or not store.is_full:
+        raise ValueError("awm_update needs a full store ordered by abs")
+    if not 0 <= start <= n:
+        raise ValueError(f"start must lie within [0, {n}], got {start}")
+
+
+def check_awm_buckets(size: int, *blocks: np.ndarray) -> None:
+    """Raise ``IndexError`` naming the first flat bucket of ``blocks``
+    (row-major, in order) outside ``[0, size)``; both ``awm_update``
+    bodies run this before writing anything."""
+    for block in blocks:
+        bad = np.flatnonzero((block < 0) | (block >= size))
+        if bad.size:
+            bucket = int(block.reshape(-1)[bad[0]])
+            raise IndexError(
+                f"index {bucket} is out of bounds for axis 0 with size {size}"
+            )
+
+
+def awm_update(
+    store,
+    batch,
+    start: int,
+    etas: np.ndarray,
+    flat: np.ndarray,
+    signs: np.ndarray,
+    sv: np.ndarray,
+    key_flat: np.ndarray,
+    key_signs: np.ndarray,
+    table_flat: np.ndarray,
+    lam: float,
+    sqrt_s: float,
+    l1: float,
+    loss_id: int,
+    loss_param: float,
+    state: np.ndarray,
+    progress: np.ndarray,
+    margins_out: np.ndarray,
+    dirty: np.ndarray,
+    ws,
+) -> None:
+    # Per example: membership from the store's live key -> slot map
+    # (every admission and eviction updates it in place), the member
+    # margin in position order, the tail margin as one fsum over every
+    # row's products (row by row: fsum's overflow check depends on the
+    # order), both lazy decays, the member step, the tail queries, the
+    # promotion screen and re-check with the evictee fold, and the
+    # stay-scatter one np.add.at per row, in row order.  Its deltas
+    # scale the sign*value products, equal to the spec's (coeff *
+    # value) * sign bit for bit because signs are +-1.
+    indptr = batch.indptr.tolist()
+    n = len(indptr) - 1
+    check_awm_args(store, start, n)
+    dloss = _loss_object(loss_id, loss_param).dloss
+    check_awm_buckets(
+        table_flat.shape[0], flat[:, indptr[start]:indptr[n]], key_flat
+    )
+    labels = batch.labels.tolist()
+    es = etas.tolist()
+    indices = batch.indices
+    values = batch.values
+    keys = indices.tolist()
+    depth = flat.shape[0]
+    scale, fold_log = state.tolist()
+    slot_of = store.slot_map().get
+    absent = itertools.repeat(-1)
+    flat_rows, sign_rows, sv_rows = list(flat), list(signs), list(sv)
+    take = table_flat.take
+    fsum = math.fsum
+    chain = itertools.chain.from_iterable
+    for i in range(start, n):
+        lo, hi = indptr[i], indptr[i + 1]
+        y = labels[i]
+        slots = np.fromiter(
+            map(slot_of, keys[lo:hi], absent), np.intp, hi - lo
+        )
+        tail = slots < 0
+        k = np.count_nonzero(tail)
+        member = k < hi - lo
+        vals = values[lo:hi]
+        tau = 0.0
+        if member:
+            held = ~tail
+            m_slots = slots[held]
+            m_vals = vals[held]
+            for p in (store.values_at(m_slots) * m_vals).tolist():
+                tau += p
+            t_flat = [f[lo:hi][tail] for f in flat_rows]
+            t_sign = [s[lo:hi][tail] for s in sign_rows]
+            t_sv = [s[lo:hi][tail] for s in sv_rows]
+            t_vals = vals[tail]
+        else:
+            t_flat = [f[lo:hi] for f in flat_rows]
+            t_sign = [s[lo:hi] for s in sign_rows]
+            t_sv = [s[lo:hi] for s in sv_rows]
+            t_vals = vals
+        if k:
+            cells = [take(f) for f in t_flat]
+            tau += scale * fsum(chain(
+                [(c * s).tolist() for c, s in zip(cells, t_sv)]
+            )) / sqrt_s
+
+        g = dloss(y * tau)
+        eta = es[i]
+        if lam > 0.0:
+            decay = 1.0 - eta * lam
+            store.decay(decay)
+            scale *= decay
+            if scale < _RENORM:
+                # ScaledSketchTable._decay_scale's fold; the pre-decay
+                # gather is stale.
+                fold_log += math.log(scale)
+                table_flat *= scale
+                scale = 1.0
+                dirty[:] = True
+                if k:
+                    cells = [take(f) for f in t_flat]
+        step = eta * y * g
+        if member:
+            store.add_many(m_slots, -step * m_vals)
+
+        if k:
+            if depth == 1:
+                queries = scale * (t_sign[0] * cells[0])
+            else:
+                queries = median_estimate(
+                    np.stack(cells, axis=1), np.stack(t_sign, axis=1),
+                    sqrt_s * scale,
+                )
+            if l1 > 0.0:
+                queries = np.sign(queries) * np.maximum(
+                    np.abs(queries) - l1, 0.0
+                )
+            candidates = queries - step * t_vals
+            # The threshold after the member step, as in the spec.
+            over = np.abs(candidates) > store.min_priority()
+            if np.count_nonzero(over):
+                factor = sqrt_s * scale
+                t_pos = np.flatnonzero(tail) + lo if member else None
+                promoted = []
+                for pos in np.flatnonzero(over).tolist():
+                    c = float(candidates[pos])
+                    min_key, min_weight = store.min_entry()
+                    if not abs(c) > abs(min_weight):
+                        continue
+                    p = lo + pos if t_pos is None else int(t_pos[pos])
+                    ms = store.slot_of(min_key)
+                    store.replace_min(keys[p], c)
+                    # The evictee fold: credit the sketch with the
+                    # evictee's exact weight minus its estimate.
+                    e_flat = key_flat[:, ms].tolist()
+                    e_sign = key_signs[:, ms].tolist()
+                    query = scalar_estimate(
+                        [s * v for s, v in zip(e_sign, take(e_flat).tolist())],
+                        factor, l1,
+                    )
+                    coeff = (min_weight - query) / factor
+                    for f, s in zip(e_flat, e_sign):
+                        table_flat[f] += coeff * s
+                        dirty[f >> CHUNK_LOG] = True
+                    key_flat[:, ms] = flat[:, p]
+                    key_signs[:, ms] = signs[:, p]
+                    progress[1] += 1
+                    promoted.append(pos)
+                if promoted:
+                    stay = np.ones(k, dtype=bool)
+                    stay[promoted] = False
+                    t_flat = [f[stay] for f in t_flat]
+                    t_sv = [s[stay] for s in t_sv]
+            coeff = -step / (sqrt_s * scale)
+            for f, s in zip(t_flat, t_sv):
+                np.add.at(table_flat, f, coeff * s)
+        margins_out[i] = tau
+        state[0] = scale
+        state[1] = fold_log
+        progress[0] += 1
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ consistency checker compares coalesced answers to.
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -31,6 +33,28 @@ from repro.serving.snapshot import SnapshotManager
 from repro.telemetry import MetricsRegistry, hooks, trace
 
 __all__ = ["SketchServer", "scalar_answer"]
+
+#: Nice value of the background trainer thread (Linux): a runnable
+#: reader gets ~98% of a CPU it shares with the trainer.
+TRAINER_NICE = 19
+
+
+def _lower_thread_priority() -> None:
+    """Give the calling thread the lowest CPU priority, where the
+    platform sets priorities per thread (Linux); elsewhere do nothing.
+
+    A compiled training kernel runs without the GIL, so on a CPU shared
+    with the readers the scheduler would otherwise split the CPU evenly
+    between it and a reader that holds the GIL mid-flush.  At the
+    lowest priority the trainer still takes every cycle the readers
+    leave idle."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(),
+                       TRAINER_NICE)
+    except OSError:
+        pass
 
 
 def scalar_answer(model, op: str, payload):
@@ -204,19 +228,25 @@ class SketchServer:
             self._m_publish_skipped.inc()
 
     def start_training(self, batches, publish_every: int | None = None):
-        """Run :meth:`train` on a background daemon thread."""
+        """Run :meth:`train` on a background daemon thread, at the
+        lowest CPU priority (see :func:`_lower_thread_priority`), so
+        reads preempt it."""
         if self._train_thread is not None and self._train_thread.is_alive():
             raise RuntimeError("training already running")
         self.training_done.clear()
         self._stop_training.clear()
         self._train_thread = threading.Thread(
-            target=self.train,
+            target=self._train_in_background,
             args=(batches, publish_every),
             name="repro-trainer",
             daemon=True,
         )
         self._train_thread.start()
         return self._train_thread
+
+    def _train_in_background(self, batches, publish_every):
+        _lower_thread_priority()
+        self.train(batches, publish_every)
 
     def stop_training(self, timeout: float | None = None):
         """Ask the trainer to stop at the next batch boundary and wait."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,56 @@ class TestRecoveryQuality:
         err_awm = relative_error(awm.top_weights(16), w_star, 16)
         err_wm = relative_error(wm.top_weights(16), w_star, 16)
         assert err_awm <= err_wm * 1.1  # allow slack; typically much better
+
+
+class TestOneEstimateRule:
+    """Promotion candidates, evictee folds, recovery and the scalar step
+    all estimate a sketched weight by one rule: the median of the signed
+    cells (numpy's stable sort, NaN last), times the factor, then the
+    ``l1`` soft threshold."""
+
+    @pytest.mark.parametrize("l1", [0.0, 0.01])
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_awm_evictee_fold_credits_the_sketch_estimate(self, depth, l1):
+        clf = AWMSketch(64, depth, heap_capacity=16, lambda_=1e-3, seed=4)
+        clf.l1 = l1
+        promote = clf._promote
+        folds = []
+
+        def checked(idx, candidate, min_key, min_weight):
+            key = np.array([min_key], dtype=np.int64)
+            query = clf._sketch_estimate(key)[0]
+            buckets, signs = clf.family.all_rows(key)
+            coeff = (min_weight - query) / (clf._sqrt_s * clf._scale)
+            want = clf.table.copy()
+            for j in range(depth):
+                want[j, buckets[j, 0]] += coeff * signs[j, 0]
+            promote(idx, candidate, min_key, min_weight)
+            folds.append(clf.table.tobytes() == want.tobytes())
+
+        clf._promote = checked
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            nnz = int(rng.integers(2, 8))
+            idx = rng.choice(300, size=nnz, replace=False)
+            clf.update(_ex(idx, rng.standard_normal(nnz),
+                           1 if rng.random() < 0.5 else -1))
+        assert all(folds)
+        assert len(folds) > 20
+
+    @pytest.mark.parametrize("l1", [0.0, 0.01])
+    def test_query_one_matches_estimate_from_rows_with_nan(self, l1):
+        # sorted([1.0, nan, 0.5]) keeps that order, so a plain sort's
+        # median is NaN where numpy's NaN-last stable sort gives 1.0.
+        clf = AWMSketch(32, 3, heap_capacity=2, seed=1)
+        clf.l1 = l1
+        key = np.array([5], dtype=np.int64)
+        buckets, signs = clf.family.all_rows(key)
+        rows = [clf.family.bucket_sign_one(5, j) for j in range(3)]
+        pool = [1.0, np.nan, 0.5, -0.0, 0.0, -2.0]
+        for cells in itertools.product(pool, repeat=3):
+            for j, cell in enumerate(cells):
+                clf.table[j, buckets[j, 0]] = signs[j, 0] * cell
+            want = clf._estimate_from_rows(buckets, signs)[0]
+            got = clf._query_one(rows)
+            assert np.float64(got).tobytes() == want.tobytes(), cells

@@ -41,6 +41,7 @@ from repro.core.awm_sketch import AWMSketch
 from repro.core.serialization import from_bytes, roundtrip_bytes
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
+from repro.data.sparse import SparseExample
 from repro.data.synthetic import SyntheticStream
 from repro.heap.topk import TopKStore
 from repro.kernels import numpy_backend
@@ -111,8 +112,8 @@ class TestRegistry:
 
     def test_backend_objects_are_complete(self):
         assert kernels.KERNEL_NAMES == (
-            "fused_update", "fused_predict", "heap_maintain", "chunk_delta",
-            "chunk_add",
+            "fused_update", "fused_predict", "heap_maintain", "awm_update",
+            "chunk_delta", "chunk_add",
         )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
@@ -975,6 +976,315 @@ class TestHeapMaintainProperty:
             c.heap_maintain(store, **_maintain_args(base),
                             ws=kernels.KernelWorkspace())
         assert store._raw.tobytes() == raw.tobytes()
+
+
+# ----------------------------------------------------------------------
+# awm_update: c == numpy bit for bit at the kernel level (ties at the
+# admission threshold, evictees that are members of the same example,
+# +-0 / NaN / 1e300 cells, folds of both scales, l1, every depth and
+# loss, fsum errors mid-batch), and c == numpy == per-example update()
+# over a bounded-exhaustive grid of small models and batches
+# ----------------------------------------------------------------------
+#: Table cells and store values: few magnitudes (exact ties), both
+#: zeros, the NaN x86 arithmetic makes (the one NaN pattern, as above),
+#: and 1e300 / 1e308 products that overflow an exact sum.
+_AWM_CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0, 2.0, -2.0, 0.5,
+                              _NEG_NAN, 1e300, -1e308, 1e308])
+_AWM_VALUES = st.sampled_from([1.0, 1.0, -1.0, 0.5, 2.0, 1e300])
+_BRINK = 1.5e-150  # a scale that folds within a step or two
+
+
+@st.composite
+def _awm_inputs(draw):
+    """One awm_update call: a full store (capacity 1-4, keys from a
+    small alphabet, possibly decayed to the renorm brink and with a
+    warm cached minimum), a fixed (bucket, sign) row per key shared by
+    the batch and the store, and a batch of up to 6 examples (empty
+    ones included) whose keys overlap the store's."""
+    depth = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([2, 5, 16, 100]))
+    capacity = draw(st.integers(1, 4))
+    universe = capacity + draw(st.integers(0, 5))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, width - 1), st.sampled_from([-1.0, 1.0])),
+        min_size=universe * depth, max_size=universe * depth,
+    ))
+    bucket = np.array([r[0] for r in rows], dtype=np.int64).reshape(
+        universe, depth) + np.arange(depth) * width
+    sign = np.array([r[1] for r in rows]).reshape(universe, depth)
+    store_keys = draw(st.permutations(range(universe)))[:capacity]
+    examples = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys = draw(st.lists(st.integers(0, universe - 1), max_size=4,
+                             unique=True))
+        vals = draw(st.lists(_AWM_VALUES, min_size=len(keys),
+                             max_size=len(keys)))
+        examples.append(SparseExample(np.array(keys, dtype=np.int64),
+                                      np.array(vals, dtype=np.float64),
+                                      draw(st.sampled_from([1, -1]))))
+    n = len(examples)
+    return dict(
+        depth=depth, width=width, capacity=capacity,
+        store_keys=store_keys, bucket=bucket, sign=sign,
+        raw=draw(st.lists(_AWM_CELLS, min_size=capacity,
+                          max_size=capacity)),
+        read_min=draw(st.booleans()),
+        hscale=draw(st.sampled_from([1.0, 0.5, _BRINK])),
+        table=np.array(draw(st.lists(_AWM_CELLS, min_size=depth * width,
+                                     max_size=depth * width))),
+        batch=SparseBatch.from_examples(examples),
+        start=draw(st.integers(0, n)),
+        etas=np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n,
+                                    max_size=n))),
+        lam=draw(st.one_of(st.just(0.0), st.floats(1e-4, 0.9))),
+        scale=draw(st.sampled_from([1.0, 0.25, _BRINK])),
+        fold_log=draw(st.sampled_from([0.0, -3.5])),
+        l1=draw(st.sampled_from([0.0, 0.01])),
+        loss_id=draw(st.integers(0, 3)),
+        loss_param=draw(st.sampled_from([0.5, 1.0])),
+    )
+
+
+def _awm_store(inputs):
+    store = TopKStore(inputs["capacity"])
+    for key, value in zip(inputs["store_keys"], inputs["raw"]):
+        store.push(key, value)
+    if inputs["read_min"]:
+        store.min_priority()
+    if inputs["hscale"] != 1.0:
+        store.decay(inputs["hscale"])
+    store.enable_promo_log()
+    return store
+
+
+def _bits(values):
+    """The bytes of a float array with every NaN written as one pattern.
+    Both signs of NaN arise here (``-step`` negates a NaN step), and
+    which NaN an operation on two different ones keeps is unspecified
+    (see kernels.api); every other value is compared bit for bit."""
+    values = np.array(values, dtype=np.float64)
+    values[np.isnan(values)] = math.nan
+    return values.tobytes()
+
+
+def _awm_store_state(store):
+    n = len(store)
+    state = (store._keys[:n].tobytes(), _bits(store._raw[:n]),
+             store.scale, dict(store._pos), store.version,
+             store.drain_promo_log())
+    key, value = store.min_entry()
+    return state + (key, _bits([value]))
+
+
+def _awm_call(kb, inputs):
+    """Run ``awm_update`` on fresh copies of everything it writes;
+    returns the outcome and every piece of state it can change."""
+    batch, depth = inputs["batch"], inputs["depth"]
+    store = _awm_store(inputs)
+    idx = batch.indices
+    flat = np.ascontiguousarray(inputs["bucket"][idx].T)
+    signs = np.ascontiguousarray(inputs["sign"][idx].T)
+    sv = signs * batch.values
+    keys = np.array(inputs["store_keys"], dtype=np.int64)
+    key_flat = np.ascontiguousarray(inputs["bucket"][keys].T)
+    key_signs = np.ascontiguousarray(inputs["sign"][keys].T)
+    table = inputs["table"].copy()
+    state = np.array([inputs["scale"], inputs["fold_log"]])
+    progress = np.zeros(2, dtype=np.int64)
+    margins = np.full(len(batch), -7.0)
+    dirty = np.zeros((table.size + CHUNK - 1) // CHUNK, dtype=bool)
+    try:
+        with np.errstate(all="ignore"):
+            kb.awm_update(
+                store, batch, inputs["start"], inputs["etas"], flat, signs,
+                sv, key_flat, key_signs, table, inputs["lam"],
+                math.sqrt(depth), inputs["l1"], inputs["loss_id"],
+                inputs["loss_param"], state, progress, margins, dirty,
+                kernels.KernelWorkspace(),
+            )
+        outcome = "ok"
+    except Exception as exc:  # noqa: BLE001 - compared across backends
+        outcome = (type(exc).__name__, str(exc))
+    return store, (outcome, _bits(table), _bits(state), progress.tolist(),
+                   _bits(margins), dirty.tobytes(), key_flat.tobytes(),
+                   key_signs.tobytes(), _awm_store_state(store))
+
+
+class TestAwmUpdateProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_awm_inputs())
+    def test_awm_c_matches_numpy(self, inputs):
+        c = _c_or_skip()
+        _, want = _awm_call(kernels.get_backend("numpy"), inputs)
+        store, got = _awm_call(c, inputs)
+        assert got == want
+        store.check_invariants()
+
+    @pytest.mark.parametrize("error", ["overflow", "inf_minus_inf"])
+    def test_awm_fsum_error_mid_batch_leaves_equal_partial_state(
+        self, error
+    ):
+        # Example 0 promotes (key 3 evicts key 1, the minimum); example 1
+        # sums two finite 1e308 products (intermediate overflow) or
+        # 1e300 * 1e300 with both signs (inf - inf); example 2 never
+        # runs.  Both bodies stop at example 1 with example 0 applied.
+        if error == "overflow":
+            table, vals = [1e308, 1e308, 0.5, 0.25], [1.0, 1.0]
+        else:
+            table, vals = [1e300, -1e300, 0.5, 0.25], [1e300, 1e300]
+        examples = [
+            SparseExample(np.array([3], dtype=np.int64), np.array([4.0]), 1),
+            SparseExample(np.array([4, 5], dtype=np.int64),
+                          np.array(vals), 1),
+            SparseExample(np.array([2], dtype=np.int64), np.array([1.0]), -1),
+        ]
+        inputs = dict(
+            depth=1, width=4, capacity=2, store_keys=[1, 2],
+            bucket=np.array([[2], [2], [2], [2], [0], [1]], dtype=np.int64),
+            sign=np.ones((6, 1)), raw=[0.5, 2.0], read_min=False,
+            hscale=1.0, table=np.array(table),
+            batch=SparseBatch.from_examples(examples), start=0,
+            etas=np.full(3, 0.5), lam=0.01, scale=1.0, fold_log=0.0,
+            l1=0.0, loss_id=0, loss_param=0.5,
+        )
+        results = []
+        for name in kernels.available_backends():
+            store, result = _awm_call(kernels.get_backend(name), inputs)
+            store.check_invariants()
+            outcome, _, _, progress, *_ = result
+            assert outcome[0] == {"overflow": "OverflowError",
+                                  "inf_minus_inf": "ValueError"}[error]
+            assert progress == [1, 1], name
+            assert dict(store._pos) == {3: 0, 2: 1}, name
+            results.append(result)
+        assert all(r == results[0] for r in results)
+
+    def test_awm_wrapper_rejects_bad_arguments_before_writing(self):
+        c = _c_or_skip()
+        base = dict(
+            depth=2, width=4, capacity=2, store_keys=[1, 2],
+            bucket=np.array([[0, 4], [1, 5], [2, 6], [3, 7]],
+                            dtype=np.int64),
+            sign=np.ones((4, 2)), raw=[0.5, 2.0], read_min=False,
+            hscale=1.0, table=np.ones(8),
+            batch=SparseBatch.from_examples([SparseExample(
+                np.array([0, 3], dtype=np.int64), np.array([9.0, 1.0]), 1
+            )]),
+            start=0, etas=np.full(1, 0.5), lam=0.0, scale=1.0,
+            fold_log=0.0, l1=0.0, loss_id=0, loss_param=0.5,
+        )
+        untouched = _awm_call(kernels.get_backend("numpy"),
+                              {**base, "start": 1})[1]
+        bad_cases = [
+            ("IndexError", {"bucket": base["bucket"] + 8}),
+            ("ValueError", {"start": 2}),
+            ("ValueError", {"loss_id": 4}),
+            ("ValueError", {"loss_id": 1, "loss_param": 0.0}),
+            ("ValueError", {"capacity": 3}),
+        ]
+        for name, override in bad_cases:
+            inputs = {**base, **override}
+            for kb in (c, kernels.get_backend("numpy")):
+                _, result = _awm_call(kb, inputs)
+                assert result[0][0] == name, (kb.name, override.keys())
+                # Table, scales, progress, margins, dirty marks, store.
+                assert (result[1:6] + result[8:]
+                        == untouched[1:6] + untouched[8:]), override.keys()
+
+
+def _grid_examples():
+    """Every example over keys {0, 1, 2, 3} with nnz <= 4 (values +-1,
+    so estimates tie the admission threshold), labelled by parity."""
+    out = []
+    for nnz in range(5):
+        for keys in itertools.combinations(range(4), nnz):
+            vals = [(-1.0) ** k for k in keys]
+            out.append(SparseExample(np.array(keys, dtype=np.int64),
+                                     np.array(vals, dtype=np.float64),
+                                     1 if nnz % 2 else -1))
+    return out
+
+
+def _grid_model(width, depth, capacity, backend, regime):
+    model = AWMSketch(width, depth, heap_capacity=capacity, seed=5,
+                      lambda_=0.0 if regime == "ties" else 0.05,
+                      backend=backend)
+    # Fill the store with keys outside the alphabet, so the batches
+    # meet a full store whose entries they can evict.  |0.05| is the
+    # first step's candidate exactly (eta = 0.1, dloss(0) = -0.5): a
+    # tie, which rejects.
+    for key in range(capacity):
+        model.heap.push(100 + key, 0.05 * (-1.0) ** key)
+    if regime == "renorm":
+        # Both scales fold at the batch's second step.
+        brink = 1e-150 * 1.0000001 / model._decay_factor(model.schedule(0))
+        model._scale = brink
+        model.heap.decay(brink)
+    return model
+
+
+def _grid_copy(template):
+    """A fresh copy of ``template``'s state that shares its hash memo
+    (a pure cache), so the grid does not allocate one per batch."""
+    model = object.__new__(type(template))
+    model.__dict__.update(template.__dict__)
+    model.table = template.table.copy()
+    model._table_flat = model.table.ravel()
+    model._dirty = template._dirty.copy()
+    model.heap = pickle.loads(pickle.dumps(template.heap))
+    return model
+
+
+def _grid_state(model, margins):
+    heap = model.heap
+    n = len(heap)
+    return (model.table.tobytes(), model._scale, model._fold_log,
+            heap._keys[:n].tobytes(), heap._raw[:n].tobytes(), heap.scale,
+            heap.version, model.n_promotions, model.t,
+            np.asarray(margins, dtype=np.float64).tobytes())
+
+
+class TestAwmUpdateGrid:
+    @pytest.mark.parametrize("regime", ["ties", "renorm"])
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("width", [2, 16])
+    def test_awm_grid_c_numpy_and_update_agree(self, width, depth,
+                                               capacity, regime):
+        # Every batch of one or two grid examples, and every batch of
+        # four drawn from three of them, through fit_batch on each
+        # backend and through per-example update().
+        examples = _grid_examples()
+        few = [examples[0], examples[7], examples[15]]
+        batches = [[a] for a in examples]
+        batches += [[a, b] for a in examples for b in examples]
+        batches += [list(q) for q in itertools.product(few, repeat=4)]
+        templates = [_grid_model(width, depth, capacity, name, regime)
+                     for name in kernels.available_backends()]
+        promoted = 0
+        for batch in batches:
+            states = []
+            for template in templates:
+                model = _grid_copy(template)
+                margins = model.fit_batch(SparseBatch.from_examples(batch))
+                model.heap.check_invariants()
+                states.append(_grid_state(model, margins))
+            spec = _grid_copy(templates[0])
+            margins = []
+            for ex in batch:
+                # update()'s dispatch, keeping the margin it computes.
+                if ex.nnz == 1:
+                    margins.append(spec._update_one(
+                        int(ex.indices[0]), float(ex.values[0]), ex.label
+                    ))
+                else:
+                    margins.append(spec._update_example(
+                        ex.indices, ex.values, ex.label
+                    ))
+            states.append(_grid_state(spec, margins))
+            assert all(s == states[0] for s in states), batch
+            promoted += states[0][7] > 0
+        assert promoted > 0
 
 
 # ----------------------------------------------------------------------

@@ -125,16 +125,19 @@ def _examples(seed, n, universe=400, min_nnz=1):
 #: name -> (constructor of the model the fixture holds, training seed,
 #: fewest features per training example).  The WM fixture carries
 #: ``backend="c"`` on the model, its family and its store; the AWM one
-#: the retired name ``"numba"`` and a polynomial family of even depth.
+#: the retired name ``"numba"`` and a polynomial family of odd depth.
 #: The AWM fixture trains on examples of two or more features: older
 #: code ran 1-sparse AWM examples through a scalar step that rounded
 #: differently from the Algorithm 2 spec, so a state trained through it
-#: has no twin in the current code.  Continued training below still
-#: runs 1-sparse examples on both copies.
+#: has no twin in the current code.  For the same reason it has odd
+#: depth: older code credited an evictee against the average of the
+#: two middle *scaled* cells at even depths, where the current code
+#: uses the median estimate promotions use.  Continued training below
+#: still runs 1-sparse examples on both copies.
 MODELS = {
     "wm": (lambda: WMSketch(128, 3, heap_capacity=16, lambda_=1e-4,
                             seed=2, backend="c"), 3, 1),
-    "awm": (lambda: AWMSketch(128, depth=2, heap_capacity=16,
+    "awm": (lambda: AWMSketch(128, depth=3, heap_capacity=16,
                               lambda_=1e-4, seed=2,
                               hash_kind="polynomial", backend="numba"), 4, 2),
 }

@@ -17,6 +17,8 @@ Covers the PR's serving acceptance criteria:
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -36,6 +38,7 @@ from repro.serving import (
     check_snapshot_consistency,
     scalar_answer,
 )
+from repro.serving.server import TRAINER_NICE
 
 STREAM = SyntheticStream(d=800, n_signal=80, avg_nnz=12.0, seed=0)
 EXAMPLES = STREAM.materialize(600)
@@ -385,3 +388,29 @@ class TestEndToEndConsistency:
                 make, BATCHES[:1], server.snapshots.publish_log,
                 [client.records],
             )
+
+
+class TestTrainerPriority:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="per-thread priorities are Linux-only")
+    def test_background_trainer_runs_at_the_lowest_priority(self):
+        # A compiled training kernel runs without the GIL; at the lowest
+        # priority the trainer leaves a shared CPU to the readers.  The
+        # batch iterator runs on the trainer thread, so it can look.
+        seen = []
+
+        def batches():
+            for batch in BATCHES[:2]:
+                seen.append(os.getpriority(os.PRIO_PROCESS,
+                                           threading.get_native_id()))
+                yield batch
+
+        server = SketchServer(MODEL_FACTORIES["awm"](), latency_budget=1e-3)
+        before = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        server.start_training(batches())
+        assert server.training_done.wait(60.0)
+        server.close()
+        assert seen == [TRAINER_NICE, TRAINER_NICE]
+        # Only the trainer thread was lowered.
+        assert os.getpriority(os.PRIO_PROCESS,
+                              threading.get_native_id()) == before

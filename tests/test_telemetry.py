@@ -427,7 +427,8 @@ class TestHooks:
 class TestAwmFitBatchSpan:
     def test_span_nests_hash_and_tags_promotions(self):
         """AWM fit_batch opens the same ``fit_batch`` span as WM's, with
-        a ``hash`` child, tagged with the batch's promotion count."""
+        ``hash`` and ``awm_update`` children (as WM's ``hash`` and
+        ``fused_update``), tagged with the batch's promotion count."""
         spec = rcv1_like(scale=0.05)
         batches = list(iter_batches(
             spec.stream.materialize(300, seed_offset=3), 100
@@ -442,9 +443,9 @@ class TestAwmFitBatchSpan:
         assert span.name == "fit_batch"
         assert span.tags["model"] == "AWMSketch"
         assert span.tags["n"] == 100
-        assert [c.name for c in span.children] == ["hash"]
+        assert [c.name for c in span.children] == ["hash", "awm_update"]
         assert span.tags["promotions"] == model.n_promotions - before > 0
-        assert validate_span_tree(span) == 2
+        assert validate_span_tree(span) == 3
 
 
 class TestExporters:
