@@ -75,7 +75,7 @@ def bench_width(width: int, args) -> dict:
     # Thread the manager-style shared reader caches through both
     # publish paths, exactly as SnapshotManager does: the per-publish
     # cost under measurement is the table copy, not hasher setup.
-    hasher = BatchHasher(model.family)
+    hasher = BatchHasher(model.family, backend=model.kernels)
     workspace = kernels.KernelWorkspace()
 
     cursor = 0

@@ -12,8 +12,10 @@ What to look at in the output:
 
 * the coalescer's batch-size histogram — concurrent requests really
   were flushed together as single fused kernel calls;
-* the reader hash-cache hit rate — Zipf-skewed query keys keep the
-  shared BatchHasher warm across snapshot publishes;
+* the reader hash-cache hit rate — on the numpy backend, Zipf-skewed
+  query keys keep the shared BatchHasher's memo warm across snapshot
+  publishes (the compiled ``c`` backend hashes every key with no
+  cache);
 * the consistency verdict — coalescing and snapshotting changed
   *nothing* about any answer;
 * the live telemetry view — the server's
@@ -131,8 +133,12 @@ def main() -> None:
             if hist:
                 print(f"  {op:>8} batch sizes: {hist}")
         rh = stats["reader_hasher"]
-        print(f"reader hash cache: hit_rate={rh['hit_rate']:.2f} "
-              f"over {rh['hits'] + rh['misses']} lookups")
+        if rh["backend"] == "numpy":
+            print(f"reader hash cache: hit_rate={rh['hit_rate']:.2f} "
+                  f"over {rh['hits'] + rh['misses']} lookups")
+        else:
+            print(f"reader hash cache: none ({rh['backend']} hashes "
+                  f"{rh['misses']} key positions with no cache)")
 
         # --- live telemetry: the registry behind all of the above ----
         print("\n=== live telemetry (server.telemetry.snapshot()) ===")

@@ -578,8 +578,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"snapshots published: {stats['snapshots']['published']} "
           f"(current v{stats['snapshots']['current_version']})")
     hasher = stats["reader_hasher"]
-    print(f"reader hash cache: hit_rate={hasher['hit_rate']:.2f} "
-          f"evictions={hasher['evictions']} keys={hasher['cached_keys']:,}")
+    if hasher["backend"] == "numpy":
+        print(f"reader hash cache: hit_rate={hasher['hit_rate']:.2f} "
+              f"evictions={hasher['evictions']} "
+              f"keys={hasher['cached_keys']:,}")
+    else:
+        print(f"reader hash cache: none ({hasher['backend']} hashes "
+              f"{hasher['misses']:,} key positions with no cache)")
     co = stats["coalescer"]
     print(f"coalescer: {sum(co['requests'].values())} requests in "
           f"{sum(co['flushes'].values())} flushes "

@@ -167,7 +167,7 @@ class AWMSketch(ScaledSketchTable):
         return total
 
     def predict_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Batched margins — one cached hash + one membership probe.
+        """Batched margins — one batch hash + one membership probe.
 
         The per-example combine (exact active-set products plus the
         exactly-rounded sketch margin) runs over pre-hashed workspace
@@ -221,7 +221,7 @@ class AWMSketch(ScaledSketchTable):
 
     def query_many(self, indices: np.ndarray) -> np.ndarray:
         """Serving-path weight queries: exact active-set values where
-        stored, cached-hash ``fused_query`` recovery for the tail —
+        stored, batch-hashed ``fused_query`` recovery for the tail —
         bit-identical to :meth:`estimate_weights`."""
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         out = np.empty(indices.size, dtype=np.float64)
@@ -518,7 +518,7 @@ class AWMSketch(ScaledSketchTable):
         runs them: 1-sparse ones through the scalar step
         :meth:`_update_one`, the rest (and empty ones) through
         :meth:`_update_example`, over the batch's rows hashed once
-        through the hash memo.  The first example that meets a full
+        through the model's hasher.  The first example that meets a full
         store and every later one run in the kernel (see
         :meth:`_fit_batch`).  State and the returned pre-update margins
         are bit-identical to per-example :meth:`update` calls.
@@ -552,18 +552,20 @@ class AWMSketch(ScaledSketchTable):
 
         The kernel gets the batch's rows, the learning rates (validated
         up front, as WM's fused path does), and the (flat bucket, sign)
-        rows of the store's live keys, hashed here once per call and
-        kept current by the kernel as it admits keys, so neither body
-        hashes.  The batch's flat buckets are marked dirty once, a
-        superset of what the stay-scatters write; the kernel marks the
-        evictee folds and renorm folds itself.  If the kernel raises
-        (an ``fsum`` overflow or ``inf - inf`` in a margin), the model
-        keeps the completed examples: the clock, scale, fold log and
-        promotion count cover exactly them.
+        rows of the store's live keys, hashed here once per call through
+        the model's hasher into workspace arenas and kept current by the
+        kernel as it admits keys, so neither body hashes.  The batch's
+        flat buckets are marked dirty once, a superset of what the
+        stay-scatters write; the kernel marks the evictee folds and
+        renorm folds itself.  If the kernel raises (an ``fsum`` overflow
+        or ``inf - inf`` in a margin), the model keeps the completed
+        examples: the clock, scale, fold log and promotion count cover
+        exactly them.
         """
         margins = np.empty(n, dtype=np.float64)
         heap = self.heap
-        etas = self._workspace().array("etas", n)
+        ws = self._workspace()
+        etas = ws.array("etas", n)
         etas[:] = self.schedule.many(self.t, n)
         self._check_decay_window(etas)
         rows = None
@@ -597,13 +599,14 @@ class AWMSketch(ScaledSketchTable):
                 i += 1
             if i == n:
                 return margins
-        if rows is None:
-            with _trace.span("hash"):
+        shape = (self.depth, heap.capacity)
+        key_flat = ws.array("awm_key_flat", shape, np.int64)
+        key_signs = ws.array("awm_key_signs", shape)
+        with _trace.span("hash"):
+            if rows is None:
                 rows = self._batch_rows(batch)
+            self._batch_hasher.rows_into(heap.live_keys, key_flat, key_signs)
         _, signs, sv, flat = rows
-        key_flat, key_signs = self.family.all_rows(
-            np.fromiter(heap, np.int64, len(heap))
-        )
         if self.depth > 1:
             key_flat += self._row_offsets
         state = np.array([self._scale, self._fold_log])

@@ -9,8 +9,9 @@ recovery.  Historically the margin / estimate / decay / renormalization
 logic was copy-pasted between ``wm_sketch.py`` and ``awm_sketch.py``;
 :class:`ScaledSketchTable` is the single home for it, plus the batched
 hashing front-end shared by the vectorized ``fit_batch`` and read
-kernels: a :class:`~repro.hashing.batch.BatchHasher`, the set-associative
-memo of each key's per-row (bucket, sign) pairs.
+kernels: a :class:`~repro.hashing.batch.BatchHasher`, which runs the
+table's ``hash_rows`` kernel for each key's per-row (bucket, sign)
+pairs (one C loop under ``c``, a set-associative memo under numpy).
 
 Floating-point discipline: the batched kernels promise bit-level
 equivalence with the per-example update path, so both paths must go
@@ -157,7 +158,7 @@ class ScaledSketchTable(StreamingClassifier):
         # product between two sync points (see log_virtual_scale).
         self._fold_log = 0.0
         self._sqrt_s = float(np.sqrt(depth))
-        self._batch_hasher = BatchHasher(self.family)
+        self._batch_hasher = BatchHasher(self.family, backend=self.kernels)
         # Column vector of row ids: ``table[_row_idx, buckets]`` gathers
         # a whole (depth, nnz) block in one fancy index.
         self._row_idx = np.arange(depth, dtype=np.intp).reshape(-1, 1)
@@ -440,8 +441,8 @@ class ScaledSketchTable(StreamingClassifier):
             np.arange(depth, dtype=np.int64) * width
         ).reshape(-1, 1)
         self._table_flat = self.table.ravel()
-        self._batch_hasher = BatchHasher(self.family)
         self.kernels = kernels.get_backend(self.backend, strict=False)
+        self._batch_hasher = BatchHasher(self.family, backend=self.kernels)
         self._ws = None  # rebuilt lazily on first fused batch
         # Carry the pickled dirty bitmap when it is shaped for this
         # table; anything else (old pickles, densified snapshots) falls
@@ -490,7 +491,7 @@ class ScaledSketchTable(StreamingClassifier):
         snap._batch_hasher = (
             batch_hasher
             if batch_hasher is not None
-            else BatchHasher(self.family)
+            else BatchHasher(self.family, backend=self.kernels)
         )
         snap._ws = workspace
         heap = getattr(self, "heap", None)
@@ -520,8 +521,8 @@ class ScaledSketchTable(StreamingClassifier):
 
         ``batch_hasher`` / ``workspace`` let a snapshot *manager* thread
         its long-lived reader-side caches through successive publishes
-        (hash functions are pure and shared with the live model, so the
-        memo stays warm; the workspace arenas keep reads
+        (hash functions are pure and shared with the live model, so a
+        numpy memo stays warm; the workspace arenas keep reads
         zero-allocation).  Both default to fresh caches.  Snapshots are
         read-only by contract and, like every model, single-threaded:
         serving layers must serialize access per snapshot chain.
@@ -803,8 +804,9 @@ class ScaledSketchTable(StreamingClassifier):
 
         Bit-identical to the per-feature recovery behind
         ``estimate_weights`` for sketch-resident features, but built
-        for query rate: hashes go through the model's cross-batch cache
-        (repeated queries skip hashing entirely), and the gather +
+        for query rate: hashes go through the model's hasher (one C
+        loop under ``c``; under numpy a cross-batch memo, so repeated
+        queries skip hashing), and the gather +
         median run as one ``fused_query`` kernel call over workspace
         buffers.  Subclasses holding exact weights (the AWM active set)
         override this to answer members exactly.

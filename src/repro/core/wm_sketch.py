@@ -140,7 +140,7 @@ class WMSketch(ScaledSketchTable):
     def predict_batch(self, batch: SparseBatch) -> np.ndarray:
         """Margins for a whole batch — the serving fast path.
 
-        One cached, deduplicated hash for the whole batch plus a single
+        One ``hash_rows`` call for the whole batch plus a single
         ``fused_predict`` kernel call over workspace buffers.  Unlike
         the earlier segment-sum implementation (which agreed with the
         scalar path only to summation-order float differences), the
@@ -182,8 +182,8 @@ class WMSketch(ScaledSketchTable):
     def fit_batch(self, batch: SparseBatch) -> np.ndarray:
         """Mini-batch update kernel: hash once, fuse the replay.
 
-        The batch's whole index set is hashed in a single deduplicated
-        (cached) call into workspace arenas, and the entire per-example
+        The batch's whole index set is hashed in a single ``hash_rows``
+        call into workspace arenas, and the entire per-example
         sequence — exactly-rounded margin, loss derivative, lazy decay,
         eta-scaled scatter — runs as **one** ``fused_update`` kernel
         call over preallocated buffers: zero steady-state allocations
@@ -223,7 +223,13 @@ class WMSketch(ScaledSketchTable):
 
     def _fit_batch_fused(self, batch: SparseBatch, n: int) -> np.ndarray:
         """The fused :meth:`fit_batch` body, with per-phase trace spans
-        (no-ops while tracing is disabled)."""
+        (no-ops while tracing is disabled).
+
+        If the kernel raises (an ``fsum`` overflow or ``inf - inf`` in a
+        margin), the model keeps the completed examples, as per-example
+        :meth:`update` calls would: the clock, scale, renorm folds,
+        dirty marks and heap maintain cover exactly them.
+        """
         with _trace.span("hash"):
             buckets, signs, sign_values, flat = self._batch_rows(batch)
         ws = self._ws
@@ -241,33 +247,59 @@ class WMSketch(ScaledSketchTable):
             scales = ws.array("scales", n)
         # Full-recording touched stream: the kernel writes every
         # scattered flat index (plus the renorm-fold count in slot 0),
-        # and the dirty bitmap is fed from the recording afterwards —
-        # the kernel has no mid-batch raise paths (the decay window was
-        # validated above), so marking after the call cannot miss
-        # writes.
+        # and the dirty bitmap is fed from the recording afterwards.
         touched = ws.array("touched", 1 + self.depth * nnz, np.int64)
-        with _trace.span("fused_update"):
-            self._scale = self.kernels.fused_update(
-                self._table_flat, flat, sign_values, batch.indptr,
-                batch.labels, etas, self.lambda_, self._scale, self._sqrt_s,
-                self.loss.kernel_id, self.loss.kernel_param,
-                margins, gathered, scales, touched,
-            )
+        touched[0] = 0
+        state = np.array([self._scale, 0.0])
+        try:
+            with _trace.span("fused_update"):
+                self.kernels.fused_update(
+                    self._table_flat, flat, sign_values, batch.indptr,
+                    batch.labels, etas, self.lambda_, state, self._sqrt_s,
+                    self.loss.kernel_id, self.loss.kernel_param,
+                    margins, gathered, scales, touched,
+                )
+        finally:
+            self._finish_fused(batch, state, touched, signs, gathered,
+                               scales)
+        return margins
+
+    def _finish_fused(
+        self,
+        batch: SparseBatch,
+        state: np.ndarray,
+        touched: np.ndarray,
+        signs: np.ndarray,
+        gathered: np.ndarray,
+        scales: np.ndarray,
+    ) -> None:
+        """Apply the examples a ``fused_update`` call completed (its
+        ``state``): the scale it reached, its renorm folds and dirty
+        marks, the clock, and the heap maintain."""
+        self._scale = float(state[0])
+        done = int(state[1])
+        end = int(batch.indptr[done])
         if touched[0]:
             # A renorm fold rewrote every bucket mid-batch.
             self._note_renorm_folds(int(touched[0]))
             self._mark_dirty_all()
         else:
-            self._mark_dirty_flat(touched[1:])
-        self.t += n
-        if heap is not None and nnz:
+            self._mark_dirty_flat(touched[1:1 + self.depth * end])
+        self.t += done
+        if self.heap is not None and end:
+            indices, indptr = batch.indices, batch.indptr
+            if done < len(batch):
+                indices, indptr = indices[:end], indptr[:done + 1]
+                signs, gathered = signs[:, :end], gathered[:end]
             with _trace.span("heap_maintain"):
-                self._maintain_batch_recorded(batch, signs, gathered, scales)
-        return margins
+                self._maintain_batch_recorded(
+                    indices, indptr, signs, gathered, scales
+                )
 
     def _maintain_batch_recorded(
         self,
-        batch: SparseBatch,
+        indices: np.ndarray,
+        indptr: np.ndarray,
         signs: np.ndarray,
         gathered: np.ndarray,
         scales: np.ndarray,
@@ -286,7 +318,7 @@ class WMSketch(ScaledSketchTable):
         over the rest of the batch (see :mod:`repro.kernels.api`).
         """
         self.kernels.heap_maintain(
-            self.heap, batch.indices, batch.indptr, signs, gathered, scales,
+            self.heap, indices, indptr, signs, gathered, scales,
             self._sqrt_s, self.l1, self._ws,
         )
 

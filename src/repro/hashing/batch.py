@@ -1,10 +1,22 @@
-"""Batched hashing: a fixed-size, 4-way set-associative memo.
+"""Batched hashing: ``family.all_rows`` through the owner's kernel backend.
 
-Hashing dominates the cost of sketch updates on the Python substrate —
-every row of every sketch evaluates a vectorized tabulation (or
-polynomial) hash per key.  Across consecutive batches the hot keys
-repeat, so :class:`BatchHasher` remembers each key's ``depth`` rows of
-(bucket, sign) and serves repeats with a few whole-array gathers.
+Every sketch update and served read evaluates one (bucket, sign) hash
+per sketch row per key.  :class:`BatchHasher` is the one entry point the
+trainers and readers hash through: :meth:`BatchHasher.rows_into` runs
+the ``hash_rows`` kernel of the backend its owner resolved (the model,
+or the serving snapshot manager for the reader hasher), which writes
+``family.all_rows(keys)`` into caller-provided arrays bit for bit.
+
+* Under ``c`` the kernel evaluates the family in C over its packed
+  tables (:attr:`HashFamily.packed <repro.hashing.family.HashFamily>`)
+  and the hasher is stateless: no memo is ever built, and every key
+  position counts as a miss.
+* The numpy body is the memo below, which exists only there.  Across
+  consecutive batches the hot keys repeat, so it remembers each key's
+  ``depth`` rows of (bucket, sign) and serves repeats with a few
+  whole-array gathers.  A hasher built without a backend uses it too.
+
+The memo:
 
 * **Layout.**  ``2**17`` entries in ``2**15`` sets of four ways.  Key
   ``k`` lives in set ``k & (2**15 - 1)``: stream ids are dense in
@@ -28,9 +40,10 @@ repeat, so :class:`BatchHasher` remembers each key's ``depth`` rows of
 An empty way's tag belongs to another set (``set ^ 1``), so no key ever
 matches it — negative keys and keys near the int64 maximum included.
 Hash functions are pure and every hit is tag-checked, so the memo cannot
-change a single bucket or sign: :class:`BatchHasher` is exactly
-``family.all_rows`` evaluated faster (property-tested in
-``tests/test_batch_hashing.py``).  One thread uses each hasher.
+change a single bucket or sign: it is exactly ``family.all_rows``
+evaluated faster (property-tested in ``tests/test_batch_hashing.py``;
+the ``c`` body against both in ``tests/test_kernel_backends.py``).  One
+thread uses each hasher.
 """
 
 from __future__ import annotations
@@ -51,15 +64,49 @@ _SET_MASK = _SETS - 1
 _WAY_MAGIC = 0x0001020300000000
 #: Most keys one lookup pass handles (the scratch costs 56 bytes a key).
 _CHUNK = 1 << 15
+#: Dtypes of ``hash_rows``' (keys, buckets_out, signs_out).
+_ROWS_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
+
+
+def check_rows_buffers(
+    depth: int,
+    keys: np.ndarray,
+    buckets_out: np.ndarray,
+    signs_out: np.ndarray,
+) -> None:
+    """Raise unless ``hash_rows`` may write ``keys``' rows into the
+    outputs: ``keys`` a 1-d int64 array, the outputs writable C-contiguous
+    ``(depth, len(keys))`` int64 / float64 arrays.  Both kernel bodies
+    run it before writing anything."""
+    dtypes = (keys.dtype, buckets_out.dtype, signs_out.dtype)
+    if dtypes != _ROWS_DTYPES:
+        raise TypeError(f"hash_rows dtypes must be {_ROWS_DTYPES}, "
+                        f"got {dtypes}")
+    if keys.ndim != 1:
+        raise ValueError(f"hash_rows keys must be 1-d, got {keys.shape}")
+    shape = (depth, keys.shape[0])
+    if buckets_out.shape != shape or signs_out.shape != shape:
+        raise ValueError(
+            f"hash_rows outputs must have shape {shape}, got "
+            f"{buckets_out.shape} and {signs_out.shape}"
+        )
+    for name, out in (("buckets_out", buckets_out), ("signs_out", signs_out)):
+        if not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError(f"{name} must be a writable C-contiguous array")
 
 
 class BatchHasher:
-    """Set-associative memo in front of :meth:`HashFamily.all_rows`.
+    """The trainers' and readers' entry to :meth:`HashFamily.all_rows`.
 
     Parameters
     ----------
     family:
         The hash family to evaluate.
+    backend:
+        The :class:`~repro.kernels.api.KernelBackend` whose ``hash_rows``
+        kernel evaluates the family: the owner's resolved backend.
+        ``None`` runs the numpy body, the memo, directly.  Never
+        pickled: owners pass theirs again when they are loaded.
     registry:
         A :class:`~repro.telemetry.MetricsRegistry` to publish the
         hit/miss/eviction counters into (a private registry is created
@@ -76,15 +123,18 @@ class BatchHasher:
         self,
         family: HashFamily,
         *,
+        backend=None,
         registry: MetricsRegistry | None = None,
         metrics_prefix: str = "hasher",
     ):
         self.family = family
+        self.backend = backend
         self.registry = registry if registry is not None else MetricsRegistry()
         self.metrics_prefix = metrics_prefix
-        #: Diagnostics: key positions served from / missing in the memo,
-        #: and valid entries overwritten by new ones — registry counters
-        #: (the legacy int attributes live on as the properties below).
+        #: Diagnostics: key positions served from / missing in the memo
+        #: (under ``c``, every position is a miss), and valid entries
+        #: overwritten by new ones — registry counters (the legacy int
+        #: attributes live on as the properties below).
         self._m_hits = self.registry.counter(f"{metrics_prefix}.hits")
         self._m_misses = self.registry.counter(f"{metrics_prefix}.misses")
         self._m_evictions = self.registry.counter(
@@ -99,7 +149,8 @@ class BatchHasher:
     # Pickling: the memo is derived from the (picklable) hash family, so
     # snapshots carry only the family and restart cold — results are
     # unchanged (hashes are pure), and the payload stays small for
-    # spawn-based worker processes.
+    # spawn-based worker processes.  The backend is per-process: the
+    # owner resolves its own on load and passes it in again.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {"family": self.family}
@@ -163,15 +214,39 @@ class BatchHasher:
     @property
     def hit_rate(self) -> float:
         """Fraction of key positions served from the memo (0.0 before
-        any lookup).  A key repeated within one batch counts once per
-        position, so the rate reads as the share of hash evaluations
-        the memo saved before per-batch deduplication."""
+        any lookup, and always under ``c``, which has no memo).  A key
+        repeated within one batch counts once per position, so the rate
+        reads as the share of hash evaluations the memo saved before
+        per-batch deduplication."""
         total = self.hits + self.misses
         if total == 0:
             return 0.0
         return self.hits / total
 
+    @property
+    def backend_name(self) -> str:
+        """Name of the backend whose ``hash_rows`` this hasher runs
+        (``"numpy"``, the memo, when it was built without one)."""
+        return "numpy" if self.backend is None else self.backend.name
+
+    def count_misses(self, n: int) -> None:
+        """Count ``n`` key positions hashed without the memo."""
+        self._m_misses.inc(n)
+
     # ------------------------------------------------------------------
+    def memo_rows(
+        self,
+        keys: np.ndarray,
+        buckets_out: np.ndarray,
+        signs_out: np.ndarray,
+    ) -> None:
+        """The numpy body of the ``hash_rows`` kernel: check the
+        buffers, then serve ``keys`` from the memo (built on the first
+        nonempty lookup), counting hits and misses."""
+        check_rows_buffers(self.family.depth, keys, buckets_out, signs_out)
+        if keys.size:
+            self._lookup(keys, buckets_out, signs_out)
+
     def _lookup(
         self,
         keys: np.ndarray,
@@ -267,6 +342,18 @@ class BatchHasher:
         self._m_evictions.inc(evicted)
 
     # ------------------------------------------------------------------
+    def _hash_rows(
+        self,
+        keys: np.ndarray,
+        buckets_out: np.ndarray,
+        signs_out: np.ndarray,
+    ) -> None:
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if self.backend is None:
+            self.memo_rows(keys, buckets_out, signs_out)
+        else:
+            self.backend.hash_rows(self, keys, buckets_out, signs_out)
+
     def rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buckets and signs for every row, identical to ``all_rows``.
 
@@ -274,15 +361,15 @@ class BatchHasher:
         -------
         (buckets, signs):
             Arrays of shape ``(depth, len(keys))`` — bit-for-bit equal to
-            ``family.all_rows(keys)``, computed with one hash evaluation
-            per *new distinct* key instead of one per position.
+            ``family.all_rows(keys)``: one C evaluation per position
+            under ``c``, one hash evaluation per *new distinct* key
+            under the numpy memo.
         """
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         depth = self.family.depth
         buckets = np.empty((depth, keys.size), dtype=np.int64)
         signs = np.empty((depth, keys.size), dtype=np.float64)
-        if keys.size:
-            self._lookup(keys, buckets, signs)
+        self._hash_rows(keys, buckets, signs)
         return buckets, signs
 
     def rows_into(
@@ -293,13 +380,11 @@ class BatchHasher:
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`rows`, written into caller-provided arrays.
 
-        ``buckets_out`` / ``signs_out`` must be C-contiguous
-        ``(depth, len(keys))`` int64 / float64 arrays — the
-        zero-allocation front-end of the fused ``fit_batch`` paths.
-        Gathers move bits, so the results are bit-identical to
+        ``buckets_out`` / ``signs_out`` must be writable C-contiguous
+        ``(depth, len(keys))`` int64 / float64 arrays (checked before
+        anything is written) — the zero-allocation front-end of the
+        fused ``fit_batch`` paths.  The results are bit-identical to
         :meth:`rows`.
         """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        if keys.size:
-            self._lookup(keys, buckets_out, signs_out)
+        self._hash_rows(keys, buckets_out, signs_out)
         return buckets_out, signs_out

@@ -30,6 +30,9 @@ from repro.hashing.universal import PolynomialHash
 #: uniform for both.
 _SIGN_BIT = 45
 
+#: The code of each hash kind in the compiled ``hash_rows`` kernel.
+KIND_CODES = {"tabulation": 0, "polynomial": 1}
+
 
 @dataclass
 class SignedBuckets:
@@ -80,13 +83,22 @@ class HashFamily:
         children = root.spawn(depth)
         if kind == "tabulation":
             self._hashes = [TabulationHash(children[j]) for j in range(depth)]
+            tables = [h._flat for h in self._hashes]
         elif kind == "polynomial":
             self._hashes = [
                 PolynomialHash(independence=independence, seed=children[j])
                 for j in range(depth)
             ]
+            tables = [h._coeffs for h in self._hashes]
         else:
             raise ValueError(f"unknown hash kind: {kind!r}")
+        #: Every row's byte tables (tabulation: 8 x 256 words a row) or
+        #: coefficients (polynomial: lowest degree first), row after row
+        #: in one contiguous array: what the compiled ``hash_rows``
+        #: kernel reads.  Rebuilt from the seed like the rows themselves.
+        self.packed = np.concatenate(
+            [np.asarray(t, dtype=np.uint64) for t in tables]
+        )
         self._pow2 = width & (width - 1) == 0
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 MERSENNE_61 = (1 << 61) - 1
+_UINT64_MASK = (1 << 64) - 1
 
 
 def _mod_mersenne61(x: np.ndarray) -> np.ndarray:
@@ -101,8 +102,12 @@ class PolynomialHash:
         return acc
 
     def hash_one(self, key: int) -> int:
-        """Scalar fast path; bit-identical to the vectorized :meth:`hash`."""
-        x = _mod_mersenne61_int(int(key))
+        """Scalar fast path; bit-identical to the vectorized :meth:`hash`.
+
+        The key is read as the vectorized path reads it, as a uint64
+        (a negative key as its two's complement).
+        """
+        x = _mod_mersenne61_int(int(key) & _UINT64_MASK)
         acc = self._coeffs[-1]
         for c in reversed(self._coeffs[:-1]):
             acc = _mod_mersenne61_int(acc * x + c)

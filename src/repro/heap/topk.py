@@ -250,6 +250,12 @@ class TopKStore:
         return self._n >= self.capacity
 
     @property
+    def live_keys(self) -> np.ndarray:
+        """The stored keys in slot order: a view of the store's own
+        array, valid until the next write, and never to be written."""
+        return self._keys[: self._n]
+
+    @property
     def scale(self) -> float:
         """The current global multiplicative scale."""
         return self._scale

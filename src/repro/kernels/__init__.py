@@ -1,16 +1,19 @@
 """Pluggable kernel backends for the compiled inner loops.
 
-The loops this repository compiles — WM's ``fused_update``,
+The seven loops this repository compiles — WM's ``fused_update``,
 ``fused_predict`` and passive-heap ``heap_maintain``, AWM's
-``awm_update``, and the parameter-server push codec's ``chunk_delta``
-and ``chunk_add`` (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch
-through a
+``awm_update``, the parameter-server push codec's ``chunk_delta`` and
+``chunk_add``, and ``hash_rows``, the (bucket, sign) hashing every
+trainer and reader runs through its
+:class:`~repro.hashing.batch.BatchHasher`
+(:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch through a
 :class:`~repro.kernels.api.KernelBackend` selected here.  Every other
 hot helper (margins, scatters, gathers, median recovery, admission
 screens, recovery queries, the WM heap's decision core) has one
 implementation, a plain function of
-:mod:`repro.kernels.numpy_backend`, and hashing lives in
-:mod:`repro.hashing`.
+:mod:`repro.kernels.numpy_backend`.  The hash families themselves live
+in :mod:`repro.hashing`, which never imports this package: a model
+hands its resolved backend to its hasher.
 
 Backends
 --------
@@ -19,7 +22,7 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks the
     compiled backend against.
 ``c``
-    The six kernels compiled from :file:`ckernels.c` with the system
+    The seven kernels compiled from :file:`ckernels.c` with the system
     ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
     Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls

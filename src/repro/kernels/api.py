@@ -1,9 +1,10 @@
 """The kernel API every backend implements: the compiled loops.
 
-A *kernel backend* is a named table of the loops this repository
+A *kernel backend* is a named table of the seven loops this repository
 compiles: WM's fused training and prediction loops, its passive-heap
-maintain, AWM's Algorithm 2 step against a full active set, and the
-parameter-server push codec's chunk encode and apply
+maintain, AWM's Algorithm 2 step against a full active set, the
+parameter-server push codec's chunk encode and apply, and the
+(bucket, sign) hashing every trainer and reader runs
 (:data:`KERNEL_NAMES`).  Every backend implements them with the same
 *bit-level* semantics.  The NumPy backend is the executable reference,
 and the compiled ``c`` backend is checked against it in
@@ -36,15 +37,20 @@ hinge with ``loss_param`` = gamma, 2 hinge, 3 squared); a model whose
 loss has no ``kernel_id`` trains through the per-example spec instead.
 
 ``fused_update(table_flat, flat_buckets, sign_values, indptr, labels,
-etas, lam, scale, sqrt_s, loss_id, loss_param, margins_out,
-gathered_out, scales_out, touched_out) -> float``
+etas, lam, state, sqrt_s, loss_id, loss_param, margins_out,
+gathered_out, scales_out, touched_out) -> None``
     One mini-batch of sequential OGD updates: per example ``i`` (CSR
     slice ``indptr[i]:indptr[i+1]``) compute the exactly-rounded margin
     (``numpy_backend.margin``), the loss derivative, the lazy L2 decay
-    of ``scale`` (with the 1e-150 underflow renormalization folded into
+    of the scale (with the 1e-150 underflow renormalization folded into
     ``table_flat``), and the eta-scaled ``scatter_add`` — state
-    bit-identical to per-example ``update()`` calls.  Pre-update margins
-    land in ``margins_out``.  When ``gathered_out`` is non-empty
+    bit-identical to per-example ``update()`` calls.  ``state``
+    (float64 ``[scale, examples completed]``) holds the starting scale;
+    once the arguments pass the checks it receives the scale reached
+    and the number of examples completed, on a raise too (see the
+    exceptions below), so the caller can apply exactly the completed
+    examples.  Pre-update margins land in ``margins_out``.  When
+    ``gathered_out`` is non-empty
     (shape ``(nnz, depth)``), the example's *post-update* table cells
     are recorded into its rows and the post-decay scale into
     ``scales_out[i]`` — exactly what the decoupled WM heap-maintain
@@ -66,9 +72,9 @@ gathered_out, scales_out, touched_out) -> float``
     the full recording length are a caller error and raise
     ``ValueError`` (the C backend before touching anything).
 
-    Returns the final scale.  Callers must pre-validate ``eta * lam <
-    1`` for the whole window (the per-example spec raises mid-batch;
-    the fused kernel assumes validity).
+    Callers must pre-validate ``eta * lam < 1`` for the whole window
+    (the per-example spec raises mid-batch; the fused kernel assumes
+    validity).
 
 ``fused_predict(table_flat, flat_buckets, sign_values, indptr, scale,
 sqrt_s, out) -> None``
@@ -207,6 +213,30 @@ never a silent copy.
     row ``i`` of ``data`` (``t + u`` when ``scale == 1.0``, else
     ``t + u / scale``); a partial last chunk's padded tail is ignored.
 
+Hashing
+-------
+``hash_rows(hasher, keys, buckets_out, signs_out) -> None``
+    ``hasher.family.all_rows(keys)`` written bit for bit into
+    ``buckets_out`` / ``signs_out``: writable C-contiguous ``(depth,
+    len(keys))`` int64 / float64 arrays; ``keys`` is a 1-d int64 array
+    (negative keys hash as their uint64 two's complement, repeats and
+    ``n = 0`` allowed).  ``hasher`` is the calling
+    :class:`~repro.hashing.batch.BatchHasher`, which every trainer and
+    reader hashes through.  Both bodies raise ``TypeError`` for wrong
+    dtypes and ``ValueError`` for wrong shapes or a non-contiguous or
+    read-only output before writing anything
+    (``repro.hashing.batch.check_rows_buffers``).  The numpy body is
+    the hasher's set-associative memo, whose misses call
+    ``family.all_rows``; it counts hits and misses.  The ``c`` body
+    evaluates the family in one C loop over its packed tables
+    (``HashFamily.packed``), allocates nothing, never builds the memo,
+    and counts every position as a miss.  Tabulation XORs the row's
+    byte tables over the key's little-endian bytes; polynomial runs
+    Horner's rule with ``_mod_mersenne61``'s exact steps (one fold,
+    then at most one subtraction of ``2**61 - 1``, not a canonical
+    reduction).  The bucket is ``h & (width - 1)`` at a power-of-two
+    width, else ``h % width``; the sign is bit 45 mapped to +-1.0.
+
 When both operands of one operation are NaN with different bits,
 which of them the result carries is unspecified (numpy's own pick
 depends on the array length).
@@ -225,7 +255,7 @@ from __future__ import annotations
 #: Every kernel a backend must provide, in documentation order.
 KERNEL_NAMES = (
     "fused_update", "fused_predict", "heap_maintain", "awm_update",
-    "chunk_delta", "chunk_add",
+    "chunk_delta", "chunk_add", "hash_rows",
 )
 
 #: Cells per chunk of the dirty bitmap and of the delta codec's wire

@@ -1,15 +1,17 @@
 """The compiled C backend (``"c"``).
 
-All six kernels are compiled, from :file:`ckernels.c`:
+All seven kernels are compiled, from :file:`ckernels.c`:
 ``fused_update`` and ``fused_predict``, whose NumPy body is a
 per-example Python loop; ``heap_maintain``, WM's passive-heap refresh
 and admissions, which runs the shared decision core in Python until
 the store is full and one C loop from there; ``awm_update``, AWM's
 Algorithm 2 step against a full active set, one C loop whose
-admissions ``TopKStore.apply_admissions`` finishes; and the
+admissions ``TopKStore.apply_admissions`` finishes; the
 parameter-server push codec's ``chunk_delta`` (encode each dirty
 chunk's delta and advance the sync base in one pass) and ``chunk_add``
-(add each shipped row into the driver table).  The C bodies are
+(add each shipped row into the driver table); and ``hash_rows``, which
+evaluates a hash family over its packed tables where the NumPy body
+serves keys from the hasher's memo.  The C bodies are
 bit-identical to the reference on every input, including the exception
 it raises and the partial state it leaves.
 
@@ -25,9 +27,11 @@ every call).  Any failure raises :class:`BuildError`, which the
 registry records as the backend's unavailability reason.
 
 The wrappers do O(1) work in Python — dtype, shape and contiguity
-checks — before one C call (``heap_maintain`` first runs the decision
-core itself while the store has free slots; the two store kernels
-finish with ``TopKStore.apply_admissions``, on a raising status too).
+checks (``hash_rows`` shares them with the memo,
+``repro.hashing.batch.check_rows_buffers``) — before one C call
+(``heap_maintain`` first runs the decision core itself while the store
+has free slots; the two store kernels finish with
+``TopKStore.apply_admissions``, on a raising status too).
 Buffers the kernels write must already be
 C-contiguous and writable (a copy would silently drop the writes);
 strided read-only inputs are copied.  Range checks (``indptr``, every
@@ -51,6 +55,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.hashing.batch import check_rows_buffers
+from repro.hashing.family import KIND_CODES
 from repro.heap.topk import BatchSlotCache
 from repro.kernels import numpy_backend
 from repro.kernels.api import CHUNK, KernelBackend
@@ -73,7 +79,7 @@ int64_t repro_fused_update(
     int64_t loss_id, double loss_param,
     void *margins, void *gathered, int64_t gathered_rows,
     void *scales, int64_t n_scales,
-    void *touched, int64_t n_touched, double *scale_io);
+    void *touched, int64_t n_touched, void *state);
 int64_t repro_fused_predict(
     void *table, int64_t size,
     void *fb, void *sv, int64_t depth, int64_t ncols,
@@ -109,6 +115,9 @@ int64_t repro_chunk_delta(
 int64_t repro_chunk_add(
     void *table, int64_t size, void *ids, int64_t k,
     void *data, int64_t data_len, double scale);
+void repro_hash_rows(
+    void *packed, int64_t kind, int64_t row_len, int64_t depth,
+    int64_t width, void *keys, int64_t n, void *buckets, void *signs);
 """
 
 class BuildError(RuntimeError):
@@ -236,8 +245,9 @@ def load() -> KernelBackend:
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 #: Dtypes of (table_flat, flat_buckets, sign_values, indptr, labels,
-#: etas, margins_out, gathered_out, scales_out, touched_out).
-_UPDATE_DTYPES = (_F64, _I64, _F64, _I64, _I64, _F64, _F64, _F64, _F64, _I64)
+#: etas, state, margins_out, gathered_out, scales_out, touched_out).
+_UPDATE_DTYPES = (_F64, _I64, _F64, _I64, _I64, _F64, _F64, _F64, _F64, _F64,
+                  _I64)
 #: Dtypes of (table_flat, flat_buckets, sign_values, indptr, out).
 _PREDICT_DTYPES = (_F64, _I64, _F64, _I64, _F64)
 #: Dtypes of (indices, indptr, signs, gathered, scales).
@@ -309,6 +319,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     c_awm = lib.repro_awm_update
     c_delta = lib.repro_chunk_delta
     c_add = lib.repro_chunk_add
+    c_hash = lib.repro_hash_rows
     check_chunk_buffers = numpy_backend.check_chunk_buffers
 
     def copied_views(*arrays):
@@ -317,17 +328,19 @@ def _make_backend(ffi, lib) -> KernelBackend:
 
     def fused_update(
         table_flat, flat_buckets, sign_values, indptr, labels, etas,
-        lam, scale, sqrt_s, loss_id, loss_param, margins_out,
+        lam, state, sqrt_s, loss_id, loss_param, margins_out,
         gathered_out, scales_out, touched_out,
     ):
         dtypes = (table_flat.dtype, flat_buckets.dtype, sign_values.dtype,
-                  indptr.dtype, labels.dtype, etas.dtype, margins_out.dtype,
-                  gathered_out.dtype, scales_out.dtype, touched_out.dtype)
+                  indptr.dtype, labels.dtype, etas.dtype, state.dtype,
+                  margins_out.dtype, gathered_out.dtype, scales_out.dtype,
+                  touched_out.dtype)
         if dtypes != _UPDATE_DTYPES:
             raise TypeError(f"fused_update dtypes must be {_UPDATE_DTYPES}, "
                             f"got {dtypes}")
         n = margins_out.shape[0]
         if (table_flat.ndim != 1 or flat_buckets.ndim != 2
+                or state.shape != (2,)
                 or sign_values.shape != flat_buckets.shape
                 or indptr.ndim != 1 or indptr.shape[0] <= n
                 or labels.ndim != 1 or labels.shape[0] < n
@@ -357,6 +370,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
             )
         written = []
         for name, arr in (("table_flat", table_flat),
+                          ("state", state),
                           ("margins_out", margins_out),
                           ("gathered_out", gathered_out),
                           ("scales_out", scales_out),
@@ -365,18 +379,17 @@ def _make_backend(ffi, lib) -> KernelBackend:
                 written.append(view(arr, require_writable=True))
             except ValueError as exc:
                 raise _layout_error(name, exc) from None
-        table, margins, gathered, scales, touched = written
-        scale_io = new("double *", scale)
+        table, state_io, margins, gathered, scales, touched = written
+        # C writes state on a raising status too: the completed examples.
         status = c_update(
             table, table_flat.shape[0], fb, sv, depth, ncols, ip, ys, es,
             n, lam, sqrt_s, loss_id, loss_param, margins, gathered, rows,
             scales, scales_out.shape[0], touched, touched_out.shape[0],
-            scale_io,
+            state_io,
         )
         if status:
             _raise_status(status, flat_buckets, table_flat.shape[0], n,
                           loss_id, loss_param)
-        return scale_io[0]
 
     def fused_predict(
         table_flat, flat_buckets, sign_values, indptr, scale, sqrt_s, out,
@@ -604,6 +617,21 @@ def _make_backend(ffi, lib) -> KernelBackend:
         if status:
             _raise_status(status, None, size, k)
 
+    def hash_rows(hasher, keys, buckets_out, signs_out):
+        family = hasher.family
+        check_rows_buffers(family.depth, keys, buckets_out, signs_out)
+        n = keys.shape[0]
+        if n:
+            packed = family.packed
+            c_hash(
+                view(packed), KIND_CODES[family.kind],
+                packed.shape[0] // family.depth, family.depth, family.width,
+                view(np.ascontiguousarray(keys)), n,
+                view(buckets_out, require_writable=True),
+                view(signs_out, require_writable=True),
+            )
+            hasher.count_misses(n)
+
     return KernelBackend("c", functions={
         "fused_update": fused_update,
         "fused_predict": fused_predict,
@@ -611,4 +639,5 @@ def _make_backend(ffi, lib) -> KernelBackend:
         "awm_update": awm_update,
         "chunk_delta": chunk_delta,
         "chunk_add": chunk_add,
+        "hash_rows": hash_rows,
     })

@@ -1,12 +1,14 @@
 /*
- * The compiled bodies of six kernels whose contract is in api.py:
+ * The compiled bodies of seven kernels whose contract is in api.py:
  * fused_update and fused_predict, whose NumPy reference
  * (numpy_backend.py) is a per-example Python loop; heap_maintain, whose
  * reference replays the WM passive heap's decision core per possible
  * admission; awm_update, whose reference is AWM's Algorithm 2 step per
- * example against a full active set; and the parameter-server push
- * codec's chunk_delta and chunk_add, whose reference is a gather ->
- * arithmetic -> scatter over whole chunks.
+ * example against a full active set; the parameter-server push codec's
+ * chunk_delta and chunk_add, whose reference is a gather -> arithmetic
+ * -> scatter over whole chunks; and hash_rows, whose reference is the
+ * hasher's memo in front of HashFamily.all_rows (the oracle both match
+ * bit for bit).
  * Loaded by c_backend.py, which builds this file with exactly
  * "cc -O2 -fPIC -shared -ffp-contract=off": FMA contraction, -ffast-math
  * reassociation or -march=native code would change float bits.
@@ -18,7 +20,9 @@
  * element order over each example's (depth, nnz_i) block; the chunk
  * loops do per cell the rounded operations numpy does per element; the
  * heap loops sort each median row the way numpy's stable sort does and
- * find the store minimum the way argmin does.  When
+ * find the store minimum the way argmin does; hash_rows runs the hash
+ * classes' integer steps (uint64 XORs, and 128-bit Horner products with
+ * _mod_mersenne61's fold) on the key read as uint64.  When
  * both operands of one operation are NaN, which payload the result
  * carries is unspecified: numpy's own choice depends on the array length
  * (its SIMD body and scalar remainder differ).
@@ -230,9 +234,12 @@ static inline double dloss(int64_t loss_id, double gamma, double ytau)
 /*
  * fused_update: one mini-batch of sequential OGD steps over the CSR
  * slices indptr[i]:indptr[i+1] of the (depth, ncols) row-major blocks fb
- * and sv.  scale_io holds the starting scale and receives the final one.
- * gathered (gathered_rows x depth, row-major) records post-update cells
- * when gathered_rows > 0; touched follows the api.py stream contract.
+ * and sv.  state[0] holds the starting scale; once the arguments pass
+ * the checks, it receives the scale reached and state[1] the number of
+ * examples completed, on every return (a raising one included, which
+ * leaves the reference's partial state).  gathered (gathered_rows x
+ * depth, row-major) records post-update cells when gathered_rows > 0;
+ * touched follows the api.py stream contract.
  */
 int64_t repro_fused_update(
     double *table, int64_t size,
@@ -242,10 +249,10 @@ int64_t repro_fused_update(
     int64_t loss_id, double loss_param,
     double *margins, double *gathered, int64_t gathered_rows,
     double *scales, int64_t n_scales,
-    int64_t *touched, int64_t n_touched, double *scale_io)
+    int64_t *touched, int64_t n_touched, double *state)
 {
     fsum_state s;
-    double scale = *scale_io;
+    double scale = state[0];
     int record = gathered_rows > 0;
     int record_touched = n_touched > 1;
     int64_t pos = 1;
@@ -267,15 +274,18 @@ int64_t repro_fused_update(
     if (n_touched > 0)
         touched[0] = 0;
 
-    for (int64_t i = 0; i < n; i++) {
+    int64_t i;
+    for (i = 0; i < n; i++) {
         int64_t lo = indptr[i], hi = indptr[i + 1];
         double total, tau;
         st = example_sum(table, size, fb, sv, depth, ncols, lo, hi,
                          &s, &total);
         if (st)
-            return st;
-        if (sqrt_s == 0.0)
-            return ST_ZERO_DIV;
+            break;
+        if (sqrt_s == 0.0) {
+            st = ST_ZERO_DIV;
+            break;
+        }
         tau = scale * total / sqrt_s;
         margins[i] = tau;
 
@@ -293,8 +303,10 @@ int64_t repro_fused_update(
             }
         }
         double denom = sqrt_s * scale;
-        if (denom == 0.0)
-            return ST_ZERO_DIV;
+        if (denom == 0.0) {
+            st = ST_ZERO_DIV;
+            break;
+        }
         double coeff = -eta * y * g / denom;
         for (int64_t j = 0; j < depth; j++) {
             const int64_t *row = fb + j * ncols;
@@ -314,8 +326,9 @@ int64_t repro_fused_update(
             scales[i] = scale;
         }
     }
-    *scale_io = scale;
-    return ST_OK;
+    state[0] = scale;
+    state[1] = (double)i;
+    return st;
 }
 
 /*
@@ -928,4 +941,72 @@ int64_t repro_awm_update(
     io[1] = admitted;
     io[2] = min_slot;
     return st;
+}
+
+/* Same values as repro.hashing.universal.MERSENNE_61 and
+ * repro.hashing.family._SIGN_BIT. */
+#define MERSENNE_61 (((uint64_t)1 << 61) - 1)
+#define SIGN_BIT 45
+
+/* The hash kinds of repro.hashing.family.KIND_CODES. */
+enum { HASH_TABULATION, HASH_POLYNOMIAL };
+
+/* _mod_mersenne61's exact steps: one fold, then at most one subtraction
+ * (not a canonical reduction).  Callers keep x below 2^125, so the fold
+ * fits 64 bits. */
+static inline uint64_t mod_mersenne61(unsigned __int128 x)
+{
+    uint64_t y = (uint64_t)(x & MERSENNE_61) + (uint64_t)(x >> 61);
+    return y >= MERSENNE_61 ? y - MERSENNE_61 : y;
+}
+
+/*
+ * hash_rows: HashFamily.all_rows(keys) into the (depth, n) row-major
+ * buckets and signs.  packed holds the family's rows one after another,
+ * row_len words each: for tabulation a row's 8 byte tables of 256 words
+ * (the key's little-endian bytes index them, as TabulationHash.hash
+ * does), for polynomial a row's coefficients, lowest degree first
+ * (Horner's rule from the top one, as PolynomialHash.hash does, over
+ * the key read as uint64 and folded once).  The bucket is h & (width -
+ * 1) at a power-of-two width, else h % width; the sign is bit 45 mapped
+ * to +-1.0.  Reads only packed and keys and writes only the outputs;
+ * it cannot fail (c_backend.py checks every buffer first).
+ */
+void repro_hash_rows(
+    const uint64_t *packed, int64_t kind, int64_t row_len,
+    int64_t depth, int64_t width,
+    const int64_t *keys, int64_t n, int64_t *buckets, double *signs)
+{
+    uint64_t w = (uint64_t)width;
+    int pow2 = (w & (w - 1)) == 0;
+
+    for (int64_t j = 0; j < depth; j++) {
+        const uint64_t *row = packed + j * row_len;
+        int64_t *b = buckets + j * n;
+        double *s = signs + j * n;
+        if (kind == HASH_TABULATION) {
+            for (int64_t i = 0; i < n; i++) {
+                uint64_t k = (uint64_t)keys[i];
+                uint64_t h = row[k & 255]
+                    ^ row[256 + ((k >> 8) & 255)]
+                    ^ row[512 + ((k >> 16) & 255)]
+                    ^ row[768 + ((k >> 24) & 255)]
+                    ^ row[1024 + ((k >> 32) & 255)]
+                    ^ row[1280 + ((k >> 40) & 255)]
+                    ^ row[1536 + ((k >> 48) & 255)]
+                    ^ row[1792 + (k >> 56)];
+                b[i] = (int64_t)(pow2 ? h & (w - 1) : h % w);
+                s[i] = (h >> SIGN_BIT) & 1 ? 1.0 : -1.0;
+            }
+        } else {
+            for (int64_t i = 0; i < n; i++) {
+                uint64_t x = mod_mersenne61((uint64_t)keys[i]);
+                uint64_t h = row[row_len - 1];
+                for (int64_t d = row_len - 2; d >= 0; d--)
+                    h = mod_mersenne61((unsigned __int128)h * x + row[d]);
+                b[i] = (int64_t)(pow2 ? h & (w - 1) : h % w);
+                s[i] = (h >> SIGN_BIT) & 1 ? 1.0 : -1.0;
+            }
+        }
+    }
 }

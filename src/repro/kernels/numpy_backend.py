@@ -1,9 +1,11 @@
 """The NumPy reference backend, and the helpers no backend compiles.
 
-The six kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+The seven kernels of :data:`repro.kernels.api.KERNEL_NAMES`
 (``fused_update``, ``fused_predict``, ``heap_maintain``,
-``awm_update``, ``chunk_delta``, ``chunk_add``) are the executable
-specification the compiled ``c`` backend is checked against.  The other
+``awm_update``, ``chunk_delta``, ``chunk_add``, ``hash_rows``) are the
+executable specification the compiled ``c`` backend is checked against
+(``hash_rows`` here is the hasher's memo; both match
+``HashFamily.all_rows``, the one oracle).  The other
 functions here are plain helpers with one implementation, which WM,
 AWM, feature hashing, the sketch table and the top-K store import and
 call by name: the exactly rounded margin, the element-order scatter,
@@ -186,7 +188,7 @@ def fused_update(
     labels: np.ndarray,
     etas: np.ndarray,
     lam: float,
-    scale: float,
+    state: np.ndarray,
     sqrt_s: float,
     loss_id: int,
     loss_param: float,
@@ -194,12 +196,13 @@ def fused_update(
     gathered_out: np.ndarray,
     scales_out: np.ndarray,
     touched_out: np.ndarray,
-) -> float:
+) -> None:
     # The exact chain of per-example ``update()`` with the margin /
     # scatter bodies inlined (per-example temporaries are fresh arrays:
     # NumPy's small-block allocator beats ``np.take(out=)``'s checked
     # copy path, measured ~20%; the batch-lifetime arrays are the
     # caller's workspace views).
+    scale = float(state[0])
     dloss = _loss_object(loss_id, loss_param).dloss
     record = gathered_out.shape[0] > 0
     n_touched = touched_out.shape[0]
@@ -216,45 +219,52 @@ def fused_update(
     take = table_flat.take
     ascontiguous = np.ascontiguousarray
     lo = ip[0]
-    for i in range(n):
-        hi = ip[i + 1]
-        # A contiguous copy of the example's bucket block lets both the
-        # gather and np.add.at take their 1-d fast paths (the flattened
-        # C order is the block's C order, so duplicate accumulation and
-        # the exactly-rounded margin see the identical element
-        # sequence — bit-for-bit the reference kernels' results).
-        fb = ascontiguous(flat_buckets[:, lo:hi])
-        sv = sign_values[:, lo:hi]
-        # margin kernel body, verbatim.
-        products = take(fb) * sv
-        tau = scale * fsum(products.ravel().tolist()) / sqrt_s
-        margins_out[i] = tau
-        y = ys[i]
-        g = dloss(y * tau)
-        eta = es[i]
-        if lam > 0.0:
-            scale *= 1.0 - eta * lam
-            if scale < _RENORM:
-                table_flat *= scale
-                scale = 1.0
-                if n_touched > 0:
-                    touched_out[0] += 1
-        # scatter_add kernel body: same values, same element order,
-        # through the flat fast path.
-        deltas = (-eta * y * g / (sqrt_s * scale)) * sv
-        add_at(table_flat, fb.reshape(-1), deltas.reshape(-1))
-        if record_touched:
-            # The dirty-set stream: the scattered indices in the exact
-            # element order the ufunc.at applied them.
-            flat_fb = fb.reshape(-1)
-            touched_out[pos:pos + flat_fb.shape[0]] = flat_fb
-            pos += flat_fb.shape[0]
-        if record:
-            # gather_rows_t, verbatim, into the recording block.
-            gathered_out[lo:hi] = take(fb.T)
-            scales_out[i] = scale
-        lo = hi
-    return scale
+    done = 0
+    try:
+        for i in range(n):
+            hi = ip[i + 1]
+            # A contiguous copy of the example's bucket block lets both
+            # the gather and np.add.at take their 1-d fast paths (the
+            # flattened C order is the block's C order, so duplicate
+            # accumulation and the exactly-rounded margin see the
+            # identical element sequence — bit-for-bit the reference
+            # kernels' results).
+            fb = ascontiguous(flat_buckets[:, lo:hi])
+            sv = sign_values[:, lo:hi]
+            # margin kernel body, verbatim.
+            products = take(fb) * sv
+            tau = scale * fsum(products.ravel().tolist()) / sqrt_s
+            margins_out[i] = tau
+            y = ys[i]
+            g = dloss(y * tau)
+            eta = es[i]
+            if lam > 0.0:
+                scale *= 1.0 - eta * lam
+                if scale < _RENORM:
+                    table_flat *= scale
+                    scale = 1.0
+                    if n_touched > 0:
+                        touched_out[0] += 1
+            # scatter_add kernel body: same values, same element order,
+            # through the flat fast path.
+            deltas = (-eta * y * g / (sqrt_s * scale)) * sv
+            add_at(table_flat, fb.reshape(-1), deltas.reshape(-1))
+            if record_touched:
+                # The dirty-set stream: the scattered indices in the
+                # exact element order the ufunc.at applied them.
+                flat_fb = fb.reshape(-1)
+                touched_out[pos:pos + flat_fb.shape[0]] = flat_fb
+                pos += flat_fb.shape[0]
+            if record:
+                # gather_rows_t, verbatim, into the recording block.
+                gathered_out[lo:hi] = take(fb.T)
+                scales_out[i] = scale
+            lo = hi
+            done += 1
+    finally:
+        # Also on a raise: the caller applies the completed examples.
+        state[0] = scale
+        state[1] = done
 
 
 def fused_predict(
@@ -898,6 +908,16 @@ def chunk_add(
         )
     if has_tail:
         table_flat[full << CHUNK_LOG:] += contrib[-1, :tail_len]
+
+
+# ----------------------------------------------------------------------
+# Hashing: the hasher's set-associative memo.
+# ----------------------------------------------------------------------
+
+def hash_rows(hasher, keys, buckets_out, signs_out) -> None:
+    # The memo lives with the hasher that owns its state
+    # (repro.hashing.batch); its misses call family.all_rows.
+    hasher.memo_rows(keys, buckets_out, signs_out)
 
 
 BACKEND = KernelBackend(

@@ -78,25 +78,27 @@ class FeatureHashing(StreamingClassifier):
         self.backend = backend
         self.kernels = kernels.get_backend(backend, strict=False)
         self.family = HashFamily(width, depth=1, seed=seed)
-        self._batch_hasher = BatchHasher(self.family)
+        self._batch_hasher = BatchHasher(self.family, backend=self.kernels)
         self.table = np.zeros(width, dtype=np.float64)
         self._scale = 1.0
         self._ws: kernels.KernelWorkspace | None = None
         self.t = 0
 
     # ------------------------------------------------------------------
-    # Pickling: the resolved backend and the workspace are per-process —
-    # dropped on save, rebuilt on load.
+    # Pickling: the resolved backend, the batch hasher and the workspace
+    # are per-process — dropped on save, rebuilt on load.  Older pickles
+    # carry a hasher, which is replaced.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("kernels", "_ws"):
+        for key in ("kernels", "_batch_hasher", "_ws"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.kernels = kernels.get_backend(self.backend, strict=False)
+        self._batch_hasher = BatchHasher(self.family, backend=self.kernels)
         self._ws = None
 
     def snapshot(
@@ -122,7 +124,7 @@ class FeatureHashing(StreamingClassifier):
         snap._batch_hasher = (
             batch_hasher
             if batch_hasher is not None
-            else BatchHasher(self.family)
+            else BatchHasher(self.family, backend=self.kernels)
         )
         snap._ws = workspace
         return snap
@@ -195,7 +197,7 @@ class FeatureHashing(StreamingClassifier):
         self.t += 1
 
     def predict_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Batched margins via ``fused_predict`` — one cached hash and
+        """Batched margins via ``fused_predict`` — one batch hash and
         one kernel call, bit-identical to per-example
         :meth:`predict_margin` (exactly-rounded sums)."""
         n = len(batch)
@@ -218,7 +220,7 @@ class FeatureHashing(StreamingClassifier):
         return out
 
     def query_many(self, indices: np.ndarray) -> np.ndarray:
-        """Serving-path weight estimates with cached hashing —
+        """Serving-path weight estimates with batch hashing —
         bit-identical to :meth:`estimate_weights`."""
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         n = indices.size
@@ -242,7 +244,7 @@ class FeatureHashing(StreamingClassifier):
         return out
 
     def fit_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Mini-batch updates with one (deduplicated, cached) hash and
+        """Mini-batch updates with one ``hash_rows`` call and
         one fused kernel call per batch.
 
         The whole per-example chain — exactly-rounded margin, loss
@@ -274,14 +276,20 @@ class FeatureHashing(StreamingClassifier):
         margins = np.empty(n, dtype=np.float64)
         # Depth-1 table: flat buckets are the buckets themselves, and
         # the margin normalization is sqrt(s) = 1.
-        self._scale = self.kernels.fused_update(
-            self.table, buckets, sv, batch.indptr, batch.labels, etas,
-            self.lambda_, self._scale, 1.0,
-            self.loss.kernel_id, self.loss.kernel_param,
-            margins, kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
-            kernels.EMPTY_TOUCHED,
-        )
-        self.t += n
+        state = np.array([self._scale, 0.0])
+        try:
+            self.kernels.fused_update(
+                self.table, buckets, sv, batch.indptr, batch.labels, etas,
+                self.lambda_, state, 1.0,
+                self.loss.kernel_id, self.loss.kernel_param,
+                margins, kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
+                kernels.EMPTY_TOUCHED,
+            )
+        finally:
+            # Also on a raise: keep the completed examples, as
+            # per-example update() calls would.
+            self._scale = float(state[0])
+            self.t += int(state[1])
         return margins
 
     # ------------------------------------------------------------------

@@ -314,6 +314,8 @@ class SketchServer:
                     "current_t": snap.t,
                 },
                 "reader_hasher": {
+                    # numpy: the memo; c: no memo, every key a miss.
+                    "backend": hasher.backend_name,
                     "hits": hits,
                     "misses": misses,
                     "hit_rate": hits / total if total else 0.0,

@@ -37,8 +37,9 @@ holds by construction.
 
 The manager also owns the *reader-side* caches that successive
 snapshots thread through: one :class:`~repro.hashing.batch.BatchHasher`
-(hash functions are pure and shared with the live model, so its memo
-stays warm across every publish) and one
+on the served model's backend (hash functions are pure and shared with
+the live model, so under numpy its memo stays warm across every
+publish; under ``c`` it keeps no memo) and one
 :class:`~repro.kernels.workspace.KernelWorkspace` (so steady-state
 reads stay zero-allocation).  Those caches are mutable, which is why
 batched reads on the current snapshot must stay on a single thread —
@@ -116,9 +117,12 @@ class SnapshotManager:
         #: its pool).
         self._prev_model = None
         #: Reader-side caches threaded through every snapshot (see the
-        #: module docstring for the single-reader contract).
+        #: module docstring for the single-reader contract).  The hasher
+        #: runs the served model's backend: the memo under numpy, none
+        #: under ``c``.
         self.reader_hasher = BatchHasher(
             model.family,
+            backend=model.kernels,
             registry=self.registry,
             metrics_prefix="serve.reader_hasher",
         )

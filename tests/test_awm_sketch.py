@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
 from repro.core.awm_sketch import AWMSketch
 from repro.data.batch import SparseBatch
@@ -263,3 +264,26 @@ class TestOneEstimateRule:
             want = clf._estimate_from_rows(buckets, signs)[0]
             got = clf._query_one(rows)
             assert np.float64(got).tobytes() == want.tobytes(), cells
+
+
+class TestNegativeKeys:
+    @pytest.mark.parametrize("backend", ["numpy", c_backend_param()])
+    def test_polynomial_one_sparse_stream_batched_equals_per_example(
+        self, backend
+    ):
+        """The 1-sparse spec hashes through ``bucket_sign_one`` and the
+        batch through ``all_rows``: with a negative key the two used to
+        disagree under the polynomial hash."""
+        stream = [_ex([5], [1.0], 1), _ex([-3], [1.0], -1), _ex([7], [1.0], 1)]
+        models = [
+            AWMSketch(64, 2, heap_capacity=1, hash_kind="polynomial",
+                      backend=backend)
+            for _ in range(2)
+        ]
+        for ex in stream:
+            models[0].update(ex)
+        models[1].fit_batch(SparseBatch.from_examples(stream))
+        assert np.array_equal(models[0].sketch_state(),
+                              models[1].sketch_state())
+        assert models[0].heap.items() == models[1].heap.items()
+

@@ -1,4 +1,9 @@
-"""BatchHasher must be ``HashFamily.all_rows`` bit-for-bit, just faster."""
+"""BatchHasher must be ``HashFamily.all_rows`` bit-for-bit, just faster.
+
+These are tests of the memo, the numpy backend's ``hash_rows`` body, so
+every hasher here pins that backend; the ``c`` body (no memo) is checked
+against both in ``tests/test_kernel_backends.py``.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +15,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.hashing.batch import _CHUNK, SET_BITS, WAYS, BatchHasher
 from repro.hashing.family import HashFamily
 
 SETS = 1 << SET_BITS
 INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
+
+
+def memo_hasher(family):
+    """A hasher on the numpy backend, whose ``hash_rows`` is the memo."""
+    return BatchHasher(family, backend=kernels.get_backend("numpy"))
 
 
 def assert_matches_family(hasher, keys):
@@ -30,7 +41,7 @@ def assert_matches_family(hasher, keys):
 @pytest.mark.parametrize("depth", [1, 3])
 def test_rows_match_all_rows(kind, depth, rng):
     family = HashFamily(512, depth, seed=11, kind=kind)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     for _ in range(5):
         keys = rng.integers(0, 100_000, size=int(rng.integers(1, 400)))
         keys = keys.astype(np.int64)
@@ -50,7 +61,7 @@ def test_duplicates_within_batch():
         return family_rows(k)
 
     family.all_rows = spy
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     keys = np.array([7, 7, 7, 42, 7, 42], dtype=np.int64)
     b, s = hasher.rows(keys)
     rb, rs = family_rows(keys)
@@ -64,7 +75,7 @@ def test_duplicates_within_batch():
 
 def test_cache_hits_across_batches():
     family = HashFamily(256, 2, seed=5)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     keys = np.arange(100, dtype=np.int64)
     hasher.rows(keys)
     assert hasher.misses == 100 and hasher.hits == 0
@@ -80,7 +91,7 @@ def test_cache_overflow_stays_correct():
     # position is answered correctly and the set keeps the last WAYS of
     # them (in key order).
     family = HashFamily(512, 3, seed=9)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     keys = 7 + SETS * np.arange(2 * WAYS + 2, dtype=np.int64)
     batch = np.concatenate([keys[::-1], keys[:3]])  # unsorted, repeats
     assert_matches_family(hasher, batch)
@@ -97,7 +108,7 @@ def test_cache_overflow_stays_correct():
 
 def test_empty_keys():
     family = HashFamily(128, 4, seed=1)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     b, s = hasher.rows(np.empty(0, dtype=np.int64))
     assert b.shape == (4, 0)
     assert s.shape == (4, 0)
@@ -105,7 +116,7 @@ def test_empty_keys():
 
 def test_clear():
     family = HashFamily(128, 2, seed=1)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     hasher.rows(np.arange(10, dtype=np.int64))
     assert len(hasher) == 10
     hasher.clear()
@@ -121,8 +132,8 @@ def test_clear():
 # ----------------------------------------------------------------------
 def test_rows_into_matches_rows(rng):
     family = HashFamily(512, 3, seed=17)
-    hasher = BatchHasher(family)
-    other = BatchHasher(family)
+    hasher = memo_hasher(family)
+    other = memo_hasher(family)
     for _ in range(5):
         keys = rng.integers(0, 50_000, size=int(rng.integers(1, 300)))
         keys = keys.astype(np.int64)
@@ -137,7 +148,7 @@ def test_rows_into_matches_rows(rng):
 
 def test_evicted_key_is_rehashed_on_return():
     family = HashFamily(256, 2, seed=5)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     victim = np.array([3], dtype=np.int64)
     assert_matches_family(hasher, victim)
     # WAYS more keys of set 3, one batch each: the last takes the
@@ -157,7 +168,7 @@ def test_evicted_key_is_rehashed_on_return():
 
 def test_hit_rate_counter():
     family = HashFamily(128, 2, seed=9)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     assert hasher.hit_rate == 0.0
     keys = np.arange(50, dtype=np.int64)
     hasher.rows(keys)
@@ -173,7 +184,7 @@ def test_all_hit_lookup_allocates_nothing_per_key(n):
     """A hit allocates nothing at key scale: the tag comparison writes
     straight into the scratch (comparing into one (WAYS, n) view of it
     made numpy allocate an iteration buffer, ~37 B a key)."""
-    hasher = BatchHasher(HashFamily(2**13, 3, seed=0))
+    hasher = memo_hasher(HashFamily(2**13, 3, seed=0))
     keys = np.arange(n, dtype=np.int64) * 7 + 3
     buckets = np.empty((3, n), dtype=np.int64)
     signs = np.empty((3, n), dtype=np.float64)
@@ -190,7 +201,7 @@ def test_all_hit_lookup_allocates_nothing_per_key(n):
 
 def test_high_cardinality_stream_stays_bounded(rng):
     family = HashFamily(256, 2, seed=21)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     for _ in range(20):
         keys = rng.integers(0, 10_000_000, size=4_000).astype(np.int64)
         assert_matches_family(hasher, keys)
@@ -202,7 +213,7 @@ def test_lookup_spanning_several_chunks(rng):
     # One call with more keys than a lookup pass takes (a held-out
     # evaluation does this), repeats crossing chunk boundaries.
     family = HashFamily(512, 3, seed=2)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     keys = rng.integers(-50_000, 50_000, size=3 * _CHUNK + 5)
     keys = keys.astype(np.int64)
     assert_matches_family(hasher, keys)
@@ -217,7 +228,7 @@ def test_lookup_spanning_several_chunks(rng):
 
 def test_negative_and_extreme_keys():
     family = HashFamily(512, 3, seed=8)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     keys = np.array(
         [-1, -2, -SETS, -SETS - 1, INT64_MIN, INT64_MIN + 1,
          INT64_MAX, INT64_MAX - 1, INT64_MAX - SETS, 0, 1],
@@ -231,14 +242,14 @@ def test_negative_and_extreme_keys():
 
 def test_empty_way_never_matches_a_real_key():
     family = HashFamily(256, 2, seed=4)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     # A fresh memo: all of its ways are empty, so every key misses —
     # four keys of every set, negative ones included.
     keys = np.arange(-2 * SETS, 2 * SETS, dtype=np.int64)
     assert_matches_family(hasher, keys)
     assert hasher.hits == 0
     # A set with one way in use: its three empty ways match nothing.
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     assert_matches_family(hasher, [5])
     probe = np.array(
         [0, 1, 4, 6, 5 ^ 1, ~5, 5 - SETS, 5 + SETS, 5 + 2 * SETS,
@@ -272,7 +283,7 @@ POOL = [s + SETS * j for s in (0, 1, SETS - 1)
 )
 def test_memo_equals_all_rows_on_crowded_sets(kind, depth, batches):
     family = _family(kind, depth)
-    hasher = BatchHasher(family)
+    hasher = memo_hasher(family)
     positions = 0
     for keys, into in batches:
         keys = np.array(keys, dtype=np.int64)

@@ -23,6 +23,7 @@ from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _RENORM_THRESHOLD
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
+from repro.data.sparse import SparseExample
 from repro.data.synthetic import SyntheticStream
 from repro.kernels import numpy_backend
 from repro.learning.feature_hashing import FeatureHashing
@@ -45,6 +46,16 @@ LOSSES = [
     HingeLoss(),
     SquaredLoss(),
 ]
+
+
+def _fused_update(kb, table, fb, sv, indptr, labels, etas, lam, scale,
+                  *rest):
+    """``kb.fused_update`` from ``scale``: the scale it reaches, after
+    checking that it completed every example."""
+    state = np.array([scale, -1.0])
+    kb.fused_update(table, fb, sv, indptr, labels, etas, lam, state, *rest)
+    assert state[1] == indptr.shape[0] - 1
+    return state[0]
 
 
 def _random_csr(rng, n, width_flat, depth, max_nnz=9, empty_every=5):
@@ -131,8 +142,8 @@ class TestKernelLevel:
             else:
                 gathered = kernels.EMPTY_GATHER
                 scales = kernels.EMPTY_SCALES
-            end_scale = kb.fused_update(
-                t_fused, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
+            end_scale = _fused_update(
+                kb, t_fused, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 loss.kernel_id, loss.kernel_param,
                 margins, gathered, scales, kernels.EMPTY_TOUCHED,
             )
@@ -164,8 +175,8 @@ class TestKernelLevel:
         margins = np.empty(n)
         t = table.copy()
         touched = np.full(1 + fb.size, -7, dtype=np.int64)
-        end_scale = kb.fused_update(
-            t, fb, sv, indptr, labels, etas, 1e-2, start,
+        end_scale = _fused_update(
+            kb, t, fb, sv, indptr, labels, etas, 1e-2, start,
             math.sqrt(depth), 0, 0.0, margins,
             kernels.EMPTY_GATHER, kernels.EMPTY_SCALES, touched,
         )
@@ -202,14 +213,14 @@ class TestKernelLevel:
 
             t_rec = table.copy()
             touched = np.full(1 + fb.size, -7, dtype=np.int64)
-            sc_rec = kb.fused_update(
-                t_rec, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
+            sc_rec = _fused_update(
+                kb, t_rec, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
                 kernels.EMPTY_SCALES, touched,
             )
             t_off = table.copy()
-            sc_off = kb.fused_update(
-                t_off, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
+            sc_off = _fused_update(
+                kb, t_off, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
                 kernels.EMPTY_SCALES, kernels.EMPTY_TOUCHED,
             )
@@ -226,8 +237,8 @@ class TestKernelLevel:
             # Fold-count-only mode (size 1): same table bits again.
             t_cnt = table.copy()
             folds = np.full(1, -7, dtype=np.int64)
-            sc_cnt = kb.fused_update(
-                t_cnt, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
+            sc_cnt = _fused_update(
+                kb, t_cnt, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 0, 0.0, margins, kernels.EMPTY_GATHER,
                 kernels.EMPTY_SCALES, folds,
             )
@@ -532,6 +543,82 @@ class TestWorkspaceLifecycle:
                     model.update(examples[0])
                 else:
                     model.fit_batch(SparseBatch.from_examples(examples))
+
+
+# ----------------------------------------------------------------------
+# A fused_update that raises mid-batch keeps the completed examples
+# ----------------------------------------------------------------------
+def _overflow_stream():
+    """Example 0 trains; example 1's margin sums two finite 1e308
+    products once the cells of keys 2 and 3 hold their signs, so fsum
+    raises OverflowError there."""
+    return [
+        SparseExample(np.array([1]), np.array([1.0]), 1),
+        SparseExample(np.array([2, 3]), np.array([1e308, 1e308]), 1),
+    ]
+
+
+def _prime_overflow(model):
+    """Set every cell of keys 2 and 3 to the key's sign in that row."""
+    keys = np.array([2, 3], dtype=np.int64)
+    buckets, signs = model.family.all_rows(keys)
+    table = model.table.reshape(buckets.shape[0], -1)
+    for j in range(buckets.shape[0]):
+        table[j, buckets[j]] = signs[j]
+    return model
+
+
+class TestPartialStateOnRaise:
+    @PER_BACKEND
+    @pytest.mark.parametrize("width, depth", [(64, 1), (1024, 3)])
+    def test_wm_fit_batch_keeps_the_completed_examples(self, backend, width,
+                                                       depth):
+        models = [
+            _prime_overflow(WMSketch(width, depth, lambda_=1e-3,
+                                     heap_capacity=4, backend=backend))
+            for _ in range(2)
+        ]
+        snaps = []
+        for model in models:
+            snap, _ = model.snapshot_incremental()  # clears the bitmap
+            snaps.append(snap)
+        spec, batched = models
+        stream = _overflow_stream()
+        spec.update(stream[0])
+        with pytest.raises(OverflowError):
+            spec.update(stream[1])
+        with pytest.raises(OverflowError):
+            batched.fit_batch(SparseBatch.from_examples(stream))
+        assert spec.t == batched.t == 1
+        assert spec._scale == batched._scale == 1.0 - 0.1 * 1e-3
+        assert np.array_equal(spec.table, batched.table)
+        assert np.array_equal(spec._dirty, batched._dirty)
+        assert batched._dirty.any()
+        assert batched.heap.items() == spec.heap.items()
+        assert [k for k, _ in batched.heap.items()] == [1]
+        # The next incremental publish carries the written chunk.
+        for model, prev in zip(models, snaps):
+            snap, _ = model.snapshot_incremental(prev)
+            assert np.array_equal(snap._dense_table(), model.table)
+            assert snap._scale == model._scale
+
+    @PER_BACKEND
+    def test_feature_hashing_fit_batch_keeps_the_completed_examples(
+        self, backend
+    ):
+        spec, batched = (
+            _prime_overflow(FeatureHashing(64, lambda_=1e-3, backend=backend))
+            for _ in range(2)
+        )
+        stream = _overflow_stream()
+        spec.update(stream[0])
+        with pytest.raises(OverflowError):
+            spec.update(stream[1])
+        with pytest.raises(OverflowError):
+            batched.fit_batch(SparseBatch.from_examples(stream))
+        assert spec.t == batched.t == 1
+        assert spec._scale == batched._scale == 1.0 - 0.1 * 1e-3
+        assert np.array_equal(spec.table, batched.table)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,10 @@ keeps producing the same buckets and signs.  These digests pin that
 mapping: the SHA-256 of the (bucket, sign) bytes both hash kinds
 produce, at a power-of-two and a non-power-of-two width, depth 3 and
 two seeds, over boundary keys plus 1,000 pseudo-random ones.  The
-vectorized path (``HashFamily.all_rows``) and the scalar one
-(``bucket_sign_one``) must both reproduce the recorded digest.
+vectorized path (``HashFamily.all_rows``), the scalar one
+(``bucket_sign_one``) and the ``hash_rows`` kernel of every available
+backend (the numpy memo, cold and warm, and the compiled loop) must all
+reproduce the recorded digest.
 
 The digests were recorded with the code as of commit 5317a45.  A change
 that moves any of them breaks every saved model; it is never a
@@ -20,7 +22,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
+from repro import kernels
+from repro.hashing.batch import BatchHasher
 from repro.hashing.family import HashFamily
 
 #: Keys at the byte, 32-bit, Mersenne-prime and int64 boundaries.
@@ -95,3 +100,14 @@ class TestGoldenDigests:
     def test_bucket_sign_one(self, kind, width, seed):
         family = HashFamily(width, 3, seed=seed, kind=kind)
         assert _digest(*_scalar_rows(family)) == GOLDEN[kind, width, seed]
+
+    @pytest.mark.parametrize("backend", ["numpy", c_backend_param()])
+    def test_hash_rows_reproduces_digest(self, kind, width, seed, backend):
+        kb = kernels.get_backend(backend)
+        family = HashFamily(width, 3, seed=seed, kind=kind)
+        hasher = BatchHasher(family, backend=kb)
+        buckets = np.empty((3, KEYS.size), dtype=np.int64)
+        signs = np.empty((3, KEYS.size), dtype=np.float64)
+        for _ in range(2):  # a cold and a warm numpy memo
+            kb.hash_rows(hasher, KEYS, buckets, signs)
+            assert _digest(buckets, signs) == GOLDEN[kind, width, seed]

@@ -94,3 +94,32 @@ class TestScalarVectorAgreement:
                 b, s = fam.bucket_sign_one(int(k), j)
                 assert b == buckets[j, i]
                 assert s == signs[j, i]
+
+    @pytest.mark.parametrize("kind", ["tabulation", "polynomial"])
+    def test_bucket_sign_one_matches_all_rows_for_negative_and_extreme_keys(
+        self, kind
+    ):
+        """Both paths read a key as a uint64: a negative key is its
+        two's complement (the polynomial scalar path used to reduce the
+        signed int)."""
+        from repro.hashing.family import HashFamily
+
+        fam = HashFamily(1000, 3, seed=3, kind=kind)
+        keys = np.array([-1, -2, -3, -(2**61) - 1, -(2**63), -(2**63) + 1,
+                         2**63 - 1, 0, 2**61 - 1, 2**61, 2**62],
+                        dtype=np.int64)
+        buckets, signs = fam.all_rows(keys)
+        for j in range(3):
+            for i, k in enumerate(keys.tolist()):
+                assert fam.bucket_sign_one(k, j) == (buckets[j, i],
+                                                     signs[j, i])
+
+    def test_negative_key_regression(self):
+        from repro.hashing.family import HashFamily
+
+        fam = HashFamily(1000, 2, seed=3, kind="polynomial")
+        assert fam.bucket_sign_one(-1, 0) == (159, -1.0)
+        h = PolynomialHash(independence=4, seed=11)
+        assert h.hash_one(-1) == h.hash_one(2**64 - 1)
+        assert h.hash_one(-1) == int(h.hash(np.array([-1]))[0])
+

@@ -2,10 +2,10 @@
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
 identical inputs — tables, heap state and predictions alike.  The ``c``
-backend compiles all five kernels, ``fused_update``, ``fused_predict``,
-``heap_maintain``, ``chunk_delta`` and ``chunk_add``
-(``repro/kernels/ckernels.c``); its cases skip with the recorded reason
-on a host where it cannot build.
+backend compiles all seven kernels, ``fused_update``, ``fused_predict``,
+``heap_maintain``, ``awm_update``, ``chunk_delta``, ``chunk_add`` and
+``hash_rows`` (``repro/kernels/ckernels.c``); its cases skip with the
+recorded reason on a host where it cannot build.
 The NumPy helpers no backend compiles are tested directly here
 (``TestNumpyHelpers``).  Beyond the
 model-level fuzz, hypothesis properties compare the compiled kernels
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import c_backend_param, retired_backend_param
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -43,10 +43,13 @@ from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.sparse import SparseExample
 from repro.data.synthetic import SyntheticStream
+from repro.hashing.batch import BatchHasher
+from repro.hashing.family import HashFamily
 from repro.heap.topk import TopKStore
 from repro.kernels import numpy_backend
 from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.ogd import UncompressedClassifier
+from repro.serving.snapshot import SnapshotManager
 
 #: Backends checked against the numpy reference on this host.
 ALT_BACKENDS = [c_backend_param()]
@@ -113,7 +116,7 @@ class TestRegistry:
     def test_backend_objects_are_complete(self):
         assert kernels.KERNEL_NAMES == (
             "fused_update", "fused_predict", "heap_maintain", "awm_update",
-            "chunk_delta", "chunk_add",
+            "chunk_delta", "chunk_add", "hash_rows",
         )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
@@ -379,8 +382,8 @@ class TestCLoader:
             indptr=indptr,
             labels=np.array([1, -1, 1, -1][:n], dtype=np.int64),
             etas=np.full(n, 0.1),
-            lam=1e-3, scale=1.0, sqrt_s=math.sqrt(depth),
-            loss_id=0, loss_param=0.0,
+            lam=1e-3, state=np.array([1.0, -1.0]),
+            sqrt_s=math.sqrt(depth), loss_id=0, loss_param=0.0,
             margins_out=np.full(n, -7.0),
             gathered_out=np.full((nnz, depth), -7.0),
             scales_out=np.full(n, -7.0),
@@ -461,18 +464,19 @@ class TestCLoader:
         assert _run_update(ref, args) == _run_update(c, args)
 
 
-_WRITTEN = ("table_flat", "margins_out", "gathered_out", "scales_out",
-            "touched_out")
+_WRITTEN = ("table_flat", "state", "margins_out", "gathered_out",
+            "scales_out", "touched_out")
 
 
 def _run_update(kb, args):
     """Run ``fused_update`` on copies of the buffers it writes; returns
-    the outcome (exception name or the returned scale's bits) and every
-    written buffer's bytes."""
+    the outcome (``ok`` or the exception name) and every written
+    buffer's bytes, the scale and examples completed in ``state``
+    included."""
     args = {k: (v.copy() if k in _WRITTEN else v) for k, v in args.items()}
     try:
-        scale = kb.fused_update(**args)
-        outcome = ("ok", np.float64(scale).tobytes())
+        kb.fused_update(**args)
+        outcome = ("ok", None)
     except Exception as exc:  # noqa: BLE001 - compared across backends
         outcome = (type(exc).__name__, None)
     return outcome, tuple(args[k].tobytes() for k in _WRITTEN)
@@ -625,7 +629,9 @@ def _fused_inputs(draw):
 
 
 def _buffers(inputs):
-    args = {k: v for k, v in inputs.items() if k not in ("record", "touched")}
+    args = {k: v for k, v in inputs.items()
+            if k not in ("record", "touched", "scale")}
+    args["state"] = np.array([inputs["scale"], -1.0])
     depth, ncols = args["flat_buckets"].shape
     n = args["labels"].size
     full = 1 + depth * int(args["indptr"][-1] - args["indptr"][0])
@@ -665,7 +671,8 @@ class TestCMatchesNumpyProperty:
                     sign_values=np.array([[1.0, 0.0]]),
                     indptr=np.array([0, 2], dtype=np.int64),
                     labels=np.array([label], dtype=np.int64),
-                    etas=np.array([0.5]), lam=0.0, scale=1.0, sqrt_s=1.0,
+                    etas=np.array([0.5]), lam=0.0,
+                    state=np.array([1.0, 0.0]), sqrt_s=1.0,
                     loss_id=loss_id, loss_param=0.5,
                     margins_out=np.full(1, -7.0),
                     gathered_out=kernels.EMPTY_GATHER,
@@ -1554,6 +1561,180 @@ class TestChunkKernelChecks:
         total = np.zeros(900)
         kb.chunk_add(total, ids, rows, 1.0)
         assert np.array_equal(total, base)
+
+
+# ----------------------------------------------------------------------
+# hash_rows: the family evaluated in C, against the numpy memo and
+# HashFamily.all_rows, the one oracle
+# ----------------------------------------------------------------------
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+#: Keys at the byte, Mersenne-prime and int64 boundaries, and negatives
+#: (read as their uint64 two's complement).
+_EDGE_KEYS = [0, 1, -1, -2, 255, 256, 2**32, 2**61 - 2, 2**61 - 1, 2**61,
+              2**62, _INT64_MAX, _INT64_MIN, _INT64_MIN + 1, -(2**61) - 1]
+
+
+@st.composite
+def _hash_inputs(draw):
+    kind = draw(st.sampled_from(["tabulation", "polynomial"]))
+    width = draw(st.one_of(
+        st.sampled_from([1, 2, 7, 512, 1000, 2**20]),
+        st.integers(1, 2**20),
+    ))
+    family = HashFamily(
+        width, draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)),
+        kind=kind, independence=draw(st.integers(2, 6)),
+    )
+    keys = draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_KEYS),
+                  st.integers(_INT64_MIN, _INT64_MAX),
+                  st.integers(-300, 300)),
+        max_size=40,
+    ))
+    if keys:  # repeats within one call
+        keys += draw(st.lists(st.sampled_from(keys), max_size=12))
+    return family, np.array(keys, dtype=np.int64)
+
+
+def _hash_outputs(family, n):
+    return (np.full((family.depth, n), -7, dtype=np.int64),
+            np.full((family.depth, n), -7.0))
+
+
+class TestHashRowsProperty:
+    @settings(deadline=None)
+    @given(inputs=_hash_inputs())
+    @example(inputs=(HashFamily(1, 1, kind="polynomial", independence=2),
+                     np.empty(0, dtype=np.int64)))
+    @example(inputs=(HashFamily(2**20, 4, seed=9, kind="polynomial",
+                                independence=6),
+                     np.array(_EDGE_KEYS * 2, dtype=np.int64)))
+    def test_hash_rows_c_numpy_and_all_rows_agree(self, inputs):
+        c = _c_or_skip()
+        family, keys = inputs
+        want = family.all_rows(keys)
+        n = keys.size
+        for kb in (kernels.get_backend("numpy"), c):
+            hasher = BatchHasher(family, backend=kb)
+            for _ in range(2):  # cold, then (numpy) served by the memo
+                buckets, signs = _hash_outputs(family, n)
+                kb.hash_rows(hasher, keys, buckets, signs)
+                assert np.array_equal(buckets, want[0]), kb.name
+                assert np.array_equal(signs.view(np.int64),
+                                      want[1].view(np.int64)), kb.name
+            if kb is c:
+                # No memo: every position is evaluated and counted.
+                assert (hasher.hits, hasher.misses) == (0, 2 * n)
+                assert len(hasher) == 0 and hasher._tags is None
+            else:
+                # The memo counts each position once per pass (a crowded
+                # set can evict a key within one call, so not every
+                # repeat is a hit).
+                assert hasher.hits + hasher.misses == 2 * n
+
+    @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+    @pytest.mark.parametrize("kind", ["tabulation", "polynomial"])
+    def test_hash_rows_empty_call_writes_and_builds_nothing(self, backend,
+                                                            kind):
+        kb = kernels.get_backend(backend)
+        family = HashFamily(1000, 3, seed=4, kind=kind)
+        hasher = BatchHasher(family, backend=kb)
+        buckets, signs = _hash_outputs(family, 0)
+        kb.hash_rows(hasher, np.empty(0, dtype=np.int64), buckets, signs)
+        assert (hasher.hits, hasher.misses) == (0, 0)
+        assert hasher._tags is None
+
+    @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+    def test_hash_rows_rejects_bad_buffers_before_writing(self, backend):
+        kb = kernels.get_backend(backend)
+        family = HashFamily(64, 3, seed=1)
+        keys = np.array([5, -1, 5, _INT64_MAX], dtype=np.int64)
+        readonly = np.full((3, 4), -7.0)
+        readonly.flags.writeable = False
+        bad_cases = [
+            (TypeError, {"keys": keys.astype(np.int32)}),
+            (TypeError, {"keys": keys.astype(np.uint64)}),
+            (TypeError, {"buckets": np.full((3, 4), -7, dtype=np.int32)}),
+            (TypeError, {"signs": np.full((3, 4), -7.0, dtype=np.float32)}),
+            (ValueError, {"keys": keys.reshape(2, 2)}),
+            (ValueError, {"buckets": np.full((2, 4), -7, dtype=np.int64)}),
+            (ValueError, {"signs": np.full((3, 5), -7.0)}),
+            (ValueError, {"buckets": np.full((4, 3), -7, dtype=np.int64).T}),
+            (ValueError, {"signs": np.full((3, 8), -7.0)[:, ::2]}),
+            (ValueError, {"signs": readonly}),
+        ]
+        for exc_type, override in bad_cases:
+            buckets, signs = _hash_outputs(family, keys.size)
+            args = {"keys": keys, "buckets": buckets, "signs": signs,
+                    **override}
+            before = [args["buckets"].copy(), args["signs"].copy()]
+            hasher = BatchHasher(family, backend=kb)
+            with pytest.raises(exc_type):
+                kb.hash_rows(hasher, args["keys"], args["buckets"],
+                             args["signs"])
+            assert np.array_equal(args["buckets"], before[0]), override
+            assert np.array_equal(args["signs"], before[1]), override
+            assert (hasher.hits, hasher.misses) == (0, 0)
+            assert hasher._tags is None
+        # The hasher's own entry runs the same check.
+        hasher = BatchHasher(family, backend=kb)
+        with pytest.raises(ValueError):
+            hasher.rows_into(keys, np.full((3, 8), -7, dtype=np.int64)[:, ::2],
+                             np.full((3, 4), -7.0))
+
+    def test_hash_rows_strided_keys_are_read_through_a_copy(self):
+        c = _c_or_skip()
+        family = HashFamily(1000, 2, seed=6, kind="polynomial")
+        keys = np.arange(-20, 20, dtype=np.int64)[::3]
+        assert not keys.flags.c_contiguous
+        buckets, signs = _hash_outputs(family, keys.size)
+        c.hash_rows(BatchHasher(family, backend=c), keys, buckets, signs)
+        want = family.all_rows(keys)
+        assert np.array_equal(buckets, want[0])
+        assert np.array_equal(signs, want[1])
+
+
+def _hash_rows_models(backend):
+    return {
+        "wm": WMSketch(256, 3, seed=2, heap_capacity=16, backend=backend),
+        "awm": AWMSketch(256, 2, seed=2, heap_capacity=16, backend=backend),
+        "hash": FeatureHashing(256, seed=2, backend=backend),
+    }
+
+
+class TestHashRowsModels:
+    @pytest.mark.parametrize("name", ["wm", "awm", "hash"])
+    @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+    def test_hash_rows_c_models_never_build_the_memo(self, name, backend):
+        """Every hasher a model owns or threads through its snapshots
+        runs the model's backend: under c none of them allocates the
+        memo after fit_batch, query_many and predict_batch (and every
+        position counts as a miss); under numpy the memo serves them."""
+        model = _hash_rows_models(backend)[name]
+        batches = list(iter_batches(_stream(5, n=200), 50))
+        for batch in batches:
+            model.fit_batch(batch)
+        manager = SnapshotManager(model)
+        model.fit_batch(batches[0])
+        manager.publish()
+        keys = np.arange(-3, 300, dtype=np.int64)
+        for reader in (model, manager.current.model,
+                       pickle.loads(pickle.dumps(model))):
+            reader.predict_batch(batches[1])
+            reader.query_many(keys)
+        hashers = [model._batch_hasher, manager.reader_hasher,
+                   manager.current.model._batch_hasher,
+                   pickle.loads(pickle.dumps(model))._batch_hasher]
+        for hasher in hashers:
+            assert hasher.backend is model.kernels
+        assert manager.current.model._batch_hasher is manager.reader_hasher
+        for hasher in hashers[:2]:
+            assert hasher.misses > 0
+            if backend == "c":
+                assert hasher.hits == 0 and hasher._tags is None
+                assert hasher.hit_rate == 0.0
+            else:
+                assert hasher.hits > 0 and len(hasher) > 0
 
 
 # ----------------------------------------------------------------------

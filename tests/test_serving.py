@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import c_backend_param
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
@@ -278,7 +279,8 @@ class TestCoalescer:
 
 
 class TestStatsEndpoint:
-    def test_hasher_and_histogram_surfaced(self):
+    def test_hasher_and_histogram_surfaced(self, kernel_backend):
+        # kernel_backend: numpy, whose hash_rows body is the memo.
         server = SketchServer(
             _trained("wm"), latency_budget=2e-3, max_batch=16
         )
@@ -290,6 +292,7 @@ class TestStatsEndpoint:
                 server.query(keys)
             stats = server.stats()
             hasher = stats["reader_hasher"]
+            assert hasher["backend"] == "numpy"
             assert hasher["hits"] + hasher["misses"] > 0
             assert hasher["hit_rate"] > 0.3
             assert "evictions" in hasher
@@ -297,6 +300,29 @@ class TestStatsEndpoint:
             assert sum(size * count for size, count in hist.items()) == 30
             assert stats["coalescer"]["requests"]["query"] == 30
             assert stats["snapshots"]["current_version"] == 0
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("kernel_backend", [c_backend_param()],
+                             indirect=True)
+    def test_hash_rows_reader_counts_every_position_as_a_miss(
+        self, kernel_backend
+    ):
+        # Under c the reader hasher has no memo: each queried key
+        # position is one evaluation, counted as a miss.
+        server = SketchServer(
+            _trained("wm"), latency_budget=2e-3, max_batch=16
+        )
+        try:
+            rng = np.random.default_rng(11)
+            for _ in range(30):
+                keys = ((rng.zipf(1.2, size=16) - 1) % 800).astype(np.int64)
+                server.query(keys)
+            hasher = server.stats()["reader_hasher"]
+            assert hasher["backend"] == "c"
+            assert (hasher["hits"], hasher["misses"]) == (0, 30 * 16)
+            assert hasher["hit_rate"] == 0.0
+            assert hasher["cached_keys"] == hasher["evictions"] == 0
         finally:
             server.close()
 
