@@ -45,7 +45,6 @@ from repro.core import (
 from repro.data.sparse import SparseExample
 from repro.learning import (
     CountMinFrequent,
-    FeatureHashing,
     LogisticLoss,
     OnlineErrorTracker,
     ProbabilisticTruncation,
@@ -56,6 +55,7 @@ from repro.learning import (
     run_stream,
 )
 from repro.learning.adagrad import AdaGradAWMSketch, AdaGradFeatureHashing
+from repro.learning.feature_hashing import FeatureHashing
 from repro.parallel import ParallelHarness, train_sharded
 from repro.data.partition import partition_stream
 from repro.kernels import available_backends, get_backend

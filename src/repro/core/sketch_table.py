@@ -41,7 +41,7 @@ from repro import kernels
 from repro.hashing.batch import BatchHasher
 from repro.hashing.family import HashFamily
 from repro.kernels import numpy_backend
-from repro.learning.base import StreamingClassifier, sum_merge_scaled_tables
+from repro.learning.base import StreamingClassifier
 from repro.learning.losses import LogisticLoss, Loss
 from repro.learning.schedules import Schedule, as_schedule
 
@@ -114,10 +114,10 @@ class ScaledSketchTable(StreamingClassifier):
     #: Whether the model supports O(dirty) parameter-server delta sync
     #: (:mod:`repro.parallel.ps`).  Requires that *all* state a replica
     #: needs is (raw table chunks, scale, fold log, clock) — true for
-    #: the passive WM-Sketch, false here and for the AWM-Sketch, whose
-    #: active set feeds back into the update rule and cannot be
-    #: reconstructed from table chunks alone (it still merges via the
-    #: one-shot :meth:`merge`).
+    #: the passive WM-Sketch (feature hashing included), false here and
+    #: for the AWM-Sketch, whose active set feeds back into the update
+    #: rule and cannot be reconstructed from table chunks alone (it
+    #: still merges via the one-shot :meth:`merge`).
     ps_delta_sync: bool = False
 
     def __init__(
@@ -719,10 +719,15 @@ class ScaledSketchTable(StreamingClassifier):
         for other in others:
             self._check_mergeable(other)
         if self._scale != 1.0:
-            # sum_merge folds the target's lazy scale into its raw
-            # table; account it so the virtual log-scale stays monotone.
+            # The target's lazy scale is folded into its raw table;
+            # account it so the virtual log-scale stays monotone.
             self._fold_log += math.log(self._scale)
-        sum_merge_scaled_tables(self, others)
+        self.table *= self._scale
+        self._scale = 1.0
+        for other in others:
+            self.table += other._scale * other.table
+            self.t += other.t
+            self.merged_from += other.merged_from
         self._mark_dirty_all()
         return self
 

@@ -245,9 +245,9 @@ class WMSketch(ScaledSketchTable):
         else:
             gathered = ws.array("gathered", (nnz, self.depth))
             scales = ws.array("scales", n)
-        # Full-recording touched stream: the kernel writes every
-        # scattered flat index (plus the renorm-fold count in slot 0),
-        # and the dirty bitmap is fed from the recording afterwards.
+        # The touched stream: the kernel writes every scattered flat
+        # index (plus the renorm-fold count in slot 0), and the dirty
+        # bitmap is fed from the recording afterwards.
         touched = ws.array("touched", 1 + self.depth * nnz, np.int64)
         touched[0] = 0
         state = np.array([self._scale, 0.0])

@@ -233,12 +233,9 @@ class RecoveryExperiment:
     def _top_weights(
         self, clf: StreamingClassifier, k: int
     ) -> list[tuple[int, float]]:
-        """Top-k from the method, via candidates when ids are not stored."""
-        if isinstance(clf, (FeatureHashing, WMSketch)) and hasattr(
-            clf, "top_weights_from_candidates"
-        ):
-            if isinstance(clf, WMSketch) and clf.heap is not None:
-                return clf.top_weights(k)
+        """Top-k from the method, via candidates when ids are not stored
+        (a heap-less WM-Sketch, feature hashing included)."""
+        if isinstance(clf, WMSketch) and clf.heap is None:
             return clf.top_weights_from_candidates(self.observed_features, k)
         return clf.top_weights(k)
 

@@ -30,9 +30,10 @@ Backends
 
 Selection
 ---------
-A model (``WMSketch``, ``AWMSketch``, ``FeatureHashing``) resolves its
-backend once, with ``get_backend(backend, strict=False)`` when it is
-built or unpickled, and keeps the result for its lifetime:
+A model (``WMSketch``, ``AWMSketch``, and ``FeatureHashing``, the
+depth-1 ``WMSketch``) resolves its backend once, with
+``get_backend(backend, strict=False)`` when it is built or unpickled,
+and keeps the result for its lifetime:
 
 1. its ``backend=`` constructor argument, serialized with the model;
 2. otherwise the ``REPRO_KERNEL_BACKEND`` environment variable, read
@@ -65,7 +66,6 @@ from repro.kernels.api import (
 from repro.kernels.workspace import (
     EMPTY_GATHER,
     EMPTY_SCALES,
-    EMPTY_TOUCHED,
     KernelWorkspace,
 )
 
@@ -79,7 +79,6 @@ __all__ = [
     "KernelWorkspace",
     "EMPTY_GATHER",
     "EMPTY_SCALES",
-    "EMPTY_TOUCHED",
     "BackendUnavailableError",
     "KernelBackendWarning",
     "available_backends",

@@ -58,19 +58,23 @@ gathered_out, scales_out, touched_out) -> None``
 
     ``touched_out`` is the int64 dirty-set recording stream (the
     fourth recorded stream, alongside margins / gathers / scales; same
-    bit-equivalence obligations).  Size 0
-    (:data:`repro.kernels.workspace.EMPTY_TOUCHED`) disables it.  Size
-    >= 1: ``touched_out[0]`` receives the number of underflow
-    renormalizations the call performed (a fold rewrites *every*
-    bucket, so callers tracking dirtiness must mark the whole table
-    when it is nonzero — the scale-comparison shortcut is not exact
-    over pathological batch lengths).  Size >= ``1 + depth * nnz``
-    (``nnz = indptr[n] - indptr[0]``): additionally records every
-    scattered flat bucket index, in the exact element order the
-    scatters applied them (duplicates included), into
-    ``touched_out[1:1 + depth * nnz]``.  Sizes strictly between 1 and
-    the full recording length are a caller error and raise
-    ``ValueError`` (the C backend before touching anything).
+    bit-equivalence obligations), at least ``1 + depth * nnz`` long
+    (``nnz = indptr[n] - indptr[0]``).  ``touched_out[0]`` receives the
+    number of underflow renormalizations the call performed (a fold
+    rewrites *every* bucket, so callers tracking dirtiness must mark
+    the whole table when it is nonzero — the scale-comparison shortcut
+    is not exact over pathological batch lengths), and
+    ``touched_out[1:1 + depth * nnz]`` every scattered flat bucket
+    index, in the exact element order the scatters applied them
+    (duplicates included).  A shorter buffer raises ``ValueError``.
+
+    Both bodies raise ``ValueError`` before writing anything for an
+    unknown ``loss_id`` (or a smoothed-hinge gamma <= 0), then for an
+    ``indptr`` that is not non-decreasing within ``[0,
+    flat_buckets.shape[1]]`` (``numpy_backend.check_indptr``, which
+    ``fused_predict`` runs too), then for a short ``touched_out``,
+    then for a recording ``gathered_out`` / ``scales_out`` too short
+    for the batch.
 
     Callers must pre-validate ``eta * lam < 1`` for the whole window
     (the per-example spec raises mid-batch; the fused kernel assumes

@@ -268,18 +268,18 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
         raise IndexError(
             f"index {bucket} is out of bounds for axis 0 with size {size}"
         )
+    if code == 5:  # detail: the first bad entry of n + 1 offsets
+        raise numpy_backend.indptr_error(detail, n)
     if code == 10:  # detail: the first bad entry of n chunk ids
         raise numpy_backend.chunk_ids_error(detail, n, -(-size // CHUNK))
     exc_type, message = {
         2: (OverflowError, "intermediate overflow in fsum"),
         3: (ValueError, "-inf + inf in fsum"),
         4: (ZeroDivisionError, "float division by zero"),
-        5: (ValueError, f"indptr must be non-decreasing within [0, nnz] "
-                        f"(bad entry {detail} of {n + 1})"),
         6: (ValueError, f"unknown loss_id {loss_id}"),
         7: (ValueError, f"gamma must be positive, got {loss_param}"),
-        8: (ValueError, ("touched_out must hold 0, 1 or at least 1 + "
-                         "depth * nnz slots",
+        8: (ValueError, ("touched_out must hold at least 1 + depth * nnz "
+                         "slots",
                          "gathered_out / scales_out are too short for "
                          "the batch",
                          "a chunk buffer is too short",
@@ -452,12 +452,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
             # Free slots: every example runs the shared decision core
             # (as in the numpy body) until one meets a full store.  It
             # writes, so it gets C's indptr check first.
-            bad = np.flatnonzero(
-                (indptr < 0) | (indptr > indices.shape[0])
-                | np.r_[False, indptr[1:] < indptr[:-1]]
-            )
-            if bad.size:
-                _raise_status(5 | (int(bad[0]) << 4), None, 0, n)
+            numpy_backend.check_indptr(indptr, n, indices.shape[0])
             est, _ = numpy_backend.recorded_estimates(
                 indptr, signs, gathered, scales, sqrt_s, l1, ws
             )

@@ -254,7 +254,6 @@ int64_t repro_fused_update(
     fsum_state s;
     double scale = state[0];
     int record = gathered_rows > 0;
-    int record_touched = n_touched > 1;
     int64_t pos = 1;
     int64_t st;
 
@@ -266,13 +265,11 @@ int64_t repro_fused_update(
     st = check_indptr(indptr, n, ncols);
     if (st)
         return st;
-    if (record_touched
-        && n_touched < 1 + depth * (indptr[n] - indptr[0]))
+    if (n_touched < 1 + depth * (indptr[n] - indptr[0]))
         return STATUS(ST_SHORT, 0);
     if (record && (gathered_rows < indptr[n] || n_scales < n))
         return STATUS(ST_SHORT, 1);
-    if (n_touched > 0)
-        touched[0] = 0;
+    touched[0] = 0;
 
     int64_t i;
     for (i = 0; i < n; i++) {
@@ -298,8 +295,7 @@ int64_t repro_fused_update(
                 for (int64_t c = 0; c < size; c++)
                     table[c] *= scale;
                 scale = 1.0;
-                if (n_touched > 0)
-                    touched[0] += 1;
+                touched[0] += 1;
             }
         }
         double denom = sqrt_s * scale;
@@ -313,8 +309,7 @@ int64_t repro_fused_update(
             const double *svr = sv + j * ncols;
             for (int64_t p = lo; p < hi; p++) {
                 table[wrap_bucket(row[p], size)] += coeff * svr[p];
-                if (record_touched)
-                    touched[pos++] = row[p];
+                touched[pos++] = row[p];
             }
         }
         if (record) {

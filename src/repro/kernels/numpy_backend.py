@@ -180,6 +180,26 @@ _LOSS_SINGLETONS: dict = {}
 _RENORM = 1e-150
 
 
+def indptr_error(entry: int, n: int) -> ValueError:
+    """The error for bad entry ``entry`` of an ``n``-example ``indptr``."""
+    return ValueError(
+        f"indptr must be non-decreasing within [0, nnz] "
+        f"(bad entry {entry} of {n + 1})"
+    )
+
+
+def check_indptr(indptr: np.ndarray, n: int, nnz: int) -> None:
+    """Raise :func:`indptr_error` for the first entry of ``indptr[:n +
+    1]`` outside ``[0, nnz]`` or below its predecessor — the check the
+    ``c`` bodies run before writing anything."""
+    ip = indptr[:n + 1]
+    bad = np.flatnonzero(
+        (ip < 0) | (ip > nnz) | np.r_[False, ip[1:] < ip[:-1]]
+    )
+    if bad.size:
+        raise indptr_error(int(bad[0]), n)
+
+
 def fused_update(
     table_flat: np.ndarray,
     flat_buckets: np.ndarray,
@@ -204,16 +224,22 @@ def fused_update(
     # caller's workspace views).
     scale = float(state[0])
     dloss = _loss_object(loss_id, loss_param).dloss
+    n = margins_out.shape[0]
+    depth, ncols = flat_buckets.shape
+    check_indptr(indptr, n, ncols)
+    if touched_out.shape[0] < 1 + depth * (indptr[n] - indptr[0]):
+        raise ValueError("touched_out must hold at least 1 + depth * nnz "
+                         "slots")
     record = gathered_out.shape[0] > 0
-    n_touched = touched_out.shape[0]
-    record_touched = n_touched > 1
-    if n_touched > 0:
-        touched_out[0] = 0
+    if record and (gathered_out.shape[0] < indptr[n]
+                   or scales_out.shape[0] < n):
+        raise ValueError("gathered_out / scales_out are too short for the "
+                         "batch")
+    touched_out[0] = 0
     pos = 1
     ip = indptr.tolist()
     ys = labels.tolist()
     es = etas.tolist()
-    n = margins_out.shape[0]
     fsum = math.fsum
     add_at = np.add.at
     take = table_flat.take
@@ -243,18 +269,16 @@ def fused_update(
                 if scale < _RENORM:
                     table_flat *= scale
                     scale = 1.0
-                    if n_touched > 0:
-                        touched_out[0] += 1
+                    touched_out[0] += 1
             # scatter_add kernel body: same values, same element order,
             # through the flat fast path.
             deltas = (-eta * y * g / (sqrt_s * scale)) * sv
-            add_at(table_flat, fb.reshape(-1), deltas.reshape(-1))
-            if record_touched:
-                # The dirty-set stream: the scattered indices in the
-                # exact element order the ufunc.at applied them.
-                flat_fb = fb.reshape(-1)
-                touched_out[pos:pos + flat_fb.shape[0]] = flat_fb
-                pos += flat_fb.shape[0]
+            flat_fb = fb.reshape(-1)
+            add_at(table_flat, flat_fb, deltas.reshape(-1))
+            # The dirty-set stream: the scattered indices in the exact
+            # element order the ufunc.at applied them.
+            touched_out[pos:pos + flat_fb.shape[0]] = flat_fb
+            pos += flat_fb.shape[0]
             if record:
                 # gather_rows_t, verbatim, into the recording block.
                 gathered_out[lo:hi] = take(fb.T)
@@ -276,8 +300,9 @@ def fused_predict(
     sqrt_s: float,
     out: np.ndarray,
 ) -> None:
-    ip = indptr.tolist()
     n = out.shape[0]
+    check_indptr(indptr, n, flat_buckets.shape[1])
+    ip = indptr.tolist()
     fsum = math.fsum
     take = table_flat.take
     lo = ip[0]

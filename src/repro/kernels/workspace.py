@@ -40,9 +40,6 @@ import numpy as np
 #: off (the kernel branches on ``gathered_out.shape[0] > 0``).
 EMPTY_GATHER = np.empty((0, 1), dtype=np.float64)
 EMPTY_SCALES = np.empty(0, dtype=np.float64)
-#: Handed to ``fused_update`` when touched-index recording is off (the
-#: kernel branches on ``touched_out.shape[0]``; see kernels.api).
-EMPTY_TOUCHED = np.empty(0, dtype=np.int64)
 
 
 class KernelWorkspace:

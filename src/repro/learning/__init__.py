@@ -13,18 +13,21 @@ WM/AWM-Sketch itself:
   top-K / memory cost), plus progressive-validation driving.
 * :mod:`~repro.learning.ogd` — the memory-*unconstrained* logistic
   regression reference (the ``LR`` line in the paper's figures).
-* :mod:`~repro.learning.feature_hashing` — the hashing-trick baseline.
+* :mod:`~repro.learning.feature_hashing` — the hashing-trick baseline, a
+  depth-1 heap-less WM-Sketch.
 * :mod:`~repro.learning.truncation` — Simple Truncation (Algorithm 3)
   and Probabilistic Truncation (Algorithm 4).
 * :mod:`~repro.learning.frequent` — Space Saving Frequent and Count-Min
   Frequent feature selectors.
 * :mod:`~repro.learning.adagrad` — per-feature (AdaGrad) learning-rate
-  extensions (imported lazily at the top level to avoid a cycle with
-  :mod:`repro.core`).
+  extensions.
+
+``feature_hashing`` and ``adagrad`` build on :mod:`repro.core`, which
+imports this package, so neither is imported here: the top-level
+:mod:`repro` package imports them from their modules.
 """
 
 from repro.learning.base import StreamingClassifier, OnlineErrorTracker, run_stream
-from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.frequent import CountMinFrequent, SpaceSavingFrequent
 from repro.learning.losses import (
     HingeLoss,
@@ -56,7 +59,6 @@ __all__ = [
     "InverseSqrtSchedule",
     "InverseSchedule",
     "UncompressedClassifier",
-    "FeatureHashing",
     "SimpleTruncation",
     "ProbabilisticTruncation",
     "SpaceSavingFrequent",

@@ -50,28 +50,6 @@ from repro.telemetry.hooks import hooks as _hooks
 CELL_BYTES = 4
 
 
-def sum_merge_scaled_tables(target, others) -> None:
-    """Shared sum-merge body for lazily-scaled linear tables.
-
-    Both the Count-Sketch classifiers and feature hashing store
-    ``scaled state = _scale * table``; merging sums those states by
-    folding each model's lazy scale into its raw table (one
-    exactly-rounded elementwise product per model) and accumulating in
-    donor order — the merged scaled table is bit-for-bit
-    ``sum_i(scale_i * table_i)`` evaluated left to right.  ``t`` and
-    ``merged_from`` accumulate.  Compatibility checks are the caller's
-    responsibility (they differ per class).
-    """
-    target.table *= target._scale
-    target._scale = 1.0
-    total = target.merged_from
-    for other in others:
-        target.table += other._scale * other.table
-        target.t += other.t
-        total += other.merged_from
-    target.merged_from = total
-
-
 class StreamingClassifier(ABC):
     """Abstract base for online linear classifiers over sparse streams."""
 

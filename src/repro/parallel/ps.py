@@ -46,7 +46,7 @@ Linearity does the heavy lifting, exactly as in the one-shot merge:
 each push satisfies ``alpha*raw == decay*(pushed-at-sync state) + U``
 per chunk, so the driver's scaled table is always the left-to-right
 sum of every update each worker has pushed, each decayed by the decays
-pushed after it — the same associativity `sum_merge_scaled_tables`
+pushed after it — the same associativity ``ScaledSketchTable.merge``
 relies on.  Pulls copy raw bits + scale, so a pulled worker *is* the
 driver (induction over changed-chunk tracking); its next push
 therefore never re-ships driver state, only its own new updates.
@@ -381,7 +381,8 @@ class PSHarness:
     factory / factory_kwargs:
         Model constructor for the driver and every worker (identical
         kwargs — mergeability requires identical hashing seeds).  Must
-        build a ``ps_delta_sync`` model (the WM-Sketch).
+        build a ``ps_delta_sync`` model (the WM-Sketch, feature hashing
+        included).
     n_workers:
         Shard count.
     staleness:

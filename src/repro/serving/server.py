@@ -96,8 +96,9 @@ class SketchServer:
     Parameters
     ----------
     model:
-        A WM / AWM / feature-hashing model exposing ``fit_batch``,
-        the batched read paths, and ``snapshot()``.
+        A WM / AWM / feature-hashing model (a
+        :class:`~repro.core.sketch_table.ScaledSketchTable`): its
+        ``fit_batch``, batched read paths and ``snapshot_incremental``.
     latency_budget, max_batch:
         Coalescer knobs (see
         :class:`~repro.serving.coalescer.MicroBatchCoalescer`).

@@ -11,16 +11,16 @@ model makes atomic for readers: a reader sees either the old snapshot
 or the new one, both internally consistent, and versions only ever
 increase.
 
-Publish cost is **O(dirty)**, not O(table): sketch models expose
+Publish cost is **O(dirty)**, not O(table): every servable model is a
+:class:`~repro.core.sketch_table.ScaledSketchTable` (WM, AWM, and
+feature hashing as the depth-1 WM-Sketch) and publishes through
 :meth:`~repro.core.sketch_table.ScaledSketchTable.snapshot_incremental`,
 which copies only the 256-bucket chunks training touched since the
 previous publish and shares every clean chunk with the previous
 snapshot's pool by reference (snapshots carry the raw table plus the
 lazy scale, so sharing survives decay — see the class docstring).  The
-manager chains publishes through it, falling back to a full copy on
-the first publish, whenever the dirty fraction crosses the rebase
-threshold, or for models without dirty tracking
-(:class:`~repro.learning.feature_hashing.FeatureHashing`).  Per-publish
+model rebases the chain with one full copy on the first publish and
+whenever the dirty fraction crosses the rebase threshold.  Per-publish
 ``publish.dirty_fraction`` and cumulative ``publish.chunks_copied``
 land in the registry alongside ``publish.count`` / ``publish.seconds``.
 
@@ -107,11 +107,10 @@ class SnapshotManager:
         self._m_publish_seconds = self.registry.histogram("publish.seconds")
         self._m_publish_errors = self.registry.counter("publish.errors")
         #: Incremental-publish observability: the last publish's dirty
-        #: fraction (1.0 on rebases/full copies) and the cumulative
-        #: number of 256-bucket chunks copied across all publishes.
+        #: fraction and the cumulative number of 256-bucket chunks
+        #: copied across all publishes.
         self._m_dirty_fraction = self.registry.gauge("publish.dirty_fraction")
         self._m_chunks_copied = self.registry.counter("publish.chunks_copied")
-        self._incremental = hasattr(model, "snapshot_incremental")
         #: The previous chain snapshot's model — ``prev`` for the next
         #: ``snapshot_incremental`` call (clean chunks are shared with
         #: its pool).
@@ -140,13 +139,12 @@ class SnapshotManager:
     def publish(self) -> Snapshot:
         """Copy the live model's state into a new snapshot and swap it in.
 
-        Sketch models go through ``snapshot_incremental``: only chunks
+        The copy is the model's ``snapshot_incremental``: only chunks
         dirtied since the previous publish are copied (O(dirty)), clean
         chunks are shared with the previous snapshot's pool, and the
         model decides per publish whether a full rebase is cheaper
         (first publish, broken chain, dirty fraction at or above the
-        crossover threshold, or a pool grown past its bound).  Models
-        without dirty tracking take the full ``snapshot()`` path.
+        crossover threshold, or a pool grown past its bound).
 
         Must be called from the trainer thread — the lock below only
         serializes publishers, it does **not** protect the model-side
@@ -186,21 +184,14 @@ class SnapshotManager:
                 # never expose partial state.
                 self._fault_plan.raise_if("serve.publish", version=version)
             with trace.span("publish", version=version):
-                if self._incremental:
-                    model, stats = self._model.snapshot_incremental(
-                        self._prev_model,
-                        batch_hasher=self.reader_hasher,
-                        workspace=self.reader_workspace,
-                    )
-                    self._prev_model = model
-                    self._m_dirty_fraction.set(stats["dirty_fraction"])
-                    self._m_chunks_copied.inc(stats["chunks_copied"])
-                else:
-                    model = self._model.snapshot(
-                        batch_hasher=self.reader_hasher,
-                        workspace=self.reader_workspace,
-                    )
-                    self._m_dirty_fraction.set(1.0)
+                model, stats = self._model.snapshot_incremental(
+                    self._prev_model,
+                    batch_hasher=self.reader_hasher,
+                    workspace=self.reader_workspace,
+                )
+                self._prev_model = model
+                self._m_dirty_fraction.set(stats["dirty_fraction"])
+                self._m_chunks_copied.inc(stats["chunks_copied"])
                 snap = Snapshot(version, int(self._model.t), model)
                 self.publish_log.append((snap.version, snap.t))
                 self._current = snap

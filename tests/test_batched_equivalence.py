@@ -355,16 +355,6 @@ def test_feature_hashing_equivalence(batch_size):
     assert seq_tr.mistakes == bat_tr.mistakes
 
 
-def test_feature_hashing_unsigned_equivalence():
-    examples = _stream(300, seed=6)
-
-    def make():
-        return FeatureHashing(256, lambda_=1e-4, seed=7, signed=False)
-
-    seq, _, bat, _ = _drive_pair(make, examples, 32)
-    assert np.array_equal(seq.table, bat.table)
-
-
 @pytest.mark.parametrize("batch_size", [1, 16, 100])
 def test_uncompressed_equivalence(batch_size):
     examples = _stream(500, seed=8)

@@ -145,7 +145,8 @@ class TestKernelLevel:
             end_scale = _fused_update(
                 kb, t_fused, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
                 loss.kernel_id, loss.kernel_param,
-                margins, gathered, scales, kernels.EMPTY_TOUCHED,
+                margins, gathered, scales,
+                np.empty(1 + fb.size, dtype=np.int64),
             )
 
             t_ref = table.copy()
@@ -195,11 +196,10 @@ class TestKernelLevel:
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_touched_stream_records_scatter_order(self, backend, lam,
                                                   rng):
-        """The fourth recorded stream: with a full-size ``touched_out``
-        the kernel must write every scattered flat index in exact
-        scatter element order (duplicates included), leave the fold
-        counter at zero when no renorm fired, and produce *the same
-        table bits* as the recording-off call."""
+        """The fourth recorded stream: the kernel must write every
+        scattered flat index in exact scatter element order (duplicates
+        included), leave the fold counter at zero when no renorm fired,
+        and produce the unfused chain's table bits."""
         kb = kernels.get_backend(backend)
         for depth in (1, 3):
             width_flat = 96 * depth
@@ -218,14 +218,13 @@ class TestKernelLevel:
                 0, 0.0, margins, kernels.EMPTY_GATHER,
                 kernels.EMPTY_SCALES, touched,
             )
-            t_off = table.copy()
-            sc_off = _fused_update(
-                kb, t_off, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
-                0, 0.0, margins, kernels.EMPTY_GATHER,
-                kernels.EMPTY_SCALES, kernels.EMPTY_TOUCHED,
+            t_ref = table.copy()
+            _, _, _, sc_ref = self._replay_unfused(
+                LogisticLoss(), t_ref, indptr, fb, sv, labels, etas, lam,
+                1.0, sqrt_s, False,
             )
-            assert sc_rec == sc_off
-            assert np.array_equal(t_rec, t_off)
+            assert sc_rec == sc_ref
+            assert np.array_equal(t_rec, t_ref)
             assert touched[0] == 0  # no renorm in this regime
             # Scatter element order: per example, j-major over the
             # (depth, nnz_i) block — exactly fb's C order per slice.
@@ -234,17 +233,6 @@ class TestKernelLevel:
                 for i in range(n)
             ])
             assert np.array_equal(touched[1:], expected)
-            # Fold-count-only mode (size 1): same table bits again.
-            t_cnt = table.copy()
-            folds = np.full(1, -7, dtype=np.int64)
-            sc_cnt = _fused_update(
-                kb, t_cnt, fb, sv, indptr, labels, etas, lam, 1.0, sqrt_s,
-                0, 0.0, margins, kernels.EMPTY_GATHER,
-                kernels.EMPTY_SCALES, folds,
-            )
-            assert sc_cnt == sc_off
-            assert np.array_equal(t_cnt, t_off)
-            assert folds[0] == 0
 
     @PER_BACKEND
     def test_fused_predict_matches_margin_kernel(self, backend, rng):

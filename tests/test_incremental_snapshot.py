@@ -25,6 +25,7 @@ from repro.core.sketch_table import (
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
+from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.losses import LogisticLoss
 from repro.serving import SnapshotManager
 
@@ -42,6 +43,7 @@ FACTORIES = {
                              lambda_=1e-4),
     "awm_deep": lambda: AWMSketch(1 << 12, depth=3, heap_capacity=16,
                                   seed=2, lambda_=1e-4),
+    "hash": lambda: FeatureHashing(1 << 15, seed=3, lambda_=1e-4),
 }
 
 
@@ -128,10 +130,11 @@ WIDE_FACTORIES = {
                            lambda_=1e-4),
     "awm": lambda: AWMSketch(1 << 17, depth=1, heap_capacity=48, seed=0,
                              lambda_=1e-4),
+    "hash": lambda: FeatureHashing(1 << 18, seed=0, lambda_=1e-4),
 }
 
 
-@pytest.mark.parametrize("name", ["wm", "awm"])
+@pytest.mark.parametrize("name", sorted(WIDE_FACTORIES))
 def test_clean_chunks_share_memory_dirty_chunks_do_not(name):
     """The aliasing audit: a chained snapshot reads clean chunks out of
     the *same* pool rows as its predecessor (``np.shares_memory``),

@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -403,6 +404,8 @@ class TestCLoader:
             (ValueError, {"gathered_out": np.full((5, 2), -7.0)}),
             (ValueError, {"scales_out": np.full(2, -7.0)}),
             (ValueError, {"labels": base["labels"][:2]}),
+            (ValueError, {"touched_out": np.full(0, -7, dtype=np.int64)}),
+            (ValueError, {"touched_out": np.full(1, -7, dtype=np.int64)}),
             (ValueError, {"touched_out": np.full(2, -7, dtype=np.int64)}),
             (ValueError, {"touched_out":
                           np.full(base["touched_out"].size - 1, -7,
@@ -577,6 +580,87 @@ class TestNonFiniteRegressions:
 
 
 # ----------------------------------------------------------------------
+# Malformed CSR offsets and a short touched stream: both fused kernels,
+# on every backend, raise the same ValueError before writing anything
+# ----------------------------------------------------------------------
+def _two_example_args(indptr, touched=5):
+    rng = np.random.default_rng(3)
+    return dict(
+        table_flat=rng.standard_normal(8),
+        flat_buckets=np.array([[1, 2, 3, 4]], dtype=np.int64),
+        sign_values=rng.standard_normal((1, 4)),
+        indptr=np.array(indptr, dtype=np.int64),
+        labels=np.array([1, -1], dtype=np.int64),
+        etas=np.full(2, 0.1), lam=1e-3, state=np.array([1.0, -1.0]),
+        sqrt_s=1.0, loss_id=0, loss_param=0.0,
+        margins_out=np.full(2, -7.0),
+        gathered_out=np.full((4, 1), -7.0),
+        scales_out=np.full(2, -7.0),
+        touched_out=np.full(touched, -7, dtype=np.int64),
+    )
+
+
+def _assert_update_raises_unwritten(kb, args, message):
+    before = {k: v.copy() for k, v in args.items()
+              if isinstance(v, np.ndarray)}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kb.fused_update(**args)
+    for key, value in before.items():
+        assert args[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+@pytest.mark.parametrize("indptr, entry", [
+    ([0, 3, 1], 2),    # decreasing
+    ([-1, 2, 3], 0),   # negative start
+    ([5, 5, 5], 0),    # start past nnz
+    ([0, 2, 5], 2),    # end past nnz
+])
+class TestMalformedIndptr:
+    def test_fused_update_raises_before_writing(self, backend, indptr,
+                                                entry):
+        _assert_update_raises_unwritten(
+            kernels.get_backend(backend), _two_example_args(indptr),
+            f"indptr must be non-decreasing within [0, nnz] "
+            f"(bad entry {entry} of 3)",
+        )
+
+    def test_fused_predict_raises_before_writing(self, backend, indptr,
+                                                 entry):
+        kb = kernels.get_backend(backend)
+        args = _two_example_args(indptr)
+        out = np.full(2, -7.0)
+        with pytest.raises(ValueError, match=re.escape(
+            f"(bad entry {entry} of 3)"
+        )):
+            kb.fused_predict(args["table_flat"], args["flat_buckets"],
+                             args["sign_values"], args["indptr"], 1.0, 1.0,
+                             out)
+        assert np.all(out == -7.0)
+
+
+@pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+@pytest.mark.parametrize("override, message", [
+    # Two examples over all four columns need 1 + 1 * 4 touched slots,
+    # four recorded rows and two scales.
+    ({"touched_out": np.full(n, -7, dtype=np.int64)},
+     "touched_out must hold at least 1 + depth * nnz slots")
+    for n in (0, 1, 4)
+] + [
+    ({"gathered_out": np.full((3, 1), -7.0)},
+     "gathered_out / scales_out are too short for the batch"),
+    ({"scales_out": np.full(1, -7.0)},
+     "gathered_out / scales_out are too short for the batch"),
+], ids=["touched0", "touched1", "touched4", "gathered3", "scales1"])
+def test_short_recording_buffer_raises_before_writing(backend, override,
+                                                      message):
+    _assert_update_raises_unwritten(
+        kernels.get_backend(backend),
+        {**_two_example_args([0, 2, 4]), **override}, message,
+    )
+
+
+# ----------------------------------------------------------------------
 # Hypothesis property: c == numpy bit for bit on the compiled kernels
 # ----------------------------------------------------------------------
 #: Finite values of both signs up to 1e300, mixed with small exact ones
@@ -624,25 +708,23 @@ def _fused_inputs(draw):
         loss_param=draw(st.one_of(st.sampled_from([0.5, 1.0]),
                                   st.floats(0.1, 2.0))),
         record=draw(st.booleans()),
-        touched=draw(st.sampled_from(["off", "count", "full"])),
     )
 
 
 def _buffers(inputs):
     args = {k: v for k, v in inputs.items()
-            if k not in ("record", "touched", "scale")}
+            if k not in ("record", "scale")}
     args["state"] = np.array([inputs["scale"], -1.0])
     depth, ncols = args["flat_buckets"].shape
     n = args["labels"].size
-    full = 1 + depth * int(args["indptr"][-1] - args["indptr"][0])
+    touched = 1 + depth * int(args["indptr"][-1] - args["indptr"][0])
     args.update(
         margins_out=np.full(n, -7.0),
         gathered_out=(np.full((ncols, depth), -7.0) if inputs["record"]
                       else kernels.EMPTY_GATHER),
         scales_out=(np.full(n, -7.0) if inputs["record"]
                     else kernels.EMPTY_SCALES),
-        touched_out=np.full({"off": 0, "count": 1, "full": full}[
-            inputs["touched"]], -7, dtype=np.int64),
+        touched_out=np.full(touched, -7, dtype=np.int64),
     )
     return args
 
@@ -677,7 +759,7 @@ class TestCMatchesNumpyProperty:
                     margins_out=np.full(1, -7.0),
                     gathered_out=kernels.EMPTY_GATHER,
                     scales_out=kernels.EMPTY_SCALES,
-                    touched_out=kernels.EMPTY_TOUCHED,
+                    touched_out=np.full(3, -7, dtype=np.int64),
                 )
                 want = _run_update(kernels.get_backend("numpy"), args)
                 assert _run_update(c, args) == want, (tau, label)

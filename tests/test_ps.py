@@ -25,25 +25,28 @@ from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch
 from repro.data.synthetic import SyntheticStream
+from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.schedules import ConstantSchedule
 from repro.parallel.ps import ParameterServer, PSHarness, PSWorker
 
 from tests.test_merge import _ConstGradLoss, _zipf_stream
 
 
-def _linear_factory(depth, width=64):
+def _linear_factory(depth, width=64, kind="wm"):
     """tests/test_merge.py's data-linear construction: constant
-    gradient, dyadic eta, lambda=0, exact sqrt(depth)."""
+    gradient, dyadic eta, lambda=0, exact sqrt(depth).  ``kind="hash"``
+    builds the same model as FeatureHashing (depth 1)."""
+    kwargs = dict(
+        loss=_ConstGradLoss(),
+        lambda_=0.0,
+        learning_rate=ConstantSchedule(0.0625),
+        seed=9,
+    )
 
     def factory():
-        return WMSketch(
-            width, depth,
-            loss=_ConstGradLoss(),
-            lambda_=0.0,
-            learning_rate=ConstantSchedule(0.0625),
-            seed=9,
-            heap_capacity=0,
-        )
+        if kind == "hash":
+            return FeatureHashing(width, **kwargs)
+        return WMSketch(width, depth, heap_capacity=0, **kwargs)
 
     return factory
 
@@ -81,11 +84,14 @@ class TestDataLinearBitIdentity:
 
     # Width 64 fits one chunk; depth 4 x width 300 spans four full
     # chunks and a 176-cell partial one.
-    @pytest.mark.parametrize("depth, width", [(1, 64), (4, 64), (4, 300)],
-                             ids=["1", "4", "4x300"])
+    @pytest.mark.parametrize(
+        "kind, depth, width",
+        [("wm", 1, 64), ("wm", 4, 64), ("wm", 4, 300), ("hash", 1, 64)],
+        ids=["1", "4", "4x300", "hash"],
+    )
     @pytest.mark.parametrize("staleness", [0, 2])
-    def test_ps_equals_single_stream(self, depth, width, staleness):
-        factory = _linear_factory(depth, width)
+    def test_ps_equals_single_stream(self, kind, depth, width, staleness):
+        factory = _linear_factory(depth, width, kind)
         examples = _zipf_stream(500, d=900, seed=31)
         single = factory()
         single.fit(examples, batch_size=50)
@@ -388,9 +394,3 @@ class TestCapabilityGating:
             PSWorker(0, factory(), _synthetic(10))
         with pytest.raises(TypeError, match="delta sync"):
             ParameterServer(factory(), 2)
-
-    def test_feature_hashing_is_rejected(self):
-        from repro.learning.feature_hashing import FeatureHashing
-
-        with pytest.raises(TypeError, match="delta sync"):
-            PSWorker(0, FeatureHashing(256, seed=1), _synthetic(10))

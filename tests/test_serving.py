@@ -64,26 +64,28 @@ class TestSnapshotHooks:
     def test_snapshot_answers_bit_equal(self, kind):
         """Batched reads on a snapshot == scalar reads on the same
         snapshot (the serving equivalence contract: coalescing must be
-        invisible given a fixed published state).  The fold itself may
-        move live-model answers by an ulp — which is why the checker
-        replays snapshots rather than live states."""
+        invisible given a fixed published state), and both snapshot
+        kinds answer bit for bit what the live model answered at
+        publish time: they carry the raw table bits and the live scale
+        (unfolded, so chunk sharing survives decay)."""
         model = _trained(kind)
-        snap = model.snapshot()
         batch = BATCHES[5]
         keys = np.arange(0, 300, 7, dtype=np.int64)
-        np.testing.assert_array_equal(
-            snap.predict_batch(batch), scalar_answer(snap, "predict", batch)
-        )
-        np.testing.assert_array_equal(
-            snap.query_many(keys), scalar_answer(snap, "query", keys)
-        )
-        if kind == "hash":
-            # FeatureHashing snapshots still fold the scale.
-            assert snap._scale == 1.0
-        else:
-            # Sketch snapshots carry the live scale (raw table bits are
-            # shared/copied unfolded so chunk sharing survives decay).
+        live = (model.predict_batch(batch).tobytes(),
+                model.query_many(keys).tobytes())
+        full = model.snapshot()
+        chained, _ = model.snapshot_incremental()
+        for snap in (full, chained):
             assert snap._scale == model._scale
+            assert snap.predict_batch(batch).tobytes() == live[0]
+            assert snap.query_many(keys).tobytes() == live[1]
+            np.testing.assert_array_equal(
+                snap.predict_batch(batch),
+                scalar_answer(snap, "predict", batch),
+            )
+            np.testing.assert_array_equal(
+                snap.query_many(keys), scalar_answer(snap, "query", keys)
+            )
 
     @pytest.mark.parametrize("kind", list(MODEL_FACTORIES))
     def test_snapshot_immutable_under_training(self, kind):
@@ -219,15 +221,16 @@ class TestCoalescer:
             server.close()
 
     def test_error_propagates_to_all_waiters(self):
-        """A flush that raises (top_k on feature hashing) fails every
-        request in the batch with the original exception."""
+        """A flush that raises (top_k on feature hashing, which has no
+        heap) fails every request in the batch with the original
+        exception."""
         server = SketchServer(
             _trained("hash"), latency_budget=50e-3, max_batch=4
         )
         try:
             reqs = [server.submit_nowait("top_k", 5) for _ in range(3)]
             for req in reqs:
-                with pytest.raises(NotImplementedError):
+                with pytest.raises(RuntimeError, match="heap_capacity"):
                     req.wait(timeout=5.0)
         finally:
             server.close()
