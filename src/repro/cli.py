@@ -9,7 +9,8 @@ Commands
 --------
 ``compare``
     Run all budgeted methods on a dataset preset and print recovery +
-    accuracy (the Fig. 3/6 view), e.g.::
+    accuracy (the Fig. 3/6 view) under the unconstrained LR's error and
+    the stream's majority-class error (its label prior), e.g.::
 
         python -m repro compare --dataset rcv1 --budget-kb 8 --examples 4000
 
@@ -99,7 +100,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     reference = experiment.reference_result()
     print(f"\nunconstrained LR: error {reference.error_rate:.4f} "
-          f"({reference.memory_bytes / 1024:.0f} KB)\n")
+          f"({reference.memory_bytes / 1024:.0f} KB)")
+    # Always predicting the majority label errs on the minority share:
+    # an error every method matches may be only this label prior.
+    n = len(examples)
+    positive = sum(ex.label > 0 for ex in examples)
+    print(f"majority class:   error {min(positive, n - positive) / n:.4f} "
+          f"({positive / n:.1%} positive)\n")
     results = experiment.run_budget(args.budget_kb * 1024, seed=args.seed)
     print(f"{'method':>7} {'RelErr@' + str(args.k):>11} {'error':>8} "
           f"{'KB':>6}")

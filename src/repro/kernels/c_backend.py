@@ -92,7 +92,7 @@ int64_t repro_heap_maintain(
     void *keys, void *raw, int64_t live, int64_t capacity, double scale,
     void *probe, int64_t probe_len,
     void *est, void *slots, int64_t scratch_len,
-    void *row, int64_t row_len,
+    void *row, int64_t row_len, void *block, int64_t block_len,
     void *log, int64_t log_len, int64_t *min_io);
 int64_t repro_awm_update(
     void *table, int64_t size,
@@ -105,8 +105,9 @@ int64_t repro_awm_update(
     double loss_param, double *state, int64_t *io,
     void *margins, void *dirty, int64_t n_dirty,
     void *probe, int64_t probe_len,
-    void *slots, void *cand, int64_t scratch_len,
-    void *row, int64_t row_len,
+    void *slots, void *members, void *tail, void *cand,
+    int64_t scratch_len, void *row, int64_t row_len,
+    void *block, int64_t block_len,
     void *admits, int64_t admits_len);
 int64_t repro_chunk_delta(
     void *table, int64_t size, void *base, int64_t base_len,
@@ -304,6 +305,12 @@ def _probe_cells(live: int) -> int:
     return cells
 
 
+def _min_blocks(live: int) -> int:
+    """Per-block cached minima of ``live`` store slots, one per 64
+    (ckernels.c's min_blocks)."""
+    return -(-live // 64)
+
+
 def _layout_error(name: str, exc: Exception) -> ValueError:
     return ValueError(f"{name} must be a writable C-contiguous array ({exc})")
 
@@ -465,6 +472,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
         depth, nnz = signs.shape
         live = store._n
         cells = _probe_cells(live)
+        blocks = _min_blocks(live)
         try:
             ids, ip, sg, gt, sc = (
                 view(indices), view(indptr), view(signs), view(gathered),
@@ -486,7 +494,9 @@ def _make_backend(ffi, lib) -> KernelBackend:
             view(ws.array("hm_est", nnz), require_writable=True),
             view(ws.array("hm_slots", nnz, np.int64), require_writable=True),
             nnz, view(ws.array("hm_row", depth), require_writable=True),
-            depth, view(log, require_writable=True), log.shape[0], min_io,
+            depth, view(ws.array("hm_block", blocks, np.int64),
+                        require_writable=True), blocks,
+            view(log, require_writable=True), log.shape[0], min_io,
         )
         if status:
             _raise_status(status, None, 0, n)
@@ -543,6 +553,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
         kf, ks, table, margins, marks = written
         live = store._n
         cells = _probe_cells(live)
+        blocks = _min_blocks(live)
         log = ws.array("awm_log", 3 * nnz, np.int64)
         scales = new("double[3]", [state[0], state[1], store._scale])
         io = new("int64_t[3]", [0, 0, store._min_slot])
@@ -557,8 +568,13 @@ def _make_backend(ffi, lib) -> KernelBackend:
                  require_writable=True), 2 * cells,
             view(ws.array("awm_slots", nnz, np.int64),
                  require_writable=True),
+            view(ws.array("awm_members", nnz, np.int64),
+                 require_writable=True),
+            view(ws.array("awm_tail", nnz, np.int64), require_writable=True),
             view(ws.array("awm_cand", nnz), require_writable=True), nnz,
             view(ws.array("awm_row", depth), require_writable=True), depth,
+            view(ws.array("awm_block", blocks, np.int64),
+                 require_writable=True), blocks,
             view(log, require_writable=True), log.shape[0],
         )
         # Partial state first: a raising status still leaves the

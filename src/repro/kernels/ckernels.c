@@ -27,6 +27,20 @@
  * carries is unspecified: numpy's own choice depends on the array length
  * (its SIMD body and scalar remainder differ).
  *
+ * Three layouts keep the hot loops short without changing a float
+ * operation or its order.  The sums gather up to GATHER products into a
+ * block before fsum_add sees them (gather-then-sum), so the table loads
+ * are not serialized behind fsum's partials loop.  The store kernels
+ * keep one cached minimum per MIN_BLOCK slots next to the store's own
+ * (block minima): a stale store minimum is rebuilt from the stale blocks
+ * and the block minima instead of rescanning every slot, and the cached
+ * slot they return stays exactly what a full rescan would leave.
+ * awm_update splits each example's positions, without a branch, into a
+ * member list and a tail list (position lists), which the member and
+ * tail steps walk in position order instead of testing membership per
+ * position.  Scratch comes from the caller's workspace, length-checked
+ * here: no kernel allocates or sizes a stack array by its arguments.
+ *
  * Entry points return 0 or a status (ST_* in the low four bits, a detail
  * above) and stop exactly where the reference raises, leaving the same
  * partial state.  Every access is bounds-checked against the sizes
@@ -177,15 +191,31 @@ static int64_t check_indptr(const int64_t *indptr, int64_t n, int64_t ncols)
     return ST_OK;
 }
 
+/* Products a sum gathers into a block before fsum_add sees them, so the
+ * table loads run ahead of fsum's serial partials loop. */
+#define GATHER 64
+
+/* fsum_add over buf[0..m), in order. */
+static inline int fsum_add_all(fsum_state *s, const double *buf, int64_t m)
+{
+    for (int64_t q = 0; q < m; q++) {
+        int st = fsum_add(s, buf[q]);
+        if (st)
+            return st;
+    }
+    return ST_OK;
+}
+
 /* The exactly rounded sum of table[fb] * sv over columns [lo, hi) of
  * every row: numpy's take (which checks every bucket first), then
- * math.fsum over the C-order products. */
+ * math.fsum over the C-order products, gathered GATHER at a time. */
 static int64_t example_sum(const double *table, int64_t size,
                            const int64_t *fb, const double *sv,
                            int64_t depth, int64_t ncols,
                            int64_t lo, int64_t hi,
                            fsum_state *s, double *total)
 {
+    double buf[GATHER];
     for (int64_t j = 0; j < depth; j++) {
         const int64_t *row = fb + j * ncols;
         for (int64_t p = lo; p < hi; p++) {
@@ -198,8 +228,11 @@ static int64_t example_sum(const double *table, int64_t size,
     for (int64_t j = 0; j < depth; j++) {
         const int64_t *row = fb + j * ncols;
         const double *svr = sv + j * ncols;
-        for (int64_t p = lo; p < hi; p++) {
-            int st = fsum_add(s, table[wrap_bucket(row[p], size)] * svr[p]);
+        for (int64_t p = lo; p < hi; p += GATHER) {
+            int64_t m = hi - p < GATHER ? hi - p : GATHER;
+            for (int64_t q = 0; q < m; q++)
+                buf[q] = table[wrap_bucket(row[p + q], size)] * svr[p + q];
+            int st = fsum_add_all(s, buf, m);
             if (st)
                 return st;
         }
@@ -452,10 +485,12 @@ int64_t repro_chunk_add(
  * members take their estimate (the last write to a slot wins), then
  * each non-member that beats the threshold left by the refresh
  * re-checks the live minimum and replaces the first minimal slot (ties
- * reject).  Membership comes from a probe table over the live keys.
- * Admissions go to log as (key, evicted key, slot) rows, their count
- * to min_io[1]; min_io[0] receives the final cached minimum.  Checks
- * indptr, the store and every buffer length before writing anything.
+ * reject).  Membership comes from a probe table over the live keys; a
+ * stale minimum is rebuilt from per-block minima (block, one slot per
+ * MIN_BLOCK store slots).  Admissions go to log as (key, evicted key,
+ * slot) rows, their count to min_io[1]; min_io[0] receives the final
+ * cached minimum.  Checks indptr, the store and every buffer length
+ * before writing anything.
  */
 
 /* numpy's float sort order: NaN after everything else. */
@@ -563,20 +598,55 @@ static void probe_remove(probe_table *t, int64_t key)
     t->cell[2 * i + 1] = 0;
 }
 
-/* TopKStore._min: the cached minimum slot, else the first NaN or the
- * first smallest |raw| (numpy's argmin), cached. */
+/* The store's slots in blocks of MIN_BLOCK, each with a cached minimum
+ * slot (-1 = stale) that touch_min maintains like the store's own. */
+#define MIN_BLOCK_LOG 6
+#define MIN_BLOCK ((int64_t)1 << MIN_BLOCK_LOG)
+
+static inline int64_t min_blocks(int64_t live)
+{
+    return (live + MIN_BLOCK - 1) >> MIN_BLOCK_LOG;
+}
+
+/* numpy's argmin of |raw[lo..hi)|: the first NaN, else the first
+ * smallest. */
+static inline int64_t scan_min(const double *raw, int64_t lo, int64_t hi)
+{
+    double best = fabs(raw[lo]);
+    int64_t ms = lo;
+    for (int64_t i = lo + 1; i < hi && best == best; i++) {
+        double v = fabs(raw[i]);
+        if (v < best || v != v) {
+            best = v;
+            ms = i;
+        }
+    }
+    return ms;
+}
+
+/* TopKStore._min: the cached minimum slot, else argmin over the block
+ * minima (rescanning only the stale blocks), cached.  The first NaN
+ * lies in the first block whose minimum is NaN, and the first smallest
+ * value in the first block whose minimum is smallest, so this is the
+ * slot a scan of every slot picks. */
 static inline int64_t store_min(const double *raw, int64_t live,
-                                int64_t *min_slot)
+                                int64_t *block, int64_t *min_slot)
 {
     int64_t ms = *min_slot;
     if (ms < 0) {
-        double best = fabs(raw[0]);
-        ms = 0;
-        for (int64_t i = 1; i < live && best == best; i++) {
-            double v = fabs(raw[i]);
-            if (v < best || v != v) {
+        double best = 0.0;
+        for (int64_t b = 0; b < min_blocks(live) && best == best; b++) {
+            int64_t bs = block[b];
+            if (bs < 0) {
+                int64_t lo = b << MIN_BLOCK_LOG;
+                bs = scan_min(raw, lo, live - lo < MIN_BLOCK
+                                           ? live : lo + MIN_BLOCK);
+                block[b] = bs;
+            }
+            double v = fabs(raw[bs]);
+            if (b == 0 || v < best || v != v) {
                 best = v;
-                ms = i;
+                ms = bs;
             }
         }
         *min_slot = ms;
@@ -587,7 +657,7 @@ static inline int64_t store_min(const double *raw, int64_t live,
 /* TopKStore._touch_value: patch the cached minimum after raw[slot]
  * changed, in raw space with ties to the lower slot, so it names the
  * slot a rescan picks; a write to the cached slot itself, or a NaN,
- * drops it. */
+ * drops it.  The same rule keeps a block's minimum. */
 static inline void touch_min(const double *raw, int64_t slot,
                              int64_t *min_slot)
 {
@@ -603,6 +673,22 @@ static inline void touch_min(const double *raw, int64_t slot,
         *min_slot = -1;
     else if (pn < pm || (pn == pm && slot < ms))
         *min_slot = slot;
+}
+
+/* touch_min on the store's cached minimum and on slot's block. */
+static inline void touch_both(const double *raw, int64_t slot,
+                              int64_t *block, int64_t *min_slot)
+{
+    touch_min(raw, slot, min_slot);
+    touch_min(raw, slot, block + (slot >> MIN_BLOCK_LOG));
+}
+
+/* Every block minimum stale: on entry, and after a write to every raw
+ * value. */
+static inline void stale_blocks(int64_t *block, int64_t live)
+{
+    for (int64_t b = 0; b < min_blocks(live); b++)
+        block[b] = -1;
 }
 
 /* Smallest power of two >= 8 * live, and its log2. */
@@ -626,7 +712,7 @@ int64_t repro_heap_maintain(
     double scale,
     int64_t *probe, int64_t probe_len,
     double *est, int64_t *slots, int64_t scratch_len,
-    double *row, int64_t row_len,
+    double *row, int64_t row_len, int64_t *block, int64_t block_len,
     int64_t *log, int64_t log_len, int64_t *min_io)
 {
     probe_table t;
@@ -643,7 +729,7 @@ int64_t repro_heap_maintain(
         return STATUS(ST_STORE, 1);
     cells = probe_cells(live, &bits);
     if (depth < 1 || n_scales < n || scratch_len < nnz || row_len < depth
-        || probe_len < 2 * cells
+        || probe_len < 2 * cells || block_len < min_blocks(live)
         || log_len < 3 * (indptr[n] - indptr[start]))
         return STATUS(ST_SHORT, 3);
     t.cell = probe;
@@ -655,6 +741,7 @@ int64_t repro_heap_maintain(
         if (probe_insert(&t, keys[s], s))
             return STATUS(ST_STORE, 0);
     }
+    stale_blocks(block, live);
 
     for (int64_t i = start; i < n; i++) {
         int64_t lo = indptr[i], hi = indptr[i + 1];
@@ -673,15 +760,18 @@ int64_t repro_heap_maintain(
         }
         if (any_member) {
             for (int64_t p = lo; p < hi; p++) {
-                if (slots[p] >= 0)
-                    raw[slots[p]] = scale == 1.0 ? est[p] : est[p] / scale;
+                int64_t sl = slots[p];
+                if (sl >= 0) {
+                    raw[sl] = scale == 1.0 ? est[p] : est[p] / scale;
+                    touch_min(raw, sl, block + (sl >> MIN_BLOCK_LOG));
+                }
             }
             min_slot = -1;
             if (all_member)
                 continue;
         }
         double threshold =
-            fabs(raw[store_min(raw, live, &min_slot)] * scale);
+            fabs(raw[store_min(raw, live, block, &min_slot)] * scale);
         for (int64_t p = lo; p < hi; p++) {
             double w = est[p];
             if (slots[p] >= 0 || !(fabs(w) > threshold))
@@ -691,10 +781,10 @@ int64_t repro_heap_maintain(
                 /* A repeated key admitted earlier in this example:
                  * push updates it in place (TopKStore._touch_value). */
                 raw[s] = w / scale;
-                touch_min(raw, s, &min_slot);
+                touch_both(raw, s, block, &min_slot);
                 continue;
             }
-            int64_t ms = store_min(raw, live, &min_slot);
+            int64_t ms = store_min(raw, live, block, &min_slot);
             if (!(fabs(w) > fabs(raw[ms] * scale)))
                 continue;
             log[3 * admitted] = indices[p];
@@ -706,11 +796,39 @@ int64_t repro_heap_maintain(
             keys[ms] = indices[p];
             raw[ms] = w / scale;
             min_slot = -1;
+            touch_min(raw, ms, block + (ms >> MIN_BLOCK_LOG));
         }
     }
     min_io[0] = min_slot;
     min_io[1] = admitted;
     return ST_OK;
+}
+
+/* fsum of table[fb] * sv over the positions pos[0..k) of every row, row
+ * by row, each row's products gathered GATHER at a time. */
+static int gather_sum(const double *table, const int64_t *fb,
+                      const double *sv, int64_t depth, int64_t nnz,
+                      const int64_t *pos, int64_t k, fsum_state *s,
+                      double *total)
+{
+    double buf[GATHER];
+    s->n = 0;
+    s->special_sum = s->inf_sum = 0.0;
+    for (int64_t j = 0; j < depth; j++) {
+        const int64_t *f = fb + j * nnz;
+        const double *w = sv + j * nnz;
+        for (int64_t q = 0; q < k; q += GATHER) {
+            int64_t m = k - q < GATHER ? k - q : GATHER;
+            for (int64_t r = 0; r < m; r++) {
+                int64_t p = pos[q + r];
+                buf[r] = table[f[p]] * w[p];
+            }
+            int st = fsum_add_all(s, buf, m);
+            if (st)
+                return st;
+        }
+    }
+    return fsum_result(s, total);
 }
 
 /*
@@ -725,15 +843,18 @@ int64_t repro_heap_maintain(
  * screen against the threshold left by the member step, a live re-check
  * and replacement of the first minimal slot with the evictee fold, and
  * the stay-scatter.  Membership comes from a probe table over the live
- * keys; an evictee's rows from key_fb / key_signs (depth x capacity, per
- * slot), which each admission overwrites with the admitted position's
- * rows.  Admissions go to log as (key, evicted key, slot) rows.  Every
- * evictee-fold cell's chunk, and on a table fold every chunk, is marked
- * in dirty.  io[0] receives the examples completed, io[1] the
- * admissions, io[2] the cached minimum, and state the scales, on every
- * return; an fsum error stops before the failing example changes
- * anything.  Checks indptr, the store, every buffer length and every
- * flat bucket first.
+ * keys (slots, per position), split per example into the member and the
+ * tail positions (members / tail, in position order), which the member
+ * and the tail steps walk; a stale minimum is rebuilt from per-block
+ * minima (block, one slot per MIN_BLOCK store slots).  An evictee's rows
+ * come from key_fb / key_signs (depth x capacity, per slot), which each
+ * admission overwrites with the admitted position's rows.  Admissions go
+ * to log as (key, evicted key, slot) rows.  Every evictee-fold cell's
+ * chunk, and on a table fold every chunk, is marked in dirty.  io[0]
+ * receives the examples completed, io[1] the admissions, io[2] the
+ * cached minimum, and state the scales, on every return; an fsum error
+ * stops before the failing example changes anything.  Checks indptr, the
+ * store, every buffer length and every flat bucket first.
  */
 int64_t repro_awm_update(
     double *table, int64_t size,
@@ -747,8 +868,9 @@ int64_t repro_awm_update(
     double loss_param, double *state, int64_t *io,
     double *margins, uint8_t *dirty, int64_t n_dirty,
     int64_t *probe, int64_t probe_len,
-    int64_t *slots, double *cand, int64_t scratch_len,
-    double *row, int64_t row_len,
+    int64_t *slots, int64_t *members, int64_t *tail, double *cand,
+    int64_t scratch_len, double *row, int64_t row_len,
+    int64_t *block, int64_t block_len,
     int64_t *admits, int64_t admits_len)
 {
     probe_table t;
@@ -771,7 +893,7 @@ int64_t repro_awm_update(
         return STATUS(ST_STORE, 1);
     cells = probe_cells(live, &bits);
     if (depth < 1 || scratch_len < nnz || row_len < depth
-        || probe_len < 2 * cells
+        || probe_len < 2 * cells || block_len < min_blocks(live)
         || admits_len < 3 * (indptr[n] - indptr[start])
         || n_dirty < ((size + CHUNK - 1) >> CHUNK_LOG))
         return STATUS(ST_SHORT, 4);
@@ -795,35 +917,29 @@ int64_t repro_awm_update(
         if (probe_insert(&t, keys[c], c))
             return STATUS(ST_STORE, 0);
     }
+    stale_blocks(block, live);
 
     for (int64_t i = start; i < n; i++) {
-        int64_t lo = indptr[i], hi = indptr[i + 1], k = 0;
-        int any_member = 0;
+        int64_t lo = indptr[i], hi = indptr[i + 1], m = 0, k = 0;
         double tau = 0.0, total;
 
-        /* Membership at the start of the example; the member margin. */
+        /* Membership at the start of the example, split without a
+         * branch into the member and the tail positions. */
+        for (int64_t p = lo; p < hi; p++)
+            slots[p] = probe_find(&t, indices[p]);
         for (int64_t p = lo; p < hi; p++) {
-            int64_t sl = probe_find(&t, indices[p]);
-            slots[p] = sl;
-            if (sl >= 0) {
-                tau += raw[sl] * hscale * values[p];
-                any_member = 1;
-            } else {
-                k++;
-            }
+            int64_t in = slots[p] >= 0;
+            members[m] = p;
+            tail[k] = p;
+            m += in;
+            k += 1 - in;
+        }
+        for (int64_t q = 0; q < m; q++) {
+            int64_t p = members[q];
+            tau += raw[slots[p]] * hscale * values[p];
         }
         if (k) {
-            s.n = 0;
-            s.special_sum = s.inf_sum = 0.0;
-            for (int64_t j = 0; j < depth && !st; j++) {
-                for (int64_t p = lo; p < hi && !st; p++) {
-                    if (slots[p] < 0)
-                        st = fsum_add(&s, table[fb[j * nnz + p]]
-                                              * sv[j * nnz + p]);
-                }
-            }
-            if (!st)
-                st = fsum_result(&s, &total);
+            st = gather_sum(table, fb, sv, depth, nnz, tail, k, &s, &total);
             if (st)
                 break;
             tau += scale * total / sqrt_s;
@@ -840,6 +956,7 @@ int64_t repro_awm_update(
                     raw[c] *= hscale;
                 hscale = 1.0;
                 min_slot = -1;
+                stale_blocks(block, live);
             }
             scale *= decay;
             if (scale < RENORM) {
@@ -852,35 +969,32 @@ int64_t repro_awm_update(
             }
         }
         double step = eta * y * g;
-        if (any_member) {
-            for (int64_t p = lo; p < hi; p++) {
-                int64_t sl = slots[p];
-                if (sl < 0)
-                    continue;
-                double d = -step * values[p];
-                raw[sl] += hscale == 1.0 ? d : d / hscale;
-                touch_min(raw, sl, &min_slot);
-            }
+        for (int64_t q = 0; q < m; q++) {
+            int64_t p = members[q], sl = slots[p];
+            double d = -step * values[p];
+            raw[sl] += hscale == 1.0 ? d : d / hscale;
+            touch_both(raw, sl, block, &min_slot);
         }
 
         if (k) {
             double factor = depth == 1 ? scale : sqrt_s * scale;
-            for (int64_t p = lo; p < hi; p++) {
-                if (slots[p] >= 0)
-                    continue;
+            for (int64_t q = 0; q < k; q++) {
+                int64_t p = tail[q];
                 for (int64_t j = 0; j < depth; j++)
                     row[j] = signs[j * nnz + p] * table[fb[j * nnz + p]];
-                cand[p] = row_estimate(row, depth, factor, l1)
+                cand[q] = row_estimate(row, depth, factor, l1)
                           - step * values[p];
             }
             double threshold =
-                fabs(raw[store_min(raw, live, &min_slot)] * hscale);
+                fabs(raw[store_min(raw, live, block, &min_slot)] * hscale);
             double fold = sqrt_s * scale;
-            for (int64_t p = lo; p < hi; p++) {
-                double c = cand[p];
-                if (slots[p] >= 0 || !(fabs(c) > threshold))
+            int promoted = 0;
+            for (int64_t q = 0; q < k; q++) {
+                double c = cand[q];
+                if (!(fabs(c) > threshold))
                     continue;
-                int64_t ms = store_min(raw, live, &min_slot);
+                int64_t p = tail[q];
+                int64_t ms = store_min(raw, live, block, &min_slot);
                 double mw = raw[ms] * hscale;
                 if (!(fabs(c) > fabs(mw)))
                     continue;
@@ -900,6 +1014,7 @@ int64_t repro_awm_update(
                 keys[ms] = indices[p];
                 raw[ms] = c / hscale;
                 min_slot = -1;
+                touch_min(raw, ms, block + (ms >> MIN_BLOCK_LOG));
                 /* The evictee fold, from the evictee's rows. */
                 int64_t *ef = key_fb + ms;
                 double *es = key_signs + ms;
@@ -914,16 +1029,26 @@ int64_t repro_awm_update(
                     ef[j * capacity] = fb[j * nnz + p];
                     es[j * capacity] = signs[j * nnz + p];
                 }
-                slots[p] = -2; /* promoted: no stay-scatter */
+                tail[q] = -1; /* promoted: no stay-scatter */
+                promoted = 1;
             }
             if (st)
                 break;
+            if (promoted) {
+                int64_t kept = 0;
+                for (int64_t q = 0; q < k; q++) {
+                    int64_t p = tail[q];
+                    tail[kept] = p;
+                    kept += p >= 0;
+                }
+                k = kept;
+            }
             double coeff = -step / (sqrt_s * scale);
             for (int64_t j = 0; j < depth; j++) {
-                for (int64_t p = lo; p < hi; p++) {
-                    if (slots[p] == -1)
-                        table[fb[j * nnz + p]] += coeff * sv[j * nnz + p];
-                }
+                const int64_t *f = fb + j * nnz;
+                const double *w = sv + j * nnz;
+                for (int64_t q = 0; q < k; q++)
+                    table[f[tail[q]]] += coeff * w[tail[q]];
             }
         }
         margins[i] = tau;

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.datasets import ALL_PRESETS
 
 
 class TestParser:
@@ -48,6 +49,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "unconstrained LR" in out
         assert "AWM" in out and "Hash" in out
+
+    def test_compare_prints_the_label_prior(self, capsys):
+        # At the defaults 91% of the labels are +1 and every method,
+        # the unconstrained LR included, errs on 0.0892 of the stream:
+        # the majority-class line names that number as the label prior.
+        code = main(["compare", "--examples", "400", "--k", "16"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "backend=" in lines[0]  # CI greps the first line
+        labels = [ex.label for ex in
+                  ALL_PRESETS["rcv1_like"](seed=0).stream.materialize(400)]
+        negative = labels.count(-1)
+        assert 0 < negative < 400 - negative
+        want = (f"majority class:   error {negative / 400:.4f} "
+                f"({1 - negative / 400:.1%} positive)")
+        at = lines.index(want)
+        assert lines[at - 1].startswith("unconstrained LR: error ")
 
     def test_compare_rejects_unknown_dataset(self):
         parser = build_parser()

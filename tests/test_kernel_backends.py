@@ -1377,6 +1377,188 @@ class TestAwmUpdateGrid:
 
 
 # ----------------------------------------------------------------------
+# Both store kernels on stores that span several 64-slot blocks: the
+# compiled bodies rebuild a stale minimum from per-block minima, so the
+# minimum, |raw| ties, +-0 and NaN sit in different blocks here
+# ----------------------------------------------------------------------
+#: Store sizes around and across the compiled kernels' 64-slot blocks.
+_BLOCK_CAPACITIES = [63, 64, 65, 130, 200]
+_PLACEMENTS = ["minimum", "ties", "zeros", "nan", "nans", "pool"]
+
+
+def _spots(capacity):
+    """Slots on both sides of every block boundary, and the last slot."""
+    return sorted({min(s, capacity - 1)
+                   for s in (5, 63, 64, 127, 128, capacity - 1)})
+
+
+def _placed_values(capacity, placement, rng):
+    """Store values of magnitude >= 1, except where ``placement`` puts
+    its special values, one per spot (see :func:`_spots`): the only
+    minimum in the last block, minima tied in |raw| with both signs,
+    -0.0 / +0.0, NaN after a smaller value, NaNs after a zero, or a
+    small pool where everything ties."""
+    values = rng.choice([1.0, -1.5, 2.0, -3.0, 4.0], size=capacity)
+    spots = _spots(capacity)
+    if placement == "minimum":
+        values[spots[-1]] = 0.5
+    elif placement == "ties":
+        values[spots] = [(-0.5, 0.5)[i % 2] for i in range(len(spots))]
+    elif placement == "zeros":
+        values[spots] = [(-0.0, 0.0)[i % 2] for i in range(len(spots))]
+    elif placement == "nan":
+        values[spots[0]] = 0.5
+        values[spots[-1]] = math.nan
+    elif placement == "nans":
+        values[spots[0]] = 0.0
+        values[spots[1:]] = math.nan
+    else:
+        values = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], size=capacity)
+    return values.tolist()
+
+
+def _block_examples(rng, capacity, fresh, n=10):
+    """(keys, values, label) per example: members at the spots (whose
+    writes stale their blocks' minima) and elsewhere, and keys from a
+    pool of ``fresh`` ones past the store's, which recur once
+    admitted."""
+    spots, out = _spots(capacity), []
+    for _ in range(n):
+        keys = set(rng.choice(spots, size=rng.integers(0, 3)).tolist())
+        keys |= set(rng.integers(0, capacity, size=rng.integers(0, 3))
+                    .tolist())
+        keys |= set((capacity + rng.integers(0, fresh, size=4)).tolist())
+        keys = rng.permutation(sorted(keys)).tolist()
+        values = rng.choice([1.0, -1.0, 0.5, 2.0], size=len(keys)).tolist()
+        out.append((keys, values, int(rng.choice([1, -1]))))
+    return out
+
+
+def _block_maintain_inputs(capacity, placement, seed):
+    """A full heap_maintain store (store key s in slot s; seed 1 with a
+    warm cached minimum, seed 2 decayed) and one batch's recording."""
+    rng = np.random.default_rng([capacity, seed])
+    values = _placed_values(capacity, placement, rng)
+    examples = _block_examples(rng, capacity, fresh=12)
+    ids = np.array([k for keys, _, _ in examples for k in keys],
+                   dtype=np.int64)
+    depth = (1, 3, 2)[seed]
+    return dict(
+        capacity=capacity,
+        ops=[(s, v, seed == 1 and s == capacity - 1)
+             for s, v in enumerate(values)],
+        decay=seed == 2, indices=ids,
+        indptr=np.cumsum([0] + [len(e[0]) for e in examples]),
+        signs=rng.choice([-1.0, 1.0], size=(depth, ids.size)),
+        gathered=rng.choice(
+            [0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 3.0, math.nan],
+            p=[0.1, 0.1, 0.1, 0.1, 0.15, 0.15, 0.1, 0.15, 0.05],
+            size=(ids.size, depth),
+        ),
+        scales=rng.choice([1.0, 0.5], size=len(examples)),
+        sqrt_s=math.sqrt(depth), l1=(0.0, 0.01)[seed % 2],
+    )
+
+
+def _block_awm_inputs(capacity, placement, seed):
+    """An awm_update call on a full store (key s in slot s; seed 1 with
+    a warm cached minimum).  Seed 2 starts both scales near the renorm
+    threshold, so the store's raw values (and the table) are rescaled
+    at example 4, after its minima have been rebuilt."""
+    rng = np.random.default_rng([capacity, seed, 1])
+    depth, width, fresh = (1, 2, 3)[seed], 32, 16
+    brink = 1e-150 / 0.9 ** 4 * 1.01 if seed == 2 else 1.0
+    examples = _block_examples(rng, capacity, fresh)
+    batch = SparseBatch.from_examples([
+        SparseExample(np.array(k, dtype=np.int64),
+                      np.array(v, dtype=np.float64), y)
+        for k, v, y in examples
+    ])
+    table = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0],
+                       size=depth * width)
+    return dict(
+        depth=depth, width=width, capacity=capacity,
+        store_keys=list(range(capacity)),
+        bucket=rng.integers(0, width, size=(capacity + fresh, depth))
+        + np.arange(depth) * width,
+        sign=rng.choice([-1.0, 1.0], size=(capacity + fresh, depth)),
+        raw=[v / brink for v in _placed_values(capacity, placement, rng)],
+        read_min=seed == 1, hscale=brink, table=table / brink,
+        batch=batch, start=0, etas=np.full(len(batch), 0.5),
+        lam=(0.0, 0.01, 0.2)[seed], scale=brink, fold_log=0.0,
+        l1=(0.0, 0.01)[seed % 2], loss_id=seed, loss_param=0.5,
+    )
+
+
+class TestMultiBlockStoreKernels:
+    @pytest.mark.parametrize("placement", _PLACEMENTS)
+    @pytest.mark.parametrize("capacity", _BLOCK_CAPACITIES)
+    def test_heap_maintain_multi_block_c_matches_numpy(self, capacity,
+                                                       placement):
+        c = _c_or_skip()
+        admitted = 0
+        for seed in range(3):
+            inputs = _block_maintain_inputs(capacity, placement, seed)
+            states = []
+            for kb in (kernels.get_backend("numpy"), c):
+                store = _maintain_store(inputs)
+                with np.errstate(all="ignore"):
+                    kb.heap_maintain(store, **_maintain_args(inputs),
+                                     ws=kernels.KernelWorkspace())
+                store.check_invariants()
+                states.append(_store_state(store))
+            assert states[0] == states[1], seed
+            admitted += len(states[0][5])
+        # A NaN minimum admits nothing until a refresh replaces it.
+        assert admitted > 0 or placement.startswith("nan")
+
+    @pytest.mark.parametrize("placement", _PLACEMENTS)
+    @pytest.mark.parametrize("capacity", _BLOCK_CAPACITIES)
+    def test_awm_multi_block_c_matches_numpy(self, capacity, placement):
+        c = _c_or_skip()
+        promoted = 0
+        for seed in range(3):
+            inputs = _block_awm_inputs(capacity, placement, seed)
+            want_store, want = _awm_call(kernels.get_backend("numpy"),
+                                         inputs)
+            got_store, got = _awm_call(c, inputs)
+            # Outcome, table, scales, promotions, margins, dirty marks,
+            # the evictee rows, _keys, _raw, version and promotion log.
+            assert got == want, seed
+            assert want[0] == "ok", want[0]
+            if seed == 2:
+                assert want_store.scale > 0.1  # folded, then decayed
+            want_store.check_invariants()
+            got_store.check_invariants()
+            promoted += want[3][1]
+        # A NaN minimum admits nothing; every other placement promotes.
+        assert (promoted == 0) == placement.startswith("nan")
+
+    def test_short_block_buffer_raises_before_writing(self, monkeypatch):
+        # The wrappers size the block-minimum scratch; C checks it.
+        c = _c_or_skip()
+        from repro.kernels import c_backend
+
+        monkeypatch.setattr(c_backend, "_min_blocks",
+                            lambda live: -(-live // 64) - 1)
+        inputs = _block_maintain_inputs(65, "minimum", 0)
+        store = _maintain_store(inputs)
+        before = _store_state(store)
+        with pytest.raises(ValueError, match="heap_maintain buffer is too"):
+            c.heap_maintain(store, **_maintain_args(inputs),
+                            ws=kernels.KernelWorkspace())
+        assert _store_state(store) == before
+        inputs = _block_awm_inputs(65, "minimum", 0)
+        untouched = _awm_call(kernels.get_backend("numpy"),
+                              {**inputs, "start": len(inputs["batch"])})[1]
+        _, result = _awm_call(c, inputs)
+        assert result[0] == ("ValueError",
+                             "an awm_update buffer is too short for the "
+                             "batch")
+        assert result[1:] == untouched[1:]
+
+
+# ----------------------------------------------------------------------
 # The push codec's chunk kernels: c == numpy bit for bit, and numpy ==
 # the codec's earlier gather -> arithmetic -> scatter composition
 # ----------------------------------------------------------------------

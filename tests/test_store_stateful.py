@@ -1,5 +1,5 @@
-"""Stateful test of ``TopKStore`` against its cold copy, a ``push_many``
-twin and ``ReferenceTopKHeap``.
+"""Stateful tests of ``TopKStore`` against its cold copy, a ``push_many``
+twin and ``ReferenceTopKHeap``, and of AWM's numpy and c twins.
 
 One hypothesis state machine drives four structures in lockstep:
 
@@ -20,6 +20,14 @@ the items whenever no tie or NaN is live: where a tie or NaN could
 steer a decision (which of two tied minima to evict, say) the two may
 legitimately part, and the reference is rebuilt from the store once
 the tie or NaN is gone.
+
+A second machine (``AwmTwinsMachine``) trains two ``AWMSketch`` models,
+one on the numpy kernels and one on c, with the same interleaving of
+per-example ``update()`` and ``fit_batch`` calls, at active-set sizes on
+both sides of the compiled store kernels' 64-slot blocks.  After every
+step the twins agree bit for bit (table, scales, fold log, store slots
+and raw values, version, promotions, clock) and both stores pass
+``check_invariants``.
 """
 
 from __future__ import annotations
@@ -28,15 +36,21 @@ import math
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
+from repro import kernels
+from repro.core.awm_sketch import AWMSketch
+from repro.data.batch import SparseBatch
+from repro.data.sparse import SparseExample
 from repro.heap.reference import ReferenceTopKHeap
 from repro.heap.topk import TopKStore
 
@@ -187,3 +201,92 @@ TestTopKStoreMachine = TopKStoreMachine.TestCase
 TestTopKStoreMachine.settings = settings(
     max_examples=250, deadline=None, derandomize=True
 )
+
+
+# ----------------------------------------------------------------------
+# AWM: numpy and c twins of one stream
+# ----------------------------------------------------------------------
+#: Feature ids the examples draw from; the pre-filled active-set keys
+#: lie above them, so admissions evict those first.
+UNIVERSE = 160
+
+
+@st.composite
+def _examples(draw):
+    keys = draw(st.lists(st.integers(0, UNIVERSE - 1), max_size=8,
+                         unique=True))
+    values = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
+                           min_size=len(keys), max_size=len(keys)))
+    return SparseExample(np.array(keys, dtype=np.int64),
+                         np.array(values, dtype=np.float64),
+                         draw(st.sampled_from([1, -1])))
+
+
+def _awm_state(model):
+    heap = model.heap
+    n = len(heap)
+    return (model.table.tobytes(), model._scale, model._fold_log,
+            heap._keys[:n].tobytes(), heap._raw[:n].tobytes(), heap.scale,
+            heap.version, model.n_promotions, model.t)
+
+
+class AwmTwinsMachine(RuleBasedStateMachine):
+    @initialize(
+        capacity=st.sampled_from([2, 63, 64, 65, 129]),
+        depth=st.integers(1, 3),
+        width=st.sampled_from([8, 64]),
+        lam=st.sampled_from([0.0, 0.01]),
+        free=st.integers(0, 6),
+        values=st.lists(st.sampled_from([0.0, 0.01, -0.05, 0.05, 0.1]),
+                        min_size=129, max_size=129),
+    )
+    def build(self, capacity, depth, width, lam, free, values):
+        self.models = [
+            AWMSketch(width, depth, heap_capacity=capacity, seed=5,
+                      lambda_=lam, backend=name)
+            for name in ("numpy", "c")
+        ]
+        assert [m.kernels.name for m in self.models] == ["numpy", "c"]
+        # All but ``free`` slots start filled, with values that tie the
+        # first steps' candidates (|0.05| at eta = 0.1, dloss(0) = -0.5).
+        for model in self.models:
+            for key in range(max(capacity - free, 0)):
+                model.heap.push(1000 + key, values[key])
+
+    @rule(example=_examples())
+    def update(self, example):
+        for model in self.models:
+            model.update(example)
+
+    @rule(examples=st.lists(_examples(), min_size=1, max_size=6))
+    def fit_batch(self, examples):
+        batch = SparseBatch.from_examples(examples)
+        margins = {m.fit_batch(batch).tobytes() for m in self.models}
+        assert len(margins) == 1
+
+    @precondition(lambda self: self.models[0].lambda_ > 0.0)
+    @rule()
+    def brink(self):
+        """Put both scales where the next step folds them (into the raw
+        store values and the table), as ``_grid_model`` does in
+        ``test_kernel_backends.py``."""
+        for model in self.models:
+            eta = model.schedule(model.t)
+            brink = 1e-150 * 1.0000001 / model._decay_factor(eta)
+            model._scale = brink
+            model.heap.decay(brink)
+
+    @invariant()
+    def twins_agree(self):
+        for model in self.models:
+            model.heap.check_invariants()
+        assert _awm_state(self.models[0]) == _awm_state(self.models[1])
+
+
+TestAwmTwinsMachine = pytest.mark.skipif(
+    "c" not in kernels.available_backends(),
+    reason="the c kernel backend does not build on this host",
+)(AwmTwinsMachine.TestCase)
+# The example count follows the hypothesis profile (thorough in CI).
+TestAwmTwinsMachine.settings = settings(deadline=None,
+                                        stateful_step_count=30)
