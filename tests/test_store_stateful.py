@@ -206,8 +206,8 @@ TestTopKStoreMachine.settings = settings(
 # ----------------------------------------------------------------------
 # AWM: numpy and c twins of one stream
 # ----------------------------------------------------------------------
-#: Feature ids the examples draw from; the pre-filled active-set keys
-#: lie above them, so admissions evict those first.
+#: Feature ids the examples draw from; the keys the active set starts
+#: with lie above them.
 UNIVERSE = 160
 
 
@@ -267,9 +267,10 @@ class AwmTwinsMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.models[0].lambda_ > 0.0)
     @rule()
     def brink(self):
-        """Put both scales where the next step folds them (into the raw
-        store values and the table), as ``_grid_model`` does in
-        ``test_kernel_backends.py``."""
+        """Shrink both scales to the renorm threshold, so the next step
+        (or the store's decay here) folds them into the raw store values
+        and the table, as ``_grid_model`` in ``test_kernel_backends.py``
+        does."""
         for model in self.models:
             eta = model.schedule(model.t)
             brink = 1e-150 * 1.0000001 / model._decay_factor(eta)
