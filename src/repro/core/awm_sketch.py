@@ -47,7 +47,6 @@ from repro.data.sparse import SparseExample
 from repro.heap.topk import TopKStore
 from repro.kernels.numpy_backend import (
     gather_rows_t,
-    margin,
     margin_gathered,
     scalar_estimate,
     screen_abs_gt,
@@ -166,75 +165,12 @@ class AWMSketch(ScaledSketchTable):
         total += self._sketch_margin(x.indices[in_sketch], x.values[in_sketch])
         return total
 
-    def predict_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Batched margins — one batch hash + one membership probe.
-
-        The per-example combine (exact active-set products plus the
-        exactly-rounded sketch margin) runs over pre-hashed workspace
-        rows and a single batch-wide ``member_slots`` probe instead of
-        hashing and probing per example; margins are **bit-identical**
-        to per-example :meth:`predict_margin`.
-        """
-        n = len(batch)
-        margins = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return margins
-        heap = self.heap
-        ws = self._workspace()
-        nnz = batch.indices.size
-        buckets = ws.array("p_buckets", (self.depth, nnz), np.int64)
-        signs = ws.array("p_signs", (self.depth, nnz))
-        self._batch_hasher.rows_into(batch.indices, buckets, signs)
-        flat = ws.array("p_flat", (self.depth, nnz), np.int64)
-        np.add(buckets, self._row_offsets, out=flat)
-        flat = self._translate_flat(flat)
-        sv = ws.array("p_sv", (self.depth, nnz))
-        np.multiply(signs, batch.values, out=sv)
-        slots = heap.member_slots(batch.indices)
-        values = batch.values
-        indptr = batch.indptr.tolist()
-        lo = indptr[0]
-        for i in range(n):
-            hi = indptr[i + 1]
-            sl = slots[lo:hi]
-            in_heap = sl >= 0
-            total = 0.0
-            if in_heap.any():
-                products = (
-                    heap.values_at(sl[in_heap]) * values[lo:hi][in_heap]
-                )
-                for p in products.tolist():
-                    total += p
-                in_sketch = ~in_heap
-                fb = flat[:, lo:hi][:, in_sketch]
-                svx = sv[:, lo:hi][:, in_sketch]
-            else:
-                fb = flat[:, lo:hi]
-                svx = sv[:, lo:hi]
-            if fb.shape[1]:
-                total += margin(
-                    self._table_flat, fb, svx, self._scale, self._sqrt_s
-                )
-            margins[i] = total
-            lo = hi
-        return margins
-
-    def query_many(self, indices: np.ndarray) -> np.ndarray:
-        """Serving-path weight queries: exact active-set values where
-        stored, batch-hashed ``fused_query`` recovery for the tail —
-        bit-identical to :meth:`estimate_weights`."""
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        out = np.empty(indices.size, dtype=np.float64)
-        if indices.size == 0:
-            return out
-        slots = self.heap.member_slots(indices)
-        member = slots >= 0
-        if member.any():
-            out[member] = self.heap.values_at(slots[member])
-        tail = ~member
-        if tail.any():
-            out[tail] = super().query_many(indices[tail])
-        return out
+    def _read_store(self) -> TopKStore:
+        """The active set: the batched reads (:meth:`query_many`,
+        :meth:`predict_batch`) answer its members from their exact
+        weights, bit-identical to :meth:`estimate_weights` and
+        :meth:`predict_margin`."""
+        return self.heap
 
     # ------------------------------------------------------------------
     # Scalar fast path (1-sparse inputs: the Section 8 applications)

@@ -165,9 +165,7 @@ class ScaledSketchTable(StreamingClassifier):
         # Flat-view machinery: ``_table_flat.take(buckets + _row_offsets)``
         # is the same gather through the cheaper flat path (gathers move
         # bits, they do no arithmetic, so flat vs. fancy is bit-neutral).
-        self._row_offsets = (
-            np.arange(depth, dtype=np.int64) * width
-        ).reshape(-1, 1)
+        self._row_offsets = numpy_backend.row_offsets(depth, width)
         self._table_flat = self.table.ravel()
         # Dirty-chunk tracking for O(dirty) incremental snapshot
         # publication: live models keep a contiguous table and a chunked
@@ -242,45 +240,21 @@ class ScaledSketchTable(StreamingClassifier):
         if dirty is not None:
             dirty[(row * self.width + bucket) >> _CHUNK_LOG] = True
 
-    def _translate_flat(
-        self, flat: np.ndarray, scratch: bool = True
-    ) -> np.ndarray:
+    def _translate_flat(self, flat: np.ndarray) -> np.ndarray:
         """Map flat bucket indices into this snapshot's chunk pool.
 
         Live models (and full snapshots) store a contiguous table and
         return ``flat`` unchanged.  Chunk-shared snapshots rewrite each
-        index ``f`` to ``(chunk_map[f >> LOG] << LOG) | (f & MASK)`` so
-        the *unchanged* read kernels (``fused_predict`` /
-        ``fused_query`` / margins / gathers) pull the identical float
-        bits out of ``_pool.ravel()`` — gathers move bits and do no
-        arithmetic, so translated reads are bit-identical to dense
-        reads.
-
-        ``scratch=True`` runs over workspace arenas (three int64 views)
-        and is for the single-threaded batched read paths only.  The
-        scalar read paths pass ``scratch=False`` for fresh temporaries:
-        serving runs serial-scalar reads concurrently with the
-        coalescer's batched reads on the same snapshot, and the
-        snapshot's workspace is a shared mutable cache — scalar reads
-        must not touch it (see the SnapshotManager module docstring).
+        index ``f`` to ``(chunk_map[f >> LOG] << LOG) | (f & MASK)``
+        (:func:`~repro.kernels.numpy_backend.translate_flat`), so the
+        scalar reads pull the identical float bits out of
+        ``_pool.ravel()``.  The result is a fresh array: serving runs
+        these scalar reads concurrently with the coalescer's batched
+        reads on the same snapshot, whose workspace they must not touch
+        (see the SnapshotManager module docstring).  The batched reads
+        translate inside their kernels.
         """
-        cmap = self._chunk_map
-        if cmap is None:
-            return flat
-        if not scratch:
-            return (cmap[flat >> _CHUNK_LOG] << _CHUNK_LOG) | (
-                flat & _CHUNK_MASK
-            )
-        ws = self._workspace()
-        low = ws.array("t_flat_low", flat.shape, np.int64)
-        np.bitwise_and(flat, _CHUNK_MASK, out=low)
-        ids = ws.array("t_flat_ids", flat.shape, np.int64)
-        np.right_shift(flat, _CHUNK_LOG, out=ids)
-        out = ws.array("t_flat_out", flat.shape, np.int64)
-        np.take(cmap, ids, out=out)
-        np.left_shift(out, _CHUNK_LOG, out=out)
-        np.bitwise_or(out, low, out=out)
-        return out
+        return numpy_backend.translate_flat(self._chunk_map, flat)
 
     def _dense_table_flat(self) -> np.ndarray:
         """The raw (unscaled) flat table; materialized for chunk-shared
@@ -437,9 +411,7 @@ class ScaledSketchTable(StreamingClassifier):
         self.__dict__.update(state)
         depth, width = self.depth, self.width
         self._row_idx = np.arange(depth, dtype=np.intp).reshape(-1, 1)
-        self._row_offsets = (
-            np.arange(depth, dtype=np.int64) * width
-        ).reshape(-1, 1)
+        self._row_offsets = numpy_backend.row_offsets(depth, width)
         self._table_flat = self.table.ravel()
         self.kernels = kernels.get_backend(self.backend, strict=False)
         self._batch_hasher = BatchHasher(self.family, backend=self.kernels)
@@ -588,20 +560,28 @@ class ScaledSketchTable(StreamingClassifier):
             and getattr(prev, "_chain_token", None) is self._chain_token
             and getattr(prev, "_chain_seq", None) == self._chain_seq
         )
+        chain_full = self._snap_used + k > _POOL_MAX_FACTOR * n_chunks
         rebase = (
             not chain_ok
             or dirty_fraction >= _REBASE_DIRTY_FRACTION
-            or self._snap_used + k > _POOL_MAX_FACTOR * n_chunks
+            or chain_full
         )
         tf = self._table_flat
         if rebase:
-            # 2x headroom so the publishes after a rebase append in
-            # place instead of regrowing immediately.  The headroom is
-            # pre-faulted here (one amortized fill on the slow path) so
-            # each later publish's gather writes into resident pages —
-            # soft page faults would otherwise dominate the
-            # latency-critical O(dirty) append.
-            pool = np.empty((2 * n_chunks, _CHUNK), dtype=np.float64)
+            # A rebase that starts or restarts a chain gets 2x headroom,
+            # so the publishes after it append in place instead of
+            # regrowing immediately.  The headroom is pre-faulted here
+            # (one amortized fill on the slow path) so each later
+            # publish's gather writes into resident pages — soft page
+            # faults would otherwise dominate the latency-critical
+            # O(dirty) append.  A rebase forced by the dirty fraction
+            # alone gets none: dense publishes tend to follow dense ones,
+            # which rebase again, and a sparse one regrows geometrically.
+            dense = chain_ok and not chain_full
+            pool = np.empty(
+                (n_chunks if dense else 2 * n_chunks, _CHUNK),
+                dtype=np.float64,
+            )
             pool.ravel()[:size] = tf
             pool[n_chunks:].fill(0.0)
             cmap = np.arange(n_chunks, dtype=np.int64)
@@ -804,42 +784,55 @@ class ScaledSketchTable(StreamingClassifier):
     # ------------------------------------------------------------------
     # Serving-path queries
     # ------------------------------------------------------------------
-    def query_many(self, indices: np.ndarray) -> np.ndarray:
-        """Sketch-recovery estimates for many features, serving-path.
+    def _read_store(self):
+        """The store whose members the batched reads answer from their
+        exact values (the AWM active set), or ``None``: every key reads
+        from the sketch."""
+        return None
 
-        Bit-identical to the per-feature recovery behind
-        ``estimate_weights`` for sketch-resident features, but built
-        for query rate: hashes go through the model's hasher (one C
-        loop under ``c``; under numpy a cross-batch memo, so repeated
-        queries skip hashing), and the gather +
-        median run as one ``fused_query`` kernel call over workspace
-        buffers.  Subclasses holding exact weights (the AWM active set)
-        override this to answer members exactly.
+    def query_many(self, indices: np.ndarray) -> np.ndarray:
+        """Serving-path weight queries, one ``fused_query`` kernel call.
+
+        Bit-identical to :meth:`estimate_weights` key by key: the
+        kernel hashes the keys through the model's hasher (one C loop
+        under ``c``; under numpy a cross-batch memo), translates them
+        through a chunk-pooled snapshot's chunk map, gathers the cells
+        and takes the signed median, all over workspace buffers.  Keys
+        the :meth:`_read_store` holds (the AWM active set) get their
+        exact stored weight and are not hashed.
         """
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        n = indices.size
-        if n == 0:
-            return np.zeros(0, dtype=np.float64)
-        ws = self._workspace()
-        depth = self.depth
-        buckets = ws.array("q_buckets", (depth, n), np.int64)
-        signs = ws.array("q_signs", (depth, n))
-        self._batch_hasher.rows_into(indices, buckets, signs)
-        flat = ws.array("q_flat", (depth, n), np.int64)
-        np.add(buckets, self._row_offsets, out=flat)
-        gathered = ws.array("q_gathered", (n, depth))
-        est = np.empty(n, dtype=np.float64)
-        if self.depth == 1:
-            factor = self._scale
-        else:
-            factor = self._sqrt_s * self._scale
-        numpy_backend.fused_query(
-            self._table_flat, self._translate_flat(flat), signs.T,
-            factor, gathered, est,
-        )
-        if self.l1 > 0.0:
-            est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
-        return est
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.empty(indices.size, dtype=np.float64)
+        if indices.size:
+            factor = (self._scale if self.depth == 1
+                      else self._sqrt_s * self._scale)
+            self.kernels.fused_query(
+                self._batch_hasher, self._table_flat, self._chunk_map,
+                self._read_store(), indices, factor, self.l1,
+                self._workspace(), out,
+            )
+        return out
+
+    def predict_batch(self, batch) -> np.ndarray:
+        """Margins for a whole batch, one ``fused_predict`` kernel call.
+
+        The kernel hashes every position through the model's hasher,
+        translates through a chunk-pooled snapshot's chunk map and
+        computes each example's *exactly rounded* margin (with an
+        active set: the members' exact products summed in position
+        order, then the sketch margin of the rest) — **bit-identical**
+        to per-example ``predict_margin``, so a served score does not
+        depend on how requests were batched.
+        """
+        out = np.empty(len(batch), dtype=np.float64)
+        if out.size:
+            self.kernels.fused_predict(
+                self._batch_hasher, self._table_flat, self._chunk_map,
+                self._read_store(), batch.indices, batch.values,
+                batch.indptr, self._scale, self._sqrt_s, self._workspace(),
+                out,
+            )
+        return out
 
     def _margin_from_rows(
         self, buckets: np.ndarray, signs: np.ndarray, values: np.ndarray
@@ -859,12 +852,9 @@ class ScaledSketchTable(StreamingClassifier):
         independent of summation order and buffer alignment (NumPy's
         SIMD ``.sum()`` is not).
         """
-        # scratch=False: reached from the serial-scalar serving path,
-        # which runs concurrently with the coalescer's batched reads on
-        # the same snapshot and must not touch the shared workspace.
         return numpy_backend.margin(
             self._table_flat,
-            self._translate_flat(buckets + self._row_offsets, scratch=False),
+            self._translate_flat(buckets + self._row_offsets),
             sign_values, self._scale, self._sqrt_s,
         )
 
@@ -912,12 +902,8 @@ class ScaledSketchTable(StreamingClassifier):
         if gathered_t is None:
             if flat_buckets is None:
                 flat_buckets = buckets + self._row_offsets
-            # scratch=False: top_weights / scalar estimates land here
-            # from both the serial thread and the coalescer thread on a
-            # shared snapshot — no workspace scratch allowed.
             gathered_t = numpy_backend.gather_rows_t(
-                self._table_flat,
-                self._translate_flat(flat_buckets, scratch=False),
+                self._table_flat, self._translate_flat(flat_buckets),
             )
         if self.depth == 1:
             factor = self._scale
@@ -941,8 +927,7 @@ class ScaledSketchTable(StreamingClassifier):
         if buckets.size == 0:
             return 0.0
         hi = numpy_backend.estimate_bound(
-            self._table_flat,
-            self._translate_flat(buckets + self._row_offsets, scratch=False),
+            self._table_flat, self._translate_flat(buckets + self._row_offsets),
         )
         if self.depth == 1:
             bound = self._scale * hi

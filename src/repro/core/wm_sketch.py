@@ -137,28 +137,6 @@ class WMSketch(ScaledSketchTable):
         buckets, signs = self._rows(x.indices)
         return self._margin_from_rows(buckets, signs, x.values)
 
-    def predict_batch(self, batch: SparseBatch) -> np.ndarray:
-        """Margins for a whole batch — the serving fast path.
-
-        One ``hash_rows`` call for the whole batch plus a single
-        ``fused_predict`` kernel call over workspace buffers.  Unlike
-        the earlier segment-sum implementation (which agreed with the
-        scalar path only to summation-order float differences), the
-        fused kernel computes each example's *exactly rounded* margin —
-        **bit-identical** to per-example :meth:`predict_margin`, so a
-        served score does not depend on how requests were batched.
-        """
-        n = len(batch)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        _, _, sign_values, flat = self._batch_rows(batch)
-        out = np.empty(n, dtype=np.float64)
-        self.kernels.fused_predict(
-            self._table_flat, self._translate_flat(flat), sign_values,
-            batch.indptr, self._scale, self._sqrt_s, out,
-        )
-        return out
-
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
@@ -407,17 +385,26 @@ class WMSketch(ScaledSketchTable):
         """Top-k features among the passively tracked heap.
 
         Estimates are refreshed against the current sketch state before
-        ranking, since heap snapshots can be stale.
+        ranking, since heap snapshots can be stale.  A scalar read: it
+        touches no shared reader cache, so the serial serving path may
+        run it beside the coalescer, whose top-k flush ranks the same
+        keys through :meth:`query_many` instead (bit-identical
+        estimates, one kernel call).
         """
+        return self._rank_heap(k, self.estimate_weights)
+
+    def _rank_heap(self, k: int, estimate) -> list[tuple[int, float]]:
+        """The ``k`` heap keys of largest ``|estimate(keys)|``: keys in
+        slot order, ranked by numpy's default argsort."""
         if self.heap is None:
             raise RuntimeError(
                 "construct with heap_capacity > 0 (or query "
                 "estimate_weights over a candidate set) for top_weights"
             )
-        candidates = np.array([i for i, _ in self.heap.items()], dtype=np.int64)
+        candidates = self.heap.live_keys.copy()
         if candidates.size == 0:
             return []
-        est = self.estimate_weights(candidates)
+        est = estimate(candidates)
         order = np.argsort(-np.abs(est))
         return [(int(candidates[i]), float(est[i])) for i in order[:k]]
 

@@ -1,15 +1,16 @@
 """Pluggable kernel backends for the compiled inner loops.
 
-The seven loops this repository compiles — WM's ``fused_update``,
-``fused_predict`` and passive-heap ``heap_maintain``, AWM's
-``awm_update``, the parameter-server push codec's ``chunk_delta`` and
-``chunk_add``, and ``hash_rows``, the (bucket, sign) hashing every
-trainer and reader runs through its
+The eight loops this repository compiles — WM's ``fused_update``, the
+serving reads ``fused_predict`` and ``fused_query`` (one call per
+coalesced flush, WM and AWM alike), WM's passive-heap
+``heap_maintain``, AWM's ``awm_update``, the parameter-server push
+codec's ``chunk_delta`` and ``chunk_add``, and ``hash_rows``, the
+(bucket, sign) hashing every trainer and reader runs through its
 :class:`~repro.hashing.batch.BatchHasher`
 (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch through a
 :class:`~repro.kernels.api.KernelBackend` selected here.  Every other
 hot helper (margins, scatters, gathers, median recovery, admission
-screens, recovery queries, the WM heap's decision core) has one
+screens, chunk-map translation, the WM heap's decision core) has one
 implementation, a plain function of
 :mod:`repro.kernels.numpy_backend`.  The hash families themselves live
 in :mod:`repro.hashing`, which never imports this package: a model
@@ -22,7 +23,7 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks the
     compiled backend against.
 ``c``
-    The seven kernels compiled from :file:`ckernels.c` with the system
+    The eight kernels compiled from :file:`ckernels.c` with the system
     ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
     Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls

@@ -1,9 +1,10 @@
 """The kernel API every backend implements: the compiled loops.
 
-A *kernel backend* is a named table of the seven loops this repository
-compiles: WM's fused training and prediction loops, its passive-heap
-maintain, AWM's Algorithm 2 step against a full active set, the
-parameter-server push codec's chunk encode and apply, and the
+A *kernel backend* is a named table of the eight loops this repository
+compiles: WM's fused training loop, the two serving reads (a batch's
+margins and a key set's weight estimates, WM and AWM alike), WM's
+passive-heap maintain, AWM's Algorithm 2 step against a full active
+set, the parameter-server push codec's chunk encode and apply, and the
 (bucket, sign) hashing every trainer and reader runs
 (:data:`KERNEL_NAMES`).  Every backend implements them with the same
 *bit-level* semantics.  The NumPy backend is the executable reference,
@@ -16,9 +17,9 @@ computed them.
 
 The helpers no backend compiles (the exactly rounded ``margin``, the
 ``scatter_add`` scatter, the transposed gather, median recovery and its
-scalar form, the estimate bound, the admission screen and the
-``fused_query`` read) are plain functions of
-:mod:`repro.kernels.numpy_backend`, called by name.
+scalar form, the estimate bound, the admission screen and the chunk-map
+translation) are plain functions of :mod:`repro.kernels.numpy_backend`,
+called by name.
 
 Shapes below use ``depth`` = sketch rows and ``nnz`` = number of
 key/feature positions in the call.
@@ -72,7 +73,8 @@ gathered_out, scales_out, touched_out) -> None``
     unknown ``loss_id`` (or a smoothed-hinge gamma <= 0), then for an
     ``indptr`` that is not non-decreasing within ``[0,
     flat_buckets.shape[1]]`` (``numpy_backend.check_indptr``, which
-    ``fused_predict`` runs too), then for a short ``touched_out``,
+    ``fused_predict`` runs on its ``indptr`` too), then for a short
+    ``touched_out``,
     then for a recording ``gathered_out`` / ``scales_out`` too short
     for the batch.
 
@@ -80,12 +82,59 @@ gathered_out, scales_out, touched_out) -> None``
     (the per-example spec raises mid-batch; the fused kernel assumes
     validity).
 
-``fused_predict(table_flat, flat_buckets, sign_values, indptr, scale,
-sqrt_s, out) -> None``
-    Read-only batch margins: ``out[i]`` is exactly
-    ``numpy_backend.margin`` of example ``i``'s slice — bit-identical
-    to per-example ``predict_margin``, so serving responses do not
-    depend on how requests were batched.
+Serving reads
+-------------
+Each read answers one coalescer flush in one call: it hashes the
+request's keys (``hash_rows``' steps), translates their flat buckets
+through a chunk-pooled snapshot's chunk map, gathers the cells and takes
+the signed median or the exact margin.  The shared arguments:
+
+* ``hasher``, the model's :class:`~repro.hashing.batch.BatchHasher`
+  (for a snapshot, the manager's reader hasher).  Its counters advance
+  as the numpy body's lookups do: the numpy body hashes through
+  ``hasher.rows_into`` (the memo), the ``c`` body evaluates the family
+  itself and counts every hashed position as a miss.
+* ``table_flat``, the raw flat table, or a chunk-pooled snapshot's
+  raveled pool with ``chunk_map`` its chunk -> pool-row map (``None``
+  for a dense table): flat bucket ``f`` reads cell ``(chunk_map[f >>
+  CHUNK_LOG] << CHUNK_LOG) | (f & (CHUNK - 1))``
+  (``numpy_backend.translate_flat``); a cell outside the table raises
+  ``IndexError``, as numpy's ``take`` does.
+* ``store``, ``None``, or the :class:`~repro.heap.topk.TopKStore` whose
+  members are answered exactly (the AWM active set): a key the store
+  holds reads ``raw[slot] * scale`` (``TopKStore.values_at``), found by
+  binary search over the store's sorted live keys in C.
+* ``ws``, the model's :class:`~repro.kernels.workspace.KernelWorkspace`
+  (scratch the ``c`` body length-checks; it allocates nothing else).
+
+``fused_predict(hasher, table_flat, chunk_map, store, indices, values,
+indptr, scale, sqrt_s, ws, out) -> None``
+    Batch margins of the CSR rows ``indices`` / ``values`` / ``indptr``
+    (int64, float64, int64; ``out`` float64 of ``n`` rows).  Without a
+    store, ``out[i]`` is ``numpy_backend.margin`` of row ``i``: ``scale
+    * fsum(cell * (sign * value)) / sqrt_s`` over the ``(depth,
+    nnz_i)`` block in C order — bit-identical to per-example
+    ``predict_margin``, so serving responses do not depend on how
+    requests were batched.  With one, ``AWMSketch.predict_margin``'s
+    order: a running sum from ``0.0`` of ``raw * scale * value`` over
+    the members in position order, then ``+=`` that margin over the
+    other positions when there are any.  ``indptr`` is checked first
+    (``ValueError``, nothing hashed or written); then every position
+    is hashed, members included.  An ``fsum`` error raises at its
+    example, with the earlier rows written.
+
+``fused_query(hasher, table_flat, chunk_map, store, keys, factor, l1, ws,
+out) -> None``
+    Weight estimates of ``keys`` (int64, 1-d; ``out`` float64 of the
+    same length): a store member's exact value, else the median over
+    rows of ``sign * cell`` (``numpy_backend.median_estimate``'s stable
+    NaN-last order, ``(a + b) * 0.5`` at even depth), times ``factor``,
+    then the soft threshold ``sign(e) * max(|e| - l1, 0)`` when ``l1 >
+    0`` — bit-identical to ``estimate_weights`` key by key.  Only the
+    keys the store does not hold are hashed.
+
+Both ``c`` wrappers raise ``TypeError`` for wrong dtypes and
+``ValueError`` for inconsistent shapes before calling C.
 
 WM passive-heap maintain
 ------------------------
@@ -258,8 +307,8 @@ from __future__ import annotations
 
 #: Every kernel a backend must provide, in documentation order.
 KERNEL_NAMES = (
-    "fused_update", "fused_predict", "heap_maintain", "awm_update",
-    "chunk_delta", "chunk_add", "hash_rows",
+    "fused_update", "fused_predict", "fused_query", "heap_maintain",
+    "awm_update", "chunk_delta", "chunk_add", "hash_rows",
 )
 
 #: Cells per chunk of the dirty bitmap and of the delta codec's wire

@@ -1,8 +1,11 @@
 """The compiled C backend (``"c"``).
 
-All seven kernels are compiled, from :file:`ckernels.c`:
-``fused_update`` and ``fused_predict``, whose NumPy body is a
-per-example Python loop; ``heap_maintain``, WM's passive-heap refresh
+All eight kernels are compiled, from :file:`ckernels.c`:
+``fused_update``, whose NumPy body is a per-example Python loop; the
+serving reads ``fused_predict`` and ``fused_query``, which hash, translate
+through a snapshot's chunk map, gather and sum or take the median (and
+find AWM members by binary search) in one C call where the NumPy bodies
+make a dozen NumPy calls; ``heap_maintain``, WM's passive-heap refresh
 and admissions, which runs the shared decision core in Python until
 the store is full and one C loop from there; ``awm_update``, AWM's
 Algorithm 2 step against a full active set, one C loop whose
@@ -81,10 +84,20 @@ int64_t repro_fused_update(
     void *scales, int64_t n_scales,
     void *touched, int64_t n_touched, void *state);
 int64_t repro_fused_predict(
-    void *table, int64_t size,
-    void *fb, void *sv, int64_t depth, int64_t ncols,
-    void *indptr, int64_t n, double scale, double sqrt_s,
-    void *out);
+    void *packed, int64_t kind, int64_t row_len, int64_t depth,
+    int64_t width, void *table, int64_t size, void *cmap, int64_t n_map,
+    int64_t members, void *skeys, void *sslots, int64_t live,
+    void *raw, int64_t n_raw, double hscale,
+    void *keys, void *values, void *indptr,
+    int64_t n, int64_t nnz, double scale, double sqrt_s,
+    void *slots, int64_t n_slots, void *out);
+int64_t repro_fused_query(
+    void *packed, int64_t kind, int64_t row_len, int64_t depth,
+    int64_t width, void *table, int64_t size, void *cmap, int64_t n_map,
+    void *skeys, void *sslots, int64_t live,
+    void *raw, int64_t n_raw, double hscale,
+    void *keys, int64_t n, double factor, double l1,
+    void *row, int64_t n_row, void *out, int64_t *hashed);
 int64_t repro_heap_maintain(
     void *indices, int64_t nnz, void *indptr, int64_t n, int64_t start,
     void *signs, void *gathered, int64_t depth,
@@ -249,8 +262,10 @@ _I64 = np.dtype(np.int64)
 #: etas, state, margins_out, gathered_out, scales_out, touched_out).
 _UPDATE_DTYPES = (_F64, _I64, _F64, _I64, _I64, _F64, _F64, _F64, _F64, _F64,
                   _I64)
-#: Dtypes of (table_flat, flat_buckets, sign_values, indptr, out).
+#: Dtypes of fused_predict's (table_flat, indices, values, indptr, out).
 _PREDICT_DTYPES = (_F64, _I64, _F64, _I64, _F64)
+#: Dtypes of fused_query's (table_flat, keys, out).
+_QUERY_DTYPES = (_F64, _I64, _F64)
 #: Dtypes of (indices, indptr, signs, gathered, scales).
 _MAINTAIN_DTYPES = (_I64, _I64, _F64, _F64, _F64)
 #: Dtypes of (etas, flat, signs, sv, key_flat, key_signs, table_flat,
@@ -264,8 +279,9 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
     """Raise what a nonzero ckernels.c status (code in the low four
     bits, detail above) stands for — what the NumPy reference raises."""
     code, detail = status & 15, status >> 4
-    if code == 1:  # detail: flat position of the bucket
-        bucket = int(flat_buckets.reshape(-1)[detail])
+    if code == 1:  # detail: flat position of the bucket, or the bucket
+        bucket = (detail if flat_buckets is None
+                  else int(flat_buckets.reshape(-1)[detail]))
         raise IndexError(
             f"index {bucket} is out of bounds for axis 0 with size {size}"
         )
@@ -287,11 +303,14 @@ def _raise_status(status: int, flat_buckets, size: int, n: int,
                          "a heap_maintain buffer is too short for the "
                          "batch",
                          "an awm_update buffer is too short for the "
-                         "batch")[min(detail, 4)]),
+                         "batch",
+                         "a read kernel's scratch or chunk map is too "
+                         "short")[min(detail, 5)]),
         11: (ValueError, ("the store's live keys are not distinct",
                           "the kernel needs a full store with its "
                           "cached minimum slot in range",
-                          "a key repeats within an example")[min(detail, 2)]),
+                          "a key repeats within an example",
+                          "a store slot is out of range")[min(detail, 3)]),
     }.get(code, (RuntimeError, f"C kernel failed with status {status}"))
     raise exc_type(message)
 
@@ -320,8 +339,10 @@ def _make_backend(ffi, lib) -> KernelBackend:
     # refuses a simple buffer otherwise), written ones also writability.
     view = ffi.from_buffer
     new = ffi.new
+    null = ffi.NULL
     c_update = lib.repro_fused_update
     c_predict = lib.repro_fused_predict
+    c_query = lib.repro_fused_query
     c_maintain = lib.repro_heap_maintain
     c_awm = lib.repro_awm_update
     c_delta = lib.repro_chunk_delta
@@ -398,42 +419,105 @@ def _make_backend(ffi, lib) -> KernelBackend:
             _raise_status(status, flat_buckets, table_flat.shape[0], n,
                           loss_id, loss_param)
 
+    def read_views(hasher, table_flat, chunk_map, store):
+        # The arguments both reads share: the family's packed rows, the
+        # table (and chunk map), and the store's sorted live keys.
+        family = hasher.family
+        packed = family.packed
+        if chunk_map is None:
+            cmap, n_map = null, 0
+        else:
+            if chunk_map.dtype != _I64 or chunk_map.ndim != 1:
+                raise TypeError("chunk_map must be a 1-d int64 array")
+            cmap, n_map = view(np.ascontiguousarray(chunk_map)), \
+                chunk_map.shape[0]
+        args = [view(packed), KIND_CODES[family.kind],
+                packed.shape[0] // family.depth, family.depth,
+                family.width, view(np.ascontiguousarray(table_flat)),
+                table_flat.shape[0], cmap, n_map]
+        if store is None or store._n == 0:
+            return args + [null, null, 0, null, 0, 1.0]
+        keys, slots = store._sorted()
+        if slots.shape != keys.shape:
+            raise ValueError("the store's sorted keys and slots differ in "
+                             "length")
+        raw = np.ascontiguousarray(store._raw, dtype=np.float64)
+        return args + [
+            view(np.ascontiguousarray(keys, dtype=np.int64)),
+            view(np.ascontiguousarray(slots, dtype=np.int64)),
+            keys.shape[0], view(raw), raw.shape[0], store._scale,
+        ]
+
+    def written(name, arr):
+        try:
+            return view(arr, require_writable=True)
+        except ValueError as exc:
+            raise _layout_error(name, exc) from None
+
     def fused_predict(
-        table_flat, flat_buckets, sign_values, indptr, scale, sqrt_s, out,
+        hasher, table_flat, chunk_map, store, indices, values, indptr,
+        scale, sqrt_s, ws, out,
     ):
-        dtypes = (table_flat.dtype, flat_buckets.dtype, sign_values.dtype,
+        dtypes = (table_flat.dtype, indices.dtype, values.dtype,
                   indptr.dtype, out.dtype)
         if dtypes != _PREDICT_DTYPES:
             raise TypeError(f"fused_predict dtypes must be "
                             f"{_PREDICT_DTYPES}, got {dtypes}")
         n = out.shape[0]
-        if (table_flat.ndim != 1 or flat_buckets.ndim != 2
-                or sign_values.shape != flat_buckets.shape
+        nnz = indices.shape[0] if indices.ndim == 1 else -1
+        if (table_flat.ndim != 1 or indices.ndim != 1
+                or values.shape != indices.shape
                 or indptr.ndim != 1 or indptr.shape[0] <= n
                 or out.ndim != 1):
             raise ValueError(
                 "fused_predict: inconsistent shapes (see kernels.api)"
             )
-        depth, ncols = flat_buckets.shape
-        try:
-            table, fb, sv, ip = (
-                view(table_flat), view(flat_buckets), view(sign_values),
-                view(indptr),
-            )
-        except ValueError:
-            table, fb, sv, ip = copied_views(
-                table_flat, flat_buckets, sign_values, indptr
-            )
-        try:
-            dest = view(out, require_writable=True)
-        except ValueError as exc:
-            raise _layout_error("out", exc) from None
+        members = store is not None
+        slots = ws.array("fp_slots", nnz, np.int64) if members else None
+        shared = read_views(hasher, table_flat, chunk_map, store)
         status = c_predict(
-            table, table_flat.shape[0], fb, sv, depth, ncols, ip, n,
-            scale, sqrt_s, dest,
+            *shared[:9], members, *shared[9:],
+            view(np.ascontiguousarray(indices)),
+            view(np.ascontiguousarray(values)),
+            view(np.ascontiguousarray(indptr)), n, nnz, scale, sqrt_s,
+            null if slots is None else written("slots", slots), nnz,
+            written("out", out),
+        )
+        # The numpy body hashes every position once indptr checks out
+        # (status 5: a bad indptr; 8: a short buffer, both raised first).
+        if nnz and status & 15 not in (5, 8):
+            hasher.count_misses(nnz)
+        if status:
+            _raise_status(status, None, table_flat.shape[0], n)
+
+    def fused_query(
+        hasher, table_flat, chunk_map, store, keys, factor, l1, ws, out,
+    ):
+        dtypes = (table_flat.dtype, keys.dtype, out.dtype)
+        if dtypes != _QUERY_DTYPES:
+            raise TypeError(f"fused_query dtypes must be {_QUERY_DTYPES}, "
+                            f"got {dtypes}")
+        if (table_flat.ndim != 1 or keys.ndim != 1
+                or out.shape != keys.shape):
+            raise ValueError(
+                "fused_query: inconsistent shapes (see kernels.api)"
+            )
+        n = keys.shape[0]
+        if n == 0:
+            return
+        depth = hasher.family.depth
+        hashed = new("int64_t[1]")
+        status = c_query(
+            *read_views(hasher, table_flat, chunk_map, store),
+            view(np.ascontiguousarray(keys)), n, factor, l1,
+            written("row", ws.array("fq_row", depth)), depth,
+            written("out", out), hashed,
         )
         if status:
-            _raise_status(status, flat_buckets, table_flat.shape[0], n)
+            _raise_status(status, None, table_flat.shape[0], n)
+        # The numpy body hashes exactly the keys the store does not hold.
+        if hashed[0]:
+            hasher.count_misses(hashed[0])
 
     def heap_maintain(
         store, indices, indptr, signs, gathered, scales, sqrt_s, l1, ws,
@@ -646,6 +730,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
     return KernelBackend("c", functions={
         "fused_update": fused_update,
         "fused_predict": fused_predict,
+        "fused_query": fused_query,
         "heap_maintain": heap_maintain,
         "awm_update": awm_update,
         "chunk_delta": chunk_delta,

@@ -1,7 +1,10 @@
 /*
- * The compiled bodies of seven kernels whose contract is in api.py:
- * fused_update and fused_predict, whose NumPy reference
- * (numpy_backend.py) is a per-example Python loop; heap_maintain, whose
+ * The compiled bodies of eight kernels whose contract is in api.py:
+ * fused_update, whose NumPy reference (numpy_backend.py) is a
+ * per-example Python loop; the serving reads fused_predict and
+ * fused_query, whose reference hashes through the hasher, translates
+ * through a snapshot's chunk map and gathers in NumPy calls before the
+ * same exact margin or median; heap_maintain, whose
  * reference replays the WM passive heap's decision core per possible
  * admission; awm_update, whose reference is AWM's Algorithm 2 step per
  * example against a full active set; the parameter-server push codec's
@@ -19,10 +22,11 @@
  * of the repro.learning.losses classes; scatters run in np.add.at's
  * element order over each example's (depth, nnz_i) block; the chunk
  * loops do per cell the rounded operations numpy does per element; the
- * heap loops sort each median row the way numpy's stable sort does and
- * find the store minimum the way argmin does; hash_rows runs the hash
- * classes' integer steps (uint64 XORs, and 128-bit Horner products with
- * _mod_mersenne61's fold) on the key read as uint64.  When
+ * heap loops and fused_query sort each median row the way numpy's stable
+ * sort does and the heap loops find the store minimum the way argmin
+ * does; hash_rows and the reads run the hash classes' integer steps
+ * (uint64 XORs, and 128-bit Horner products with _mod_mersenne61's fold)
+ * on the key read as uint64.  When
  * both operands of one operation are NaN, which payload the result
  * carries is unspecified: numpy's own choice depends on the array length
  * (its SIMD body and scalar remainder differ).
@@ -51,6 +55,7 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* The exception c_backend._raise_status makes of each status. */
@@ -71,7 +76,9 @@ enum {
                          cached minimum slot is out of range */
 };
 
-#define STATUS(code, detail) ((int64_t)(code) | ((int64_t)(detail) << 4))
+/* Multiplied, not shifted: a read's detail (the index of a cell outside
+ * the table) may be negative. */
+#define STATUS(code, detail) ((int64_t)(code) | (int64_t)(detail) * 16)
 
 /* Non-overlapping nonzero partials each own at least one bit of the
  * 2098-bit span of doubles, so this bound can never be reached. */
@@ -357,33 +364,6 @@ int64_t repro_fused_update(
     state[0] = scale;
     state[1] = (double)i;
     return st;
-}
-
-/*
- * fused_predict: out[i] = scale * fsum(table[fb] * sv over example i's
- * slice) / sqrt_s, read-only on the table.
- */
-int64_t repro_fused_predict(
-    const double *table, int64_t size,
-    const int64_t *fb, const double *sv, int64_t depth, int64_t ncols,
-    const int64_t *indptr, int64_t n, double scale, double sqrt_s,
-    double *out)
-{
-    fsum_state s;
-    int64_t st = check_indptr(indptr, n, ncols);
-    if (st)
-        return st;
-    for (int64_t i = 0; i < n; i++) {
-        double total;
-        st = example_sum(table, size, fb, sv, depth, ncols,
-                         indptr[i], indptr[i + 1], &s, &total);
-        if (st)
-            return st;
-        if (sqrt_s == 0.0)
-            return ST_ZERO_DIV;
-        out[i] = scale * total / sqrt_s;
-    }
-    return ST_OK;
 }
 
 /* The detail of a bad chunk id list: the first entry i with
@@ -1080,17 +1060,51 @@ static inline uint64_t mod_mersenne61(unsigned __int128 x)
     return y >= MERSENNE_61 ? y - MERSENNE_61 : y;
 }
 
+/* Row `row`'s hash of key k: tabulation XORs the row's byte tables over
+ * k's little-endian bytes, as TabulationHash.hash does. */
+static inline uint64_t tab_hash(const uint64_t *row, uint64_t k)
+{
+    return row[k & 255]
+        ^ row[256 + ((k >> 8) & 255)]
+        ^ row[512 + ((k >> 16) & 255)]
+        ^ row[768 + ((k >> 24) & 255)]
+        ^ row[1024 + ((k >> 32) & 255)]
+        ^ row[1280 + ((k >> 40) & 255)]
+        ^ row[1536 + ((k >> 48) & 255)]
+        ^ row[1792 + (k >> 56)];
+}
+
+/* Polynomial: Horner's rule from the top coefficient over k folded
+ * once, as PolynomialHash.hash does. */
+static inline uint64_t poly_hash(const uint64_t *row, int64_t row_len,
+                                 uint64_t k)
+{
+    uint64_t x = mod_mersenne61(k);
+    uint64_t h = row[row_len - 1];
+    for (int64_t d = row_len - 2; d >= 0; d--)
+        h = mod_mersenne61((unsigned __int128)h * x + row[d]);
+    return h;
+}
+
+/* A hash value's bucket (h & (width - 1) at a power-of-two width, else
+ * h % width) and sign (bit 45 mapped to +-1.0). */
+static inline int64_t hash_bucket(uint64_t h, uint64_t w, int pow2)
+{
+    return (int64_t)(pow2 ? h & (w - 1) : h % w);
+}
+
+static inline double hash_sign(uint64_t h)
+{
+    return (h >> SIGN_BIT) & 1 ? 1.0 : -1.0;
+}
+
 /*
  * hash_rows: HashFamily.all_rows(keys) into the (depth, n) row-major
  * buckets and signs.  packed holds the family's rows one after another,
- * row_len words each: for tabulation a row's 8 byte tables of 256 words
- * (the key's little-endian bytes index them, as TabulationHash.hash
- * does), for polynomial a row's coefficients, lowest degree first
- * (Horner's rule from the top one, as PolynomialHash.hash does, over
- * the key read as uint64 and folded once).  The bucket is h & (width -
- * 1) at a power-of-two width, else h % width; the sign is bit 45 mapped
- * to +-1.0.  Reads only packed and keys and writes only the outputs;
- * it cannot fail (c_backend.py checks every buffer first).
+ * row_len words each: for tabulation a row's 8 byte tables of 256 words,
+ * for polynomial a row's coefficients, lowest degree first, over the key
+ * read as uint64.  Reads only packed and keys and writes only the
+ * outputs; it cannot fail (c_backend.py checks every buffer first).
  */
 void repro_hash_rows(
     const uint64_t *packed, int64_t kind, int64_t row_len,
@@ -1106,27 +1120,262 @@ void repro_hash_rows(
         double *s = signs + j * n;
         if (kind == HASH_TABULATION) {
             for (int64_t i = 0; i < n; i++) {
-                uint64_t k = (uint64_t)keys[i];
-                uint64_t h = row[k & 255]
-                    ^ row[256 + ((k >> 8) & 255)]
-                    ^ row[512 + ((k >> 16) & 255)]
-                    ^ row[768 + ((k >> 24) & 255)]
-                    ^ row[1024 + ((k >> 32) & 255)]
-                    ^ row[1280 + ((k >> 40) & 255)]
-                    ^ row[1536 + ((k >> 48) & 255)]
-                    ^ row[1792 + (k >> 56)];
-                b[i] = (int64_t)(pow2 ? h & (w - 1) : h % w);
-                s[i] = (h >> SIGN_BIT) & 1 ? 1.0 : -1.0;
+                uint64_t h = tab_hash(row, (uint64_t)keys[i]);
+                b[i] = hash_bucket(h, w, pow2);
+                s[i] = hash_sign(h);
             }
         } else {
             for (int64_t i = 0; i < n; i++) {
-                uint64_t x = mod_mersenne61((uint64_t)keys[i]);
-                uint64_t h = row[row_len - 1];
-                for (int64_t d = row_len - 2; d >= 0; d--)
-                    h = mod_mersenne61((unsigned __int128)h * x + row[d]);
-                b[i] = (int64_t)(pow2 ? h & (w - 1) : h % w);
-                s[i] = (h >> SIGN_BIT) & 1 ? 1.0 : -1.0;
+                uint64_t h = poly_hash(row, row_len, (uint64_t)keys[i]);
+                b[i] = hash_bucket(h, w, pow2);
+                s[i] = hash_sign(h);
             }
         }
     }
+}
+
+/*
+ * The serving reads, fused_query and fused_predict: each hashes the
+ * request's keys (hash_rows' steps), translates the flat buckets through
+ * a chunk-pooled snapshot's chunk map, gathers the cells and takes the
+ * signed median or the exact margin, in one call.  With an active set
+ * (AWM), a key the store holds is answered from its exact value instead,
+ * found by binary search over the store's sorted live keys.
+ */
+
+/* A hash family's packed rows (see repro_hash_rows). */
+typedef struct {
+    const uint64_t *packed;
+    int64_t kind, row_len, depth, width;
+    int pow2;
+} hash_family;
+
+/* Key k's flat bucket in row j (the bucket plus j * width), and its
+ * sign. */
+static inline int64_t key_flat(const hash_family *f, int64_t j, int64_t k,
+                               double *sign)
+{
+    const uint64_t *row = f->packed + j * f->row_len;
+    uint64_t h = f->kind == HASH_TABULATION
+        ? tab_hash(row, (uint64_t)k) : poly_hash(row, f->row_len, (uint64_t)k);
+    *sign = hash_sign(h);
+    return j * f->width + hash_bucket(h, (uint64_t)f->width, f->pow2);
+}
+
+/* The cells a read gathers: a dense raw table, or a snapshot's chunk pool
+ * with its chunk -> pool-row map (cmap; NULL for a dense table). */
+typedef struct {
+    const double *cells;
+    int64_t size;
+    const int64_t *cmap;
+} read_table;
+
+/* The index of flat bucket b's cell: b itself in a dense table, else
+ * rewritten through the chunk map as _translate_flat does. */
+static inline int64_t read_index(const read_table *t, int64_t b)
+{
+    if (t->cmap)
+        b = (t->cmap[b >> CHUNK_LOG] << CHUNK_LOG) | (b & (CHUNK - 1));
+    return b;
+}
+
+/* An active set: its live keys sorted (keys), the slot of each (slots),
+ * and the raw values and scale a member's exact value is raw * scale
+ * of. */
+typedef struct {
+    const int64_t *keys, *slots;
+    int64_t live;
+    const double *raw;
+    int64_t n_raw;
+    double scale;
+} member_store;
+
+/* The slot holding key k, by binary search over the sorted keys: -1 for
+ * a non-member, -2 for a slot outside raw. */
+static inline int64_t member_slot(const member_store *m, int64_t k)
+{
+    const int64_t *base = m->keys;
+    int64_t n = m->live;
+    if (n == 0)
+        return -1;
+    while (n > 1) {
+        int64_t half = n >> 1;
+        base = base[half - 1] < k ? base + half : base;
+        n -= half;
+    }
+    if (*base != k)
+        return -1;
+    int64_t s = m->slots[base - m->keys];
+    return s >= 0 && s < m->n_raw ? s : -2;
+}
+
+/* The checks both reads run before anything is written: a family of at
+ * least one row, a chunk map covering every flat bucket, and the row
+ * scratch. */
+static int64_t check_read(const hash_family *f, int64_t n_map,
+                          const read_table *t, int64_t n_row)
+{
+    if (f->depth < 1 || f->width < 1 || n_row < f->depth
+        || (t->cmap && n_map < ((f->depth * f->width + CHUNK - 1)
+                                >> CHUNK_LOG)))
+        return STATUS(ST_SHORT, 5);
+    return ST_OK;
+}
+
+/* The exactly rounded sum of cell * (sign * value) over positions
+ * [lo, hi) of every row, row by row (skipping the members, slot >= 0,
+ * when slots is not NULL): numpy's take then math.fsum over the
+ * C-order products of the (depth, positions) block, gathered GATHER at
+ * a time. */
+static int64_t read_sum(const hash_family *f, const read_table *t,
+                        const int64_t *keys, const double *values,
+                        const int64_t *slots, int64_t lo, int64_t hi,
+                        fsum_state *s, double *total)
+{
+    double buf[GATHER];
+    int64_t m = 0;
+    s->n = 0;
+    s->special_sum = s->inf_sum = 0.0;
+    for (int64_t j = 0; j < f->depth; j++) {
+        for (int64_t p = lo; p < hi; p++) {
+            if (slots && slots[p] >= 0)
+                continue;
+            double sign;
+            int64_t b = read_index(t, key_flat(f, j, keys[p], &sign));
+            int64_t c = wrap_bucket(b, t->size);
+            if (c < 0)
+                return STATUS(ST_BUCKET, b);
+            buf[m++] = t->cells[c] * (sign * values[p]);
+            if (m == GATHER) {
+                int st = fsum_add_all(s, buf, m);
+                if (st)
+                    return st;
+                m = 0;
+            }
+        }
+    }
+    int st = fsum_add_all(s, buf, m);
+    if (st)
+        return st;
+    return fsum_result(s, total);
+}
+
+/*
+ * fused_query: out[i] = the estimate of keys[i]: for a member of the
+ * store (live > 0), its exact value raw[slot] * hscale; otherwise the
+ * median over rows of sign * cell, times factor, then the l1 soft
+ * threshold (row_estimate, the numpy body's fused_query + l1).  hashed[0]
+ * receives the number of keys hashed (the non-members).  row is depth
+ * doubles of scratch.
+ */
+int64_t repro_fused_query(
+    const uint64_t *packed, int64_t kind, int64_t row_len, int64_t depth,
+    int64_t width, const double *table, int64_t size,
+    const int64_t *cmap, int64_t n_map,
+    const int64_t *skeys, const int64_t *sslots, int64_t live,
+    const double *raw, int64_t n_raw, double hscale,
+    const int64_t *keys, int64_t n, double factor, double l1,
+    double *row, int64_t n_row, double *out, int64_t *hashed)
+{
+    hash_family f = {packed, kind, row_len, depth, width,
+                     (width & (width - 1)) == 0};
+    read_table t = {table, size, cmap};
+    member_store m = {skeys, sslots, live, raw, n_raw, hscale};
+    int64_t count = 0;
+    int64_t st = check_read(&f, n_map, &t, n_row);
+    if (st)
+        return st;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k = keys[i];
+        if (live) {
+            int64_t s = member_slot(&m, k);
+            if (s == -2)
+                return STATUS(ST_STORE, 3);
+            if (s >= 0) {
+                out[i] = raw[s] * hscale;
+                continue;
+            }
+        }
+        count++;
+        for (int64_t j = 0; j < depth; j++) {
+            double sign;
+            int64_t b = read_index(&t, key_flat(&f, j, k, &sign));
+            int64_t c = wrap_bucket(b, size);
+            if (c < 0)
+                return STATUS(ST_BUCKET, b);
+            row[j] = sign * table[c];
+        }
+        out[i] = row_estimate(row, depth, factor, l1);
+    }
+    hashed[0] = count;
+    return ST_OK;
+}
+
+/*
+ * fused_predict: out[i] = the margin of example i (CSR slice
+ * indptr[i]:indptr[i+1] of keys / values): without an active set
+ * (members == 0), scale * fsum(cell * (sign * value)) / sqrt_s over every
+ * row's positions; with one, a running sum from 0.0 of raw[slot] * hscale
+ * * value over the members in position order, then += that margin over
+ * the other positions when there are any.  slots (nnz) is scratch for
+ * the members' slots.  Checks indptr first.
+ */
+int64_t repro_fused_predict(
+    const uint64_t *packed, int64_t kind, int64_t row_len, int64_t depth,
+    int64_t width, const double *table, int64_t size,
+    const int64_t *cmap, int64_t n_map,
+    int64_t members, const int64_t *skeys, const int64_t *sslots,
+    int64_t live, const double *raw, int64_t n_raw, double hscale,
+    const int64_t *keys, const double *values, const int64_t *indptr,
+    int64_t n, int64_t nnz, double scale, double sqrt_s,
+    int64_t *slots, int64_t n_slots, double *out)
+{
+    hash_family f = {packed, kind, row_len, depth, width,
+                     (width & (width - 1)) == 0};
+    read_table t = {table, size, cmap};
+    member_store m = {skeys, sslots, live, raw, n_raw, hscale};
+    fsum_state s;
+    int64_t st = check_indptr(indptr, n, nnz);
+    if (st)
+        return st;
+    st = check_read(&f, n_map, &t, depth);
+    if (st)
+        return st;
+    if (members && n_slots < nnz)
+        return STATUS(ST_SHORT, 5);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t lo = indptr[i], hi = indptr[i + 1];
+        double total;
+        if (!members) {
+            st = read_sum(&f, &t, keys, values, NULL, lo, hi, &s, &total);
+            if (st)
+                return st;
+            if (sqrt_s == 0.0)
+                return ST_ZERO_DIV;
+            out[i] = scale * total / sqrt_s;
+            continue;
+        }
+        double tau = 0.0;
+        int64_t tail = 0;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t sl = member_slot(&m, keys[p]);
+            if (sl == -2)
+                return STATUS(ST_STORE, 3);
+            slots[p] = sl;
+            if (sl >= 0)
+                tau += raw[sl] * hscale * values[p];
+            else
+                tail++;
+        }
+        if (tail) {
+            st = read_sum(&f, &t, keys, values, slots, lo, hi, &s, &total);
+            if (st)
+                return st;
+            if (sqrt_s == 0.0)
+                return ST_ZERO_DIV;
+            tau += scale * total / sqrt_s;
+        }
+        out[i] = tau;
+    }
+    return ST_OK;
 }

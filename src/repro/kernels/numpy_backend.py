@@ -1,19 +1,20 @@
 """The NumPy reference backend, and the helpers no backend compiles.
 
-The seven kernels of :data:`repro.kernels.api.KERNEL_NAMES`
-(``fused_update``, ``fused_predict``, ``heap_maintain``,
-``awm_update``, ``chunk_delta``, ``chunk_add``, ``hash_rows``) are the
-executable specification the compiled ``c`` backend is checked against
-(``hash_rows`` here is the hasher's memo; both match
-``HashFamily.all_rows``, the one oracle).  The other
+The eight kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+(``fused_update``, ``fused_predict``, ``fused_query``,
+``heap_maintain``, ``awm_update``, ``chunk_delta``, ``chunk_add``,
+``hash_rows``) are the executable specification the compiled ``c``
+backend is checked against (``hash_rows`` here is the hasher's memo;
+both match ``HashFamily.all_rows``, the one oracle; the two reads are
+the model read paths they replaced, moved here).  The other
 functions here are plain helpers with one implementation, which WM,
 AWM, feature hashing, the sketch table and the top-K store import and
 call by name: the exactly rounded margin, the element-order scatter,
 the transposed gather, median recovery and its scalar form
 (:func:`scalar_estimate`), the estimate bound, the admission screen, the
-``fused_query`` read, and the WM heap's decision core
-(:func:`maintain_decide`, which the ``c`` backend's ``heap_maintain``
-also runs until the store is full).
+chunk-map translation (:func:`translate_flat`), and the WM heap's
+decision core (:func:`maintain_decide`, which the ``c`` backend's
+``heap_maintain`` also runs until the store is full).
 Their bodies were extracted verbatim from the pre-kernel classifiers,
 and the bit-level guarantees of the batched engine (exactly rounded
 ``fsum`` margins, layout-deterministic ``ufunc.at`` scatters,
@@ -291,59 +292,155 @@ def fused_update(
         state[1] = done
 
 
+def row_offsets(depth: int, width: int) -> np.ndarray:
+    """The ``(depth, 1)`` column ``j * width`` that turns row ``j``'s
+    buckets into flat indices of the ``(depth, width)`` table."""
+    return np.arange(0, depth * width, width, dtype=np.int64).reshape(-1, 1)
+
+
+def translate_flat(chunk_map, flat: np.ndarray, ws=None) -> np.ndarray:
+    """Flat bucket indices mapped into a chunk-pooled snapshot's pool:
+    each ``f`` becomes ``(chunk_map[f >> CHUNK_LOG] << CHUNK_LOG) | (f &
+    (CHUNK - 1))``, so the pool's cells read exactly as the dense table's
+    (gathers move bits and do no arithmetic).  ``chunk_map`` ``None`` (a
+    dense table) returns ``flat``.  With a workspace ``ws`` the result
+    lives in its arenas; without one it is a fresh array (the scalar read
+    paths, which must not touch a snapshot's shared workspace)."""
+    if chunk_map is None:
+        return flat
+    if ws is None:
+        return (chunk_map[flat >> CHUNK_LOG] << CHUNK_LOG) | (
+            flat & (CHUNK - 1)
+        )
+    low = ws.array("t_flat_low", flat.shape, np.int64)
+    np.bitwise_and(flat, CHUNK - 1, out=low)
+    ids = ws.array("t_flat_ids", flat.shape, np.int64)
+    np.right_shift(flat, CHUNK_LOG, out=ids)
+    out = ws.array("t_flat_out", flat.shape, np.int64)
+    np.take(chunk_map, ids, out=out)
+    np.left_shift(out, CHUNK_LOG, out=out)
+    np.bitwise_or(out, low, out=out)
+    return out
+
+
+def _hashed_flat(hasher, keys, chunk_map, ws, prefix):
+    """Hash ``keys`` through ``hasher`` into workspace rows: their
+    (translated flat buckets, signs), each ``(depth, len(keys))``."""
+    family = hasher.family
+    depth = family.depth
+    n = keys.shape[0]
+    buckets = ws.array(prefix + "_buckets", (depth, n), np.int64)
+    signs = ws.array(prefix + "_signs", (depth, n))
+    hasher.rows_into(keys, buckets, signs)
+    flat = ws.array(prefix + "_flat", (depth, n), np.int64)
+    np.add(buckets, row_offsets(depth, family.width), out=flat)
+    return translate_flat(chunk_map, flat, ws), signs
+
+
 def fused_predict(
+    hasher,
     table_flat: np.ndarray,
-    flat_buckets: np.ndarray,
-    sign_values: np.ndarray,
+    chunk_map,
+    store,
+    indices: np.ndarray,
+    values: np.ndarray,
     indptr: np.ndarray,
     scale: float,
     sqrt_s: float,
+    ws,
     out: np.ndarray,
 ) -> None:
     n = out.shape[0]
-    check_indptr(indptr, n, flat_buckets.shape[1])
+    check_indptr(indptr, n, indices.shape[0])
+    flat, signs = _hashed_flat(hasher, indices, chunk_map, ws, "p")
+    sv = ws.array("p_sv", signs.shape)
+    np.multiply(signs, values, out=sv)
     ip = indptr.tolist()
-    fsum = math.fsum
-    take = table_flat.take
     lo = ip[0]
+    if store is None:
+        fsum = math.fsum
+        take = table_flat.take
+        for i in range(n):
+            hi = ip[i + 1]
+            products = take(flat[:, lo:hi]) * sv[:, lo:hi]
+            out[i] = scale * fsum(products.ravel().tolist()) / sqrt_s
+            lo = hi
+        return
+    # The active set's members answer exactly: a running sum of their
+    # products in position order, then the sketch margin of the rest.
+    slots = store.member_slots(indices)
     for i in range(n):
         hi = ip[i + 1]
-        products = take(flat_buckets[:, lo:hi]) * sign_values[:, lo:hi]
-        out[i] = scale * fsum(products.ravel().tolist()) / sqrt_s
+        sl = slots[lo:hi]
+        in_heap = sl >= 0
+        total = 0.0
+        if in_heap.any():
+            products = store.values_at(sl[in_heap]) * values[lo:hi][in_heap]
+            for p in products.tolist():
+                total += p
+            in_sketch = ~in_heap
+            fb = flat[:, lo:hi][:, in_sketch]
+            svx = sv[:, lo:hi][:, in_sketch]
+        else:
+            fb = flat[:, lo:hi]
+            svx = sv[:, lo:hi]
+        if fb.shape[1]:
+            total += margin(table_flat, fb, svx, scale, sqrt_s)
+        out[i] = total
         lo = hi
 
 
 def fused_query(
+    hasher,
     table_flat: np.ndarray,
-    flat_buckets: np.ndarray,
-    signs_t: np.ndarray,
+    chunk_map,
+    store,
+    keys: np.ndarray,
     factor: float,
-    gathered_out: np.ndarray,
-    est_out: np.ndarray,
+    l1: float,
+    ws,
+    out: np.ndarray,
 ) -> None:
-    """Recovery queries: one transposed gather (:func:`gather_rows_t`)
-    written to ``gathered_out`` plus the :func:`median_estimate` of
-    ``signs_t * gathered`` times ``factor`` written to ``est_out``, so
-    a caller that needs both (the serving ``query_many``) makes one
-    call."""
-    depth = flat_buckets.shape[0]
-    # gather_rows_t verbatim, landing in the caller's block.
-    gathered_out[:] = table_flat.take(flat_buckets.T)
+    tail = None
+    if store is not None:
+        # The active set's members answer exactly; only the rest hash.
+        slots = store.member_slots(keys)
+        member = slots >= 0
+        if member.any():
+            out[member] = store.values_at(slots[member])
+            tail = ~member
+            keys = keys[tail]
+    n = keys.shape[0]
+    if n == 0:
+        return
+    flat, signs = _hashed_flat(hasher, keys, chunk_map, ws, "q")
+    depth = signs.shape[0]
+    # gather_rows_t verbatim, landing in a workspace block.
+    gathered = ws.array("q_gathered", (n, depth))
+    gathered[:] = table_flat.take(flat.T)
+    est = np.empty(n, dtype=np.float64)
     if depth == 1:
         # median_estimate's depth-1 branch: factor * (signs * gathered).
-        np.multiply(signs_t[:, 0], gathered_out[:, 0], out=est_out)
-        est_out *= factor
-        return
-    # median_estimate body: rows product, in-place row sort, middle pick.
-    rows = signs_t * gathered_out
-    rows.sort(axis=1, kind="stable")
-    mid = depth // 2
-    if depth % 2:
-        np.multiply(rows[:, mid], factor, out=est_out)
+        np.multiply(signs[0], gathered[:, 0], out=est)
+        est *= factor
     else:
-        np.add(rows[:, mid - 1], rows[:, mid], out=est_out)
-        est_out *= 0.5
-        est_out *= factor
+        # median_estimate body: rows product, in-place row sort, middle
+        # pick.
+        rows = signs.T * gathered
+        rows.sort(axis=1, kind="stable")
+        mid = depth // 2
+        if depth % 2:
+            np.multiply(rows[:, mid], factor, out=est)
+        else:
+            np.add(rows[:, mid - 1], rows[:, mid], out=est)
+            est *= 0.5
+            est *= factor
+    if l1 > 0.0:
+        est = np.sign(est) * np.maximum(np.abs(est) - l1, 0.0)
+    if tail is None:
+        out[:] = est
+    else:
+        out[tail] = est
 
 
 # ----------------------------------------------------------------------

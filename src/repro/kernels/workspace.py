@@ -64,18 +64,22 @@ class KernelWorkspace:
         The arena grows geometrically (never shrinks); the returned
         view's contents are undefined.
         """
-        if isinstance(shape, int):
-            shape = (shape,)
-        size = 1
-        for dim in shape:
-            size *= dim
+        flat = isinstance(shape, int)
+        if flat:
+            size = shape
+        else:
+            size = 1
+            for dim in shape:
+                size *= dim
         arena = self._arenas.get(name)
         if arena is None or arena.size < size or arena.dtype != dtype:
             capacity = max(size, 2 * (arena.size if arena is not None else 0))
             arena = np.empty(capacity, dtype=dtype)
             self._arenas[name] = arena
             self.grown += 1
-        return arena[:size].reshape(shape)
+        # A 1-d request is the slice itself (reshape would triple the
+        # cost of a hot-path call).
+        return arena[:size] if flat else arena[:size].reshape(shape)
 
     def nbytes(self) -> int:
         """Total bytes currently held by all arenas (diagnostics)."""

@@ -31,13 +31,19 @@ Everything is stdlib threads + NumPy — no extra dependencies.
 
 from repro.serving.checker import ConsistencyError, check_snapshot_consistency
 from repro.serving.client import ReadRecord, ServingClient
-from repro.serving.coalescer import DeadlineExceeded, MicroBatchCoalescer, Overload
+from repro.serving.coalescer import (
+    DeadlineExceeded,
+    InvalidRequest,
+    MicroBatchCoalescer,
+    Overload,
+)
 from repro.serving.server import SketchServer, scalar_answer
 from repro.serving.snapshot import Snapshot, SnapshotManager
 
 __all__ = [
     "ConsistencyError",
     "DeadlineExceeded",
+    "InvalidRequest",
     "MicroBatchCoalescer",
     "Overload",
     "ReadRecord",

@@ -33,7 +33,8 @@ import numpy as np
 from repro.data.batch import SparseBatch
 from repro.telemetry import MetricsRegistry, hooks, trace
 
-__all__ = ["DeadlineExceeded", "MicroBatchCoalescer", "Overload"]
+__all__ = ["DeadlineExceeded", "InvalidRequest", "MicroBatchCoalescer",
+           "Overload"]
 
 
 class Overload(RuntimeError):
@@ -46,6 +47,37 @@ class Overload(RuntimeError):
     unbounded latency for every request behind the excess).  Callers
     treat it as retryable backpressure.
     """
+
+
+class InvalidRequest(ValueError):
+    """Typed admission rejection: the payload does not fit its op.
+
+    Raised by :meth:`MicroBatchCoalescer.submit_nowait` before the
+    request is queued, and counted in ``serve.rejected``: a malformed
+    request fails alone, instead of failing (or silently changing) the
+    answers of the requests flushed with it.  ``top_k`` takes a
+    non-negative integer (numpy integers included), ``query`` a 1-d
+    integer array, ``predict`` a :class:`~repro.data.batch.SparseBatch`.
+    """
+
+
+def _payload_error(op: str, payload) -> str | None:
+    """Why ``payload`` cannot be an ``op`` request, or None."""
+    if op == "top_k":
+        if (not isinstance(payload, (int, np.integer))
+                or isinstance(payload, bool)):
+            return f"top_k needs an integer k, got {type(payload).__name__}"
+        return None if payload >= 0 else f"top_k needs k >= 0, got {payload}"
+    if op == "query":
+        if not (isinstance(payload, np.ndarray) and payload.ndim == 1
+                and payload.dtype.kind in "iu"):
+            return (f"query needs a 1-d integer key array, got "
+                    f"{getattr(payload, 'dtype', type(payload).__name__)} "
+                    f"with shape {np.shape(payload)}")
+        return None
+    if not isinstance(payload, SparseBatch):
+        return f"predict needs a SparseBatch, got {type(payload).__name__}"
+    return None
 
 
 class DeadlineExceeded(TimeoutError):
@@ -213,6 +245,9 @@ class MicroBatchCoalescer:
         self._m_flush_errors = {
             op: reg.counter("serve.flush_errors", op=op) for op in _OPS
         }
+        self._m_rejected = {
+            op: reg.counter("serve.rejected", op=op) for op in _OPS
+        }
         self._m_worker_restarts = reg.counter("serve.worker_restarts")
         self._start_worker()
 
@@ -263,10 +298,15 @@ class MicroBatchCoalescer:
         fails with :class:`DeadlineExceeded` instead of occupying the
         flush.  Raises :class:`Overload` when the op's queue already
         holds ``max_pending`` requests — the shed-don't-hang admission
-        contract.
+        contract — and :class:`InvalidRequest` for a payload that does
+        not fit ``op``, before anything is queued.
         """
         if op not in self._queues:
             raise ValueError(f"unknown op {op!r}; expected one of {_OPS}")
+        problem = _payload_error(op, payload)
+        if problem is not None:
+            self._m_rejected[op].inc()
+            raise InvalidRequest(problem)
         now = time.monotonic()
         rel = deadline if deadline is not None else self.default_deadline
         req = _Request(op, payload, None if rel is None else now + rel)
@@ -367,8 +407,8 @@ class MicroBatchCoalescer:
                 r.event.set()
             else:
                 live.append((enq, r))
-        # One vectorized record for the whole batch's queue waits; the
-        # oldest entry is first, so entries[0] carries the max wait.
+        # One record for the whole batch's queue waits; the oldest entry
+        # is first, so entries[0] carries the max wait.
         self._m_queue_wait[op].record_many(
             [start - enq for enq, _ in entries]
         )
@@ -458,7 +498,13 @@ class MicroBatchCoalescer:
     def _flush_top_k(model, payloads):
         # top_weights(k) computes one full ranking and slices, so the
         # answer for any k is a prefix of the answer for max(payloads).
-        top = model.top_weights(max(payloads))
+        # A passive heap (WM) is ranked by one query_many kernel call,
+        # the same floats as top_weights' scalar estimates.
+        k = max(payloads)
+        rank = getattr(model, "_rank_heap", None)
+        top = model.top_weights(k) if rank is None else rank(
+            k, model.query_many
+        )
         return [top[:k] for k in payloads]
 
     #: op -> batched handler; a dict lookup on the flush path instead of
@@ -510,6 +556,9 @@ class MicroBatchCoalescer:
                 },
                 "flush_errors": {
                     op: c._value for op, c in self._m_flush_errors.items()
+                },
+                "rejected": {
+                    op: c._value for op, c in self._m_rejected.items()
                 },
                 "worker_restarts": self._m_worker_restarts._value,
             }

@@ -18,8 +18,10 @@ Every hot layer (kernels, serving, load generation) records into a
   telemetry in any order yields the identical snapshot.
 * **Histograms are fixed log-scale buckets**, recorded in bulk through
   :meth:`Histogram.record_many` (one ``np.searchsorted`` +
-  ``np.bincount`` per batch of observations), so long open-loop load
-  runs hold O(buckets) memory instead of one float per request.
+  ``np.bincount`` per batch of observations) or one at a time through
+  :meth:`Histogram.record` (a plain-Python bisect, for the per-flush
+  and per-publish timings), so long open-loop load runs hold
+  O(buckets) memory instead of one float per request.
 
 Instruments may be created standalone (no registry) for private use —
 they then carry their own lock.
@@ -27,6 +29,7 @@ they then carry their own lock.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 
@@ -118,6 +121,11 @@ class Gauge(_Instrument):
             return self._value
 
 
+#: Batches up to this long are recorded value by value in Python, which
+#: beats the vectorized pass below about 8 values (a flush's queue waits).
+_FEW = 8
+
+
 def _edges(lo: float, hi: float, buckets_per_decade: int) -> np.ndarray:
     """Log-scale bucket edges ``lo * 10**(i / bpd)`` covering [lo, hi)."""
     n = int(math.ceil(round(math.log10(hi / lo) * buckets_per_decade, 9)))
@@ -139,7 +147,8 @@ class Histogram(_Instrument):
 
     __slots__ = (
         "lo", "hi", "buckets_per_decade",
-        "_edges", "_counts", "_count", "_sum", "_min", "_max",
+        "_edges", "_edge_list", "_counts", "_count", "_sum", "_min",
+        "_max",
     )
 
     def __init__(
@@ -161,6 +170,7 @@ class Histogram(_Instrument):
         self.hi = float(hi)
         self.buckets_per_decade = int(buckets_per_decade)
         self._edges = _edges(self.lo, self.hi, self.buckets_per_decade)
+        self._edge_list = self._edges.tolist()
         self._counts = np.zeros(self._edges.size + 1, dtype=np.int64)
         self._count = 0
         self._sum = 0.0
@@ -169,10 +179,31 @@ class Histogram(_Instrument):
 
     # -- recording ------------------------------------------------------
     def record(self, value: float) -> None:
-        self.record_many(np.asarray([value], dtype=np.float64))
+        """Record one observation: :meth:`record_many` of ``[value]``,
+        in plain Python (a bisect over the edges finds the bucket
+        ``np.searchsorted(..., side="right")`` finds)."""
+        with self._lock:
+            self._record(float(value))
+
+    def _record(self, value: float) -> None:
+        # The caller holds the lock.
+        self._counts[bisect.bisect_right(self._edge_list, value)] += 1
+        self._count += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def record_many(self, values) -> None:
-        """Record a whole batch of observations in one vectorized pass."""
+        """Record a whole batch of observations: one vectorized pass, or
+        a :meth:`record` per value for a list or tuple of at most
+        ``_FEW`` (the sum then accumulates value by value)."""
+        if isinstance(values, (list, tuple)) and len(values) <= _FEW:
+            with self._lock:
+                for value in values:
+                    self._record(float(value))
+            return
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return

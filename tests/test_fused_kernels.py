@@ -1,7 +1,7 @@
 """Fused mega-kernel equivalence: the PR 5 executable contract.
 
-The fused kernels (``fused_update`` / ``fused_predict``, per backend,
-and the NumPy-only ``fused_query``) must be *bit-identical* to the
+The fused kernels (``fused_update``, ``fused_predict`` and
+``fused_query``, per backend) must be *bit-identical* to the
 unfused chain of NumPy helpers they collapse — at the kernel level and
 through the models (tables, heap state, margins, predictions, recovery
 queries), including workspace reuse across many batches and pickle
@@ -25,6 +25,8 @@ from repro.core.wm_sketch import WMSketch
 from repro.data.batch import SparseBatch, iter_batches
 from repro.data.sparse import SparseExample
 from repro.data.synthetic import SyntheticStream
+from repro.hashing.batch import BatchHasher
+from repro.hashing.family import HashFamily
 from repro.kernels import numpy_backend
 from repro.learning.feature_hashing import FeatureHashing
 from repro.learning.losses import (
@@ -236,14 +238,24 @@ class TestKernelLevel:
 
     @PER_BACKEND
     def test_fused_predict_matches_margin_kernel(self, backend, rng):
+        # One call hashes the keys and sums each example's margin: the
+        # helper chain all_rows -> flat buckets -> margin per example.
         kb = kernels.get_backend(backend)
         for depth in (1, 3):
-            indptr, fb, sv = _random_csr(rng, 25, 80 * depth, depth)
+            family = HashFamily(80, depth, seed=depth)
+            indptr, _, _ = _random_csr(rng, 25, 80, 1)
+            keys = rng.integers(-50, 400, size=int(indptr[-1]))
+            values = rng.standard_normal(keys.size)
             table = rng.standard_normal(80 * depth)
             out = np.empty(25)
             kb.fused_predict(
-                table, fb, sv, indptr, 0.37, math.sqrt(depth), out,
+                BatchHasher(family, backend=kb), table, None, None, keys,
+                values, indptr, 0.37, math.sqrt(depth),
+                kernels.KernelWorkspace(), out,
             )
+            buckets, signs = family.all_rows(keys)
+            fb = buckets + numpy_backend.row_offsets(depth, 80)
+            sv = signs * values
             expected = [
                 numpy_backend.margin(
                     table,
@@ -256,25 +268,26 @@ class TestKernelLevel:
             ]
             assert out.tolist() == expected
 
-    # fused_query is a numpy_backend function under every backend.
-    @pytest.mark.parametrize("backend", ["numpy"])
+    @PER_BACKEND
     def test_fused_query_matches_gather_plus_median(self, backend, rng):
+        # One call hashes the keys, gathers and takes the median: the
+        # helper chain all_rows -> gather_rows_t -> median_estimate.
+        kb = kernels.get_backend(backend)
         for depth in (1, 2, 3, 5):
-            nnz = 31
-            fb = rng.integers(0, 64 * depth, size=(depth, nnz)).astype(
-                np.int64
-            )
+            family = HashFamily(64, depth, seed=depth)
+            keys = rng.integers(-100, 1000, size=31)
             table = rng.standard_normal(64 * depth)
-            signs_t = np.where(rng.random((nnz, depth)) < 0.5, -1.0, 1.0)
-            gathered = np.empty((nnz, depth))
-            est = np.empty(nnz)
-            numpy_backend.fused_query(
-                table, fb, signs_t, 1.7, gathered, est,
+            est = np.empty(31)
+            kb.fused_query(
+                BatchHasher(family, backend=kb), table, None, None, keys,
+                1.7, 0.0, kernels.KernelWorkspace(), est,
             )
-            g_ref = numpy_backend.gather_rows_t(table, fb)
-            e_ref = numpy_backend.median_estimate(g_ref.copy(), signs_t, 1.7)
-            assert np.array_equal(gathered, g_ref)
-            assert np.array_equal(est, e_ref)
+            buckets, signs = family.all_rows(keys)
+            g_ref = numpy_backend.gather_rows_t(
+                table, buckets + numpy_backend.row_offsets(depth, 64)
+            )
+            e_ref = numpy_backend.median_estimate(g_ref, signs.T, 1.7)
+            assert est.tobytes() == e_ref.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -168,6 +168,33 @@ def test_clean_chunks_share_memory_dirty_chunks_do_not(name):
     )
 
 
+def test_dense_rebase_then_sparse_regrowth_bit_identical():
+    """A publish past the dirty-fraction crossover rebases into a pool
+    with no headroom; the sparse publish after it regrows the pool
+    (copying the published rows) and both stay bit-identical to a full
+    fold, as does the snapshot taken before the regrowth."""
+    model = WIDE_FACTORIES["wm"]()
+    batches = list(iter_batches(EXAMPLES[:60], 20))
+    keys = np.arange(0, 50_000, 97, dtype=np.int64)
+    model.fit_batch(batches[0])
+    s1, st1 = model.snapshot_incremental(None)
+    assert st1["rebase"] and s1._pool.shape[0] == 2 * st1["n_chunks"]
+    model._dirty[: (st1["n_chunks"] + 1) // 2] = True
+    model.fit_batch(batches[1])
+    s2, st2 = model.snapshot_incremental(s1)
+    assert st2["rebase"] and st2["dirty_fraction"] >= 0.5
+    assert s2._pool.shape[0] == st2["n_chunks"]  # no headroom
+    full2 = model.snapshot()
+    _assert_snapshot_equals_full(s2, full2, batches[2], keys)
+    model.fit_batch(batches[2])
+    s3, st3 = model.snapshot_incremental(s2)
+    assert not st3["rebase"] and st3["chunks_copied"] > 0
+    assert s3._pool is not s2._pool  # regrown
+    assert s3._pool.shape[0] == 2 * st2["n_chunks"]
+    _assert_snapshot_equals_full(s3, model.snapshot(), batches[0], keys)
+    _assert_snapshot_equals_full(s2, full2, batches[2], keys)
+
+
 def test_renorm_fold_mid_batch_marks_everything():
     """A renorm fold rewrites every bucket; the next incremental publish
     must copy the whole table (or rebase) and stay bit-identical."""

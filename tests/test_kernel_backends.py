@@ -2,9 +2,10 @@
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
 identical inputs — tables, heap state and predictions alike.  The ``c``
-backend compiles all seven kernels, ``fused_update``, ``fused_predict``,
-``heap_maintain``, ``awm_update``, ``chunk_delta``, ``chunk_add`` and
-``hash_rows`` (``repro/kernels/ckernels.c``); its cases skip with the
+backend compiles all eight kernels, ``fused_update``, ``fused_predict``,
+``fused_query``, ``heap_maintain``, ``awm_update``, ``chunk_delta``,
+``chunk_add`` and ``hash_rows`` (``repro/kernels/ckernels.c``); its cases
+skip with the
 recorded reason on a host where it cannot build.
 The NumPy helpers no backend compiles are tested directly here
 (``TestNumpyHelpers``).  Beyond the
@@ -116,8 +117,8 @@ class TestRegistry:
 
     def test_backend_objects_are_complete(self):
         assert kernels.KERNEL_NAMES == (
-            "fused_update", "fused_predict", "heap_maintain", "awm_update",
-            "chunk_delta", "chunk_add", "hash_rows",
+            "fused_update", "fused_predict", "fused_query", "heap_maintain",
+            "awm_update", "chunk_delta", "chunk_add", "hash_rows",
         )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
@@ -269,15 +270,20 @@ class TestCLoader:
         script = (
             "import numpy as np\n"
             "from repro import kernels\n"
+            "from repro.hashing.batch import BatchHasher\n"
+            "from repro.hashing.family import HashFamily\n"
             "c, ref = kernels.get_backend('c'), kernels.get_backend('numpy')\n"
             "rng = np.random.default_rng(0)\n"
-            "table = rng.standard_normal(64)\n"
-            "fb = rng.integers(0, 64, (3, 20)).astype(np.int64)\n"
-            "sv = rng.standard_normal((3, 20))\n"
+            "family = HashFamily(64, 3, seed=0)\n"
+            "table = rng.standard_normal(192)\n"
+            "keys = rng.integers(0, 1000, 20)\n"
+            "vals = rng.standard_normal(20)\n"
             "ip = np.array([0, 7, 7, 20], dtype=np.int64)\n"
             "a, b = np.empty(3), np.empty(3)\n"
             "for kb, out in ((c, a), (ref, b)):\n"
-            "    kb.fused_predict(table, fb, sv, ip, 0.5, 1.7, out)\n"
+            "    kb.fused_predict(BatchHasher(family, backend=kb), table,\n"
+            "                     None, None, keys, vals, ip, 0.5, 1.7,\n"
+            "                     kernels.KernelWorkspace(), out)\n"
             "assert a.tobytes() == b.tobytes()\n"
             "print('ok')\n"
         )
@@ -431,14 +437,22 @@ class TestCLoader:
         with pytest.raises(ValueError):
             c.fused_update(**dict(base, margins_out=readonly))
         out = np.full(3, -7.0)
+        read = (BatchHasher(HashFamily(8, 2), backend=c),
+                base["table_flat"], None, None)
+        keys, values = np.arange(7, dtype=np.int64), np.ones(7)
+        indptr = np.array([0, 2, 5, 7], dtype=np.int64)
+        ws = kernels.KernelWorkspace()
         with pytest.raises(TypeError):
-            c.fused_predict(base["table_flat"].astype(np.float32),
-                            base["flat_buckets"], base["sign_values"],
-                            base["indptr"], 1.0, 1.0, out[:3])
+            c.fused_predict(read[0], read[1].astype(np.float32), None, None,
+                            keys, values, indptr, 1.0, 1.0, ws, out)
         with pytest.raises(ValueError):
-            c.fused_predict(base["table_flat"], base["flat_buckets"],
-                            base["sign_values"], base["indptr"][:2], 1.0,
-                            1.0, out)
+            c.fused_predict(*read, keys, values, indptr[:2], 1.0, 1.0, ws,
+                            out)
+        with pytest.raises(TypeError):
+            c.fused_query(*read, keys.astype(np.int32), 1.0, 0.0, ws,
+                          np.full(7, -7.0))
+        with pytest.raises(ValueError):
+            c.fused_query(*read, keys, 1.0, 0.0, ws, out)
         assert np.all(out == -7.0)
 
     @pytest.mark.parametrize("bucket", [32, -33, 10**12])
@@ -451,11 +465,30 @@ class TestCLoader:
         ]
         assert results[0][0] == results[1][0] == ("IndexError", None)
         assert results[0] == results[1]
-        out = np.empty(4)
-        with pytest.raises(IndexError, match=f"index {bucket} is out"):
-            c.fused_predict(args["table_flat"], args["flat_buckets"],
-                            args["sign_values"], args["indptr"], 1.0, 1.0,
-                            out)
+
+    @pytest.mark.parametrize("row", [2, -3, 10**9])
+    def test_chunk_map_outside_the_pool_is_index_error(self, row):
+        # The reads translate through a snapshot's chunk map; a map row
+        # outside the pool raises numpy take's IndexError on both
+        # backends, naming the same translated index.
+        c = _c_or_skip()
+        family = HashFamily(kernels.CHUNK, 2, seed=3)
+        pool = np.arange(2 * kernels.CHUNK, dtype=np.float64)
+        chunk_map = np.array([1, row], dtype=np.int64)
+        keys = np.arange(20, dtype=np.int64)
+        messages = []
+        for kb in (kernels.get_backend("numpy"), c):
+            read = (BatchHasher(family, backend=kb), pool, chunk_map, None)
+            ws = kernels.KernelWorkspace()
+            with pytest.raises(IndexError) as query:
+                kb.fused_query(*read, keys, 1.0, 0.0, ws, np.empty(20))
+            with pytest.raises(IndexError) as predict:
+                kb.fused_predict(*read, keys, np.ones(20),
+                                 np.array([0, 20], dtype=np.int64), 1.0,
+                                 1.0, ws, np.empty(1))
+            messages.append((str(query.value), str(predict.value)))
+        assert messages[0] == messages[1]
+        assert "is out of bounds for axis 0 with size 512" in messages[0][0]
 
     def test_strided_read_only_inputs_are_accepted(self, rng):
         c = _c_or_skip()
@@ -489,13 +522,17 @@ def _run_update(kb, args):
 # The exact sum: CPython's math.fsum, run through the C kernel
 # ----------------------------------------------------------------------
 def _c_fsum(c, values):
-    """The C exact sum of ``values``: a one-example fused_predict over a
-    table of ones with scale = sqrt_s = 1."""
+    """The C exact sum of ``values``: the margin of a one-example
+    fused_update over a table of ones with scale = sqrt_s = 1 (the
+    margin is taken before the step)."""
     values = np.asarray(values, dtype=np.float64).reshape(1, -1)
     out = np.empty(1)
-    c.fused_predict(
+    c.fused_update(
         np.ones(1), np.zeros(values.shape, dtype=np.int64), values,
-        np.array([0, values.shape[1]], dtype=np.int64), 1.0, 1.0, out,
+        np.array([0, values.shape[1]], dtype=np.int64),
+        np.ones(1, dtype=np.int64), np.zeros(1), 0.0, np.array([1.0, 0.0]),
+        1.0, 0, 0.0, out, kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
+        np.empty(1 + values.shape[1], dtype=np.int64),
     )
     return out[0]
 
@@ -569,12 +606,15 @@ class TestNonFiniteRegressions:
         assert len(weights) == 2 and np.isfinite(weights).all()
 
     def test_all_negative_zero_row_predicts_positive_zero(self, backend):
+        # Every product is a signed zero; the exact sum is +0.0.
         kb = kernels.get_backend(backend)
         out = np.full(2, -7.0)
         kb.fused_predict(
-            np.zeros(8), np.array([[1, 2, 3]], dtype=np.int64),
-            np.array([[-1.0, -2.0, -0.5]]),
-            np.array([0, 3, 3], dtype=np.int64), 1.0, 1.0, out,
+            BatchHasher(HashFamily(8, 1), backend=kb), np.full(8, -0.0),
+            None, None, np.array([1, 2, 3], dtype=np.int64),
+            np.array([-1.0, -2.0, -0.5]),
+            np.array([0, 3, 3], dtype=np.int64), 1.0, 1.0,
+            kernels.KernelWorkspace(), out,
         )
         assert out.tobytes() == np.zeros(2).tobytes()
 
@@ -629,14 +669,18 @@ class TestMalformedIndptr:
                                                  entry):
         kb = kernels.get_backend(backend)
         args = _two_example_args(indptr)
+        hasher = BatchHasher(HashFamily(8, 1), backend=kb)
         out = np.full(2, -7.0)
         with pytest.raises(ValueError, match=re.escape(
             f"(bad entry {entry} of 3)"
         )):
-            kb.fused_predict(args["table_flat"], args["flat_buckets"],
-                             args["sign_values"], args["indptr"], 1.0, 1.0,
-                             out)
+            kb.fused_predict(hasher, args["table_flat"], None, None,
+                             np.array([1, 2, 3, 4], dtype=np.int64),
+                             args["sign_values"][0], args["indptr"], 1.0,
+                             1.0, kernels.KernelWorkspace(), out)
         assert np.all(out == -7.0)
+        # Nothing was hashed: the numpy body checks indptr first.
+        assert hasher.hits == hasher.misses == 0
 
 
 @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
@@ -729,6 +773,106 @@ def _buffers(inputs):
     return args
 
 
+#: Read-kernel cells: few magnitudes (median ties), both zeros, both
+#: infinities (inf - inf in a sum or a median), 1e300 (fsum overflow)
+#: and one NaN bit pattern.
+_READ_CELLS = (0.0, -0.0, 0.5, -1.0, 2.0, math.inf, -math.inf, 1e300,
+               -1e300, math.nan)
+#: Read keys: a small range (repeats, members), negatives and the int64
+#: extremes (negative keys hash as their uint64 two's complement).
+_READ_KEYS = st.one_of(
+    st.integers(-3, 70),
+    st.sampled_from([-(2**63), 2**63 - 1, -1234567890123, 2**40 + 3]),
+)
+
+
+@st.composite
+def _read_inputs(draw):
+    """One fused_query / fused_predict call: a hash family (either kind,
+    depth 1-4, widths including a non-power of two over several chunks),
+    a dense table and its chunk-pooled equivalent, an optional active
+    set (live, with a scale, or a snapshot view; up to 130 slots across
+    three 64-slot blocks), keys and CSR rows (empty ones included)."""
+    depth = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([8, 13, 300]))
+    family = HashFamily(width, depth, seed=draw(st.integers(0, 3)),
+                        kind=draw(st.sampled_from(["tabulation",
+                                                   "polynomial"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.lists(st.sampled_from(_READ_CELLS), min_size=1,
+                            max_size=4))
+    l1 = draw(st.sampled_from([0.0, 0.25]))
+    if l1:
+        # Signed infinite cells make an even-depth median the default
+        # NaN, which the l1 step multiplies by its own abs: two NaN bit
+        # patterns, whose pick is unspecified (kernels.api).
+        palette = [v for v in palette if not math.isinf(v)] or [2.0]
+    palette = np.array(palette)
+    size = depth * width
+    dense = rng.choice(palette, size=size)
+    table, chunk_map = dense, None
+    if draw(st.booleans()):
+        # A pool with spare rows, the chunks in a shuffled order.
+        n_chunks = -(-size // kernels.CHUNK)
+        rows = n_chunks + draw(st.integers(0, 3))
+        chunk_map = rng.permutation(rows)[:n_chunks].astype(np.int64)
+        pool = np.full((rows, kernels.CHUNK), 7.5)
+        padded = np.zeros(n_chunks * kernels.CHUNK)
+        padded[:size] = dense
+        pool[chunk_map] = padded.reshape(n_chunks, kernels.CHUNK)
+        table = pool.ravel()
+    store = None
+    kind = draw(st.sampled_from(["none", "live", "snapshot"]))
+    if kind != "none":
+        capacity = draw(st.sampled_from([3, 130]))
+        store = TopKStore(capacity)
+        for key in rng.choice(np.arange(-3, 200), capacity, replace=False):
+            store.push(int(key), float(rng.choice(palette)))
+        if kind == "live":
+            store.decay(0.5)
+        else:
+            store = store.snapshot_view()
+    keys = np.array(draw(st.lists(_READ_KEYS, max_size=14)),
+                    dtype=np.int64)
+    cuts = sorted(draw(st.lists(st.integers(0, keys.size), max_size=4)))
+    indptr = np.array([0, *cuts, keys.size], dtype=np.int64)
+    values = np.array(draw(st.lists(
+        st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0]),
+        min_size=keys.size, max_size=keys.size)))
+    scale = draw(st.sampled_from([1.0, 0.37, 2.5e-151]))
+    return dict(
+        family=family, table=table, dense=dense, chunk_map=chunk_map,
+        store=store, keys=keys, values=values, indptr=indptr,
+        scale=scale, factor=scale if depth == 1 else math.sqrt(depth) * scale,
+        sqrt_s=math.sqrt(depth), l1=l1,
+    )
+
+
+def _run_read(kb, op, inputs):
+    """One read kernel call: (outcome, out bytes, keys the hasher looked
+    up).  The outcome names the exception and its message."""
+    hasher = BatchHasher(inputs["family"], backend=kb)
+    read = (hasher, inputs["table"], inputs["chunk_map"], inputs["store"])
+    ws = kernels.KernelWorkspace()
+    if op == "query":
+        out = np.full(inputs["keys"].size, -7.0)
+    else:
+        out = np.full(inputs["indptr"].size - 1, -7.0)
+    try:
+        with np.errstate(all="ignore"):
+            if op == "query":
+                kb.fused_query(*read, inputs["keys"], inputs["factor"],
+                               inputs["l1"], ws, out)
+            else:
+                kb.fused_predict(*read, inputs["keys"], inputs["values"],
+                                 inputs["indptr"], inputs["scale"],
+                                 inputs["sqrt_s"], ws, out)
+        outcome = ("ok", None)
+    except (ArithmeticError, ValueError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, out.tobytes(), hasher.hits + hasher.misses
+
+
 class TestCMatchesNumpyProperty:
     @settings(max_examples=300, deadline=None)
     @given(inputs=_fused_inputs())
@@ -765,25 +909,23 @@ class TestCMatchesNumpyProperty:
                 assert _run_update(c, args) == want, (tau, label)
 
     @settings(max_examples=300, deadline=None)
-    @given(inputs=_fused_inputs())
+    @given(inputs=_read_inputs())
     def test_fused_predict_bit_identical(self, inputs):
         c = _c_or_skip()
-        n = inputs["labels"].size
-        results = []
-        for kb in (kernels.get_backend("numpy"), c):
-            out = np.full(n, -7.0)
-            try:
-                with np.errstate(all="ignore"):
-                    kb.fused_predict(
-                        inputs["table_flat"], inputs["flat_buckets"],
-                        inputs["sign_values"], inputs["indptr"],
-                        inputs["scale"], inputs["sqrt_s"], out,
-                    )
-                outcome = "ok"
-            except Exception as exc:  # noqa: BLE001 - compared below
-                outcome = type(exc).__name__
-            results.append((outcome, out.tobytes()))
-        assert results[0] == results[1]
+        want = _run_read(kernels.get_backend("numpy"), "predict", inputs)
+        assert _run_read(c, "predict", inputs) == want
+        # A chunk-pooled table answers as its dense equivalent.
+        dense = dict(inputs, table=inputs["dense"], chunk_map=None)
+        assert _run_read(c, "predict", dense)[:2] == want[:2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_read_inputs())
+    def test_fused_query_bit_identical(self, inputs):
+        c = _c_or_skip()
+        want = _run_read(kernels.get_backend("numpy"), "query", inputs)
+        assert _run_read(c, "query", inputs) == want
+        dense = dict(inputs, table=inputs["dense"], chunk_map=None)
+        assert _run_read(c, "query", dense)[:2] == want[:2]
 
 
 # ----------------------------------------------------------------------
@@ -1999,6 +2141,114 @@ class TestHashRowsModels:
                 assert hasher.hit_rate == 0.0
             else:
                 assert hasher.hits > 0 and len(hasher) > 0
+
+
+# ----------------------------------------------------------------------
+# The read kernels through the models: members, snapshots, request pools
+# ----------------------------------------------------------------------
+def _zipf_batches(d, n, seed, avg_nnz=10.0, batch=256):
+    """A Zipf-keyed stream of ``n`` examples (distinct ids per example)
+    over ``d`` features, as SparseBatch windows."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        ids = np.unique((rng.zipf(1.3, 1 + rng.poisson(avg_nnz - 1)) - 1)
+                        % d)
+        rows.append(SparseExample(ids.astype(np.int64), np.ones(ids.size),
+                                  1 if rng.random() < 0.5 else -1))
+    return rows, list(iter_batches(rows, batch))
+
+
+def _with_backend(model, backend):
+    """A copy of ``model`` resolved to ``backend``: same state bits."""
+    state = model.__getstate__()
+    state["backend"] = backend
+    twin = object.__new__(type(model))
+    twin.__setstate__(state)
+    return twin
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+class TestReadKernelModels:
+    @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+    def test_awm_member_mixes_on_a_multi_block_store(self, backend):
+        """Examples whose keys are all members, none, or a mix, on a
+        200-slot active set (four 64-slot blocks): predict_batch and
+        query_many equal predict_margin / estimate_weights bit for bit
+        on the live model and on a chunk-pooled snapshot."""
+        _, batches = _zipf_batches(5_000, 3_000, seed=4)
+        model = AWMSketch(1024, 2, heap_capacity=200, seed=1,
+                          backend=backend)
+        manager = SnapshotManager(model)
+        for batch in batches:
+            model.fit_batch(batch)
+        manager.publish()
+        model.fit_batch(batches[0])
+        manager.publish()
+        snap = manager.current.model
+        assert snap._chunk_map is not None
+        members = model.heap.live_keys[:6].copy()
+        absent = np.array([k for k in range(5_000, 5_040)
+                           if k not in model.heap][:6], dtype=np.int64)
+        keys = np.concatenate([members, absent, members[:2], absent[:3]])
+        batch = SparseBatch(
+            [0, 6, 12, 12, keys.size], keys,
+            np.linspace(-2.0, 3.0, keys.size), [1, 1, 1, 1],
+        )
+        for reader in (model, snap):
+            margins = reader.predict_batch(batch)
+            for i, ex in enumerate(batch):
+                assert _same(margins[i], reader.predict_margin(ex))
+            assert _same(reader.query_many(keys),
+                         reader.estimate_weights(keys))
+
+    @pytest.mark.parametrize("workload", ["train_serve", "ps_train"])
+    @pytest.mark.parametrize("backend", ["numpy"] + ALT_BACKENDS)
+    def test_coalesced_equals_scalar_on_e2ebench_pools(self, workload,
+                                                      backend):
+        """Every request of an e2ebench-shaped pool (the AWM(4096, 1,
+        2048) model on a d = 47,200 stream, or the WM(2^18, 3) model on
+        d = 646,000; 4,096 requests in the loadgen mix) gets the
+        scalar_answer bits from the coalescer's handlers, alone and in
+        batches of 7, on a chunk-pooled snapshot."""
+        from repro.serving.coalescer import MicroBatchCoalescer
+        from repro.serving.loadgen import build_requests
+        from repro.serving.server import scalar_answer
+
+        if workload == "train_serve":
+            d, rows, batches = 47_200, *_zipf_batches(47_200, 6_000, 21)
+            model = AWMSketch(4096, 1, heap_capacity=2048)
+        else:
+            d, rows, batches = 646_000, *_zipf_batches(646_000, 6_000, 41)
+            model = WMSketch(2**18, 3, heap_capacity=128)
+        for batch in batches[:-1]:
+            model.fit_batch(batch)
+        assert model.heap.is_full
+        model = _with_backend(model, backend)
+        manager = SnapshotManager(model)
+        model.fit_batch(batches[-1])
+        manager.publish()
+        snap = manager.current.model
+        assert snap._chunk_map is not None
+        requests = build_requests(4096, key_space=d, examples=rows[:2000],
+                                  seed=0)
+        handlers = MicroBatchCoalescer._HANDLERS
+        by_op: dict = {}
+        for op, payload in requests:
+            (result,) = handlers[op](snap, [payload])
+            assert _same(result, scalar_answer(snap, op, payload)), op
+            by_op.setdefault(op, []).append(payload)
+        for op, payloads in by_op.items():
+            for lo in range(0, len(payloads), 7):
+                group = payloads[lo:lo + 7]
+                for payload, result in zip(group, handlers[op](snap, group)):
+                    assert _same(result, scalar_answer(snap, op, payload))
 
 
 # ----------------------------------------------------------------------

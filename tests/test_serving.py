@@ -33,6 +33,7 @@ from repro.data.synthetic import SyntheticStream
 from repro.learning.feature_hashing import FeatureHashing
 from repro.serving import (
     ConsistencyError,
+    InvalidRequest,
     ServingClient,
     SketchServer,
     SnapshotManager,
@@ -271,6 +272,44 @@ class TestCoalescer:
         assert result.shape == (1,)
         with pytest.raises(RuntimeError, match="closed"):
             server.coalescer.submit_nowait("top_k", 1)
+
+    @pytest.mark.parametrize("op, payload", [
+        ("top_k", 2.5), ("top_k", -2), ("top_k", np.int64(-1)),
+        ("top_k", "3"), ("top_k", True),
+        ("query", np.array([1.7])), ("query", np.array([[1, 2]])),
+        ("query", [1, 2]), ("query", np.array([True])),
+        ("predict", np.array([1, 2])), ("predict", None),
+    ])
+    def test_malformed_request_rejected_at_admission(self, op, payload):
+        """A payload that does not fit its op raises InvalidRequest at
+        submit and is counted in serve.rejected; a valid request queued
+        beside it still gets the scalar answer."""
+        valid = {
+            "top_k": np.int64(3),
+            "query": np.array([3, 17, 3], dtype=np.int32),
+            "predict": SparseBatch.from_examples(EXAMPLES[:3]),
+        }[op]
+        server = self._server(latency_budget=20e-3)
+        try:
+            queued = server.submit_nowait(op, valid)
+            with pytest.raises(InvalidRequest, match=op):
+                server.submit_nowait(op, payload)
+            result, version = queued.wait(timeout=5.0)
+            expected, serial_version = server.serial_request(op, valid)
+            assert version == serial_version
+            if isinstance(expected, np.ndarray):
+                assert result.tobytes() == expected.tobytes()
+            else:
+                assert result == expected
+            assert server.coalescer.stats()["rejected"] == {
+                name: int(name == op) for name in ("predict", "query",
+                                                   "top_k")
+            }
+            counters = server.telemetry.snapshot()["counters"]
+            assert counters[f"serve.rejected{{op={op}}}"] == 1
+            assert server.coalescer.stats()["requests"][op] == 1
+        finally:
+            server.close()
 
     def test_unknown_op_rejected(self):
         server = self._server()

@@ -27,6 +27,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
@@ -128,6 +130,35 @@ class TestHistogramBuckets:
             one.record(v)
         many.record_many(np.asarray(values))
         assert one.snapshot() == many.snapshot()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 10.0, 100.0, 1000.0, 0.5, 5e4,
+                         -3.0]),
+        st.floats(-1e4, 1e4, allow_nan=False),
+        st.floats(1e-9, 1e9),
+    ), max_size=40), layout=st.sampled_from([(1.0, 1000.0, 1),
+                                             (1e-7, 1e3, 6)]))
+    def test_record_matches_record_many(self, values, layout):
+        """The scalar record is record_many of one value: identical
+        snapshots (sum included) value by value, and the same counts,
+        extremes and percentiles as one record_many of them all, on
+        exact bucket edges, below lo, at or above hi, and at 0."""
+        lo, hi, bpd = layout
+        one, each, bulk = (Histogram("h", lo=lo, hi=hi, buckets_per_decade=bpd)
+                           for _ in range(3))
+        values += [float(e) for e in one._edges[::3]]
+        for v in values:
+            one.record(v)
+            each.record_many([v])
+        bulk.record_many(values)
+        assert one.snapshot() == each.snapshot()
+        got, want = one.snapshot(), bulk.snapshot()
+        for key in ("count", "counts", "min", "max", "p50", "p90", "p99"):
+            assert got[key] == want[key]
+        for q in (0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 100.0):
+            assert one.percentile(q) == bulk.percentile(q)
+        assert got["sum"] == pytest.approx(want["sum"], rel=1e-12, abs=1e-9)
 
     def test_exact_extremes_and_sum(self):
         h = self._hist()
