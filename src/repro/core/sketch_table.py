@@ -278,48 +278,38 @@ class ScaledSketchTable(StreamingClassifier):
     # ship the ``(chunk id, 256 buckets)`` pairs the bitmap names, and
     # nothing else.  These helpers are the chunk moves the
     # :mod:`repro.parallel.delta` codec composes into push/pull
-    # messages; they operate on *flat* float64 arrays with this table's
-    # chunk geometry — the live raw table by default, or an external
-    # base copy the worker keeps for delta subtraction.  Chunk ids must
-    # be a 1-d int64 array strictly increasing within
+    # messages, each one call of this model's chunk kernels over the
+    # live raw table (and, for a pull, the worker's flat sync base).
+    # Chunk ids must be a 1-d int64 array strictly increasing within
     # ``[0, _n_chunks())`` (``ValueError`` otherwise, before any write).
 
-    def gather_chunks(
-        self, chunk_ids: np.ndarray, source: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Copy whole chunks out of a flat array as ``(k, _CHUNK)`` rows.
+    def gather_chunks(self, chunk_ids: np.ndarray) -> np.ndarray:
+        """Copy whole chunks of the live raw table out as fresh
+        ``(k, _CHUNK)`` rows (the ``chunk_gather`` kernel).
 
-        ``source`` defaults to the live raw table (``_table_flat``);
-        workers also pass their flat base copy.  The padded tail of a
-        partial last chunk reads as zero — both sides of a delta pad
-        identically, so padded cells subtract/accumulate to exact
-        zeros.
+        The padded tail of a partial last chunk reads as zero — both
+        sides of a delta pad identically, so padded cells
+        subtract/accumulate to exact zeros.
         """
         numpy_backend.check_chunk_ids(chunk_ids, self._n_chunks())
-        if source is None:
-            source = self._table_flat
-        return numpy_backend.gather_chunks(source, chunk_ids)
+        out = np.empty((chunk_ids.shape[0], _CHUNK), dtype=np.float64)
+        self.kernels.chunk_gather(self._table_flat, chunk_ids, out)
+        return out
 
     def scatter_chunks(
-        self,
-        chunk_ids: np.ndarray,
-        data: np.ndarray,
-        out: np.ndarray | None = None,
+        self, chunk_ids: np.ndarray, data: np.ndarray, base_flat: np.ndarray
     ) -> None:
-        """Assign ``(k, _CHUNK)`` rows back into a flat array's chunks.
+        """Assign ``(k, _CHUNK)`` rows to the chunks of the live raw
+        table and of ``base_flat``, a worker's flat sync base, in one
+        pass (the ``chunk_scatter`` kernel).
 
-        The raw-bit pull path: with ``out=None`` the live raw table is
-        overwritten (and the chunks marked dirty — the bits changed
-        relative to whatever this model last published); otherwise
-        ``out`` is an external flat base copy.
+        The raw-bit pull path: the chunks are marked dirty — the bits
+        changed relative to whatever this model last published.
         """
-        numpy_backend.check_chunk_ids(chunk_ids, self._n_chunks())
-        numpy_backend.check_chunk_rows(data, chunk_ids.shape[0])
-        own = out is None
-        numpy_backend.scatter_chunks(
-            self._table_flat if own else out, chunk_ids, data
+        self.kernels.chunk_scatter(
+            self._table_flat, base_flat, chunk_ids, data
         )
-        if own and self._dirty is not None:
+        if self._dirty is not None:
             self._dirty[chunk_ids] = True
 
     def add_scaled_chunks(

@@ -1,10 +1,11 @@
 """Pluggable kernel backends for the compiled inner loops.
 
-The eight loops this repository compiles — WM's ``fused_update``, the
+The ten loops this repository compiles — WM's ``fused_update``, the
 serving reads ``fused_predict`` and ``fused_query`` (one call per
 coalesced flush, WM and AWM alike), WM's passive-heap
-``heap_maintain``, AWM's ``awm_update``, the parameter-server push
-codec's ``chunk_delta`` and ``chunk_add``, and ``hash_rows``, the
+``heap_maintain``, AWM's ``awm_update``, the parameter-server codec's
+chunk moves ``chunk_delta`` and ``chunk_add`` (push) and
+``chunk_gather`` and ``chunk_scatter`` (pull), and ``hash_rows``, the
 (bucket, sign) hashing every trainer and reader runs through its
 :class:`~repro.hashing.batch.BatchHasher`
 (:data:`~repro.kernels.api.KERNEL_NAMES`) — dispatch through a
@@ -23,7 +24,7 @@ Backends
     equivalence suite (``tests/test_kernel_backends.py``) checks the
     compiled backend against.
 ``c``
-    The eight kernels compiled from :file:`ckernels.c` with the system
+    The ten kernels compiled from :file:`ckernels.c` with the system
     ``cc`` and loaded through cffi (:mod:`repro.kernels.c_backend`).
     Built once per machine and source hash; when cffi or a compiler is
     missing the backend is recorded unavailable and everything falls

@@ -1,12 +1,13 @@
 """The kernel API every backend implements: the compiled loops.
 
-A *kernel backend* is a named table of the eight loops this repository
+A *kernel backend* is a named table of the ten loops this repository
 compiles: WM's fused training loop, the two serving reads (a batch's
 margins and a key set's weight estimates, WM and AWM alike), WM's
 passive-heap maintain, AWM's Algorithm 2 step against a full active
-set, the parameter-server push codec's chunk encode and apply, and the
-(bucket, sign) hashing every trainer and reader runs
-(:data:`KERNEL_NAMES`).  Every backend implements them with the same
+set, the parameter-server codec's four chunk moves (the push's encode
+and apply, the pull's gather and its scatter into a worker's table and
+sync base), and the (bucket, sign) hashing every trainer and reader
+runs (:data:`KERNEL_NAMES`).  Every backend implements them with the same
 *bit-level* semantics.  The NumPy backend is the executable reference,
 and the compiled ``c`` backend is checked against it in
 ``tests/test_kernel_backends.py`` (hypothesis properties over
@@ -237,9 +238,9 @@ progress, margins_out, dirty, ws) -> None``
     wrong dtypes and ``ValueError`` for inconsistent shapes or a store
     whose live keys are not distinct.
 
-Parameter-server push codec
----------------------------
-The two chunk kernels move whole :data:`CHUNK`-cell chunks of a flat
+Parameter-server chunk codec
+----------------------------
+The four chunk kernels move whole :data:`CHUNK`-cell chunks of a flat
 float64 table (a table of ``size`` cells has ``ceil(size / CHUNK)``
 chunks; the last one is partial when ``size`` is not a multiple of
 :data:`CHUNK`).  ``chunk_ids`` must be a 1-d int64 array, strictly
@@ -248,7 +249,11 @@ increasing within ``[0, n_chunks)``; message rows are a C-contiguous
 of this before writing anything and raise ``ValueError`` with the same
 message (``numpy_backend.check_chunk_ids`` / ``check_chunk_buffers``);
 a written buffer that is not writable and C-contiguous is an error,
-never a silent copy.
+never a silent copy, and so is a written buffer that may share memory
+(``np.may_share_memory``) with any other argument.  The compiled
+``chunk_delta`` and ``chunk_add`` run full chunks through fixed-length
+row loops the compiler vectorizes; the lanes do the same rounded
+operation per cell as the scalar loop of a partial last chunk.
 
 ``chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out)
 -> None``
@@ -265,6 +270,17 @@ never a silent copy.
     The push apply: each named chunk's cells of ``table_flat`` gain
     row ``i`` of ``data`` (``t + u`` when ``scale == 1.0``, else
     ``t + u / scale``); a partial last chunk's padded tail is ignored.
+
+``chunk_gather(table_flat, chunk_ids, out) -> None``
+    The pull encode: ``out`` row ``i`` receives the bits of the named
+    chunk's cells of ``table_flat``; the padded tail of a partial last
+    chunk receives ``+0.0``, and nothing else of ``out`` is pre-filled.
+
+``chunk_scatter(table_flat, base_flat, chunk_ids, data) -> None``
+    The pull apply: each named chunk's cells of ``table_flat`` and of
+    ``base_flat`` (the worker's sync base, shaped like the table) both
+    receive the bits of row ``i`` of ``data`` (a partial last chunk its
+    row's head), in one pass.
 
 Hashing
 -------
@@ -308,7 +324,8 @@ from __future__ import annotations
 #: Every kernel a backend must provide, in documentation order.
 KERNEL_NAMES = (
     "fused_update", "fused_predict", "fused_query", "heap_maintain",
-    "awm_update", "chunk_delta", "chunk_add", "hash_rows",
+    "awm_update", "chunk_delta", "chunk_add", "chunk_gather",
+    "chunk_scatter", "hash_rows",
 )
 
 #: Cells per chunk of the dirty bitmap and of the delta codec's wire

@@ -1,6 +1,6 @@
 """The compiled C backend (``"c"``).
 
-All eight kernels are compiled, from :file:`ckernels.c`:
+All ten kernels are compiled, from :file:`ckernels.c`:
 ``fused_update``, whose NumPy body is a per-example Python loop; the
 serving reads ``fused_predict`` and ``fused_query``, which hash, translate
 through a snapshot's chunk map, gather and sum or take the median (and
@@ -10,9 +10,12 @@ and admissions, which runs the shared decision core in Python until
 the store is full and one C loop from there; ``awm_update``, AWM's
 Algorithm 2 step against a full active set, one C loop whose
 admissions ``TopKStore.apply_admissions`` finishes; the
-parameter-server push codec's ``chunk_delta`` (encode each dirty
-chunk's delta and advance the sync base in one pass) and ``chunk_add``
-(add each shipped row into the driver table); and ``hash_rows``, which
+parameter-server codec's four chunk moves, ``chunk_delta`` (encode each
+dirty chunk's delta and advance the sync base in one pass),
+``chunk_add`` (add each shipped row into the driver table),
+``chunk_gather`` (copy the driver chunks a pull ships) and
+``chunk_scatter`` (write each pulled row into the worker's table and
+sync base in one pass); and ``hash_rows``, which
 evaluates a hash family over its packed tables where the NumPy body
 serves keys from the hasher's memo.  The C bodies are
 bit-identical to the reference on every input, including the exception
@@ -41,7 +44,9 @@ strided read-only inputs are copied.  Range checks (``indptr``, every
 flat bucket, chunk ids, the buffers' lengths) run in C before anything
 is written and come back as a status the wrapper raises.  The chunk
 kernels share their Python checks and error messages with the NumPy
-reference (``numpy_backend.check_chunk_buffers`` / ``chunk_ids_error``).
+reference (``numpy_backend.check_chunk_buffers`` / ``chunk_ids_error``),
+including the rejection of a written buffer that may share memory with
+another argument, which their ``restrict``-qualified row loops rely on.
 """
 
 from __future__ import annotations
@@ -129,6 +134,12 @@ int64_t repro_chunk_delta(
 int64_t repro_chunk_add(
     void *table, int64_t size, void *ids, int64_t k,
     void *data, int64_t data_len, double scale);
+int64_t repro_chunk_gather(
+    void *table, int64_t size, void *ids, int64_t k,
+    void *out, int64_t out_len);
+int64_t repro_chunk_scatter(
+    void *table, int64_t size, void *base, int64_t base_len,
+    void *ids, int64_t k, void *data, int64_t data_len);
 void repro_hash_rows(
     void *packed, int64_t kind, int64_t row_len, int64_t depth,
     int64_t width, void *keys, int64_t n, void *buckets, void *signs);
@@ -347,6 +358,8 @@ def _make_backend(ffi, lib) -> KernelBackend:
     c_awm = lib.repro_awm_update
     c_delta = lib.repro_chunk_delta
     c_add = lib.repro_chunk_add
+    c_gather = lib.repro_chunk_gather
+    c_scatter = lib.repro_chunk_scatter
     c_hash = lib.repro_hash_rows
     check_chunk_buffers = numpy_backend.check_chunk_buffers
 
@@ -678,15 +691,17 @@ def _make_backend(ffi, lib) -> KernelBackend:
         if status:
             _raise_status(status, None, 0, n, loss_id, loss_param)
 
+    def read_chunk_views(*arrays):
+        try:
+            return [view(a) for a in arrays]
+        except ValueError:
+            return copied_views(*arrays)
+
     def chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift, out):
         check_chunk_buffers(
-            table_flat, chunk_ids, out,
-            (("base_flat", base_flat), ("out", out)), base_flat,
+            table_flat, chunk_ids, out, ("base_flat", "out"), base_flat
         )
-        try:
-            table, ids = view(table_flat), view(chunk_ids)
-        except ValueError:
-            table, ids = copied_views(table_flat, chunk_ids)
+        table, ids = read_chunk_views(table_flat, chunk_ids)
         size, k = table_flat.shape[0], chunk_ids.shape[0]
         status = c_delta(
             table, size, view(base_flat, require_writable=True),
@@ -698,16 +713,38 @@ def _make_backend(ffi, lib) -> KernelBackend:
 
     def chunk_add(table_flat, chunk_ids, data, scale):
         check_chunk_buffers(
-            table_flat, chunk_ids, data, (("table_flat", table_flat),)
+            table_flat, chunk_ids, data, ("table_flat",), rows_name="data"
         )
-        try:
-            ids, rows = view(chunk_ids), view(data)
-        except ValueError:
-            ids, rows = copied_views(chunk_ids, data)
+        ids, rows = read_chunk_views(chunk_ids, data)
         size, k = table_flat.shape[0], chunk_ids.shape[0]
         status = c_add(
             view(table_flat, require_writable=True), size, ids, k, rows,
             data.size, scale,
+        )
+        if status:
+            _raise_status(status, None, size, k)
+
+    def chunk_gather(table_flat, chunk_ids, out):
+        check_chunk_buffers(table_flat, chunk_ids, out, ("out",))
+        table, ids = read_chunk_views(table_flat, chunk_ids)
+        size, k = table_flat.shape[0], chunk_ids.shape[0]
+        status = c_gather(
+            table, size, ids, k, view(out, require_writable=True), out.size
+        )
+        if status:
+            _raise_status(status, None, size, k)
+
+    def chunk_scatter(table_flat, base_flat, chunk_ids, data):
+        check_chunk_buffers(
+            table_flat, chunk_ids, data, ("table_flat", "base_flat"),
+            base_flat, rows_name="data",
+        )
+        ids, rows = read_chunk_views(chunk_ids, data)
+        size, k = table_flat.shape[0], chunk_ids.shape[0]
+        status = c_scatter(
+            view(table_flat, require_writable=True), size,
+            view(base_flat, require_writable=True), base_flat.shape[0],
+            ids, k, rows, data.size,
         )
         if status:
             _raise_status(status, None, size, k)
@@ -735,5 +772,7 @@ def _make_backend(ffi, lib) -> KernelBackend:
         "awm_update": awm_update,
         "chunk_delta": chunk_delta,
         "chunk_add": chunk_add,
+        "chunk_gather": chunk_gather,
+        "chunk_scatter": chunk_scatter,
         "hash_rows": hash_rows,
     })

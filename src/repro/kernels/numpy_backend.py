@@ -1,12 +1,13 @@
 """The NumPy reference backend, and the helpers no backend compiles.
 
-The eight kernels of :data:`repro.kernels.api.KERNEL_NAMES`
+The ten kernels of :data:`repro.kernels.api.KERNEL_NAMES`
 (``fused_update``, ``fused_predict``, ``fused_query``,
 ``heap_maintain``, ``awm_update``, ``chunk_delta``, ``chunk_add``,
-``hash_rows``) are the executable specification the compiled ``c``
-backend is checked against (``hash_rows`` here is the hasher's memo;
-both match ``HashFamily.all_rows``, the one oracle; the two reads are
-the model read paths they replaced, moved here).  The other
+``chunk_gather``, ``chunk_scatter``, ``hash_rows``) are the executable
+specification the compiled ``c`` backend is checked against
+(``hash_rows`` here is the hasher's memo; both match
+``HashFamily.all_rows``, the one oracle; the two reads are the model
+read paths they replaced, moved here).  The other
 functions here are plain helpers with one implementation, which WM,
 AWM, feature hashing, the sketch table and the top-K store import and
 call by name: the exactly rounded margin, the element-order scatter,
@@ -865,12 +866,14 @@ def awm_update(
 
 
 # ----------------------------------------------------------------------
-# Parameter-server push codec: whole-chunk moves between a flat table and
-# (k, CHUNK) message rows.  The two kernels are the delta codec's gather
-# -> arithmetic -> scatter and the driver's fancy-index add, moved here
-# unchanged; the helpers above them are the one copy of the chunk
-# geometry and of the argument checks, shared with ScaledSketchTable and
-# the c wrappers (which raise the same errors).
+# Parameter-server chunk codec: whole-chunk moves between a flat table
+# and (k, CHUNK) message rows.  The push kernels are the delta codec's
+# gather -> arithmetic -> scatter and the driver's fancy-index add, the
+# pull kernels its gather (which no longer zero-fills whole rows first)
+# and its scatter into the worker's table and sync base; the helpers
+# above them are the one copy of the chunk geometry and of the argument
+# checks, shared with ScaledSketchTable and the c wrappers (which raise
+# the same errors).
 # ----------------------------------------------------------------------
 
 def chunk_ids_error(entry: int, k: int, n_chunks: int) -> ValueError:
@@ -920,11 +923,15 @@ def check_chunk_rows(rows, k: int) -> None:
 
 
 def check_chunk_buffers(table_flat, chunk_ids, rows, written,
-                        base_flat=None) -> int:
-    """The O(1) argument checks of both chunk kernels, on either
-    backend: dtypes and shapes, and that every buffer in ``written``
-    (``(name, array)`` pairs) is writable and C-contiguous.  Returns the
-    table's chunk count."""
+                        base_flat=None, rows_name="out") -> int:
+    """The O(1) argument checks of the four chunk kernels, on either
+    backend: dtypes and shapes; that every buffer ``written`` names
+    (``"table_flat"``, ``"base_flat"`` or ``rows_name``, the message
+    rows) is writable and C-contiguous; and that none of them may share
+    memory (``np.may_share_memory``) with another argument — the
+    compiled row loops are ``restrict``-qualified, and an overlap would
+    make the two backends write different bits.  Returns the table's
+    chunk count."""
     _check_ids_layout(chunk_ids)
     if table_flat.dtype != np.float64 or table_flat.ndim != 1:
         raise ValueError("table_flat must be a 1-d float64 array")
@@ -934,9 +941,19 @@ def check_chunk_buffers(table_flat, chunk_ids, rows, written,
             "base_flat must be a float64 array shaped like table_flat"
         )
     check_chunk_rows(rows, chunk_ids.shape[0])
-    for name, arr in written:
+    buffers = {"table_flat": table_flat, "chunk_ids": chunk_ids,
+               rows_name: rows}
+    if base_flat is not None:
+        buffers["base_flat"] = base_flat
+    for name in written:
+        arr = buffers[name]
         if not (arr.flags.c_contiguous and arr.flags.writeable):
             raise ValueError(f"{name} must be a writable C-contiguous array")
+        for other, arg in buffers.items():
+            if other != name and np.may_share_memory(arr, arg):
+                raise ValueError(
+                    f"{name} must not share memory with {other}"
+                )
     return (table_flat.shape[0] + CHUNK - 1) >> CHUNK_LOG
 
 
@@ -956,11 +973,13 @@ def chunk_split(
     return body, has_tail, full, tail_len
 
 
-def gather_chunks(source: np.ndarray, chunk_ids: np.ndarray) -> np.ndarray:
-    """Checked chunks of a flat array as fresh ``(k, CHUNK)`` rows; the
-    padded tail of a partial last chunk reads as zero."""
+def gather_chunks(
+    source: np.ndarray, chunk_ids: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Copy checked chunks of a flat array into ``(k, CHUNK)`` rows
+    ``out`` and return it; only the padded tail of a partial last chunk
+    is written as zero."""
     body, has_tail, full, tail_len = chunk_split(source.shape[0], chunk_ids)
-    out = np.zeros((chunk_ids.size, CHUNK), dtype=np.float64)
     nb = body.size
     if nb:
         # The ids are checked, so "clip" never clips; it only skips
@@ -971,6 +990,7 @@ def gather_chunks(source: np.ndarray, chunk_ids: np.ndarray) -> np.ndarray:
         )
     if has_tail:
         out[-1, :tail_len] = source[full << CHUNK_LOG:]
+        out[-1, tail_len:] = 0.0
     return out
 
 
@@ -996,12 +1016,11 @@ def chunk_delta(
     out: np.ndarray,
 ) -> None:
     n_chunks = check_chunk_buffers(
-        table_flat, chunk_ids, out,
-        (("base_flat", base_flat), ("out", out)), base_flat,
+        table_flat, chunk_ids, out, ("base_flat", "out"), base_flat
     )
     check_chunk_ids(chunk_ids, n_chunks)
-    cur = gather_chunks(table_flat, chunk_ids)
-    base = gather_chunks(base_flat, chunk_ids)
+    cur = gather_chunks(table_flat, chunk_ids, np.empty_like(out))
+    base = gather_chunks(base_flat, chunk_ids, np.empty_like(out))
     if alpha == 1.0 and drift == 1.0:
         np.subtract(cur, base, out=out)
     else:
@@ -1016,7 +1035,7 @@ def chunk_add(
     scale: float,
 ) -> None:
     n_chunks = check_chunk_buffers(
-        table_flat, chunk_ids, data, (("table_flat", table_flat),)
+        table_flat, chunk_ids, data, ("table_flat",), rows_name="data"
     )
     check_chunk_ids(chunk_ids, n_chunks)
     body, has_tail, full, tail_len = chunk_split(
@@ -1030,6 +1049,29 @@ def chunk_add(
         )
     if has_tail:
         table_flat[full << CHUNK_LOG:] += contrib[-1, :tail_len]
+
+
+def chunk_gather(
+    table_flat: np.ndarray, chunk_ids: np.ndarray, out: np.ndarray
+) -> None:
+    n_chunks = check_chunk_buffers(table_flat, chunk_ids, out, ("out",))
+    check_chunk_ids(chunk_ids, n_chunks)
+    gather_chunks(table_flat, chunk_ids, out)
+
+
+def chunk_scatter(
+    table_flat: np.ndarray,
+    base_flat: np.ndarray,
+    chunk_ids: np.ndarray,
+    data: np.ndarray,
+) -> None:
+    n_chunks = check_chunk_buffers(
+        table_flat, chunk_ids, data, ("table_flat", "base_flat"),
+        base_flat, rows_name="data",
+    )
+    check_chunk_ids(chunk_ids, n_chunks)
+    scatter_chunks(table_flat, chunk_ids, data)
+    scatter_chunks(base_flat, chunk_ids, data)
 
 
 # ----------------------------------------------------------------------

@@ -44,15 +44,22 @@ product's rounding (the log-space fold accounting is
 
 Kernels and validation
 ----------------------
-The per-chunk arithmetic runs in the model's kernel backend: a push is
-encoded by ``chunk_delta`` (each dirty chunk's ``U`` written and the
-sync base advanced in one pass) and applied by ``chunk_add``; under the
-compiled ``c`` backend each is one loop over the shipped chunks, under
-``numpy`` a gather, the arithmetic and a scatter.  Both produce the same
-bytes, so messages do not depend on the backend.  The compiled loops run
-without the GIL, which is safe because they touch only the live tables,
-sync base and message rows of the thread running the codec; serving
-readers read published snapshots, never a live table.
+Every chunk move runs in the model's kernel backend, one call per
+message side: a push is encoded by ``chunk_delta`` (each dirty chunk's
+``U`` written and the sync base advanced in one pass) and applied by
+``chunk_add``; a pull is encoded by ``chunk_gather`` and applied by
+``chunk_scatter``, which writes each pulled row into the worker's table
+and its sync base in one pass, so :func:`apply_pull` re-anchors the
+worker's :class:`SyncPoint` itself.  Under the compiled ``c`` backend
+each is one loop over the shipped chunks (vectorized arithmetic on full
+chunks, ``memcpy`` for the copies); under ``numpy`` the push kernels are
+gathers (``np.take``), the arithmetic and fancy-index scatters, and the
+pull kernels one ``np.take`` and two fancy-index assignments.  Both backends
+produce the same bytes, so messages do not depend on the backend.  The
+compiled loops run without the GIL, which is safe because they touch
+only the live tables, sync base and message rows of the thread running
+the codec; serving readers read published snapshots, never a live
+table.
 
 :func:`apply_push` and :func:`apply_pull` check the whole message first
 — geometry, chunk ids (1-d int64, strictly increasing within
@@ -165,7 +172,8 @@ class SyncPoint:
     ``base_raw`` is a flat copy of the model's raw table bits,
     ``scale`` / ``fold_log`` the lazy scale and fold accumulator at the
     same instant.  :func:`encode_push` diffs the live model against
-    this record and then advances it in place (O(dirty): only the
+    this record and then advances it in place, and :func:`apply_pull`
+    re-anchors it on the pulled chunks (both O(message): only the
     shipped chunks are re-copied).
     """
 
@@ -411,20 +419,24 @@ def encode_pull(model, chunk_ids: np.ndarray) -> PullDelta:
     )
 
 
-def apply_pull(model, pull: PullDelta) -> None:
-    """Overwrite the worker's state with the pulled driver state.
+def apply_pull(model, pull: PullDelta, sync: SyncPoint) -> None:
+    """Overwrite the worker's state with the pulled driver state and
+    re-anchor its sync point.
 
-    Raw bits of the named chunks are assigned verbatim and the scale /
-    fold accumulator / example clock copied, making the worker's scaled
-    state a **bit-exact replica** of the driver's at encode time — the
-    un-shipped chunks already agreed by the changed-chunk-tracking
-    induction (``tests/test_ps.py`` asserts the full-table equality).
+    Raw bits of the named chunks are assigned verbatim, to the live
+    table and to ``sync.base_raw`` in one pass, and the scale / fold
+    accumulator / example clock copied (the scale and fold accumulator
+    into ``sync`` too), making the worker's scaled state a **bit-exact
+    replica** of the driver's at encode time — the un-shipped chunks
+    already agreed by the changed-chunk-tracking induction
+    (``tests/test_ps.py`` asserts the full-table equality).  When the
+    worker's raw bits equal its sync base at entry (its updates are
+    pushed), they still do after the pull.
 
-    The caller owns the bookkeeping that follows: re-anchoring its
-    :class:`SyncPoint`, clearing the dirty set (the pulled state *is*
-    the new sync base), and re-estimating its top-K heap against the
-    merged table.  A malformed message (see the module docstring)
-    raises ``ValueError`` before anything changes.
+    The caller owns the bookkeeping that follows: clearing the dirty
+    set (the pulled state *is* the new sync base) and re-estimating its
+    top-K heap against the merged table.  A malformed message (see the
+    module docstring) raises ``ValueError`` before anything changes.
     """
     _check_message(model, pull.chunk_ids, pull.chunks, pull.n_chunks,
                    "pull scale", pull.scale)
@@ -437,7 +449,7 @@ def apply_pull(model, pull: PullDelta) -> None:
         raise ValueError(
             f"pull fold_log must be finite, got {pull.fold_log!r}"
         )
-    model.scatter_chunks(pull.chunk_ids, pull.chunks)
-    model._scale = pull.scale
-    model._fold_log = pull.fold_log
+    model.scatter_chunks(pull.chunk_ids, pull.chunks, sync.base_raw)
+    model._scale = sync.scale = pull.scale
+    model._fold_log = sync.fold_log = pull.fold_log
     model.t = pull.t

@@ -204,15 +204,10 @@ class PSWorker:
 
         Called push-first by the harness, so at entry the worker's raw
         bits equal its sync base everywhere; the pull overwrites only
-        the shipped chunks, and re-anchoring the sync point is O(pull)
-        — scatter the same chunks into the base — not O(table).
+        the shipped chunks, in the table and the sync base in one pass,
+        so re-anchoring the sync point is O(pull), not O(table).
         """
-        apply_pull(self.model, pull)
-        self.model.scatter_chunks(
-            pull.chunk_ids, pull.chunks, out=self.sync.base_raw
-        )
-        self.sync.scale = pull.scale
-        self.sync.fold_log = pull.fold_log
+        apply_pull(self.model, pull, self.sync)
         self.model._dirty[:] = False
         self.last_pull_round = self.rounds_done
         heap = self.model.heap
@@ -250,9 +245,9 @@ class PSWorker:
         """
         _check_delta_capable(model)
         self.model = model
-        apply_pull(model, pull)
-        model._dirty[:] = False
         self.sync = SyncPoint(model)
+        apply_pull(model, pull, self.sync)
+        model._dirty[:] = False
         if model.heap is not None:
             # The respawned heap starts empty, like a first boot; local
             # training re-promotes, and the driver's heap (which folded

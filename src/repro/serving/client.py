@@ -74,10 +74,11 @@ class ServingClient:
         return float(self._call("predict", batch)[0][0])
 
     def query(self, keys) -> np.ndarray:
-        """Estimated weights for ``keys``."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-        return self._call("query", keys)[0]
+        """Estimated weights for ``keys`` (integers: a key of another
+        dtype is rejected by the server's admission check, never
+        truncated here)."""
+        return self._call("query", np.atleast_1d(np.asarray(keys)))[0]
 
     def top_k(self, k: int) -> list[tuple[int, float]]:
-        """Top-k (feature, weight) pairs."""
-        return self._call("top_k", int(k))[0]
+        """Top-k (feature, weight) pairs; ``k`` is passed as given."""
+        return self._call("top_k", k)[0]

@@ -53,7 +53,8 @@ class InvalidRequest(ValueError):
     """Typed admission rejection: the payload does not fit its op.
 
     Raised by :meth:`MicroBatchCoalescer.submit_nowait` before the
-    request is queued, and counted in ``serve.rejected``: a malformed
+    request is queued (and by the server's serial reads before they are
+    answered), and counted in ``serve.rejected``: a malformed
     request fails alone, instead of failing (or silently changing) the
     answers of the requests flushed with it.  ``top_k`` takes a
     non-negative integer (numpy integers included), ``query`` a 1-d
@@ -289,6 +290,19 @@ class MicroBatchCoalescer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
+    def check_request(self, op: str, payload) -> None:
+        """Raise ``ValueError`` for an unknown ``op`` and
+        :class:`InvalidRequest` for a payload that does not fit it,
+        counting the latter in ``serve.rejected{op}``.  Every read runs
+        it before it is answered: each coalesced submission, and
+        :meth:`~repro.serving.server.SketchServer.serial_request`."""
+        if op not in self._queues:
+            raise ValueError(f"unknown op {op!r}; expected one of {_OPS}")
+        problem = _payload_error(op, payload)
+        if problem is not None:
+            self._m_rejected[op].inc()
+            raise InvalidRequest(problem)
+
     def submit_nowait(self, op: str, payload,
                       deadline: float | None = None) -> _Request:
         """Enqueue without blocking; caller waits on the returned request.
@@ -301,12 +315,7 @@ class MicroBatchCoalescer:
         contract — and :class:`InvalidRequest` for a payload that does
         not fit ``op``, before anything is queued.
         """
-        if op not in self._queues:
-            raise ValueError(f"unknown op {op!r}; expected one of {_OPS}")
-        problem = _payload_error(op, payload)
-        if problem is not None:
-            self._m_rejected[op].inc()
-            raise InvalidRequest(problem)
+        self.check_request(op, payload)
         now = time.monotonic()
         rel = deadline if deadline is not None else self.default_deadline
         req = _Request(op, payload, None if rel is None else now + rel)

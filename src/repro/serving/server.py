@@ -270,8 +270,12 @@ class SketchServer:
         """Serial-scalar read: ``(result, snapshot_version)``.
 
         The non-coalesced baseline — one request at a time, scalar
-        kernels, same snapshot discipline.
+        kernels, same snapshot discipline, and the same admission check
+        as a coalesced read: a payload that does not fit ``op`` raises
+        :class:`~repro.serving.coalescer.InvalidRequest` and is counted
+        in ``serve.rejected{op}``.
         """
+        self.coalescer.check_request(op, payload)
         with self._serial_lock:
             snap = self.snapshots.current
             return scalar_answer(snap.model, op, payload), snap.version

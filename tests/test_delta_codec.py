@@ -87,11 +87,7 @@ def _all_chunks(model):
 
 def _sync_pull(worker, driver, sync):
     """Full-state pull (all chunks) + worker-side bookkeeping."""
-    pull = encode_pull(driver, _all_chunks(driver))
-    apply_pull(worker, pull)
-    worker.scatter_chunks(pull.chunk_ids, pull.chunks, out=sync.base_raw)
-    sync.scale = pull.scale
-    sync.fold_log = pull.fold_log
+    apply_pull(worker, encode_pull(driver, _all_chunks(driver)), sync)
     worker._dirty[:] = False
 
 
@@ -214,7 +210,8 @@ class TestPushSemantics:
         with pytest.raises(ValueError, match="geometry"):
             apply_push(other, delta)
         with pytest.raises(ValueError, match="geometry"):
-            apply_pull(other, encode_pull(worker, _all_chunks(worker)))
+            apply_pull(other, encode_pull(worker, _all_chunks(worker)),
+                       SyncPoint(other))
 
     def test_snapshot_cannot_push(self):
         worker = _logistic_factory()
@@ -241,7 +238,7 @@ class TestWireTransport:
         pull = encode_pull(driver_a, _all_chunks(driver_a))
         wire = pickle.loads(pickle.dumps(pull.to_payload()))
         clone = _linear_factory()
-        apply_pull(clone, PullDelta.from_payload(wire))
+        apply_pull(clone, PullDelta.from_payload(wire), SyncPoint(clone))
         assert np.array_equal(clone.table, driver_a.table)
 
 
@@ -501,6 +498,10 @@ def _state(model):
             model._dirty.tobytes())
 
 
+def _sync_state(sync):
+    return sync.scale, sync.fold_log, sync.base_raw.tobytes()
+
+
 def _multi_chunk_factory():
     """900 cells: three full chunks and a 132-cell partial one."""
     return WMSketch(300, 3, seed=5, lambda_=1e-3, heap_capacity=0)
@@ -602,12 +603,27 @@ class TestMalformedMessages:
         for override in bad_fields:
             worker = _multi_chunk_factory()
             worker._dirty[:] = False
-            before = _state(worker)
+            sync = SyncPoint(worker)
+            before = _state(worker), _sync_state(sync)
             fields = {name: getattr(pull, name)
                       for name in PullDelta.__slots__}
             with pytest.raises(ValueError):
-                apply_pull(worker, PullDelta(**{**fields, **override}))
-            assert _state(worker) == before, override
+                apply_pull(worker, PullDelta(**{**fields, **override}),
+                           sync)
+            assert (_state(worker), _sync_state(sync)) == before, override
+
+    def test_pull_into_a_misshapen_sync_base_raises_first(self):
+        driver = _multi_chunk_factory()
+        driver.fit_batch(SparseBatch.from_examples(_stream(40)))
+        pull = encode_pull(driver, _all_chunks(driver))
+        worker = _multi_chunk_factory()
+        worker._dirty[:] = False
+        sync = SyncPoint(worker)
+        sync.base_raw = sync.base_raw[:-1].copy()
+        before = _state(worker), _sync_state(sync)
+        with pytest.raises(ValueError, match="base_flat"):
+            apply_pull(worker, pull, sync)
+        assert (_state(worker), _sync_state(sync)) == before
 
     @pytest.mark.parametrize("defect", sorted(_BAD_IDS))
     def test_chunk_moves_reject_bad_ids(self, defect):
@@ -620,8 +636,7 @@ class TestMalformedMessages:
         base = model._table_flat.copy()
         calls = [
             lambda: model.gather_chunks(ids),
-            lambda: model.scatter_chunks(ids, rows),
-            lambda: model.scatter_chunks(ids, rows, out=base),
+            lambda: model.scatter_chunks(ids, rows, base),
             lambda: model.add_scaled_chunks(ids, rows),
             lambda: encode_pull(model, ids),
         ]

@@ -2,18 +2,19 @@
 
 Every kernel backend must be *bit-identical* to the NumPy reference on
 identical inputs — tables, heap state and predictions alike.  The ``c``
-backend compiles all eight kernels, ``fused_update``, ``fused_predict``,
+backend compiles all ten kernels, ``fused_update``, ``fused_predict``,
 ``fused_query``, ``heap_maintain``, ``awm_update``, ``chunk_delta``,
-``chunk_add`` and ``hash_rows`` (``repro/kernels/ckernels.c``); its cases
-skip with the
-recorded reason on a host where it cannot build.
+``chunk_add``, ``chunk_gather``, ``chunk_scatter`` and ``hash_rows``
+(``repro/kernels/ckernels.c``); its cases skip with the recorded reason
+on a host where it cannot build.
 The NumPy helpers no backend compiles are tested directly here
 (``TestNumpyHelpers``).  Beyond the
 model-level fuzz, hypothesis properties compare the compiled kernels
 with NumPy bit for bit on adversarial inputs (repeated buckets, renorm
 folds, 1e300 magnitudes, signed zeros, infinities and NaNs, bad chunk
-ids), including the exception raised and the partial state left behind,
-pin the NumPy chunk kernels to the delta codec's earlier composition,
+ids, buffers that share memory), including the exception raised and
+the partial state left behind, pin the NumPy chunk kernels to the delta
+codec's earlier composition,
 and pin the NumPy heap maintain to the per-example decision core.
 """
 
@@ -118,7 +119,8 @@ class TestRegistry:
     def test_backend_objects_are_complete(self):
         assert kernels.KERNEL_NAMES == (
             "fused_update", "fused_predict", "fused_query", "heap_maintain",
-            "awm_update", "chunk_delta", "chunk_add", "hash_rows",
+            "awm_update", "chunk_delta", "chunk_add", "chunk_gather",
+            "chunk_scatter", "hash_rows",
         )
         for name in kernels.available_backends():
             backend = kernels.get_backend(name)
@@ -1701,8 +1703,8 @@ class TestMultiBlockStoreKernels:
 
 
 # ----------------------------------------------------------------------
-# The push codec's chunk kernels: c == numpy bit for bit, and numpy ==
-# the codec's earlier gather -> arithmetic -> scatter composition
+# The PS codec's chunk kernels: c == numpy bit for bit, and numpy == the
+# codec's earlier gather -> arithmetic -> scatter composition
 # ----------------------------------------------------------------------
 CHUNK = kernels.CHUNK
 
@@ -1728,6 +1730,17 @@ def _spec_gather(source, chunk_ids):
     return out
 
 
+def _spec_scatter(dest, chunk_ids, data):
+    """The codec's raw-bit scatter before the chunk kernels (the push's
+    base advance, the pull's table and base writes)."""
+    body, has_tail, full, tail_len = _spec_split(dest.size, chunk_ids)
+    nb = body.size
+    if nb:
+        dest[: full << 8].reshape(full, 256)[body] = data[:nb]
+    if has_tail:
+        dest[full << 8:] = data[-1, :tail_len]
+
+
 def _spec_chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift):
     """The delta codec's push encode as it was composed before the
     chunk_delta kernel: two gathers, the arithmetic, one scatter."""
@@ -1737,12 +1750,7 @@ def _spec_chunk_delta(table_flat, base_flat, chunk_ids, alpha, drift):
         chunks = cur - base
     else:
         chunks = alpha * cur - drift * base
-    body, has_tail, full, tail_len = _spec_split(base_flat.size, chunk_ids)
-    nb = body.size
-    if nb:
-        base_flat[: full << 8].reshape(full, 256)[body] = cur[:nb]
-    if has_tail:
-        base_flat[full << 8:] = cur[-1, :tail_len]
+    _spec_scatter(base_flat, chunk_ids, cur)
     return chunks
 
 
@@ -1757,11 +1765,15 @@ def _spec_chunk_add(table_flat, chunk_ids, data, scale):
         table_flat[full << 8:] += contrib[-1, :tail_len]
 
 
+#: NaNs whose payloads a copy must keep: a quiet one with payload bits
+#: and a signaling one (arithmetic quiets it; a copy must not).
+_PAYLOAD_NANS = [float(np.array(bits, dtype=np.uint64).view(np.float64))
+                 for bits in (0x7FF8DEAD0000BEEF, 0xFFF0000000000001)]
 #: Cell values: signed zeros, infinities, NaNs of both signs (x86's
-#: default NaN is negative) and 1e300 magnitudes among ordinary finite
-#: ones.
+#: default NaN is negative) and with payloads, and 1e300 magnitudes
+#: among ordinary finite ones.
 _CELL_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
-                  1e300, -1e300]
+                  *_PAYLOAD_NANS, 1e300, -1e300]
 #: Factors alpha, drift and scale: 1.0 and ordinary positive ones (the
 #: codec's), plus the values that stress rounding and special cases.
 _FACTORS = st.one_of(
@@ -1905,6 +1917,137 @@ class TestChunkKernelsExhaustive:
                 assert _run_chunk_kernels(c, inputs) == want, (alpha, drift)
 
 
+def _run_pull_kernels(kb, inputs):
+    """``chunk_gather`` then ``chunk_scatter`` on copies: the outcome of
+    each and every written buffer's exact bytes.  These kernels only
+    copy, so NaN payloads must survive too."""
+    out = np.full((inputs["ids"].size, CHUNK), -7.0)
+    table = inputs["table"].copy()
+    base = inputs["base"].copy()
+    outcomes = []
+    for call in (
+        lambda: kb.chunk_gather(inputs["table"], inputs["ids"], out),
+        lambda: kb.chunk_scatter(table, base, inputs["ids"],
+                                 inputs["rows"]),
+    ):
+        try:
+            call()
+            outcomes.append("ok")
+        except ValueError as exc:
+            outcomes.append(("ValueError", str(exc)))
+    return outcomes, out.tobytes(), table.tobytes(), base.tobytes()
+
+
+class TestPullKernelsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_chunk_inputs())
+    @example(inputs=dict(
+        table=np.array(_PAYLOAD_NANS * 150), base=np.zeros(300),
+        ids=np.array([0, 1], dtype=np.int64),
+        rows=np.resize(np.array(_PAYLOAD_NANS[::-1]), (2, CHUNK)),
+    ))
+    def test_c_matches_numpy(self, inputs):
+        c = _c_or_skip()
+        want = _run_pull_kernels(kernels.get_backend("numpy"), inputs)
+        assert _run_pull_kernels(c, inputs) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_chunk_inputs(valid_only=True))
+    def test_numpy_matches_the_composed_spec(self, inputs):
+        outcomes, out, table, base = _run_pull_kernels(
+            kernels.get_backend("numpy"), inputs
+        )
+        assert outcomes == ["ok", "ok"]
+        # The codec's earlier pull: a zero-filled gather, then the same
+        # scatter into the table and, separately, into the sync base.
+        assert out == _spec_gather(inputs["table"], inputs["ids"]).tobytes()
+        for before, after in ((inputs["table"], table),
+                              (inputs["base"], base)):
+            want = before.copy()
+            _spec_scatter(want, inputs["ids"], inputs["rows"])
+            assert after == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["numpy", c_backend_param()])
+class TestChunkKernelAliasing:
+    """A buffer a chunk kernel writes must not share memory with another
+    argument: both backends raise before writing anything.  Without the
+    check, chunk_delta with ``out`` over ``table_flat[:512]`` leaves c's
+    sync base holding the deltas and numpy's the old table."""
+
+    @staticmethod
+    def _cases():
+        """(kernel, arguments, written names) per aliasing pair, over
+        a 900-cell table (three full chunks and a partial one)."""
+        table = np.arange(900.0)
+        base = -np.arange(900.0)
+        two = np.array([0, 1], dtype=np.int64)
+        rows = np.ones((2, CHUNK))
+        over_table = table[:512].reshape(2, CHUNK)
+        over_base = base[:512].reshape(2, CHUNK)
+        # Chunk ids read from memory the kernel writes.
+        ids_over_table = table[:2].view(np.int64)
+        ids_over_base = base[:2].view(np.int64)
+        mem = np.zeros(2 * CHUNK)
+        return [
+            ("chunk_delta", dict(table_flat=table, base_flat=base,
+                                 chunk_ids=two, alpha=1.0, drift=1.0,
+                                 out=over_table)),
+            ("chunk_delta", dict(table_flat=table, base_flat=base,
+                                 chunk_ids=two, alpha=1.0, drift=1.0,
+                                 out=over_base)),
+            ("chunk_delta", dict(table_flat=table, base_flat=table,
+                                 chunk_ids=two, alpha=1.0, drift=1.0,
+                                 out=np.zeros((2, CHUNK)))),
+            ("chunk_delta", dict(table_flat=table,
+                                 base_flat=base, chunk_ids=ids_over_base,
+                                 alpha=1.0, drift=1.0,
+                                 out=np.zeros((2, CHUNK)))),
+            ("chunk_add", dict(table_flat=table, chunk_ids=two,
+                               data=over_table, scale=1.0)),
+            ("chunk_add", dict(table_flat=table, chunk_ids=ids_over_table,
+                               data=rows, scale=1.0)),
+            ("chunk_gather", dict(table_flat=table, chunk_ids=two,
+                                  out=over_table)),
+            ("chunk_gather", dict(table_flat=table,
+                                  chunk_ids=mem[:2].view(np.int64),
+                                  out=mem.reshape(2, CHUNK))),
+            ("chunk_scatter", dict(table_flat=table, base_flat=base,
+                                   chunk_ids=two, data=over_table)),
+            ("chunk_scatter", dict(table_flat=table, base_flat=base,
+                                   chunk_ids=two, data=over_base)),
+            ("chunk_scatter", dict(table_flat=table, base_flat=table,
+                                   chunk_ids=two, data=rows)),
+            ("chunk_scatter", dict(table_flat=table, base_flat=base,
+                                   chunk_ids=ids_over_table, data=rows)),
+        ]
+
+    def test_shared_memory_raises_before_any_write(self, name):
+        kb = kernels.get_backend(name)
+        for kernel, args in self._cases():
+            arrays = [a for a in args.values() if isinstance(a, np.ndarray)]
+            before = [a.tobytes() for a in arrays]
+            with pytest.raises(ValueError, match="must not share memory"):
+                getattr(kb, kernel)(**args)
+            assert [a.tobytes() for a in arrays] == before, kernel
+
+    def test_every_kernel_is_covered(self, name):
+        assert {kernel for kernel, _ in self._cases()} == {
+            k for k in kernels.KERNEL_NAMES if k.startswith("chunk_")
+        }
+
+    def test_disjoint_views_of_one_buffer_are_accepted(self, name):
+        # Views of one allocation that cannot overlap are fine.
+        kb = kernels.get_backend(name)
+        mem = np.zeros(900 + 2 * CHUNK)
+        table, out = mem[:900], mem[900:].reshape(2, CHUNK)
+        table[:] = np.arange(900.0)
+        kb.chunk_gather(table, np.array([0, 3], dtype=np.int64), out)
+        assert np.array_equal(out[0], np.arange(256.0))
+        assert np.array_equal(out[1, :132], np.arange(768.0, 900.0))
+        assert not out[1, 132:].any()
+
+
 @pytest.mark.parametrize("name", ["numpy", c_backend_param()])
 class TestChunkKernelChecks:
     @pytest.mark.parametrize("bad", sorted(_BAD_IDS))
@@ -1918,6 +2061,10 @@ class TestChunkKernelChecks:
             kb.chunk_delta(table, base, ids, 1.0, 1.0, out)
         with pytest.raises(ValueError, match="strictly increasing"):
             kb.chunk_add(table, ids, np.ones((ids.size, CHUNK)), 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kb.chunk_gather(table, ids, out)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kb.chunk_scatter(table, base, ids, np.ones((ids.size, CHUNK)))
         assert np.array_equal(table, np.arange(900.0))
         assert np.array_equal(base, -table)
         assert np.all(out == -7.0)
@@ -1953,6 +2100,47 @@ class TestChunkKernelChecks:
         assert not strided.any()
         with pytest.raises(ValueError, match="shape"):
             kb.chunk_add(np.zeros(900), ids, np.ones((3, CHUNK)), 1.0)
+        for out in (np.zeros((2, 2 * CHUNK))[:, ::2], readonly,
+                    np.zeros((1, CHUNK)),
+                    np.zeros((2, CHUNK), dtype=np.float32)):
+            before = out.tobytes()
+            with pytest.raises(ValueError):
+                kb.chunk_gather(table, ids, out)
+            assert out.tobytes() == before
+        readonly_base = np.zeros(900)
+        readonly_base.flags.writeable = False
+        scatter_cases = [
+            {"table_flat": np.zeros(1800)[::2]},
+            {"base_flat": np.zeros(1800)[::2]},
+            {"base_flat": readonly_base},
+            {"base_flat": np.zeros(899)},
+            {"data": np.ones((3, CHUNK))},
+            {"chunk_ids": ids.astype(np.int32)},
+        ]
+        for override in scatter_cases:
+            args = {**dict(table_flat=np.zeros(900), base_flat=np.zeros(900),
+                           chunk_ids=ids, data=np.ones((2, CHUNK))),
+                    **override}
+            with pytest.raises(ValueError):
+                kb.chunk_scatter(**args)
+            assert not args["table_flat"].any()
+            assert not args["base_flat"].any()
+
+    def test_pull_copies_keep_nan_payloads(self, name):
+        kb = kernels.get_backend(name)
+        table = np.array(_PAYLOAD_NANS * 450)  # 900 cells
+        ids = np.array([1, 3], dtype=np.int64)
+        out = np.empty((2, CHUNK))
+        kb.chunk_gather(table, ids, out)
+        assert out[0].tobytes() == table[256:512].tobytes()
+        assert out[1, :132].tobytes() == table[768:].tobytes()
+        assert out[1, 132:].tobytes() == np.zeros(124).tobytes()
+        dest, base = np.zeros(900), np.zeros(900)
+        kb.chunk_scatter(dest, base, ids, out)
+        for got in (dest, base):
+            assert got[256:512].tobytes() == table[256:512].tobytes()
+            assert got[768:].tobytes() == table[768:].tobytes()
+            assert not got[:256].any() and not got[512:768].any()
 
     def test_strided_read_only_inputs_are_accepted(self, name):
         kb = kernels.get_backend(name)
@@ -1967,6 +2155,12 @@ class TestChunkKernelChecks:
         total = np.zeros(900)
         kb.chunk_add(total, ids, rows, 1.0)
         assert np.array_equal(total, base)
+        gathered = np.empty((2, CHUNK))
+        kb.chunk_gather(table, ids, gathered)
+        assert gathered.tobytes() == out.tobytes()
+        copy, copy_base = np.zeros(900), np.zeros(900)
+        kb.chunk_scatter(copy, copy_base, ids, rows)
+        assert copy.tobytes() == copy_base.tobytes() == base.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -138,6 +138,59 @@ class TestDataLinearBitIdentityOnC(TestDataLinearBitIdentity):
 
 
 # ----------------------------------------------------------------------
+# The sync base: re-anchored in the same pass as every push and pull.
+# ----------------------------------------------------------------------
+@pytest.mark.usefixtures("kernel_backend")
+class TestSyncBaseTracksTable:
+    """After every push and every pull a worker's sync base holds its
+    raw table's bits, and its scale and fold log: ``chunk_delta``
+    advances the base on the pushed chunks, ``chunk_scatter`` writes the
+    pulled rows into table and base together, and training touches only
+    dirty chunks in between.  Runs the numpy codec; the ``OnC`` twin
+    below the compiled one."""
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("staleness", [0, 1, 2])
+    def test_base_equals_table_after_every_sync(
+        self, monkeypatch, staleness, n_workers
+    ):
+        seen = []
+
+        def checked(method):
+            def wrapper(self, *args):
+                result = method(self, *args)
+                assert (self.sync.base_raw.tobytes()
+                        == self.model._table_flat.tobytes()), method.__name__
+                assert self.sync.scale == self.model._scale
+                assert self.sync.fold_log == self.model._fold_log
+                seen.append(method.__name__)
+                return result
+            return wrapper
+
+        for name in ("encode_push", "apply_pull"):
+            monkeypatch.setattr(PSWorker, name,
+                                checked(getattr(PSWorker, name)))
+        # Depth 3 x width 300: three full chunks and a 132-cell partial
+        # one.
+        harness = PSHarness(
+            _logistic_factory(width=300), n_workers=n_workers,
+            staleness=staleness, sync_every=50, batch_size=25, seed=4,
+        )
+        model = harness.fit(_synthetic(900))
+        assert model.size % 256 != 0
+        assert seen.count("encode_push") == len(harness.history)
+        assert seen.count("apply_pull") == sum(
+            row["pulled"] for row in harness.history
+        ) > 0
+
+
+@pytest.mark.parametrize("kernel_backend", [c_backend_param()],
+                         indirect=True)
+class TestSyncBaseTracksTableOnC(TestSyncBaseTracksTable):
+    pass
+
+
+# ----------------------------------------------------------------------
 # SSP scheduling invariants.
 # ----------------------------------------------------------------------
 class TestSSPScheduling:

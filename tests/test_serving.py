@@ -311,6 +311,45 @@ class TestCoalescer:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("serial", [False, True],
+                             ids=["coalesced", "serial"])
+    @pytest.mark.parametrize("op, arg", [
+        ("query", [1.7, 2.2]), ("query", 2.5), ("query", True),
+        ("top_k", 1.7), ("top_k", 2.5), ("top_k", -2), ("top_k", True),
+    ])
+    def test_client_payloads_are_checked_not_cast(self, serial, op, arg):
+        """The client sends payloads as given and serial reads run the
+        coalescer's admission check, so on both paths a non-integer key
+        or a fractional, negative or bool k is rejected and counted —
+        not truncated (key 1.7 answered as key 1, top_k(2.5) with two
+        entries) or sliced (a WM top_k(-2) giving all but two heap
+        entries)."""
+        server = self._server()
+        try:
+            client = ServingClient(server, serial=serial)
+            with pytest.raises(InvalidRequest, match=op):
+                getattr(client, op)(arg)
+            counters = server.telemetry.snapshot()["counters"]
+            assert counters[f"serve.rejected{{op={op}}}"] == 1
+            assert server.coalescer.stats()["requests"][op] == 0
+        finally:
+            server.close()
+
+    def test_negative_keys_are_valid_on_both_paths(self):
+        server = self._server()
+        try:
+            keys = np.array([-2, 5, -(2**63)], dtype=np.int64)
+            coalesced = ServingClient(server).query(keys)
+            serial = ServingClient(server, serial=True).query(keys)
+            assert coalesced.tobytes() == serial.tobytes()
+            assert ServingClient(server).query(-2).tobytes() == (
+                coalesced[:1].tobytes()
+            )
+            counters = server.telemetry.snapshot()["counters"]
+            assert counters["serve.rejected{op=query}"] == 0
+        finally:
+            server.close()
+
     def test_unknown_op_rejected(self):
         server = self._server()
         try:
